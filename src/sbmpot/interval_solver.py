@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SolverError
+from .errors import ConfigError, DomainError, QuadratureError, SolverError
 from .kernels import KernelSet
 from .quadrature import integrate_adaptive
 
@@ -65,6 +65,13 @@ DEFAULT_LAMBDA1 = 0.25
 # absorbing-shelf sequence for (0, R) bracketing
 DEFAULT_A_SEQ = (0.004, 0.001, 0.00025)
 
+# cells across each shelf, and the dense-matrix cap that limits them
+SHELF_CELLS = 4.0
+SHELF_N_CAP = 4096
+
+# interior probe points per axis for refinement drift
+N_PROBE = 16
+
 _KINDS = ("X", "Y", "Z")
 
 
@@ -98,8 +105,6 @@ class GeneratorMatrix:
     grid: Grid
     A: np.ndarray = field(repr=False)
     kappa_vec: np.ndarray = field(repr=False)
-    q_vec: np.ndarray = field(repr=False)
-    F_diag: object = field(repr=False)  # F(x, y) = j(x + y) / j(|x - y|)
 
 
 @dataclass
@@ -110,8 +115,10 @@ class GreenMatrix:
     asymmetry: float = 0.0
 
 
-def _jt(ks, t, cutoff):
-    return ks.jump_tail(float(t), cutoff)
+def _checked(r, what):
+    if not r.converged:
+        raise QuadratureError(f"{what} did not converge", err_est=r.err_est)
+    return r.value
 
 
 def _wall_correction(ks: KernelSet, dx: float) -> float:
@@ -124,16 +131,46 @@ def _wall_correction(ks: KernelSet, dx: float) -> float:
     midpoint) > 1.  Returned is the additive correction (gamma - 1) * rate.
     """
     dm = ks.delta_max
-    prof = integrate_adaptive(
-        lambda d: ks.jump_tail_closed(d) * d**dm,
-        0.0,
-        dx,
-        ks.quad,
-        left_exponent=-dm,
-    ).value
+    prof = _checked(
+        integrate_adaptive(
+            lambda d: ks.jump_tail_closed(d) * d**dm,
+            0.0,
+            dx,
+            ks.quad,
+            left_exponent=-dm,
+        ),
+        f"wall correction at dx={dx}",
+    )
     near = float(ks.jump_tail_closed(0.5 * dx))
     gamma = prof / (dx * near * (0.5 * dx) ** dm)
     return (gamma - 1.0) * near
+
+
+def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
+    """Per-node rates of jumping below a and above b, and the wall correction.
+
+    With T(t) = int_t^inf j: kind X is killed by every jump out of (a, b);
+    kind Y suppresses the jumps below 0, so only landings in (0, a) kill
+    below; kind Z folds a landing y onto |y|, so (-a, a) kills below and
+    y < -b adds to the rate above.  The kill rate of node i is
+    lo[i] + hi[i], plus dk at the two wall nodes.
+    """
+    a, b = grid.a, grid.b
+    xs = grid.nodes()
+    cutoff = Z_MAX_FACTOR * (b - a)
+
+    def T(ts):
+        return np.array([ks.jump_tail(float(t), cutoff) for t in ts])
+
+    lo = T(xs - a)
+    if kind == "Y":
+        lo = lo - T(xs)
+    elif kind == "Z":
+        lo = lo - T(xs + a)
+    hi = T(b - xs)
+    if kind == "Z":
+        hi = hi + T(xs + b)
+    return lo, hi, _wall_correction(ks, grid.dx)
 
 
 def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
@@ -155,8 +192,6 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
 
     xs = grid.nodes()
     dx = grid.dx
-    a, b = grid.a, grid.b
-    cutoff = Z_MAX_FACTOR * (b - a)
 
     # exact per-cell kernel masses: the kernel is a power sum, so the cell
     # integral is a closed tail difference; midpoint sampling would carry an
@@ -173,14 +208,16 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     # symmetric principal-value part within the band |y - x| < 3 dx / 2
     # (everything the far cells do not cover), as a second-difference
     # coefficient; exponent hint 1 - 2 delta_max
-    c2r = integrate_adaptive(
-        lambda u: u * u * ks.levy_j(u),
-        0.0,
-        1.5 * dx,
-        ks.quad,
-        left_exponent=1.0 - 2.0 * ks.delta_max,
-    )
-    c2 = c2r.value / (dx * dx)
+    c2 = _checked(
+        integrate_adaptive(
+            lambda u: u * u * ks.levy_j(u),
+            0.0,
+            1.5 * dx,
+            ks.quad,
+            left_exponent=1.0 - 2.0 * ks.delta_max,
+        ),
+        f"band coefficient at dx={dx}",
+    ) / (dx * dx)
     idx = np.arange(n - 1)
     A[idx, idx + 1] = c2
     A[idx + 1, idx] = c2
@@ -192,25 +229,8 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
         A += ks.jump_tail_closed(S - 0.5 * dx) - ks.jump_tail_closed(S + 0.5 * dx)
         del S
 
-    jt_xa = np.array([_jt(ks, t, cutoff) for t in xs - a]) if a > 0.0 else None
-    jt_x0a = np.array([_jt(ks, t, cutoff) for t in xs]) if a > 0.0 else None
-    jt_bx = np.array([_jt(ks, t, cutoff) for t in b - xs])
-    if a > 0.0:
-        kappa1 = jt_xa + jt_bx
-        kappa2 = (jt_xa - jt_x0a) + jt_bx
-        jt_xpa = np.array([_jt(ks, t, cutoff) for t in xs + a])
-        jt_xpb = np.array([_jt(ks, t, cutoff) for t in xs + b])
-        q_vec = (jt_x0a - jt_xpa) + jt_xpb
-    else:
-        # a = 0: the lower exterior is empty on the half line
-        jt_x0 = np.array([_jt(ks, t, cutoff) for t in xs])
-        kappa1 = jt_x0 + jt_bx
-        kappa2 = jt_bx
-        jt_xpb = np.array([_jt(ks, t, cutoff) for t in xs + b])
-        q_vec = jt_xpb
-    kappa3 = kappa2 + q_vec
-
-    kappa = {"X": kappa1, "Y": kappa2, "Z": kappa3}[kind].copy()
+    lo, hi, dk = _exit_rates(ks, grid, kind)
+    kappa = lo + hi
 
     # wall cells: the kill rate diverges like d^{-2 delta} toward the wall
     # while solutions vanish like d^delta, so midpoint collocation of kappa
@@ -218,19 +238,12 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     # Reweight the singular wall-side component by the profile-averaged
     # collocation factor; this is the difference between first-order and
     # near-second-order wall accuracy.
-    dk = _wall_correction(ks, dx)
     kappa[0] += dk
     kappa[n - 1] += dk
 
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -(A.sum(axis=1) + kappa))
-
-    def F_diag(x, y):
-        return ks.levy_j(np.asarray(x) + np.asarray(y)) / ks.levy_j(
-            np.asarray(x) - np.asarray(y)
-        )
-
-    return GeneratorMatrix(kind=kind, grid=grid, A=A, kappa_vec=kappa, q_vec=q_vec, F_diag=F_diag)
+    return GeneratorMatrix(kind=kind, grid=grid, A=A, kappa_vec=kappa)
 
 
 def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
@@ -281,7 +294,7 @@ def _graded_edges(start, width, m, reverse=False):
     return start - width * t if reverse else e
 
 
-def default_zgrid(grid: Grid, kind: str, n_side: int | None = None) -> ZGrid:
+def default_zgrid(grid: Grid, kind: str) -> ZGrid:
     """Exterior mesh tied to the interior resolution.
 
     Each side gets a quartic-graded zone one interval-width deep (so the
@@ -294,9 +307,7 @@ def default_zgrid(grid: Grid, kind: str, n_side: int | None = None) -> ZGrid:
         raise ConfigError(f"kind must be one of {_KINDS}")
     a, b = grid.a, grid.b
     width = b - a
-    m = n_side if n_side is not None else max(48, grid.n // 4)
-    if m < 8:
-        raise ConfigError("exterior mesh needs at least 8 graded cells per side")
+    m = max(48, grid.n // 4)
     m2 = max(24, m // 3)
     cut_hi = b + Z_MAX_FACTOR * width
 
@@ -377,19 +388,15 @@ class PoissonTable:
         return z, F / self.row_mass()[i]
 
 
-def poisson_kernel(green: GreenMatrix, ks: KernelSet, zgrid: ZGrid | None = None) -> PoissonTable:
+def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
     """Exit-position density table K[i][m] = sum_j dx G[i][j] kernel(x_j, z_m).
 
     The upper exterior beyond cut_hi enters through the closed kernel tail;
     for kind X the mirrored lower tail does the same.
     """
     grid = green.grid
-    zg = zgrid if zgrid is not None else default_zgrid(grid, green.kind)
+    zg = default_zgrid(grid, green.kind)
     z = zg.nodes
-    if np.any((z >= grid.a) & (z <= grid.b)):
-        raise ConfigError("exterior mesh overlaps the interval")
-    if green.kind in ("Y", "Z") and np.any(z <= 0.0):
-        raise DomainError(f"kind {green.kind} exterior lives on (0, inf)")
 
     xs = grid.nodes()
     KERN = ks.levy_j(np.abs(xs[:, None] - z[None, :]))
@@ -399,20 +406,9 @@ def poisson_kernel(green: GreenMatrix, ks: KernelSet, zgrid: ZGrid | None = None
     # the generator carries extra wall-node kill mass (profile-weighted
     # collocation); that mass exits through the wall-side kernel, so scale
     # the wall rows' wall-side columns to keep row masses exact
-    dk = _wall_correction(ks, grid.dx)
-    cutoff = Z_MAX_FACTOR * (grid.b - grid.a)
-    x0, xm = xs[0], xs[-1]
-    if green.kind == "X":
-        t_lo = _jt(ks, x0 - grid.a, cutoff)
-    elif green.kind == "Y":
-        t_lo = _jt(ks, x0 - grid.a, cutoff) - _jt(ks, x0, cutoff)
-    else:
-        t_lo = _jt(ks, x0 - grid.a, cutoff) - _jt(ks, x0 + grid.a, cutoff)
-    t_hi = _jt(ks, grid.b - xm, cutoff)
-    if green.kind == "Z":
-        t_hi += _jt(ks, xm + grid.b, cutoff)
-    s_lo = 1.0 + dk / t_lo
-    s_hi = 1.0 + dk / t_hi
+    lo, hi, dk = _exit_rates(ks, grid, green.kind)
+    s_lo = 1.0 + dk / lo[0]
+    s_hi = 1.0 + dk / hi[-1]
     KERN[0, zg.below] *= s_lo
     KERN[-1, ~zg.below] *= s_hi
 
@@ -491,9 +487,6 @@ def exit_alive_prob(
     R: float,
     x,
     a_seq=DEFAULT_A_SEQ,
-    *,
-    n_cap: int = 4096,
-    cells_per_shelf: float = 4.0,
 ) -> ExitAliveReport:
     """Bracketed P_x(exit (0, R) alive), approaching the origin by shelves.
 
@@ -520,16 +513,13 @@ def exit_alive_prob(
     hR = ks.h_comp(R)
     lowers, uppers, per_a = [], [], []
     for a in a_list:
-        n = int(np.clip(round(cells_per_shelf * (R - a) / a), 256, n_cap))
+        n = int(np.clip(round(SHELF_CELLS * (R - a) / a), 256, SHELF_N_CAP))
         grid = Grid(a, R, n)
         gen = build_generator(ks, grid, "Z")
         xs = grid.nodes()
-        cutoff = Z_MAX_FACTOR * (R - a)
-        up = np.array([_jt(ks, R - v, cutoff) + _jt(ks, R + v, cutoff) for v in xs])
-        down = np.array([_jt(ks, v - a, cutoff) - _jt(ks, v + a, cutoff) for v in xs])
+        down, up, dk = _exit_rates(ks, grid, "Z")
         # match the generator's wall-corrected kill masses so that the two
         # exit routes partition the whole probability: p_up + p_shelf = 1
-        dk = _wall_correction(ks, grid.dx)
         up[-1] += dk
         down[0] += dk
         try:
@@ -645,8 +635,7 @@ class HarnackReport:
     z_at_sup: float | None  # None when the analytic tail column attains it
 
 
-def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 512,
-                      n_side: int | None = None) -> HarnackReport:
+def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 512) -> HarnackReport:
     """Worst Poisson-kernel column ratio over the middle window.
 
     Geometry: solve kind Z on (a_frac r / 2, (3 - a_frac/2) r) and compare
@@ -663,7 +652,7 @@ def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 
         raise ConfigError("degenerate geometry")
     grid = Grid(b1, b4, n)
     gen = build_generator(ks, grid, "Z")
-    pt = poisson_kernel(green_matrix(gen), ks, default_zgrid(grid, "Z", n_side))
+    pt = poisson_kernel(green_matrix(gen), ks)
     xs = grid.nodes()
     w1, w2 = a_frac * r, (3.0 - a_frac) * r
     mask = (xs > w1) & (xs < w2)
@@ -755,7 +744,7 @@ def bhp_sup_ratio(
 
     grid = Grid(a, 3.0 * r, n)
     gen = build_generator(ks, grid, "Z")
-    pt = poisson_kernel(green_matrix(gen), ks, default_zgrid(grid, "Z"))
+    pt = poisson_kernel(green_matrix(gen), ks)
     zg = pt.zgrid
     xs = grid.nodes()
     wmask = xs < lambda1 * r
@@ -860,17 +849,17 @@ def _bilinear(green: GreenMatrix, px):
     return out
 
 
-def green_drift(coarse: GreenMatrix, fine: GreenMatrix, n_probe: int = 16) -> float:
+def green_drift(coarse: GreenMatrix, fine: GreenMatrix) -> float:
     """Sup relative Green difference over a fixed interior probe lattice.
 
-    Probes at a + (b - a)(k + 1/2)/n_probe with interpolation on both
+    Probes at a + (b - a)(k + 1/2)/N_PROBE with interpolation on both
     lattices; comparing raw corner entries instead would pin distinct
     continuum points against each other and never converge.
     """
     ga, gb = coarse.grid, fine.grid
     if (ga.a, ga.b) != (gb.a, gb.b):
         raise ConfigError("refinement drift needs a common interval")
-    px = ga.a + (ga.b - ga.a) * (np.arange(n_probe) + 0.5) / n_probe
+    px = ga.a + (ga.b - ga.a) * (np.arange(N_PROBE) + 0.5) / N_PROBE
     Pc = _bilinear(coarse, px)
     Pf = _bilinear(fine, px)
     return float(np.max(np.abs(Pc - Pf) / Pf))

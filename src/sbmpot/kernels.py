@@ -64,23 +64,13 @@ class KernelSet:
     phi : PhiSpec
     quad : QuadSpec, optional
         Accuracy contract used for every internal integral.
-    kappa_rec : float, optional
-        Killing mass of the absorbed process at infinity.  The admitted
-        scaling window forces recurrence, so only 0.0 is accepted; the
-        parameter exists to keep the formulas honest about where the term
-        would enter.
     """
 
-    def __init__(self, phi: PhiSpec, quad: QuadSpec | None = None, kappa_rec: float = 0.0):
+    def __init__(self, phi: PhiSpec, quad: QuadSpec | None = None):
         if not isinstance(phi, PhiSpec):
             raise ConfigError("phi must be a PhiSpec")
-        if kappa_rec != 0.0:
-            raise ConfigError(
-                "kappa_rec must be 0; the admitted families are recurrent"
-            )
         self.phi = phi
         self.quad = quad or DEFAULT_QUADSPEC
-        self.kappa_rec = 0.0
         self.delta_min = phi.delta_min
         self.delta_max = phi.delta_max
         self._jump_coefs = None  # [(coef, 2*d)] per mixture term
@@ -227,8 +217,7 @@ class KernelSet:
     def green_free_x0(self, x, y):
         """Green function of the line process absorbed at the origin.
 
-        G(x, y) = h(x) + h(y) - h(x - y) for x, y != 0.  Under recurrence the
-        product correction -kappa_rec h(x) h(y) vanishes identically.
+        G(x, y) = h(x) + h(y) - h(x - y) for x, y != 0.
         """
         x = float(x)
         y = float(y)

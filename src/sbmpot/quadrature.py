@@ -7,7 +7,8 @@ funnels through two entry points:
     Globally adaptive 15-point Kronrod / 7-point Gauss quadrature with
     worst-panel-first subdivision.  Integrable endpoint singularities are
     handled by a power substitution chosen from a caller-supplied exponent
-    hint, and ``b = inf`` is handled by an exponent-guided tail strategy.
+    hint, and ``b = inf`` is folded onto a finite range by inverting the
+    variable beyond a cut.
 
 ``integrate_oscillatory_cos``
     Integrals of ``(1 - cos(lam*x)) g(lam)`` and ``cos(lam*x) g(lam)`` over
@@ -92,16 +93,12 @@ class QuadSpec:
     ``abs_tol`` and ``rel_tol`` combine as max(abs_tol, rel_tol*|I|); the
     engine stops as soon as its global error estimate drops below that, or
     gives up (converged=False) once ``max_evals`` integrand evaluations are
-    spent.  ``tail_strategy`` selects how ``b = inf`` is folded to a finite
-    range: "auto" inverts the variable (exponent hint optional), "truncate"
-    cuts at an exponent-derived point and adds the remainder bound to the
-    error estimate.
+    spent.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_evals: int = 200_000
-    tail_strategy: str = "auto"
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 or self.rel_tol > 0.0):
@@ -110,8 +107,6 @@ class QuadSpec:
             raise ConfigError("tolerances must be nonnegative")
         if int(self.max_evals) < 100:
             raise ConfigError("max_evals below 100 cannot fit a single refinement pass")
-        if self.tail_strategy not in ("auto", "truncate", "chunked"):
-            raise ConfigError(f"unknown tail_strategy {self.tail_strategy!r}")
 
 
 DEFAULT_QUADSPEC = QuadSpec()
@@ -251,20 +246,15 @@ def integrate_adaptive(
     left_exponent=0.0,
     right_exponent=0.0,
     tail_exponent=None,
-    tail_period=None,
 ):
     """Integrate ``f`` over [a, b], b possibly ``inf``.
 
     ``left_exponent`` / ``right_exponent`` hint the power behavior
     f(x) ~ (x-a)^p (resp. (b-x)^p) at the endpoints; hints in (-1, 1) route
-    the endpoint through a smoothing substitution.  For ``b = inf``,
-    ``tail_exponent`` hints f(x) ~ x^{-p}; it is required by the "truncate"
-    and "chunked" strategies and sharpens the default inverted-variable
-    mapping.  ``tail_period`` declares an exact period of the integrand's
-    oscillatory factor (if any) and routes the tail through period-chunked
-    Richardson extrapolation, the only strategy that converges for bounded
-    non-monotone tails like (1 - cos x) * x^{-p}.  Exponents at or below the
-    integrability boundary raise DomainError.
+    the endpoint through a smoothing substitution.  For ``b = inf``, the
+    range beyond a cut is mapped by u = 1/x, and ``tail_exponent`` (optional)
+    hints f(x) ~ x^{-p}, which sharpens that mapping.  Exponents at or below
+    the integrability boundary raise DomainError.
 
     Returns QuadResult.  converged=False means the evaluation budget ran out
     first; the value and error estimate are still the best available.
@@ -276,7 +266,7 @@ def integrate_adaptive(
     if math.isinf(b):
         if b < 0:
             raise DomainError("only b = +inf is supported")
-        return _integrate_to_inf(f, a, spec, left_exponent, tail_exponent, tail_period)
+        return _integrate_to_inf(f, a, spec, left_exponent, tail_exponent)
     b = float(b)
     if not (b > a):
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -315,55 +305,12 @@ def _run_pieces(pieces, spec):
     return QuadResult(value, err, evals, ok)
 
 
-def _integrate_to_inf(f, a, spec, left_exponent, tail_exponent, tail_period=None):
+def _integrate_to_inf(f, a, spec, left_exponent, tail_exponent):
     if tail_exponent is not None and tail_exponent <= 1.0:
         raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
     cut = a + max(1.0, abs(a))
 
-    if spec.tail_strategy == "chunked" or (
-        spec.tail_strategy == "auto" and tail_period is not None
-    ):
-        if tail_exponent is None:
-            raise ConfigError("chunked tail strategy needs a tail_exponent hint")
-        period = 2.0 * math.pi if tail_period is None else float(tail_period)
-        if not (period > 0.0):
-            raise ConfigError("tail_period must be positive")
-        head_pieces = []
-        if _needs_sub(left_exponent):
-            head_pieces.append((_power_sub_left(f, a, cut, left_exponent), 0.0, 1.0))
-        else:
-            head_pieces.append((f, a, cut))
-        head = _run_pieces(head_pieces, spec)
-        tail = _tail_chunked_richardson(
-            f, cut, spec, float(tail_exponent), period,
-            int(spec.max_evals) - head.evals,
-        )
-        return QuadResult(
-            head.value + tail.value,
-            head.err_est + tail.err_est,
-            head.evals + tail.evals,
-            head.converged and tail.converged,
-        )
-
-    if spec.tail_strategy == "truncate":
-        if tail_exponent is None:
-            raise ConfigError("tail_strategy='truncate' needs a tail_exponent hint")
-        p = float(tail_exponent)
-        # pick T so the remainder c T^{1-p}/(p-1), with c calibrated at the
-        # cut, stays below a tenth of the absolute tolerance
-        fc = float(np.asarray(f(np.array([cut])), dtype=float)[0])
-        c = abs(fc) * cut**p
-        rem_target = 0.1 * max(spec.abs_tol, 1e-300)
-        T = (c / ((p - 1.0) * rem_target)) ** (1.0 / (p - 1.0))
-        T = min(max(T, 10.0 * cut), 1e12 * max(cut, 1.0))
-        remainder = c * T ** (1.0 - p) / (p - 1.0)
-        pieces = [(f, a, cut), (f, cut, T)]
-        if _needs_sub(left_exponent):
-            pieces[0] = (_power_sub_left(f, a, cut, left_exponent), 0.0, 1.0)
-        r = _run_pieces(pieces, spec)
-        return QuadResult(r.value, r.err_est + remainder, r.evals, r.converged)
-
-    # auto: invert the tail, int_cut^inf f = int_0^{1/cut} f(1/u)/u^2 du
+    # invert the tail: int_cut^inf f = int_0^{1/cut} f(1/u)/u^2 du
     def g(u):
         x = 1.0 / u
         return f(x) * x * x
@@ -379,49 +326,6 @@ def _integrate_to_inf(f, a, spec, left_exponent, tail_exponent, tail_period=None
     else:
         pieces.append((g, 0.0, 1.0 / cut))
     return _run_pieces(pieces, spec)
-
-
-def _tail_chunked_richardson(f, cut, spec, p, period, budget):
-    """int_cut^inf f by half-period chunks and two-level Richardson.
-
-    Writing F(T) for the partial integral up to T, a power envelope with an
-    exactly periodic oscillatory factor satisfies
-
-        F(T) = I - c1 T^{1-p} - c2(phase) T^{-p} - O(T^{-p-1}).
-
-    Anchors T_m = cut + K w 2^m with w = period/2 and K even are spaced by
-    whole periods, so the phase factor in c2 is the same at every anchor and
-    both remainder terms cancel under Richardson steps with exponents p-1
-    and p.  This is what makes bounded non-monotone tails (mean-nonzero
-    envelopes like 1 - cos) converge at fixed cost; neither truncation nor
-    variable inversion can resolve their oscillation within any budget.
-    """
-    w = 0.5 * period
-    n_chunks = min(2048, (max(budget, 64 * 15) // 15) - 4)
-    K = max(4, 4 * (n_chunks // 16))
-    n_chunks = 4 * K
-    vals = np.empty(n_chunks)
-    errs = np.empty(n_chunks)
-    evals = 0
-    for k in range(n_chunks):
-        v, e, n = _gk15_panel(f, cut + k * w, cut + (k + 1) * w)
-        vals[k] = v
-        errs[k] = e
-        evals += n
-    S = np.cumsum(vals)
-
-    def extrapolate(k):
-        F0, F1, F2 = S[k - 1], S[2 * k - 1], S[4 * k - 1]
-        e1 = p - 1.0
-        r1a = F1 + (F1 - F0) / (2.0**e1 - 1.0)
-        r1b = F2 + (F2 - F1) / (2.0**e1 - 1.0)
-        return r1b + (r1b - r1a) / (2.0**p - 1.0)
-
-    value = extrapolate(K)
-    coarse = extrapolate(K // 2)
-    err = abs(value - coarse) + float(np.sum(errs))
-    tol = max(spec.abs_tol, spec.rel_tol * abs(value))
-    return QuadResult(value, err, evals, err <= tol)
 
 
 def _averaged_limit(partials):

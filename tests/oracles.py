@@ -51,11 +51,19 @@ def getoor_exit(alpha, R, u):
     return (R * R - u * u) ** (0.5 * alpha) / lam
 
 
-def bgr_density(alpha, x, v):
+def bgr_density(alpha, x, d, side=1.0):
     """Exit-position density from (-1, 1) for the symmetric alpha-stable
-    process started at x: sin(pi alpha/2)/pi (1-x^2)^(a/2) (v^2-1)^(-a/2) / |v - x|."""
+    process started at x: sin(pi alpha/2)/pi (1-x^2)^(a/2) (v^2-1)^(-a/2) / |v - x|,
+    at v = side (1 + d), a distance d > 0 beyond the wall (side = +1 or -1).
+
+    Taking d rather than v keeps v^2 - 1 = d (2 + d) free of cancellation
+    next to the wall.
+    """
     C = math.sin(0.5 * math.pi * alpha) / math.pi
-    return C * (1.0 - x * x) ** (0.5 * alpha) * (v * v - 1.0) ** (-0.5 * alpha) / abs(v - x)
+    return (
+        C * (1.0 - x * x) ** (0.5 * alpha) * (d * (2.0 + d)) ** (-0.5 * alpha)
+        / (1.0 + d - side * x)
+    )
 
 
 def bgr_wall_mass(alpha, eps, kmax=60):

@@ -7,6 +7,9 @@ from sbmpot import (
     ConfigError,
     DomainError,
     Grid,
+    KernelSet,
+    QuadratureError,
+    QuadSpec,
     bhp_sup_ratio,
     build_generator,
     default_zgrid,
@@ -21,6 +24,7 @@ from sbmpot import (
     small_interval_lower,
     three_g_sup,
 )
+from sbmpot.interval_solver import _exit_rates, _wall_correction
 
 from oracles import bgr_density, bgr_wall_mass, getoor_exit
 
@@ -52,6 +56,36 @@ def test_grid_validation():
 def test_generator_kind_validation(stable_ks):
     with pytest.raises(ConfigError):
         build_generator(stable_ks, Grid(1.0, 2.0, 16), "W")
+
+
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize("kind, a", [("X", 1.0), ("Y", 1.0), ("Z", 1.0), ("X", 0.0)])
+def test_kill_rate_is_the_exterior_jump_tail(request, ks_name, kind, a):
+    ks = request.getfixturevalue(ks_name)
+    grid = Grid(a, a + 1.0, 64)
+    gen = build_generator(ks, grid, kind)
+    # the diagonal closes every row on the kill rate
+    np.testing.assert_allclose(-gen.A @ np.ones(grid.n), gen.kappa_vec, rtol=1e-12)
+    lo, hi, dk = _exit_rates(ks, grid, kind)
+    want = lo + hi
+    want[[0, -1]] += dk
+    np.testing.assert_array_equal(gen.kappa_vec, want)
+    # the rates are the jump tails into the killing set, in closed form
+    T, xs, b = ks.jump_tail_closed, grid.nodes(), grid.b
+    lo_want = {"X": T(xs - a), "Y": T(xs - a) - T(xs), "Z": T(xs - a) - T(xs + a)}[kind]
+    hi_want = T(b - xs) + (T(xs + b) if kind == "Z" else 0.0)
+    np.testing.assert_allclose(lo, lo_want, rtol=1e-9)
+    np.testing.assert_allclose(hi, hi_want, rtol=1e-9)
+
+
+def test_unconverged_solver_quadrature_raises(stable_spec):
+    ks = KernelSet(stable_spec)
+    ks._coefs()  # the jump coefficients converge under the default contract
+    ks.quad = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=100)
+    with pytest.raises(QuadratureError, match="band coefficient"):
+        build_generator(ks, Grid(1.0, 2.0, 64), "X")
+    with pytest.raises(QuadratureError, match="wall correction"):
+        _wall_correction(ks, 1.0 / 64)
 
 
 def test_green_symmetric_positive(green_x_256):
@@ -86,8 +120,9 @@ def test_poisson_density_matches_exit_law(stable_ks, poisson_x_256):
     z = pt.zgrid.nodes
     for ztar in (0.25, 0.75, 2.25, 2.5, 3.0):
         m = int(np.argmin(np.abs(z - ztar)))
-        v = 2.0 * (z[m] - 1.5)
-        want = 2.0 * bgr_density(1.5, xt, v)
+        # distance beyond the wall, in the units of (-1, 1)
+        d = 2.0 * max(z[m] - 2.0, 1.0 - z[m])
+        want = 2.0 * bgr_density(1.5, xt, d, 1.0 if z[m] > 2.0 else -1.0)
         assert pt.K[i0, m] == pytest.approx(want, rel=2e-2)
 
 
@@ -111,14 +146,14 @@ def test_near_wall_exit_mass(stable_ks):
     # within 1e-4 of the walls (4.0% within 1e-6), so no walk step can keep
     # the near-wall share under 1%; widths double on the way to (-1, 1)
     want = bgr_wall_mass(1.5, 2e-4)
-    # independent route: v = 1 + eps s^p flattens the wall singularity; few
-    # nodes keep v^2 - 1 clear of cancellation
+    # independent route: d = eps s^p beyond the wall flattens the wall
+    # singularity for a Gauss-Legendre rule in s
     eps, p = 2e-4, 1.0 / (1.0 - 0.75)
-    t, w = np.polynomial.legendre.leggauss(8)
+    t, w = np.polynomial.legendre.leggauss(64)
     s = 0.5 * (t + 1.0)
-    dens = np.array([bgr_density(1.5, 0.0, 1.0 + eps * si ** p) for si in s])
+    dens = np.array([bgr_density(1.5, 0.0, eps * si ** p) for si in s])
     quad = 2.0 * float(np.sum(0.5 * w * dens * eps * p * s ** (p - 1.0)))
-    assert quad == pytest.approx(want, rel=1e-6)
+    assert quad == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(0.127, abs=5e-4)
     assert bgr_wall_mass(1.5, 2e-6) == pytest.approx(0.040, abs=5e-4)
     # the n = 512 solver smears the singularity over its wall cell, so its
@@ -179,6 +214,10 @@ def test_exit_alive_bracket(stable_ks):
     assert np.all(rep.bracket < 0.02)
     assert np.all(np.diff(rep.value) > 0.0)  # increasing in x
     assert rep.shrank
+    # the shelf and the far exterior share out the whole probability, up to
+    # the roundoff of a dense solve at n ~ 4000 (1.2e-12 on the middle shelf)
+    for p in rep.per_a:
+        np.testing.assert_allclose(p["p_exit"] + p["p_shelf"], 1.0, rtol=0.0, atol=1e-11)
     v, w = rep.scalars()
     assert v == pytest.approx(rep.value[0]) and w == pytest.approx(rep.bracket[0])
 

@@ -8,11 +8,9 @@ from sbmpot import ConfigError, DomainError, KernelSet, PhiSpec
 from oracles import H1_CLOSED, LEVY_C_ALPHA15, UQ0_ALPHA15
 
 
-def test_kernelset_validation(stable_spec):
+def test_kernelset_validation():
     with pytest.raises(ConfigError):
         KernelSet("stable")
-    with pytest.raises(ConfigError):
-        KernelSet(stable_spec, kappa_rec=0.1)
 
 
 def test_psi_pure_power(stable_ks):

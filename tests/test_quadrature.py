@@ -90,8 +90,6 @@ def test_quadspec_validation():
         QuadSpec(abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(ConfigError):
         QuadSpec(max_evals=10)
-    with pytest.raises(ConfigError):
-        QuadSpec(tail_strategy="bogus")
 
 
 def test_bad_endpoints():
