@@ -101,10 +101,14 @@ class Grid:
 
 @dataclass
 class GeneratorMatrix:
+    """Discrete generator A with its kill rates: kappa_vec is the row-sum
+    gap, exit_rates the (lo, hi, dk) split of _exit_rates it was built from."""
+
     kind: str
     grid: Grid
     A: np.ndarray = field(repr=False)
     kappa_vec: np.ndarray = field(repr=False)
+    exit_rates: tuple = field(repr=False)
 
 
 @dataclass
@@ -160,7 +164,7 @@ def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
     cutoff = Z_MAX_FACTOR * (b - a)
 
     def T(ts):
-        return np.array([ks.jump_tail(float(t), cutoff) for t in ts])
+        return ks.jump_tail(ts, cutoff)
 
     lo = T(xs - a)
     if kind == "Y":
@@ -229,7 +233,8 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
         A += ks.jump_tail_closed(S - 0.5 * dx) - ks.jump_tail_closed(S + 0.5 * dx)
         del S
 
-    lo, hi, dk = _exit_rates(ks, grid, kind)
+    rates = _exit_rates(ks, grid, kind)
+    lo, hi, dk = rates
     kappa = lo + hi
 
     # wall cells: the kill rate diverges like d^{-2 delta} toward the wall
@@ -243,7 +248,7 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
 
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -(A.sum(axis=1) + kappa))
-    return GeneratorMatrix(kind=kind, grid=grid, A=A, kappa_vec=kappa)
+    return GeneratorMatrix(kind=kind, grid=grid, A=A, kappa_vec=kappa, exit_rates=rates)
 
 
 def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
@@ -517,9 +522,11 @@ def exit_alive_prob(
         grid = Grid(a, R, n)
         gen = build_generator(ks, grid, "Z")
         xs = grid.nodes()
-        down, up, dk = _exit_rates(ks, grid, "Z")
+        down, up, dk = gen.exit_rates
         # match the generator's wall-corrected kill masses so that the two
         # exit routes partition the whole probability: p_up + p_shelf = 1
+        up = up.copy()
+        down = down.copy()
         up[-1] += dk
         down[0] += dk
         try:

@@ -25,7 +25,9 @@ because the Levy density of each mixture term is itself a pure power.  The
 I(d) factors are computed once per instance by the adaptive engine; after
 that ``levy_j`` is a vectorized power sum, cheap enough to fill dense
 generator matrices.  Scalar kernels obtained by oscillatory quadrature
-(``uq``, ``h_comp``) are memoized per instance.
+(``uq``, ``h_comp``) are memoized per instance.  ``jump_tail`` takes an
+array of tail starts and sends its memo misses to the batched adaptive
+engine in one call.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .quadrature import (
     DEFAULT_QUADSPEC,
     QuadSpec,
     integrate_adaptive,
+    integrate_adaptive_batch,
     integrate_oscillatory_cos,
 )
 
@@ -52,7 +55,9 @@ _GAMMA_CUT = 120.0
 
 
 def _key(x):
-    # 12 significant digits; collapses float noise without aliasing distinct args
+    # 12 significant digits: arguments that agree that far share one memo
+    # entry, the value computed for whichever of them came first, so a memo
+    # read can differ from a fresh evaluation at the 1e-12 relative level
     return "%.12e" % float(x)
 
 
@@ -136,25 +141,40 @@ class KernelSet:
 
     def jump_tail(self, t, cutoff):
         """int_t^inf j(z) dz: adaptive quadrature on [t, t+cutoff], closed
-        power tail beyond.  Memoized; the interval solvers hammer this with
-        lattice-aligned arguments."""
-        t = float(t)
-        if not (t > 0.0):
+        power tail beyond.  ``t`` may be an array (the result has its shape)
+        or a scalar (the result is a float).
+
+        Memoized by 12-digit key; the interval solvers hammer this with
+        lattice-aligned arguments.  The misses of one call, first occurrence
+        of each key, go to the batched engine together; a miss that does not
+        converge raises QuadratureError naming its t.
+        """
+        arr = np.asarray(t, dtype=float)
+        if arr.size and not np.all(arr > 0.0):
             raise DomainError("tail start must be positive")
         if not (cutoff > 0.0):
             raise ConfigError("cutoff must be positive")
-        k = (_key(t), _key(cutoff))
-        hit = self._jt_memo.get(k)
-        if hit is not None:
-            return hit
-        r = integrate_adaptive(self.levy_j, t, t + cutoff, self.quad)
-        if not r.converged:
-            raise QuadratureError(
-                f"jump tail integral at t={t} did not converge", err_est=r.err_est
-            )
-        val = r.value + self.jump_tail_closed(t + cutoff)
-        self._jt_memo[k] = val
-        return val
+        flat = arr.ravel().tolist()
+        ck = _key(cutoff)
+        keys = [(_key(v), ck) for v in flat]
+        memo = self._jt_memo
+        miss = {}
+        for k, v in zip(keys, flat):
+            if k not in memo:
+                miss.setdefault(k, v)
+        if miss:
+            ts = np.array(list(miss.values()))
+            r = integrate_adaptive_batch(self.levy_j, ts, ts + cutoff, self.quad)
+            if not r.converged.all():
+                i = int(np.argmin(r.converged))
+                raise QuadratureError(
+                    f"jump tail integral at t={ts[i]} did not converge",
+                    err_est=float(r.err_est[i]),
+                )
+            vals = r.value + self.jump_tail_closed(ts + cutoff)
+            memo.update(zip(miss, vals.tolist()))
+        out = np.array([memo[k] for k in keys]).reshape(arr.shape)
+        return out if isinstance(t, np.ndarray) else float(out)
 
     # -- resolvent and compensated kernels ----------------------------------
 

@@ -1,7 +1,7 @@
 """Deterministic adaptive quadrature on the half line.
 
 Everything downstream (kernel integrals, killing rates, verification checks)
-funnels through two entry points:
+funnels through three entry points:
 
 ``integrate_adaptive``
     Globally adaptive 15-point Kronrod / 7-point Gauss quadrature with
@@ -9,6 +9,12 @@ funnels through two entry points:
     handled by a power substitution chosen from a caller-supplied exponent
     hint, and ``b = inf`` is folded onto a finite range by inverting the
     variable beyond a cut.
+
+``integrate_adaptive_batch``
+    The same adaptive rule over many finite intervals at once, in lockstep:
+    each round every unfinished interval takes the step the scalar loop
+    would take, and all new panels go to the integrand in one call.  Row i
+    is bit for bit ``integrate_adaptive(f, a[i], b[i], spec)``.
 
 ``integrate_oscillatory_cos``
     Integrals of ``(1 - cos(lam*x)) g(lam)`` and ``cos(lam*x) g(lam)`` over
@@ -18,8 +24,9 @@ funnels through two entry points:
     accelerated by repeated averaging of partial sums.
 
 Integrands must accept numpy arrays (the rules evaluate 15 abscissae per
-call).  All decisions are pure functions of integrand values, so repeated
-runs are bit-identical.  Non-finite integrand values raise QuadratureError
+panel, and several panels at once as a (panels, 15) array).  All decisions
+are pure functions of integrand values, so repeated runs are
+bit-identical.  Non-finite integrand values raise QuadratureError
 immediately rather than poisoning the sum.
 """
 
@@ -39,6 +46,7 @@ __all__ = [
     "QuadSpec",
     "QuadResult",
     "integrate_adaptive",
+    "integrate_adaptive_batch",
     "integrate_oscillatory_cos",
 ]
 
@@ -85,6 +93,12 @@ _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _EPS = np.finfo(float).eps
 
+# relative error floor of a panel: roundoff of the 15-term sum
+_ERR_FLOOR = float(50.0 * _EPS)
+
+# panels an adaptive run starts from
+_N_INIT = 4
+
 
 @dataclass(frozen=True)
 class QuadSpec:
@@ -120,36 +134,67 @@ class QuadResult:
     converged: bool
 
 
-def _gk15_panel(f, a, b):
-    """One Kronrod-15 / Gauss-7 pass over [a, b].
-
-    Returns (kronrod_value, err_est, n_evals).  The error estimate follows
-    the usual scaled-difference recipe: |K15 - G7| sharpened by the panel's
-    total variation proxy, so smooth panels are not over-refined while rough
-    panels keep the conservative raw difference.
-    """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XK
+def _gk15_values(f, x):
+    """Integrand values at the nodes x, checked for shape and finiteness."""
     fx = np.asarray(f(x), dtype=float)
     if fx.shape != x.shape:
         raise QuadratureError("integrand must be vectorized (ndarray in, ndarray out)")
     if not np.all(np.isfinite(fx)):
         bad = x[~np.isfinite(fx)][0]
         raise QuadratureError(f"integrand returned a non-finite value near x = {bad!r}")
-    vk = h * float(fx @ _WK)
-    vg = h * float(fx[1::2] @ _WG)
+    return fx
+
+
+def _gk15_sums(fx, h):
+    """Kronrod-15 value, Gauss-7 value and the |f - f(centre)| sum of panels
+    with half width h and node values fx (last axis): one panel or a stack.
+
+    np.vecdot reduces each row with the same BLAS dot as ``fx @ _WK`` on one
+    panel, so a stacked panel gets the bits it would get alone.
+    """
+    vk = h * np.vecdot(fx, _WK)
+    vg = h * np.vecdot(fx[..., 1::2], _WG)
+    resasc = h * np.vecdot(np.abs(fx - fx[..., 7:8]), _WK)
+    return vk, vg, resasc
+
+
+def _gk15_err(vk, vg, resasc):
+    """Error estimate of one panel from its _gk15_sums, as floats.
+
+    The usual scaled-difference recipe: |K15 - G7| sharpened by the panel's
+    total variation proxy, so smooth panels are not over-refined while rough
+    panels keep the conservative raw difference.  Kept scalar: numpy's SIMD
+    power differs from the C library's ``**`` in the last bit.
+    """
     raw = abs(vk - vg)
-    resasc = h * float(np.abs(fx - fx[7]) @ _WK)
     if resasc > 0.0 and raw > 0.0:
         err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
     else:
         err = raw
-    err = max(err, 50.0 * _EPS * abs(vk))
-    return vk, err, x.size
+    return max(err, _ERR_FLOOR * abs(vk))
 
 
-def _adaptive_finite(f, a, b, spec, budget, n_init=4):
+def _gk15_panel(f, a, b):
+    """One Kronrod-15 / Gauss-7 pass over [a, b]: (value, err_est, n_evals)."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c + h * _XK
+    vk, vg, resasc = (float(s) for s in _gk15_sums(_gk15_values(f, x), h))
+    return vk, _gk15_err(vk, vg, resasc), x.size
+
+
+def _gk15_panels(f, a, b):
+    """_gk15_panel over the panels [a[k], b[k]] in one integrand call:
+    (values, err_ests) as arrays."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = c[:, None] + h[:, None] * _XK
+    sums = _gk15_sums(_gk15_values(f, x), h)
+    err = list(map(_gk15_err, *(s.tolist() for s in sums)))
+    return sums[0], np.array(err, dtype=float)
+
+
+def _adaptive_finite(f, a, b, spec, budget):
     """Worst-first adaptive refinement on a finite interval.
 
     ``budget`` caps integrand evaluations for this piece (callers split one
@@ -159,20 +204,21 @@ def _adaptive_finite(f, a, b, spec, budget, n_init=4):
     """
     if not (b > a):
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    n_init = max(1, min(n_init, budget // 15))
+    n_init = max(1, min(_N_INIT, budget // 15))
     edges = np.linspace(a, b, n_init + 1)
+    vs, es = _gk15_panels(f, edges[:-1], edges[1:])
     heap = []
-    seq = 0
     total = 0.0
     total_err = 0.0
-    evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, n = _gk15_panel(f, lo, hi)
-        heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-        seq += 1
+    for seq, (lo, hi, v, e) in enumerate(
+        zip(edges[:-1].tolist(), edges[1:].tolist(), vs.tolist(), es.tolist())
+    ):
+        heap.append((-e, seq, lo, hi, v, e))
         total += v
         total_err += e
-        evals += n
+    heapq.heapify(heap)
+    seq = n_init
+    evals = 15 * n_init
 
     def tol():
         return max(spec.abs_tol, spec.rel_tol * abs(total))
@@ -188,20 +234,133 @@ def _adaptive_finite(f, a, b, spec, budget, n_init=4):
             if all(item[0] == 0.0 for item in heap):
                 break
             continue
-        v1, e1, n1 = _gk15_panel(f, lo, mid)
-        v2, e2, n2 = _gk15_panel(f, mid, hi)
+        (v1, v2), (e1, e2) = (
+            s.tolist() for s in _gk15_panels(f, np.array([lo, mid]), np.array([mid, hi]))
+        )
         total += (v1 + v2) - v
         total_err += (e1 + e2) - e
         heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
         seq += 1
         heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
         seq += 1
-        evals += n1 + n2
+        evals += 30
 
     # drift-free recomputation of the running sums
     total = math.fsum(item[4] for item in heap)
     total_err = math.fsum(item[5] for item in heap)
     return QuadResult(total, total_err, evals, total_err <= tol())
+
+
+def integrate_adaptive_batch(f, a, b, spec=None):
+    """``integrate_adaptive(f, a[i], b[i], spec)`` for every i, in lockstep.
+
+    ``a`` and ``b`` are 1-d arrays of finite endpoints with a < b.  Each
+    round, every interval still above its tolerance and inside its budget
+    takes the step of the scalar heap loop: it splits its worst panel (ties
+    go to the older panel, as the heap's insertion counter decides) or
+    freezes one at the width floor.  The child panels of all intervals are
+    evaluated in one call of ``f`` on a (panels, 15) array, so ``f`` must
+    be elementwise.  Panel sums, running totals, stop tests and the final
+    ``math.fsum`` are those of the scalar loop, so every row is bit for bit
+    the scalar result.
+
+    Returns a QuadResult of arrays: value, err_est, evals, converged.
+    """
+    spec = spec or DEFAULT_QUADSPEC
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ConfigError("a and b must be 1-d arrays of the same length")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DomainError("batched endpoints must be finite")
+    bad = np.flatnonzero(~(b > a))
+    if bad.size:
+        raise DomainError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
+    m = a.size
+    budget = max(int(spec.max_evals), 60)  # _run_pieces' share for one piece
+    n_init = max(1, min(_N_INIT, budget // 15))
+    value = np.zeros(m)
+    err_est = np.zeros(m)
+    evals = np.full(m, 15 * n_init)
+    if m == 0:
+        return QuadResult(value, err_est, evals, np.zeros(0, dtype=bool))
+
+    # panel slots per row in push order; key = err (0 once frozen), and
+    # -inf marks a popped or unused slot, so argmax pops like the heap
+    cap = n_init + 16
+    edges = np.linspace(a, b, n_init + 1, axis=1)
+    LO = np.zeros((m, cap))
+    HI = np.zeros((m, cap))
+    LO[:, :n_init] = edges[:, :-1]
+    HI[:, :n_init] = edges[:, 1:]
+    v0, e0 = _gk15_panels(f, LO[:, :n_init].ravel(), HI[:, :n_init].ravel())
+    V = np.zeros((m, cap))
+    E = np.zeros((m, cap))
+    V[:, :n_init] = v0.reshape(m, n_init)
+    E[:, :n_init] = e0.reshape(m, n_init)
+    KEY = np.full((m, cap), -np.inf)
+    KEY[:, :n_init] = E[:, :n_init]
+    total = np.zeros(m)
+    total_err = np.zeros(m)
+    for k in range(n_init):  # panel by panel, in the scalar loop's order
+        total += V[:, k]
+        total_err += E[:, k]
+    nslot = np.full(m, n_init)
+    halted = np.zeros(m, dtype=bool)
+    rows = np.arange(m)  # the caller's index of each working row
+
+    while rows.size:
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        go = (total_err > tol) & (evals[rows] + 30 <= budget) & ~halted
+        if not go.all():
+            # drift-free recomputation of the running sums, as the scalar loop
+            live = KEY[~go] > -np.inf
+            done = rows[~go]
+            value[done] = [math.fsum(r) for r in np.where(live, V[~go], 0.0).tolist()]
+            err_est[done] = [math.fsum(r) for r in np.where(live, E[~go], 0.0).tolist()]
+            rows = rows[go]
+            LO, HI, V, E, KEY = LO[go], HI[go], V[go], E[go], KEY[go]
+            total, total_err, nslot, halted = total[go], total_err[go], nslot[go], halted[go]
+            if not rows.size:
+                break
+        if nslot.max() + 2 > cap:
+            grow = ((0, 0), (0, cap))
+            LO, HI, V, E = (np.pad(X, grow) for X in (LO, HI, V, E))
+            KEY = np.pad(KEY, grow, constant_values=-np.inf)
+            cap *= 2
+        r = np.arange(rows.size)
+        s = KEY.argmax(axis=1)
+        lo, hi, v, e = LO[r, s], HI[r, s], V[r, s], E[r, s]
+        KEY[r, s] = -np.inf
+        mid = 0.5 * (lo + hi)
+        width_floor = 4.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+        frozen = (hi - lo <= width_floor) | (mid <= lo) | (mid >= hi)
+
+        # cannot subdivide further in float; keep the panel as-is
+        fr, j = r[frozen], nslot[frozen]
+        LO[fr, j], HI[fr, j] = lo[frozen], hi[frozen]
+        V[fr, j], E[fr, j], KEY[fr, j] = v[frozen], e[frozen], 0.0
+        nslot[fr] += 1
+        halted[fr] = KEY[fr].max(axis=1) == 0.0
+
+        split = ~frozen
+        if not split.any():
+            continue
+        sp, j = r[split], nslot[split]
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        cv, ce = _gk15_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        v1, v2 = cv[: sp.size], cv[sp.size:]
+        e1, e2 = ce[: sp.size], ce[sp.size:]
+        total[sp] += (v1 + v2) - v[split]
+        total_err[sp] += (e1 + e2) - e[split]
+        LO[sp, j], HI[sp, j], V[sp, j], E[sp, j], KEY[sp, j] = lo, mid, v1, e1, e1
+        LO[sp, j + 1], HI[sp, j + 1] = mid, hi
+        V[sp, j + 1], E[sp, j + 1], KEY[sp, j + 1] = v2, e2, e2
+        nslot[sp] += 2
+        evals[rows[sp]] += 30
+
+    converged = err_est <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    return QuadResult(value, err_est, evals, converged)
 
 
 def _power_sub_left(f, a, b, p):

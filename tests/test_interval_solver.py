@@ -70,6 +70,10 @@ def test_kill_rate_is_the_exterior_jump_tail(request, ks_name, kind, a):
     want = lo + hi
     want[[0, -1]] += dk
     np.testing.assert_array_equal(gen.kappa_vec, want)
+    # the generator keeps the split it was built from, bit for bit
+    np.testing.assert_array_equal(gen.exit_rates[0], lo)
+    np.testing.assert_array_equal(gen.exit_rates[1], hi)
+    assert gen.exit_rates[2] == dk
     # the rates are the jump tails into the killing set, in closed form
     T, xs, b = ks.jump_tail_closed, grid.nodes(), grid.b
     lo_want = {"X": T(xs - a), "Y": T(xs - a) - T(xs), "Z": T(xs - a) - T(xs + a)}[kind]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sbmpot import ConfigError, DomainError, KernelSet, PhiSpec
+from sbmpot import ConfigError, DomainError, KernelSet, PhiSpec, QuadratureError, QuadSpec
 
 from oracles import H1_CLOSED, LEVY_C_ALPHA15, UQ0_ALPHA15
 
@@ -62,6 +62,37 @@ def test_jump_tail_with_cutoff_consistent(stable_ks):
     assert stable_ks.jump_tail(0.5, 10.0) == pytest.approx(
         stable_ks.jump_tail_closed(0.5), rel=1e-9
     )
+
+
+def test_jump_tail_scalar_returns_float(stable_spec):
+    val = KernelSet(stable_spec).jump_tail(0.5, 10.0)
+    assert type(val) is float
+
+
+def test_jump_tail_batch_equals_scalar_loop(stable_spec, mixture_spec):
+    # 0.3 and 0.3 + 1e-14 agree to 12 significant digits, so they share one
+    # memo key and both read the value of whichever came first
+    ts = np.array([0.3 + 1e-14, 0.05, 0.3, 1.7, 0.05, 4.0])
+    for spec in (stable_spec, mixture_spec):
+        loop_ks, batch_ks = KernelSet(spec), KernelSet(spec)
+        loop = [loop_ks.jump_tail(float(t), 3.0) for t in ts]
+        batch = batch_ks.jump_tail(ts, 3.0)
+        assert batch.shape == ts.shape
+        assert batch.tolist() == loop
+        assert batch[0] == batch[2]
+        assert batch_ks.jump_tail(ts.reshape(2, 3), 3.0).tolist() == [loop[:3], loop[3:]]
+
+
+def test_jump_tail_unconverged_raises(stable_spec):
+    ks = KernelSet(stable_spec)
+    ks._coefs()
+    ks.quad = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=100)
+    with pytest.raises(QuadratureError, match="t=0.5 did not converge"):
+        ks.jump_tail(np.array([0.5, 2.0]), 10.0)
+    with pytest.raises(DomainError):
+        ks.jump_tail(np.array([0.5, 0.0]), 10.0)
+    with pytest.raises(ConfigError):
+        ks.jump_tail(0.5, 0.0)
 
 
 def test_uq_closed_form(stable_ks):

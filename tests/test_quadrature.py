@@ -9,6 +9,7 @@ from sbmpot import (
     QuadSpec,
     QuadratureError,
     integrate_adaptive,
+    integrate_adaptive_batch,
     integrate_oscillatory_cos,
 )
 
@@ -123,3 +124,87 @@ def test_oscillatory_validation():
         integrate_oscillatory_cos(lambda t: t ** -1.5, 1.0, left_exponent=-1.5)
     with pytest.raises(ConfigError):
         integrate_oscillatory_cos(lambda t: t, 1.0, mode="sin", tail_exponent=2.0)
+
+
+def _scalar_runs(f, a, b, spec=None):
+    return [integrate_adaptive(f, float(lo), float(hi), spec) for lo, hi in zip(a, b)]
+
+
+def _assert_rows_identical(batch, runs):
+    # ==, not approx: the batched engine is the scalar engine, round by round
+    assert batch.value.tolist() == [r.value for r in runs]
+    assert batch.err_est.tolist() == [r.err_est for r in runs]
+    assert batch.evals.tolist() == [r.evals for r in runs]
+    assert batch.converged.tolist() == [r.converged for r in runs]
+
+
+def _tail_sets(a, b, n):
+    # the jump-tail starts of a kind-Z grid on (a, b): below, above, folded
+    xs = a + (np.arange(n) + 0.5) * (b - a) / n
+    return np.concatenate([xs - a, b - xs, xs + a, xs + b])
+
+
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize(
+    "ts, cut",
+    [
+        (_tail_sets(0.004, 1.0, 48), 50.0 * 0.996),
+        (_tail_sets(0.25, 2.75, 48), 50.0 * 2.5),
+        # tail starts over five decades with a short cutoff
+        (np.geomspace(1e-4, 5.0, 40), 3.0),
+    ],
+    ids=["exit-alive", "harnack", "geometric"],
+)
+def test_batch_equals_scalar_on_jump_tails(request, ks_name, ts, cut):
+    ks = request.getfixturevalue(ks_name)
+    batch = integrate_adaptive_batch(ks.levy_j, ts, ts + cut, ks.quad)
+    assert batch.converged.all()
+    _assert_rows_identical(batch, _scalar_runs(ks.levy_j, ts, ts + cut, ks.quad))
+
+
+def test_stacked_panels_equal_single_panels(mixture_ks):
+    # the shared GK15 rule gives a panel in a stack the bits it gets alone
+    # (the heap loop and the batched loop both rely on this)
+    from sbmpot.quadrature import _gk15_panel, _gk15_panels
+
+    lo = np.geomspace(1e-4, 5.0, 64)
+    hi = lo * 1.7
+    v, e = _gk15_panels(mixture_ks.levy_j, lo, hi)
+    single = [_gk15_panel(mixture_ks.levy_j, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert v.tolist() == [s[0] for s in single]
+    assert e.tolist() == [s[1] for s in single]
+
+
+def test_batch_equals_scalar_at_the_width_floor():
+    # panels a few ulps wide cannot be split: they are frozen, and a row
+    # whose panels are all frozen stops before its budget
+    spec = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=5000)
+    a = np.array([1.0, 1e15, 2.0, -3.0])
+    b = np.array([1.0 + 1e-13, 1e15 + 1.0, 2.0 + 3e-14, -3.0 + 1e-12])
+    f = lambda x: np.exp(np.sin(7.0 * x))
+    batch = integrate_adaptive_batch(f, a, b, spec)
+    _assert_rows_identical(batch, _scalar_runs(f, a, b, spec))
+    assert not batch.converged.any()
+    assert (batch.evals[:3] + 30 <= spec.max_evals).all()  # halted, not exhausted
+
+
+def test_batch_budget_exhaustion_flags():
+    spec = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=200)
+    f = lambda x: np.cos(50.0 * x) * np.cos(49.0 * x)
+    a, b = np.array([0.0, 1.0]), np.array([10.0, 3.0])
+    batch = integrate_adaptive_batch(f, a, b, spec)
+    _assert_rows_identical(batch, _scalar_runs(f, a, b, spec))
+    assert not batch.converged.any()
+
+
+def test_batch_validation():
+    with pytest.raises(QuadratureError):
+        integrate_adaptive_batch(lambda x: 1.0 / (x - 0.5), np.array([0.0]), np.array([1.0]))
+    with pytest.raises(DomainError):
+        integrate_adaptive_batch(lambda x: x, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError):
+        integrate_adaptive_batch(lambda x: x, np.array([0.0]), np.array([math.inf]))
+    with pytest.raises(ConfigError):
+        integrate_adaptive_batch(lambda x: x, np.array([0.0]), np.array([1.0, 2.0]))
+    empty = integrate_adaptive_batch(lambda x: x, np.zeros(0), np.zeros(0))
+    assert empty.value.shape == (0,)
