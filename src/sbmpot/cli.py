@@ -18,6 +18,7 @@ from .bernstein import PhiSpec, phi_eval, scaling_exponents
 from .errors import ConfigError, DomainError
 from .kernels import KernelSet
 from .interval_solver import (
+    DEFAULT_A_SEQ,
     Grid,
     bhp_sup_ratio,
     build_generator,
@@ -108,12 +109,8 @@ def _cmd_solve_exit(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     xs = _floats(args.x)
-    aseq = _floats(args.aseq) if args.aseq else None
-    rep = (
-        exit_alive_prob(ks, args.R, xs)
-        if aseq is None
-        else exit_alive_prob(ks, args.R, xs, aseq)
-    )
+    aseq = _floats(args.aseq) if args.aseq else DEFAULT_A_SEQ
+    rep = exit_alive_prob(ks, args.R, xs, aseq)
     if args.out:
         rows = (
             [_FMT % rep.x[i], _FMT % rep.value[i], _FMT % rep.lower[i],

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, QuadratureError, SolverError
+from .errors import ConfigError, DomainError, SolverError
 from .kernels import KernelSet
-from .quadrature import integrate_adaptive
+from .quadrature import converged_value, integrate_adaptive
 
 __all__ = [
     "Grid",
@@ -113,16 +113,13 @@ class GeneratorMatrix:
 
 @dataclass
 class GreenMatrix:
+    """G = (-A)^{-1} / dx with the exit_rates split of its generator."""
+
     kind: str
     grid: Grid
     G: np.ndarray = field(repr=False)
+    exit_rates: tuple = field(repr=False)
     asymmetry: float = 0.0
-
-
-def _checked(r, what):
-    if not r.converged:
-        raise QuadratureError(f"{what} did not converge", err_est=r.err_est)
-    return r.value
 
 
 def _wall_correction(ks: KernelSet, dx: float) -> float:
@@ -135,7 +132,7 @@ def _wall_correction(ks: KernelSet, dx: float) -> float:
     midpoint) > 1.  Returned is the additive correction (gamma - 1) * rate.
     """
     dm = ks.delta_max
-    prof = _checked(
+    prof = converged_value(
         integrate_adaptive(
             lambda d: ks.jump_tail_closed(d) * d**dm,
             0.0,
@@ -212,7 +209,7 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     # symmetric principal-value part within the band |y - x| < 3 dx / 2
     # (everything the far cells do not cover), as a second-difference
     # coefficient; exponent hint 1 - 2 delta_max
-    c2 = _checked(
+    c2 = converged_value(
         integrate_adaptive(
             lambda u: u * u * ks.levy_j(u),
             0.0,
@@ -265,7 +262,9 @@ def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
         raise SolverError("Green matrix has non-finite entries")
     if np.min(G) <= 0.0:
         raise SolverError("Green matrix lost positivity; grid too coarse for this kernel")
-    return GreenMatrix(kind=gen.kind, grid=gen.grid, G=G, asymmetry=asym)
+    return GreenMatrix(
+        kind=gen.kind, grid=gen.grid, G=G, exit_rates=gen.exit_rates, asymmetry=asym
+    )
 
 
 def exit_time(green: GreenMatrix):
@@ -411,7 +410,7 @@ def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
     # the generator carries extra wall-node kill mass (profile-weighted
     # collocation); that mass exits through the wall-side kernel, so scale
     # the wall rows' wall-side columns to keep row masses exact
-    lo, hi, dk = _exit_rates(ks, grid, green.kind)
+    lo, hi, dk = green.exit_rates
     s_lo = 1.0 + dk / lo[0]
     s_hi = 1.0 + dk / hi[-1]
     KERN[0, zg.below] *= s_lo

@@ -37,10 +37,11 @@ import math
 import numpy as np
 
 from .bernstein import PhiSpec, phi_eval
-from .errors import ConfigError, DomainError, QuadratureError
+from .errors import ConfigError, DomainError
 from .quadrature import (
     DEFAULT_QUADSPEC,
     QuadSpec,
+    converged_value,
     integrate_adaptive,
     integrate_adaptive_batch,
     integrate_oscillatory_cos,
@@ -108,12 +109,8 @@ class KernelSet:
                     self.quad,
                     left_exponent=le,
                 )
-                if not r.converged:
-                    raise QuadratureError(
-                        f"gamma-type factor for exponent {d} did not converge",
-                        err_est=r.err_est,
-                    )
-                c = w * (d / math.gamma(1.0 - d)) * (4.0**d) * r.value / _SQRT_PI
+                gamma = converged_value(r, f"gamma-type factor for exponent {d}")
+                c = w * (d / math.gamma(1.0 - d)) * (4.0**d) * gamma / _SQRT_PI
                 coefs.append((c, 2.0 * d))
             self._jump_coefs = tuple(coefs)
         return self._jump_coefs
@@ -165,13 +162,8 @@ class KernelSet:
         if miss:
             ts = np.array(list(miss.values()))
             r = integrate_adaptive_batch(self.levy_j, ts, ts + cutoff, self.quad)
-            if not r.converged.all():
-                i = int(np.argmin(r.converged))
-                raise QuadratureError(
-                    f"jump tail integral at t={ts[i]} did not converge",
-                    err_est=float(r.err_est[i]),
-                )
-            vals = r.value + self.jump_tail_closed(ts + cutoff)
+            head = converged_value(r, lambda i: f"jump tail integral at t={ts[i]}")
+            vals = head + self.jump_tail_closed(ts + cutoff)
             memo.update(zip(miss, vals.tolist()))
         out = np.array([memo[k] for k in keys]).reshape(arr.shape)
         return out if isinstance(t, np.ndarray) else float(out)
@@ -192,9 +184,7 @@ class KernelSet:
         r = integrate_oscillatory_cos(
             g, x, self.quad, mode="cos", tail_exponent=2.0 * self.delta_max
         )
-        if not r.converged:
-            raise QuadratureError(f"uq({q}, {x}) did not converge", err_est=r.err_est)
-        val = r.value / math.pi
+        val = converged_value(r, f"uq({q}, {x})") / math.pi
         self._uq_memo[k] = val
         return val
 
@@ -219,14 +209,14 @@ class KernelSet:
             left_exponent=-2.0 * self.delta_min,
             tail_exponent=2.0 * self.delta_max,
         )
-        if not r.converged:
-            raise QuadratureError(f"h({x}) did not converge", err_est=r.err_est)
-        val = r.value / math.pi
+        val = converged_value(r, f"h({x})") / math.pi
         self._h_memo[k] = val
         return val
 
     def h_many(self, xs):
-        """Vectorized convenience wrapper over the memoized scalar h."""
+        """h at every entry of ``xs``: a Python loop over the memoized scalar
+        ``h_comp``, one oscillatory quadrature per miss, not a vectorized
+        evaluation."""
         arr = np.asarray(xs, dtype=float)
         flat = arr.ravel()
         out = np.array([self.h_comp(v) for v in flat])

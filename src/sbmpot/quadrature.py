@@ -23,11 +23,16 @@ funnels through three entry points:
     half-periods between consecutive zeros, and the alternating series is
     accelerated by repeated averaging of partial sums.
 
-Integrands must accept numpy arrays (the rules evaluate 15 abscissae per
-panel, and several panels at once as a (panels, 15) array).  All decisions
-are pure functions of integrand values, so repeated runs are
-bit-identical.  Non-finite integrand values raise QuadratureError
-immediately rather than poisoning the sum.
+All three loops evaluate their panels through one GK15 driver,
+``_gk15_panels``, which sends a stack of panels to the integrand as one
+(panels, 15) array; the oscillatory tail stacks the half-period chunks
+between two of its convergence tests.  So integrands, oscillatory ones
+included, must be elementwise over numpy arrays.  A panel in a stack gets
+the bits it would get alone, and all decisions are pure functions of
+integrand values, so repeated runs are bit-identical.  Non-finite integrand
+values raise QuadratureError immediately rather than poisoning the sum.
+``converged_value`` is the one rule for callers that need a converged
+result: the value, or QuadratureError.
 """
 
 from __future__ import annotations
@@ -174,24 +179,30 @@ def _gk15_err(vk, vg, resasc):
     return max(err, _ERR_FLOOR * abs(vk))
 
 
-def _gk15_panel(f, a, b):
-    """One Kronrod-15 / Gauss-7 pass over [a, b]: (value, err_est, n_evals)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c + h * _XK
-    vk, vg, resasc = (float(s) for s in _gk15_sums(_gk15_values(f, x), h))
-    return vk, _gk15_err(vk, vg, resasc), x.size
-
-
 def _gk15_panels(f, a, b):
-    """_gk15_panel over the panels [a[k], b[k]] in one integrand call:
-    (values, err_ests) as arrays."""
+    """Kronrod-15 / Gauss-7 passes over the panels [a[k], b[k]] in one
+    integrand call: (values, err_ests) as arrays."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = c[:, None] + h[:, None] * _XK
     sums = _gk15_sums(_gk15_values(f, x), h)
     err = list(map(_gk15_err, *(s.tolist() for s in sums)))
     return sums[0], np.array(err, dtype=float)
+
+
+def converged_value(r, what):
+    """``r.value``, or QuadratureError "<what> did not converge" with the
+    error estimate when ``r`` missed its tolerance.  For a batched ``r``,
+    ``what(i)`` names row i and the first unconverged row is reported.
+    """
+    ok = np.asarray(r.converged)
+    if ok.all():
+        return r.value
+    err = r.err_est
+    if ok.ndim:
+        i = int(np.argmin(ok))
+        what, err = what(i), float(err[i])
+    raise QuadratureError(f"{what} did not converge", err_est=err)
 
 
 def _adaptive_finite(f, a, b, spec, budget):
@@ -363,31 +374,21 @@ def integrate_adaptive_batch(f, a, b, spec=None):
     return QuadResult(value, err_est, evals, converged)
 
 
-def _power_sub_left(f, a, b, p):
-    """Map [a, b] with an x -> (x-a)^p integrand onto t in [0, 1].
+def _power_sub(f, end, other, p):
+    """Map the range from ``end`` to ``other`` (either side) with an
+    x -> |x-end|^p integrand onto t in [0, 1]: (integrand, 0, 1).
 
-    x = a + (b-a) t^m with m = ceil(2/(1+p)) turns the integrand into
-    O(t^{m(1+p)-1}) = O(t) or better, which the Kronrod rule digests.
+    x = end + (other-end) t^m with m = ceil(2/(1+p)) turns the integrand
+    into O(t^{m(1+p)-1}) = O(t) or better, which the Kronrod rule digests.
     """
     m = math.ceil(2.0 / (1.0 + p))
-    span = b - a
+    span = other - end
 
     def g(t):
         tm = np.power(t, m)
-        return f(a + span * tm) * (span * m) * np.power(t, m - 1)
+        return f(end + span * tm) * (abs(span) * m) * np.power(t, m - 1)
 
-    return g
-
-
-def _power_sub_right(f, a, b, p):
-    m = math.ceil(2.0 / (1.0 + p))
-    span = b - a
-
-    def g(t):
-        tm = np.power(t, m)
-        return f(b - span * tm) * (span * m) * np.power(t, m - 1)
-
-    return g
+    return g, 0.0, 1.0
 
 
 def _needs_sub(p):
@@ -432,18 +433,14 @@ def integrate_adaptive(
 
     left = _needs_sub(left_exponent)
     right = _needs_sub(right_exponent)
+    # two singular ends split the range at its midpoint
+    mid = 0.5 * (a + b)
     pieces = []
-    if left and right:
-        mid = 0.5 * (a + b)
-        pieces.append((_power_sub_left(f, a, mid, left_exponent), 0.0, 1.0))
-        pieces.append((_power_sub_right(f, mid, b, right_exponent), 0.0, 1.0))
-    elif left:
-        pieces.append((_power_sub_left(f, a, b, left_exponent), 0.0, 1.0))
-    elif right:
-        pieces.append((_power_sub_right(f, a, b, right_exponent), 0.0, 1.0))
-    else:
-        pieces.append((f, a, b))
-    return _run_pieces(pieces, spec)
+    if left:
+        pieces.append(_power_sub(f, a, mid if right else b, left_exponent))
+    if right:
+        pieces.append(_power_sub(f, b, mid if left else a, right_exponent))
+    return _run_pieces(pieces or [(f, a, b)], spec)
 
 
 def _run_pieces(pieces, spec):
@@ -477,11 +474,11 @@ def _integrate_to_inf(f, a, spec, left_exponent, tail_exponent):
     tail_p = None if tail_exponent is None else float(tail_exponent) - 2.0
     pieces = []
     if _needs_sub(left_exponent):
-        pieces.append((_power_sub_left(f, a, cut, left_exponent), 0.0, 1.0))
+        pieces.append(_power_sub(f, a, cut, left_exponent))
     else:
         pieces.append((f, a, cut))
     if tail_p is not None and _needs_sub(tail_p):
-        pieces.append((_power_sub_left(g, 0.0, 1.0 / cut, tail_p), 0.0, 1.0))
+        pieces.append(_power_sub(g, 0.0, 1.0 / cut, tail_p))
     else:
         pieces.append((g, 0.0, 1.0 / cut))
     return _run_pieces(pieces, spec)
@@ -510,8 +507,10 @@ def _cos_tail_chunked(g, x, lam0, spec, budget):
     """sum of int cos(lam x) g(lam) over [lam0, inf) by half-period chunks.
 
     Chunk k spans consecutive zeros of cos(lam x); the resulting alternating
-    series is fed to _averaged_limit.  Returns (value, err, evals, converged,
-    n_chunks).  If chunk magnitudes fail to decay (g not eventually
+    series is fed to _averaged_limit, tested every 4 chunks from chunk 8 on.
+    The chunks up to the next test go to the integrand as one block, cut
+    short only by the 600-chunk cap or the budget.  Returns (value, err,
+    evals, converged).  If chunk magnitudes fail to decay (g not eventually
     monotone), emits a RuntimeWarning and reports converged=False.
     """
     k0 = math.ceil(lam0 * x / math.pi - 0.5)
@@ -521,10 +520,11 @@ def _cos_tail_chunked(g, x, lam0, spec, budget):
     err = 0.0
     ok = True
 
+    def f(lam):
+        return np.cos(lam * x) * g(lam)
+
     if z0 > lam0 * (1.0 + 1e-14):
-        bridge = integrate_adaptive(
-            lambda lam: np.cos(lam * x) * g(lam), lam0, z0, spec
-        )
+        bridge = integrate_adaptive(f, lam0, z0, spec)
         value += bridge.value
         err += bridge.err_est
         evals += bridge.evals
@@ -543,18 +543,23 @@ def _cos_tail_chunked(g, x, lam0, spec, budget):
     tol = max(spec.abs_tol, spec.rel_tol * max(abs(value), 1.0))
 
     k = 0
-    while k < n_chunks_max and evals + 15 <= budget:
-        lo = z0 + k * math.pi / x
-        hi = lo + math.pi / x
-        v, e, n = _gk15_panel(lambda lam: np.cos(lam * x) * g(lam), lo, hi)
-        evals += n
-        chunk_vals.append(v)
-        chunk_errs.append(e)
-        run += v
-        partials.append(run)
-        k += 1
-        if k >= 3 and abs(chunk_vals[-1]) > abs(chunk_vals[-2]) * (1.0 + 1e-12):
-            increase_count += 1
+    while True:
+        # the chunks up to the next convergence test, as far as cap and budget allow
+        size = min(max(8, k + 4 - k % 4) - k, n_chunks_max - k, (budget - evals) // 15)
+        if size <= 0:
+            ok = False
+            break
+        lo = np.array([z0 + j * math.pi / x for j in range(k, k + size)])
+        vs, es = _gk15_panels(f, lo, lo + math.pi / x)
+        evals += 15 * size
+        for v in vs.tolist():
+            chunk_vals.append(v)
+            run += v
+            partials.append(run)
+            k += 1
+            if k >= 3 and abs(chunk_vals[-1]) > abs(chunk_vals[-2]) * (1.0 + 1e-12):
+                increase_count += 1
+        chunk_errs += es.tolist()
         if k >= 8 and k % 4 == 0:
             limit, lim_err = _averaged_limit(partials)
             if est_prev is not None and abs(limit - est_prev) < 0.25 * tol:
@@ -564,8 +569,6 @@ def _cos_tail_chunked(g, x, lam0, spec, budget):
             else:
                 stable_hits = 0
             est_prev = limit
-    else:
-        ok = False
 
     if increase_count >= 3:
         warnings.warn(
@@ -605,8 +608,10 @@ def integrate_oscillatory_cos(
     as lam -> inf and is required in "one_minus_cos" mode where int g over
     the tail must exist on its own.  Needs x >= 0; x = 0 short-circuits.
 
-    The cosine factor is never evaluated as 1 - cos directly: the head uses
-    2 sin^2(lam x / 2), which is exact near zero.
+    Both modes integrate head parts up to lam = 2/x and add the cosine tail
+    beyond it with sign -1 (one_minus_cos) or +1 (cos).  The cosine factor
+    is never evaluated as 1 - cos directly: the head uses 2 sin^2(lam x / 2),
+    which is exact near zero, and int g over the tail comes separately.
     """
     spec = spec or DEFAULT_QUADSPEC
     if mode not in ("one_minus_cos", "cos"):
@@ -627,45 +632,36 @@ def integrate_oscillatory_cos(
         raise ConfigError("one_minus_cos mode needs tail_exponent for the int g tail")
 
     lam_split = 2.0 / x
-    budget = int(spec.max_evals)
-    evals = 0
-
     if mode == "one_minus_cos":
 
         def head_f(lam):
             s = np.sin(0.5 * x * lam)
             return 2.0 * s * s * g(lam)
 
-        head = integrate_adaptive(
-            head_f, 0.0, lam_split, spec, left_exponent=left_exponent + 2.0
+        sign = -1.0
+        parts = (
+            integrate_adaptive(
+                head_f, 0.0, lam_split, spec, left_exponent=left_exponent + 2.0
+            ),
+            integrate_adaptive(g, lam_split, math.inf, spec, tail_exponent=tail_exponent),
         )
-        evals += head.evals
-        mid = integrate_adaptive(
-            g, lam_split, math.inf, spec, tail_exponent=tail_exponent
-        )
-        evals += mid.evals
-        osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked(
-            g, x, lam_split, spec, budget - evals
-        )
-        evals += osc_n
-        value = head.value + mid.value - osc_v
-        err = head.err_est + mid.err_est + osc_e
-        ok = head.converged and mid.converged and osc_ok
     else:
-
-        def head_f(lam):
-            return np.cos(lam * x) * g(lam)
-
-        head = integrate_adaptive(
-            head_f, 0.0, lam_split, spec, left_exponent=left_exponent
+        sign = 1.0
+        parts = (
+            integrate_adaptive(
+                lambda lam: np.cos(lam * x) * g(lam), 0.0, lam_split, spec,
+                left_exponent=left_exponent,
+            ),
         )
-        evals += head.evals
-        osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked(
-            g, x, lam_split, spec, budget - evals
-        )
-        evals += osc_n
-        value = head.value + osc_v
-        err = head.err_est + osc_e
-        ok = head.converged and osc_ok
 
-    return QuadResult(value, err, evals, ok)
+    first, *rest = parts
+    value, err, evals, ok = first.value, first.err_est, first.evals, first.converged
+    for r in rest:
+        value += r.value
+        err += r.err_est
+        evals += r.evals
+        ok = ok and r.converged
+    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked(
+        g, x, lam_split, spec, int(spec.max_evals) - evals
+    )
+    return QuadResult(value + sign * osc_v, err + osc_e, evals + osc_n, ok and osc_ok)

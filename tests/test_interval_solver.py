@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,28 @@ def test_unconverged_solver_quadrature_raises(stable_spec):
         build_generator(ks, Grid(1.0, 2.0, 64), "X")
     with pytest.raises(QuadratureError, match="wall correction"):
         _wall_correction(ks, 1.0 / 64)
+
+
+def test_poisson_kernel_reuses_the_generator_exit_rates(stable_spec, monkeypatch):
+    # the Green matrix carries its generator's (lo, hi, dk) split, so the
+    # Poisson table makes no second wall-correction quadrature
+    import sbmpot.interval_solver as isol
+
+    calls = []
+    real = isol._wall_correction
+    monkeypatch.setattr(
+        isol, "_wall_correction", lambda ks, dx: calls.append(dx) or real(ks, dx)
+    )
+    ks = KernelSet(stable_spec)
+    harnack_sup_ratio(ks, 1.0, n=256)
+    assert len(calls) == 1
+    # and the table is the one a fresh split gives, bit for bit
+    grid = Grid(0.25, 2.75, 256)  # harnack_sup_ratio's geometry at r = 1
+    green = green_matrix(build_generator(ks, grid, "Z"))
+    fresh = dataclasses.replace(green, exit_rates=_exit_rates(ks, grid, "Z"))
+    pt, want = poisson_kernel(green, ks), poisson_kernel(fresh, ks)
+    for name in ("K", "tail_lo", "tail_hi"):
+        np.testing.assert_array_equal(getattr(pt, name), getattr(want, name))
 
 
 def test_green_symmetric_positive(green_x_256):

@@ -11,6 +11,7 @@ from sbmpot import (
     integrate_adaptive,
     integrate_adaptive_batch,
     integrate_oscillatory_cos,
+    phi_eval,
 )
 
 
@@ -162,17 +163,56 @@ def test_batch_equals_scalar_on_jump_tails(request, ks_name, ts, cut):
     _assert_rows_identical(batch, _scalar_runs(ks.levy_j, ts, ts + cut, ks.quad))
 
 
+def _panels_one_by_one(f, lo, hi):
+    from sbmpot.quadrature import _gk15_panels
+
+    out = [_gk15_panels(f, lo[k:k + 1], hi[k:k + 1]) for k in range(lo.size)]
+    return [v[0] for v, _ in out], [e[0] for _, e in out]
+
+
 def test_stacked_panels_equal_single_panels(mixture_ks):
-    # the shared GK15 rule gives a panel in a stack the bits it gets alone
-    # (the heap loop and the batched loop both rely on this)
-    from sbmpot.quadrature import _gk15_panel, _gk15_panels
+    # the GK15 driver gives a panel in a stack the bits it gets alone (the
+    # heap loop, the batched loop and the blocked oscillatory tail rely on this)
+    from sbmpot.quadrature import _gk15_panels
 
     lo = np.geomspace(1e-4, 5.0, 64)
     hi = lo * 1.7
     v, e = _gk15_panels(mixture_ks.levy_j, lo, hi)
-    single = [_gk15_panel(mixture_ks.levy_j, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    assert v.tolist() == [s[0] for s in single]
-    assert e.tolist() == [s[1] for s in single]
+    assert (v.tolist(), e.tolist()) == _panels_one_by_one(mixture_ks.levy_j, lo, hi)
+
+    # the oscillatory tail's integrand over half-period chunks, in blocks of 1 to 4
+    x = 1.3
+    f = lambda lam: np.cos(lam * x) / phi_eval(mixture_ks.phi, lam * lam)
+    lo = np.array([1.5 * math.pi / x + k * math.pi / x for k in range(13)])
+    hi = lo + math.pi / x
+    single = _panels_one_by_one(f, lo, hi)
+    for size in (1, 2, 3, 4):
+        vs, es = [], []
+        for k in range(0, lo.size, size):
+            v, e = _gk15_panels(f, lo[k:k + size], hi[k:k + size])
+            vs += v.tolist()
+            es += e.tolist()
+        assert (vs, es) == single
+
+
+def test_oscillatory_tail_budget_cut_inside_a_block():
+    # the budget leaves room for 3 of the 4 chunks between two convergence
+    # tests (11 chunks in all): the tail stops there, unconverged
+    r = integrate_oscillatory_cos(
+        lambda t: 1.0 / (1.0 + t * t), 1.0, QuadSpec(max_evals=297), mode="cos"
+    )
+    assert not r.converged
+    assert r.evals == 285
+    assert abs(r.value - 0.5 * math.pi / math.e) < 1e-5
+
+
+def test_oscillatory_tail_non_decaying_envelope():
+    # growing chunk magnitudes: the tail warns, falls back to the raw
+    # partial sum and reports converged=False
+    with pytest.warns(RuntimeWarning, match="not decaying"):
+        r = integrate_oscillatory_cos(np.sqrt, 1.0, mode="cos")
+    assert not r.converged
+    assert r.evals == 1020
 
 
 def test_batch_equals_scalar_at_the_width_floor():
