@@ -137,6 +137,12 @@ def _as_positive_array(x, what):
     return arr
 
 
+def _float_if_0d(out):
+    """``out`` as a float when it is 0-d (scalar input), else the array
+    itself: a list or tuple input gives an array, as an ndarray does."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def phi_eval(spec, lam):
     """phi(lam) for lam > 0, elementwise over arrays."""
     arr = _as_positive_array(lam, "lam")
@@ -146,7 +152,7 @@ def phi_eval(spec, lam):
         out = np.zeros_like(arr)
         for w, d in spec.terms:
             out += w * np.power(arr, d)
-    return out if isinstance(lam, np.ndarray) else float(out)
+    return _float_if_0d(out)
 
 
 def nu_eval(spec, t):
@@ -156,7 +162,7 @@ def nu_eval(spec, t):
     for w, d in zip(spec.weights(), spec.exponents()):
         c = d / math.gamma(1.0 - d)
         out += w * c * np.power(arr, -1.0 - d)
-    return out if isinstance(t, np.ndarray) else float(out)
+    return _float_if_0d(out)
 
 
 @dataclass(frozen=True)

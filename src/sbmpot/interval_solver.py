@@ -155,22 +155,21 @@ def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
     below; kind Z folds a landing y onto |y|, so (-a, a) kills below and
     y < -b adds to the rate above.  The kill rate of node i is
     lo[i] + hi[i], plus dk at the two wall nodes.
+
+    All tails come from one ``jump_tail`` call.  On the midpoint lattice
+    node i's distance to b is node n-1-i's distance to a, so the rates
+    above reuse the wall distances reversed.
     """
-    a, b = grid.a, grid.b
+    a, b, n = grid.a, grid.b, grid.n
     xs = grid.nodes()
-    cutoff = Z_MAX_FACTOR * (b - a)
-
-    def T(ts):
-        return ks.jump_tail(ts, cutoff)
-
-    lo = T(xs - a)
-    if kind == "Y":
-        lo = lo - T(xs)
-    elif kind == "Z":
-        lo = lo - T(xs + a)
-    hi = T(b - xs)
+    folds = {"X": [], "Y": [xs], "Z": [xs + a, xs + b]}[kind]
+    T = ks.jump_tail(np.concatenate([xs - a, *folds]), Z_MAX_FACTOR * (b - a))
+    lo = T[:n]
+    hi = lo[::-1]
+    if kind != "X":
+        lo = lo - T[n : 2 * n]
     if kind == "Z":
-        hi = hi + T(xs + b)
+        hi = hi + T[2 * n :]
     return lo, hi, _wall_correction(ks, grid.dx)
 
 

@@ -24,10 +24,10 @@ u = x^2/(4s) in the subordination integral gives
 because the Levy density of each mixture term is itself a pure power.  The
 I(d) factors are computed once per instance by the adaptive engine; after
 that ``levy_j`` is a vectorized power sum, cheap enough to fill dense
-generator matrices.  Scalar kernels obtained by oscillatory quadrature
-(``uq``, ``h_comp``) are memoized per instance.  ``jump_tail`` takes an
-array of tail starts and sends its memo misses to the batched adaptive
-engine in one call.
+generator matrices.  Nothing else is cached: ``uq`` and ``h_comp`` run one
+oscillatory quadrature per call, and ``jump_tail`` sends the distinct tail
+starts of one call to the batched adaptive engine together, so every
+value depends only on its own argument.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .bernstein import PhiSpec, phi_eval
+from .bernstein import PhiSpec, _as_positive_array, _float_if_0d, phi_eval
 from .errors import ConfigError, DomainError
 from .quadrature import (
     DEFAULT_QUADSPEC,
@@ -53,13 +53,6 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # e^{-u} below ~1e-52 contributes nothing at double precision
 _GAMMA_CUT = 120.0
-
-
-def _key(x):
-    # 12 significant digits: arguments that agree that far share one memo
-    # entry, the value computed for whichever of them came first, so a memo
-    # read can differ from a fresh evaluation at the 1e-12 relative level
-    return "%.12e" % float(x)
 
 
 class KernelSet:
@@ -80,9 +73,6 @@ class KernelSet:
         self.delta_min = phi.delta_min
         self.delta_max = phi.delta_max
         self._jump_coefs = None  # [(coef, 2*d)] per mixture term
-        self._h_memo = {}
-        self._uq_memo = {}
-        self._jt_memo = {}
 
     # -- characteristic exponent -------------------------------------------
 
@@ -93,7 +83,7 @@ class KernelSet:
         nz = arr != 0.0
         if np.any(nz):
             out[nz] = phi_eval(self.phi, arr[nz] * arr[nz])
-        return out if isinstance(xi, np.ndarray) else float(out)
+        return _float_if_0d(out)
 
     # -- jump density and its tails ----------------------------------------
 
@@ -117,56 +107,39 @@ class KernelSet:
 
     def levy_j(self, x):
         """Jump density j(|x|); strictly decreasing in |x|, blows up at 0."""
-        arr = np.abs(np.asarray(x, dtype=float))
-        if arr.size and not np.all(arr > 0.0):
-            raise DomainError("levy_j is singular at 0; arguments must be nonzero")
+        arr = _as_positive_array(np.abs(x), "|x| (levy_j is singular at 0)")
         out = np.zeros_like(arr)
         for c, a in self._coefs():
             out += c * np.power(arr, -1.0 - a)
-        return out if isinstance(x, np.ndarray) else float(out)
+        return _float_if_0d(out)
 
     def jump_tail_closed(self, t, weight_exponent=0.0):
         """int_t^inf j(z) z^{-p} dz in closed form (power sum), t > 0."""
-        arr = np.asarray(t, dtype=float)
-        if arr.size and not np.all(arr > 0.0):
-            raise DomainError("tail start must be positive")
+        arr = _as_positive_array(t, "tail start")
         p = float(weight_exponent)
         out = np.zeros_like(arr)
         for c, a in self._coefs():
             out += c * np.power(arr, -(a + p)) / (a + p)
-        return out if isinstance(t, np.ndarray) else float(out)
+        return _float_if_0d(out)
 
     def jump_tail(self, t, cutoff):
         """int_t^inf j(z) dz: adaptive quadrature on [t, t+cutoff], closed
-        power tail beyond.  ``t`` may be an array (the result has its shape)
-        or a scalar (the result is a float).
+        power tail beyond.  ``t`` may be array-like (the result has its
+        shape) or a scalar (the result is a float).
 
-        Memoized by 12-digit key; the interval solvers hammer this with
-        lattice-aligned arguments.  The misses of one call, first occurrence
-        of each key, go to the batched engine together; a miss that does not
-        converge raises QuadratureError naming its t.
+        Not memoized: each distinct t of one call is integrated once, all of
+        them in one batched-engine pass, and each value equals a scalar call
+        at its own t bit for bit.  A t that does not converge raises
+        QuadratureError naming it.
         """
-        arr = np.asarray(t, dtype=float)
-        if arr.size and not np.all(arr > 0.0):
-            raise DomainError("tail start must be positive")
+        arr = _as_positive_array(t, "tail start")
         if not (cutoff > 0.0):
             raise ConfigError("cutoff must be positive")
-        flat = arr.ravel().tolist()
-        ck = _key(cutoff)
-        keys = [(_key(v), ck) for v in flat]
-        memo = self._jt_memo
-        miss = {}
-        for k, v in zip(keys, flat):
-            if k not in memo:
-                miss.setdefault(k, v)
-        if miss:
-            ts = np.array(list(miss.values()))
-            r = integrate_adaptive_batch(self.levy_j, ts, ts + cutoff, self.quad)
-            head = converged_value(r, lambda i: f"jump tail integral at t={ts[i]}")
-            vals = head + self.jump_tail_closed(ts + cutoff)
-            memo.update(zip(miss, vals.tolist()))
-        out = np.array([memo[k] for k in keys]).reshape(arr.shape)
-        return out if isinstance(t, np.ndarray) else float(out)
+        ts, inv = np.unique(arr.ravel(), return_inverse=True)
+        r = integrate_adaptive_batch(self.levy_j, ts, ts + cutoff, self.quad)
+        head = converged_value(r, lambda i: f"jump tail integral at t={ts[i]}")
+        vals = head + self.jump_tail_closed(ts + cutoff)
+        return _float_if_0d(vals[inv].reshape(arr.shape))
 
     # -- resolvent and compensated kernels ----------------------------------
 
@@ -176,17 +149,11 @@ class KernelSet:
         if not (q > 0.0):
             raise DomainError("resolvent parameter q must be positive")
         x = abs(float(x))
-        k = (_key(q), _key(x))
-        hit = self._uq_memo.get(k)
-        if hit is not None:
-            return hit
         g = lambda lam: 1.0 / (q + phi_eval(self.phi, lam * lam))
         r = integrate_oscillatory_cos(
             g, x, self.quad, mode="cos", tail_exponent=2.0 * self.delta_max
         )
-        val = converged_value(r, f"uq({q}, {x})") / math.pi
-        self._uq_memo[k] = val
-        return val
+        return converged_value(r, f"uq({q}, {x})") / math.pi
 
     def h_comp(self, x):
         """Compensated potential kernel h(x) = (1/pi) int (1 - cos(lam x))/psi(lam) dlam.
@@ -196,10 +163,6 @@ class KernelSet:
         x = abs(float(x))
         if x == 0.0:
             return 0.0
-        k = _key(x)
-        hit = self._h_memo.get(k)
-        if hit is not None:
-            return hit
         g = lambda lam: 1.0 / phi_eval(self.phi, lam * lam)
         r = integrate_oscillatory_cos(
             g,
@@ -209,14 +172,12 @@ class KernelSet:
             left_exponent=-2.0 * self.delta_min,
             tail_exponent=2.0 * self.delta_max,
         )
-        val = converged_value(r, f"h({x})") / math.pi
-        self._h_memo[k] = val
-        return val
+        return converged_value(r, f"h({x})") / math.pi
 
     def h_many(self, xs):
-        """h at every entry of ``xs``: a Python loop over the memoized scalar
-        ``h_comp``, one oscillatory quadrature per miss, not a vectorized
-        evaluation."""
+        """h at every entry of ``xs``: a Python loop over the scalar
+        ``h_comp``, one oscillatory quadrature per entry (no memo), not a
+        vectorized evaluation."""
         arr = np.asarray(xs, dtype=float)
         flat = arr.ravel()
         out = np.array([self.h_comp(v) for v in flat])
@@ -254,25 +215,18 @@ class KernelSet:
 
     def jump_i(self, x, y):
         """Folded jump kernel i(x, y) = j(|x - y|) + j(x + y), x, y > 0, x != y."""
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        if (xa.size and not np.all(xa > 0.0)) or (ya.size and not np.all(ya > 0.0)):
-            raise DomainError("jump_i lives on the open half line")
+        xa = _as_positive_array(x, "x (jump_i lives on the open half line)")
+        ya = _as_positive_array(y, "y (jump_i lives on the open half line)")
         if np.any(xa == ya):
             raise DomainError("jump_i is singular on the diagonal")
-        out = self.levy_j(xa - ya) + self.levy_j(xa + ya)
-        scalar = not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray))
-        return float(out) if scalar else out
+        return _float_if_0d(self.levy_j(xa - ya) + self.levy_j(xa + ya))
 
     # -- scale function and comparator ---------------------------------------
 
     def phi_cap(self, x):
         """Phi(x) = 1/phi(x^{-2}), increasing on (0, inf)."""
-        arr = np.asarray(x, dtype=float)
-        if arr.size and not np.all(arr > 0.0):
-            raise DomainError("phi_cap needs positive arguments")
-        out = 1.0 / phi_eval(self.phi, np.power(arr, -2.0))
-        return out if isinstance(x, np.ndarray) else float(out)
+        arr = _as_positive_array(x, "phi_cap argument")
+        return _float_if_0d(1.0 / phi_eval(self.phi, np.power(arr, -2.0)))
 
     def phi_cap_inv(self, y):
         """Inverse of phi_cap, solved by bisection on log(x^{-2}).
@@ -281,9 +235,9 @@ class KernelSet:
         100 bisection steps pin the root to full double precision.  The
         round trip phi_cap(phi_cap_inv(y)) = y holds to ~1e-13 relative.
         """
-        arr = np.asarray(y, dtype=float)
-        if arr.size and not np.all((arr > 0.0) & np.isfinite(arr)):
-            raise DomainError("phi_cap_inv needs positive finite arguments")
+        arr = _as_positive_array(y, "phi_cap_inv argument")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("phi_cap_inv needs finite arguments")
         u = 1.0 / arr  # solve phi(t) = u, then x = t^{-1/2}
         ws = np.asarray(self.phi.weights())
         ds = np.asarray(self.phi.exponents())
@@ -304,8 +258,7 @@ class KernelSet:
             s_lo = np.where(too_low, s_mid, s_lo)
             s_hi = np.where(too_low, s_hi, s_mid)
         t = np.exp(0.5 * (s_lo + s_hi))
-        out = 1.0 / np.sqrt(t)
-        return out if isinstance(y, np.ndarray) else float(out)
+        return _float_if_0d(1.0 / np.sqrt(t))
 
     def gx_estimate(self, a, b, x, y):
         """Two-sided Green comparator on the interval (a, b).
@@ -329,6 +282,4 @@ class KernelSet:
         gap = np.abs(xa - ya)
         with np.errstate(divide="ignore"):
             alt = np.where(gap > 0.0, amp / np.where(gap > 0.0, gap, 1.0), np.inf)
-        out = np.minimum(base, alt)
-        scalar = not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray))
-        return float(out) if scalar else out
+        return _float_if_0d(np.minimum(base, alt))

@@ -3,8 +3,10 @@
 Each check recomputes named constants with a deterministic recipe and holds
 them against an explicit bar.  A failing check is recorded, never raised;
 the report is the product.  Identical configuration (including the seed)
-reproduces every measured constant bit for bit; only the wall-clock
-fields (runtime, *_s) vary between runs.
+reproduces every measured constant bit for bit on the same machine with
+the same BLAS thread count (the dense solves round differently under
+another thread count); only the wall-clock fields (runtime, *_s) vary
+between runs.
 """
 
 from __future__ import annotations

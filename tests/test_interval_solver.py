@@ -61,13 +61,21 @@ def test_generator_kind_validation(stable_ks):
 
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
 @pytest.mark.parametrize("kind, a", [("X", 1.0), ("Y", 1.0), ("Z", 1.0), ("X", 0.0)])
-def test_kill_rate_is_the_exterior_jump_tail(request, ks_name, kind, a):
+def test_kill_rate_is_the_exterior_jump_tail(request, monkeypatch, ks_name, kind, a):
     ks = request.getfixturevalue(ks_name)
     grid = Grid(a, a + 1.0, 64)
     gen = build_generator(ks, grid, kind)
     # the diagonal closes every row on the kill rate
     np.testing.assert_allclose(-gen.A @ np.ones(grid.n), gen.kappa_vec, rtol=1e-12)
+    calls = []
+    real = ks.jump_tail
+    monkeypatch.setattr(ks, "jump_tail", lambda t, c: calls.append(t) or real(t, c))
     lo, hi, dk = _exit_rates(ks, grid, kind)
+    # one jump_tail call per generator; the rates above are the wall
+    # distances reversed
+    assert len(calls) == 1
+    if kind == "X":
+        np.testing.assert_array_equal(hi, lo[::-1])
     want = lo + hi
     want[[0, -1]] += dk
     np.testing.assert_array_equal(gen.kappa_vec, want)

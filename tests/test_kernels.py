@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sbmpot import ConfigError, DomainError, KernelSet, PhiSpec, QuadratureError, QuadSpec
+from sbmpot import (
+    ConfigError,
+    DomainError,
+    KernelSet,
+    PhiSpec,
+    QuadratureError,
+    QuadSpec,
+    nu_eval,
+    phi_eval,
+)
 
 from oracles import H1_CLOSED, LEVY_C_ALPHA15, UQ0_ALPHA15
 
@@ -70,17 +79,26 @@ def test_jump_tail_scalar_returns_float(stable_spec):
 
 
 def test_jump_tail_batch_equals_scalar_loop(stable_spec, mixture_spec):
-    # 0.3 and 0.3 + 1e-14 agree to 12 significant digits, so they share one
-    # memo key and both read the value of whichever came first
+    # every entry is a fresh scalar evaluation at its own t: 0.3 and
+    # 0.3 + 1e-14 get their own values, the repeated 0.05 one value
     ts = np.array([0.3 + 1e-14, 0.05, 0.3, 1.7, 0.05, 4.0])
     for spec in (stable_spec, mixture_spec):
-        loop_ks, batch_ks = KernelSet(spec), KernelSet(spec)
-        loop = [loop_ks.jump_tail(float(t), 3.0) for t in ts]
+        loop = [KernelSet(spec).jump_tail(float(t), 3.0) for t in ts]
+        batch_ks = KernelSet(spec)
         batch = batch_ks.jump_tail(ts, 3.0)
         assert batch.shape == ts.shape
         assert batch.tolist() == loop
-        assert batch[0] == batch[2]
+        assert batch[1] == batch[4]
         assert batch_ks.jump_tail(ts.reshape(2, 3), 3.0).tolist() == [loop[:3], loop[3:]]
+
+
+def test_h_comp_ignores_earlier_calls(stable_spec, mixture_spec):
+    # a KernelSet keeps no values: an argument 1e-14 away from an earlier one
+    # is evaluated at its own value, not read back from the earlier call
+    for spec in (stable_spec, mixture_spec):
+        used = KernelSet(spec)
+        used.h_comp(0.3)
+        assert used.h_comp(0.3 + 1e-14) == KernelSet(spec).h_comp(0.3 + 1e-14)
 
 
 def test_jump_tail_unconverged_raises(stable_spec):
@@ -93,6 +111,39 @@ def test_jump_tail_unconverged_raises(stable_spec):
         ks.jump_tail(np.array([0.5, 0.0]), 10.0)
     with pytest.raises(ConfigError):
         ks.jump_tail(0.5, 0.0)
+
+
+_ARRAY_LIKE = {
+    "psi": lambda ks, v: ks.psi(v),
+    "levy_j": lambda ks, v: ks.levy_j(v),
+    "jump_tail_closed": lambda ks, v: ks.jump_tail_closed(v),
+    "jump_tail": lambda ks, v: ks.jump_tail(v, 3.0),
+    "jump_i": lambda ks, v: ks.jump_i(v, 0.45),
+    "phi_cap": lambda ks, v: ks.phi_cap(v),
+    "phi_cap_inv": lambda ks, v: ks.phi_cap_inv(v),
+    "gx_estimate": lambda ks, v: ks.gx_estimate(0.0, 1.0, v, 0.45),
+    "phi_eval": lambda ks, v: phi_eval(ks.phi, v),
+    "nu_eval": lambda ks, v: nu_eval(ks.phi, v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_LIKE))
+def test_array_like_inputs(stable_ks, name):
+    # a list or tuple gives the array an ndarray gives; only a scalar gives
+    # a float
+    f = _ARRAY_LIKE[name]
+    vals = [0.2, 0.5, 0.9]
+    want = f(stable_ks, np.array(vals))
+    assert isinstance(want, np.ndarray) and want.shape == (3,)
+    for like in (vals, tuple(vals)):
+        got = f(stable_ks, like)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == want.tolist()
+    one = f(stable_ks, [0.5])
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    scalar = f(stable_ks, 0.5)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(want[1], rel=1e-14)
 
 
 def test_uq_closed_form(stable_ks):
