@@ -1,15 +1,19 @@
 """Skeleton-walk Monte Carlo for the subordinate random walk.
 
-The process is simulated on a fixed time lattice: each step adds a Gaussian
-increment with conditional variance twice the subordinator increment over
-dt, so the one-step characteristic function is exp(-dt phi(xi^2)) exactly.
-Only the exit detection is approximate (the walk can straddle the interval
-boundary between lattice times), which biases exit times upward by O(dt)
-and is the object of the dt-sweep cross-checks.
+The process is simulated on a fixed time lattice: each step adds, for every
+term w lam^delta of phi, a symmetric 2 delta-stable draw with scale
+(w dt)^(1/(2 delta)), which is the law of sqrt(2 S_dt) N for the term's
+subordinator increment S_dt.  The one-step characteristic function is
+therefore exp(-dt phi(xi^2)) exactly.  Only the exit detection is
+approximate (the walk can straddle the interval boundary between lattice
+times), which biases exit times upward by O(dt) and is the object of the
+dt-sweep cross-checks.
 
 Every path owns a counter-based RNG substream keyed by (seed, path index),
-so results are bitwise reproducible and independent of batching or
-execution order.
+and its step s reads a fixed slice of that stream, so results are bitwise
+reproducible and independent of batching or execution order.  The walk
+advances a block of paths in lockstep, one fixed-length chunk of steps per
+round.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ __all__ = [
     "simulate_exit",
 ]
 
-# growth schedule for per-path step chunks
-_CHUNK_MIN = 256
-_CHUNK_MAX = 8192
+# steps per lockstep round; fixed, because the running sum is carried across
+# chunk boundaries and rounds differently if they move
+_CHUNK = 128
+# paths per lane block; caps one round at _LANES x _CHUNK increments
+_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -121,58 +127,100 @@ def sample_stable_subordinator(delta: float, size, rng) -> np.ndarray:
 
 
 def sample_increment(spec: PhiSpec, dt: float, size, rng) -> np.ndarray:
-    """One lattice increment of the walk: N(0, 2 S_dt) with S_dt the
-    subordinator increment; for mixtures the terms add as independent
-    subordinators with time scales (w_i dt)^(1/delta_i)."""
+    """One lattice increment of the walk per entry of an array of shape size.
+
+    For one term w lam^delta of phi, sqrt(2 S_dt) N with S_dt the
+    subordinator increment is symmetric alpha-stable, alpha = 2 delta, with
+    E exp(i xi X) = exp(-w dt |xi|^alpha).  It is drawn directly by
+    Chambers-Mallows-Stuck from V uniform on (-pi/2, pi/2) and W unit
+    exponential,
+        X = (w dt)^(1/alpha) sin(alpha V) / cos V
+            * [cos((1 - alpha) V) / (W cos V)]^((1 - alpha)/alpha),
+    which is (w dt) tan V at alpha = 1.  A mixture adds one draw per term.
+
+    Stream contract: one call reads ``rng.random(size + (k,))``, k = 2 x the
+    number of terms, so increment s (in C order) takes uniforms
+    [k s, k s + k) of the stream; term j turns uniform 2j into V and 2j + 1
+    into W.  Any object with that ``random(shape)`` method serves as rng.
+    """
     if dt <= 0.0:
         raise ConfigError("dt must be positive")
-    s = np.zeros(size)
-    for w, d in zip(spec.weights(), spec.exponents()):
-        s += (w * dt) ** (1.0 / d) * sample_stable_subordinator(d, size, rng)
-    return np.sqrt(2.0 * s) * rng.standard_normal(size)
+    shape = (size,) if np.isscalar(size) else tuple(size)
+    terms = list(zip(spec.weights(), spec.exponents()))
+    u = rng.random((*shape, 2 * len(terms)))
+    # keep u strictly inside (0,1); u = 0 would give cos V = 0 and W = 0
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    inc = np.zeros(shape)
+    for j, (w, d) in enumerate(terms):
+        alpha = 2.0 * d
+        v = math.pi * (u[..., 2 * j] - 0.5)
+        cv = np.cos(v)
+        w_cv = -np.log(u[..., 2 * j + 1]) * cv
+        x = np.sin(alpha * v) / cv
+        x *= (np.cos((1.0 - alpha) * v) / w_cv) ** ((1.0 - alpha) / alpha)
+        inc += (w * dt) ** (1.0 / alpha) * x
+    return inc
 
 
-def _walk_one(spec, cfg, rng):
-    """Walk a single path to first exit; returns (pos, time) or None."""
-    a, b = cfg.interval
-    x = cfg.x0
-    n_max = int(math.ceil(cfg.t_max / cfg.dt))
-    done = 0
-    chunk = _CHUNK_MIN
-    while done < n_max:
-        m = min(chunk, n_max - done)
-        inc = sample_increment(spec, cfg.dt, m, rng)
-        raw = x + np.cumsum(inc)
-        pos = np.abs(raw) if cfg.fold else raw
-        out = (pos <= a) | (pos >= b)
-        k = int(np.argmax(out))
-        if out[k]:
-            return float(pos[k]), (done + k + 1) * cfg.dt
-        x = float(raw[-1])  # carry the unfolded coordinate
-        done += m
-        chunk = min(chunk * 2, _CHUNK_MAX)
-    return None
+class _LaneStreams:
+    """The keyed streams of a lane block, read as one generator: row i of
+    ``random(shape)`` continues the stream of the block's i-th live path."""
+
+    def __init__(self, seed, paths):
+        self.live = [
+            np.random.Generator(
+                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            )
+            for i in paths
+        ]
+
+    def keep(self, mask):
+        self.live = [g for g, k in zip(self.live, mask) if k]
+
+    def random(self, shape):
+        u = np.empty(shape)
+        for gen, row in zip(self.live, u):
+            gen.random(out=row)
+        return u
 
 
 def simulate_exit(cfg: PathConfig, spec: PhiSpec) -> ExitStats:
     """First-exit statistics over cfg.n_paths independent walks.
 
-    Path i uses the Philox substream keyed (seed, i); identical seeds give
-    bitwise-identical results whatever the execution order.  All paths
-    censoring at t_max is downgraded to a warning result.
+    Path i uses the Philox substream keyed (seed, i), and its step s the
+    uniforms [k s, k s + k) of that stream (k as in `sample_increment`), so
+    path i is a pure function of (seed, i): identical seeds give
+    bitwise-identical results whatever the execution order or lane block,
+    and a shorter run is a prefix of a longer one.  Paths walk in blocks of
+    _LANES, all live lanes of a block one _CHUNK of steps per round; a lane
+    leaves its block when it exits.  All paths censoring at t_max is
+    downgraded to a warning result.
     """
     n = int(cfg.n_paths)
+    a, b = cfg.interval
+    n_max = int(math.ceil(cfg.t_max / cfg.dt))
     exited = np.zeros(n, bool)
     epos = np.full(n, np.nan)
     etime = np.full(n, np.nan)
-    for i in range(n):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64))
-        )
-        hit = _walk_one(spec, cfg, rng)
-        if hit is not None:
-            exited[i] = True
-            epos[i], etime[i] = hit
+    for start in range(0, n, _LANES):
+        lanes = np.arange(start, min(start + _LANES, n))
+        streams = _LaneStreams(cfg.seed, lanes)
+        x = np.full(lanes.size, float(cfg.x0))  # unfolded coordinate
+        done = 0
+        while lanes.size and done < n_max:
+            m = min(_CHUNK, n_max - done)
+            inc = sample_increment(spec, cfg.dt, (lanes.size, m), streams)
+            raw = x[:, None] + np.cumsum(inc, axis=1)
+            pos = np.abs(raw) if cfg.fold else raw
+            out = (pos <= a) | (pos >= b)
+            k = np.argmax(out, axis=1)
+            hit = out[np.arange(lanes.size), k]
+            epos[lanes[hit]] = pos[hit, k[hit]]
+            etime[lanes[hit]] = (done + k[hit] + 1) * cfg.dt
+            exited[lanes[hit]] = True
+            lanes, x = lanes[~hit], raw[~hit, -1]
+            streams.keep(~hit)
+            done += m
     if not exited.any():
         warnings.warn(
             "simulate_exit: every path was censored at t_max", RuntimeWarning

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import sbmpot.montecarlo as mc
 from sbmpot import (
     ConfigError,
     DomainError,
     ExitStats,
     PathConfig,
+    PhiSpec,
     phi_eval,
     sample_increment,
     sample_stable_subordinator,
@@ -101,6 +103,52 @@ def test_increment_characteristic_function(stable_spec, mixture_spec):
             assert abs(float(np.mean(c)) - target) < 4.0 * se
 
 
+def _product_increment(spec, dt, n, rng):
+    # the subordinated form sqrt(2 S_dt) N, one subordinator per term
+    s = np.zeros(n)
+    for w, d in zip(spec.weights(), spec.exponents()):
+        s += (w * dt) ** (1.0 / d) * sample_stable_subordinator(d, n, rng)
+    return np.sqrt(2.0 * s) * rng.standard_normal(n)
+
+
+def test_increment_matches_the_subordinated_product(stable_spec, mixture_spec):
+    # the direct stable draw has the law of the subordinated Gaussian; at
+    # delta = 0.5 (alpha = 1) it reduces to a scaled tan V
+    n = 20_000
+    for k, spec in enumerate((stable_spec, mixture_spec, PhiSpec.stable(0.5))):
+        for dt in (1e-3, 0.37):
+            direct = sample_increment(spec, dt, n, _rng(31, k))
+            product = _product_increment(spec, dt, n, _rng(37, k))
+            assert _ks2(direct, product) < 1.95 * math.sqrt(2.0 / n)
+
+
+class _EndpointStub:
+    """Uniform source returning only 0.0 and 1 - 2^-53, every combination."""
+
+    def random(self, shape):
+        k = shape[-1]
+        combos = (np.arange(2 ** k)[:, None] >> np.arange(k)) & 1
+        lo_hi = np.where(combos == 1, 1.0 - 2.0 ** -53, 0.0)
+        rows = int(np.prod(shape[:-1]))
+        return np.resize(lo_hi, (rows, k)).reshape(shape)
+
+
+def test_increment_endpoint_uniforms_stay_finite(stable_spec, mixture_spec):
+    for spec in (stable_spec, mixture_spec, PhiSpec.stable(0.5)):
+        inc = sample_increment(spec, 1e-3, 64, _EndpointStub())
+        assert inc.shape == (64,)
+        assert np.all(np.isfinite(inc))
+
+
+def test_increment_reads_its_keyed_slice(mixture_spec):
+    # increment s takes uniforms [k s, k s + k) of the stream, k = 2 x terms
+    full = sample_increment(mixture_spec, 1e-3, 10, _rng(41))
+    gen = _rng(41)
+    head = sample_increment(mixture_spec, 1e-3, 4, gen)
+    tail = sample_increment(mixture_spec, 1e-3, (2, 3), gen)
+    assert np.array_equal(full, np.concatenate([head, tail.ravel()]))
+
+
 def test_increment_validation(stable_spec):
     with pytest.raises(ConfigError):
         sample_increment(stable_spec, 0.0, 10, _rng(1))
@@ -119,6 +167,55 @@ def test_simulate_exit_deterministic(stable_spec):
         stable_spec,
     )
     assert np.array_equal(half.exit_pos, s1.exit_pos[:50], equal_nan=True)
+
+
+def _walk_per_path(cfg, spec):
+    # one path at a time, over the same keyed uniforms and chunk length
+    a, b = cfg.interval
+    n_max = int(math.ceil(cfg.t_max / cfg.dt))
+    pos_out = np.full(cfg.n_paths, np.nan)
+    time_out = np.full(cfg.n_paths, np.nan)
+    for i in range(cfg.n_paths):
+        gen = _rng(cfg.seed, i)
+        x, done = cfg.x0, 0
+        while done < n_max:
+            m = min(mc._CHUNK, n_max - done)
+            raw = x + np.cumsum(sample_increment(spec, cfg.dt, m, gen))
+            pos = np.abs(raw) if cfg.fold else raw
+            out = (pos <= a) | (pos >= b)
+            k = int(np.argmax(out))
+            if out[k]:
+                pos_out[i], time_out[i] = pos[k], (done + k + 1) * cfg.dt
+                break
+            x, done = raw[-1], done + m
+    return pos_out, time_out
+
+
+_LOCKSTEP_CASES = [
+    # t_max = 0.3 is 300 steps: two full chunks and a short one, then censoring
+    dict(dt=1e-3, t_max=0.3, x0=1.5, interval=(1.0, 2.0), n_paths=50, seed=8),
+    dict(dt=1e-3, t_max=0.3, x0=0.2, interval=(0.05, 1.5), n_paths=50, seed=9, fold=True),
+    dict(dt=1e-2, t_max=50.0, x0=1.1, interval=(1.0, 2.0), n_paths=50, seed=10),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_LOCKSTEP_CASES)))
+def test_lockstep_walk_equals_a_per_path_loop(case, stable_spec, mixture_spec, monkeypatch):
+    cfg = PathConfig(**_LOCKSTEP_CASES[case])
+    for spec in (stable_spec, mixture_spec):
+        ref_pos, ref_time = _walk_per_path(cfg, spec)
+        st = simulate_exit(cfg, spec)
+        assert np.array_equal(st.exit_pos, ref_pos, equal_nan=True)
+        assert np.array_equal(st.exit_time, ref_time, equal_nan=True)
+        assert np.array_equal(st.exited, np.isfinite(ref_pos))
+        if case < 2:
+            assert 0 < st.censored < cfg.n_paths
+        for lanes in (1, 7):
+            monkeypatch.setattr(mc, "_LANES", lanes)
+            blk = simulate_exit(cfg, spec)
+            monkeypatch.undo()
+            assert np.array_equal(blk.exit_pos, st.exit_pos, equal_nan=True)
+            assert np.array_equal(blk.exit_time, st.exit_time, equal_nan=True)
 
 
 def test_simulate_exit_statistics(stable_spec):
