@@ -5,9 +5,9 @@ Two families are supported: a single stable power phi(lam) = lam^delta and
 finite positive mixtures phi(lam) = sum_i w_i lam^{delta_i}, each with
 delta in (0, 1).  Both are complete Bernstein functions with Levy density
 nu(t) = sum_i w_i (delta_i / Gamma(1 - delta_i)) t^{-1 - delta_i}; no drift,
-no killing.  The diagnostics measure global two-sided scaling of phi (or of
-a caller-supplied renewal-type kernel) over a log lattice and flag the
-parameter regions where downstream estimates lose uniformity.
+no killing.  The diagnostics measure global two-sided scaling of phi over a
+log lattice and flag the parameter regions where downstream estimates lose
+uniformity.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .quadrature import DEFAULT_QUADSPEC, integrate_adaptive
+from .quadrature import integrate_adaptive
 
 __all__ = [
     "PhiSpec",
@@ -167,7 +167,7 @@ def nu_eval(spec, t):
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Fitted global scaling envelope a1 lam^{d1} <= F(lam r)/F(r) <= a2 lam^{d2}.
+    """Fitted global scaling envelope a1 lam^{d1} <= phi(lam r)/phi(r) <= a2 lam^{d2}.
 
     ``delta1_hat``/``delta2_hat`` are the extreme log-log slopes over all
     lattice pairs, ``a1_hat``/``a2_hat`` the matching prefactors so that the
@@ -177,7 +177,6 @@ class ScalingReport:
     comparability constants blow up.
     """
 
-    target: str
     delta1_hat: float
     delta2_hat: float
     a1_hat: float
@@ -191,7 +190,6 @@ class ScalingReport:
 
     def to_dict(self):
         return {
-            "target": self.target,
             "delta1_hat": self.delta1_hat,
             "delta2_hat": self.delta2_hat,
             "a1_hat": self.a1_hat,
@@ -205,53 +203,25 @@ class ScalingReport:
         }
 
 
-def _default_lam_grid():
-    return np.logspace(math.log10(1.05), 3.0, 21)
+# fitted upper exponents above this edge degrade the comparability constants
+_WARN_EDGE = 0.95
 
 
-def _default_r_grid():
-    return np.logspace(-3.0, 3.0, 21)
+def scaling_exponents(spec):
+    """Empirical scaling exponents of phi(lam r)/phi(r) over a log lattice:
+    21 points of lam in [1.05, 1e3] by 21 of r in [1e-3, 1e3].
 
-
-def scaling_exponents(spec, lam_grid=None, r_grid=None, *, target="phi", kernel=None):
-    """Empirical scaling exponents of F(lam r)/F(r) over a log lattice.
-
-    target="phi" measures phi itself; target="kernel" measures a
-    caller-supplied positive function (e.g. a compensated kernel), passed as
-    ``kernel``.  The lattice needs lam > 1 and at least two points per axis.
     For a pure power the two fitted exponents coincide with the power and
-    both prefactors are 1 up to roundoff.
-
-    Emits a RuntimeWarning (and sets ``delta2_warn``) when the fitted upper
-    exponent is close enough to its admissible edge that comparability
-    constants downstream degrade: above 0.95 for phi, above 0.90 for kernel
-    targets (whose exponents live on the doubled scale minus one).
+    both prefactors are 1 up to roundoff.  Emits a RuntimeWarning (and sets
+    ``delta2_warn``) when the fitted upper exponent is above 0.95, close
+    enough to its admissible edge that comparability constants downstream
+    degrade.
     """
-    if target not in ("phi", "kernel"):
-        raise ConfigError(f"unknown target {target!r}")
-    lam = np.asarray(_default_lam_grid() if lam_grid is None else lam_grid, dtype=float)
-    r = np.asarray(_default_r_grid() if r_grid is None else r_grid, dtype=float)
-    if lam.size < 2 or r.size < 2:
-        raise ConfigError("scaling lattice needs at least two points per axis")
-    if not np.all(lam > 1.0):
-        raise ConfigError("lam grid must lie strictly above 1")
-    if not np.all(r > 0.0):
-        raise ConfigError("r grid must be strictly positive")
-
-    if target == "phi":
-        F = lambda x: phi_eval(spec, x)
-        warn_edge = 0.95
-    else:
-        if kernel is None:
-            raise ConfigError("target='kernel' needs a kernel callable")
-        F = kernel
-        warn_edge = 0.90
-
+    lam = np.logspace(math.log10(1.05), 3.0, 21)
+    r = np.logspace(-3.0, 3.0, 21)
     L, R = np.meshgrid(lam, r, indexing="ij")
-    num = np.asarray(F((L * R).ravel()), dtype=float).reshape(L.shape)
-    den = np.asarray(F(R.ravel()), dtype=float).reshape(R.shape)
-    if not np.all(num > 0.0) or not np.all(den > 0.0):
-        raise DomainError("scaling target must be strictly positive on the lattice")
+    num = phi_eval(spec, (L * R).ravel()).reshape(L.shape)
+    den = phi_eval(spec, R.ravel()).reshape(R.shape)
     ratio = num / den
     slopes = np.log(ratio) / np.log(L)
     d1 = float(slopes.min())
@@ -259,7 +229,7 @@ def scaling_exponents(spec, lam_grid=None, r_grid=None, *, target="phi", kernel=
     a1 = float(np.min(ratio / np.power(L, d1)))
     a2 = float(np.max(ratio / np.power(L, d2)))
 
-    warn = d2 > warn_edge
+    warn = d2 > _WARN_EDGE
     if warn:
         warnings.warn(
             f"fitted upper scaling exponent {d2:.4f} is near its admissible edge; "
@@ -267,7 +237,6 @@ def scaling_exponents(spec, lam_grid=None, r_grid=None, *, target="phi", kernel=
             RuntimeWarning,
         )
     return ScalingReport(
-        target=target,
         delta1_hat=d1,
         delta2_hat=d2,
         a1_hat=a1,
@@ -299,22 +268,21 @@ def check_bernstein_bound(spec, lam, r):
     return bool(np.all(ratio >= lo * (1.0 - slack)) and np.all(ratio <= hi * (1.0 + slack)))
 
 
-def _tail_integral_converges(spec, quad=None):
+def _tail_integral_converges(spec):
     """Advisory probe: does int_1^inf dlam / phi(lam^2) close numerically?
 
     Compares increments over [1e2, 1e4] and [1e4, 1e6]; a convergent power
     tail shrinks them geometrically, a divergent one grows them.
     """
-    quad = quad or DEFAULT_QUADSPEC
     g = lambda lam: 1.0 / phi_eval(spec, lam * lam)
     cuts = (1.0, 1e2, 1e4, 1e6)
     incs = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        incs.append(integrate_adaptive(g, lo, hi, quad).value)
+        incs.append(integrate_adaptive(g, lo, hi).value)
     return incs[2] < incs[1] < incs[0]
 
 
-def check_regularity(spec, *, lam_grid=None, r_grid=None):
+def check_regularity(spec):
     """Decide the admissible scaling window from fitted exponents.
 
     Returns True when the fitted lower exponent sits strictly above 1/2
@@ -323,7 +291,7 @@ def check_regularity(spec, *, lam_grid=None, r_grid=None):
     independent quadrature probe of that tail cross-checks the verdict and
     warns on disagreement rather than overruling it.
     """
-    rep = scaling_exponents(spec, lam_grid, r_grid, target="phi")
+    rep = scaling_exponents(spec)
     verdict = rep.delta1_above_half
     probe = _tail_integral_converges(spec)
     if probe != verdict:

@@ -154,7 +154,7 @@ def _cmd_solve_bhp(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     rep = bhp_sup_ratio(ks, args.r, args.lambda1, n=args.n)
-    # the default shelf 12r/m must stay under lambda1 r / 4, so the coarse
+    # the shelf 12r/m must stay under lambda1 r / 4, so the coarse
     # companion run only exists when n//2 clears that bound
     drift = None
     if args.n // 2 > 48.0 / args.lambda1:

@@ -361,10 +361,6 @@ class PoissonTable:
         m = self.zgrid.below
         return self.K[:, m] @ self.zgrid.weights[m] + self.tail_lo
 
-    def mass_above(self):
-        m = ~self.zgrid.below
-        return self.K[:, m] @ self.zgrid.weights[m] + self.tail_hi
-
     def mass_near_walls(self, eps: float):
         """Exit mass per row landing within eps of either endpoint.
 
@@ -437,16 +433,16 @@ def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
 
 
 def harmonic_extend(pt: PoissonTable, f, f_tail=None):
-    """u(x_i) = sum_m K[i][m] f(z_m) w_m (+ declared tail term).
+    """u(x_i) = sum_m K[i][m] f[m] w_m (+ declared tail term).
 
-    ``f`` is a callable on exterior points or an array aligned with the
-    mesh; it must be nonnegative.  ``f_tail = (c, p)`` declares
+    ``f`` holds the data at the exterior mesh nodes; it must be
+    nonnegative.  ``f_tail = (c, p)`` declares
     f(z) ~ c z^{-p} beyond cut_hi, integrated against the leading kernel
     tail (the shelf at cut_hi = many interval widths keeps this term tiny,
     so the leading order suffices).
     """
     zg = pt.zgrid
-    fz = np.asarray(f(zg.nodes) if callable(f) else f, dtype=float)
+    fz = np.asarray(f, dtype=float)
     if fz.shape != zg.nodes.shape:
         raise ConfigError("boundary data shape does not match the exterior mesh")
     if np.any(fz < 0.0):
@@ -480,9 +476,6 @@ class ExitAliveReport:
     upper: np.ndarray
     per_a: tuple
     shrank: bool
-
-    def scalars(self):
-        return float(self.value[0]), float(self.bracket[0])
 
 
 def exit_alive_prob(
@@ -572,13 +565,6 @@ class GaugeReport:
     sup_zx: float
     inf_zx: float
 
-    def to_dict(self):
-        return {
-            "sup_yx": self.sup_yx, "inf_yx": self.inf_yx,
-            "sup_zy": self.sup_zy, "inf_zy": self.inf_zy,
-            "sup_zx": self.sup_zx, "inf_zx": self.inf_zx,
-        }
-
 
 def gauge_ratios(gX: GreenMatrix, gY: GreenMatrix, gZ: GreenMatrix) -> GaugeReport:
     """Entrywise sup/inf of G^Y/G^X, G^Z/G^Y, G^Z/G^X on a common grid."""
@@ -653,8 +639,6 @@ def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 
     if not (0.0 < a_frac < 1.0):
         raise ConfigError("a_frac must lie in (0, 1)")
     b1, b4 = 0.5 * a_frac * r, (3.0 - 0.5 * a_frac) * r
-    if not (b1 < b4):
-        raise ConfigError("degenerate geometry")
     grid = Grid(b1, b4, n)
     gen = build_generator(ks, grid, "Z")
     pt = poisson_kernel(green_matrix(gen), ks)
@@ -679,13 +663,12 @@ def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Nonnegative exterior data supported in [z_min, inf)."""
+    """Nonnegative exterior data."""
 
     name: str
     fn: object = field(repr=False)
     sup: float
     tail: tuple | None  # (c, p) power tail beyond the mesh, or None
-    z_min: float
 
 
 def default_boundary_fset(r: float):
@@ -698,11 +681,11 @@ def default_boundary_fset(r: float):
     bump = lambda z: np.where(z >= s, np.exp(-(((z - 4.0 * r) / (0.5 * r)) ** 2)), 0.0)
     power = lambda z: np.where(z >= s, (np.maximum(z, s) / s) ** -3.0, 0.0)
     return [
-        BoundaryData("step-3r-4r", step(s, 4.0 * r), 1.0, None, s),
-        BoundaryData("step-4r-6r", step(4.0 * r, 6.0 * r), 1.0, None, s),
-        BoundaryData("bump-4r", bump, 1.0, None, s),
-        BoundaryData("power-tail", power, 1.0, (s**3.0, 3.0), s),
-        BoundaryData("step-3r-3.3r", step(s, 3.3 * r), 1.0, None, s),
+        BoundaryData("step-3r-4r", step(s, 4.0 * r), 1.0, None),
+        BoundaryData("step-4r-6r", step(4.0 * r, 6.0 * r), 1.0, None),
+        BoundaryData("bump-4r", bump, 1.0, None),
+        BoundaryData("power-tail", power, 1.0, (s**3.0, 3.0)),
+        BoundaryData("step-3r-3.3r", step(s, 3.3 * r), 1.0, None),
     ]
 
 
@@ -719,33 +702,25 @@ class BhpReport:
 
 
 def bhp_sup_ratio(
-    ks: KernelSet,
-    r: float,
-    lambda1: float = DEFAULT_LAMBDA1,
-    fset=None,
-    *,
-    n: int = 512,
-    a: float | None = None,
+    ks: KernelSet, r: float, lambda1: float = DEFAULT_LAMBDA1, *, n: int = 512
 ) -> BhpReport:
     """Boundary ratio constant: sup of u(x) h(y) / (u(y) h(x)) near the origin.
 
-    Solves kind Z on (a, 3r) with a shelf a ~ 4 cells wide, extends each
-    exterior datum harmonically, and compares the profile to h over every
-    node below lambda1 r.  The shelf correction gives a bracketed variant:
-    paths absorbed below a could still reach the data, adding at most
-    mass_below * h(a)/h(3r) * sup f to u.
+    Solves kind Z on (a, 3r) with a shelf a = 12 r / n, four cells wide,
+    extends each datum of ``default_boundary_fset(r)`` harmonically, and
+    compares the profile to h over every node below lambda1 r.  The shelf
+    must stay below lambda1 r / 4, so n > 48 / lambda1.  The shelf
+    correction gives a bracketed variant: paths absorbed below a could
+    still reach the data, adding at most mass_below * h(a)/h(3r) * sup f
+    to u.
     """
     if not (r > 0.0):
         raise DomainError("r must be positive")
     if not (0.0 < lambda1 < 0.5):
         raise ConfigError("lambda1 must lie in (0, 1/2)")
-    if a is None:
-        a = 12.0 * r / n  # about 4 cells wide
+    a = 12.0 * r / n
     if not (0.0 < a < lambda1 * r / 4.0):
         raise ConfigError("shelf a must be small against the probe window")
-    fset = default_boundary_fset(r) if fset is None else fset
-    if not fset:
-        raise ConfigError("need at least one boundary datum")
 
     grid = Grid(a, 3.0 * r, n)
     gen = build_generator(ks, grid, "Z")
@@ -760,12 +735,8 @@ def bhp_sup_ratio(
     dmass = pt.mass_below()[wmask]
 
     sup_all, sup_up_all, per_f = 0.0, 0.0, []
-    for bd in fset:
-        fz = np.asarray(bd.fn(zg.nodes), dtype=float)
-        inside = zg.nodes < bd.z_min
-        if np.any(fz[inside] != 0.0):
-            raise DomainError(f"boundary datum {bd.name} has support below {bd.z_min}")
-        u = harmonic_extend(pt, fz, f_tail=bd.tail)
+    for bd in default_boundary_fset(r):
+        u = harmonic_extend(pt, bd.fn(zg.nodes), f_tail=bd.tail)
         uw = u[wmask]
         if np.min(uw) <= 0.0:
             raise SolverError(f"boundary datum {bd.name} is invisible from the window")

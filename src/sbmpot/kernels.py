@@ -1,7 +1,7 @@
 """Kernel catalog bound to one Bernstein function.
 
-A KernelSet owns a PhiSpec plus a quadrature contract and exposes the
-kernels the interval solvers and verification checks consume:
+A KernelSet owns a PhiSpec and exposes the kernels the interval solvers
+and verification checks consume:
 
 * ``psi``            characteristic exponent psi(xi) = phi(xi^2)
 * ``levy_j``         jump density of the subordinate process
@@ -40,7 +40,6 @@ from .bernstein import PhiSpec, _as_positive_array, _float_if_0d, phi_eval
 from .errors import ConfigError, DomainError
 from .quadrature import (
     DEFAULT_QUADSPEC,
-    QuadSpec,
     converged_value,
     integrate_adaptive,
     integrate_adaptive_batch,
@@ -58,18 +57,15 @@ _GAMMA_CUT = 120.0
 class KernelSet:
     """All kernels derived from one Bernstein function.
 
-    Parameters
-    ----------
-    phi : PhiSpec
-    quad : QuadSpec, optional
-        Accuracy contract used for every internal integral.
+    ``quad`` is the accuracy contract of every internal integral: the
+    engine default, which tests may override on an instance.
     """
 
-    def __init__(self, phi: PhiSpec, quad: QuadSpec | None = None):
+    def __init__(self, phi: PhiSpec):
         if not isinstance(phi, PhiSpec):
             raise ConfigError("phi must be a PhiSpec")
         self.phi = phi
-        self.quad = quad or DEFAULT_QUADSPEC
+        self.quad = DEFAULT_QUADSPEC
         self.delta_min = phi.delta_min
         self.delta_max = phi.delta_max
         self._jump_coefs = None  # [(coef, 2*d)] per mixture term

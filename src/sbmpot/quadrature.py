@@ -375,8 +375,8 @@ def integrate_adaptive_batch(f, a, b, spec=None):
 
 
 def _power_sub(f, end, other, p):
-    """Map the range from ``end`` to ``other`` (either side) with an
-    x -> |x-end|^p integrand onto t in [0, 1]: (integrand, 0, 1).
+    """Map [end, other] with an x -> (x-end)^p integrand onto t in [0, 1]:
+    (integrand, 0, 1).
 
     x = end + (other-end) t^m with m = ceil(2/(1+p)) turns the integrand
     into O(t^{m(1+p)-1}) = O(t) or better, which the Kronrod rule digests.
@@ -386,7 +386,7 @@ def _power_sub(f, end, other, p):
 
     def g(t):
         tm = np.power(t, m)
-        return f(end + span * tm) * (abs(span) * m) * np.power(t, m - 1)
+        return f(end + span * tm) * (span * m) * np.power(t, m - 1)
 
     return g, 0.0, 1.0
 
@@ -397,24 +397,15 @@ def _needs_sub(p):
     return p < 1.0 and p != 0.0
 
 
-def integrate_adaptive(
-    f,
-    a,
-    b,
-    spec=None,
-    *,
-    left_exponent=0.0,
-    right_exponent=0.0,
-    tail_exponent=None,
-):
+def integrate_adaptive(f, a, b, spec=None, *, left_exponent=0.0, tail_exponent=None):
     """Integrate ``f`` over [a, b], b possibly ``inf``.
 
-    ``left_exponent`` / ``right_exponent`` hint the power behavior
-    f(x) ~ (x-a)^p (resp. (b-x)^p) at the endpoints; hints in (-1, 1) route
-    the endpoint through a smoothing substitution.  For ``b = inf``, the
-    range beyond a cut is mapped by u = 1/x, and ``tail_exponent`` (optional)
-    hints f(x) ~ x^{-p}, which sharpens that mapping.  Exponents at or below
-    the integrability boundary raise DomainError.
+    ``left_exponent`` hints the power behavior f(x) ~ (x-a)^p at the left
+    endpoint; a hint in (-1, 1) routes it through a smoothing substitution.
+    For ``b = inf``, the range beyond a cut is mapped by u = 1/x, and
+    ``tail_exponent`` (optional) hints f(x) ~ x^{-p}, which sharpens that
+    mapping.  Exponents at or below the integrability boundary raise
+    DomainError.
 
     Returns QuadResult.  converged=False means the evaluation budget ran out
     first; the value and error estimate are still the best available.
@@ -431,16 +422,8 @@ def integrate_adaptive(
     if not (b > a):
         raise DomainError(f"need a < b, got [{a}, {b}]")
 
-    left = _needs_sub(left_exponent)
-    right = _needs_sub(right_exponent)
-    # two singular ends split the range at its midpoint
-    mid = 0.5 * (a + b)
-    pieces = []
-    if left:
-        pieces.append(_power_sub(f, a, mid if right else b, left_exponent))
-    if right:
-        pieces.append(_power_sub(f, b, mid if left else a, right_exponent))
-    return _run_pieces(pieces or [(f, a, b)], spec)
+    piece = _power_sub(f, a, b, left_exponent) if _needs_sub(left_exponent) else (f, a, b)
+    return _run_pieces([piece], spec)
 
 
 def _run_pieces(pieces, spec):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import PhiSpec
+from .bernstein import PhiSpec, phi_eval
 from .errors import ConfigError
 from .kernels import KernelSet
 from .interval_solver import (
@@ -37,18 +37,13 @@ from .interval_solver import (
     small_interval_lower,
     three_g_sup,
 )
-from .montecarlo import (
-    PathConfig,
-    sample_increment,
-    sample_stable_subordinator,
-    simulate_exit,
-)
+from .montecarlo import PathConfig, sample_stable_subordinator, simulate_exit
+from .quadrature import converged_value, integrate_adaptive
 
 FIXTURE_STABLE = PhiSpec.stable(0.75)
 FIXTURE_MIXTURE = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
 
-# reserved Philox substream indices, above any path index
-_STREAM_STEP_SCALE = 2 ** 32
+# reserved Philox substream index, above any path index
 _STREAM_LAPLACE = 2 ** 32 + 1
 
 
@@ -489,12 +484,31 @@ def _check_mc_laplace(cfg, ctx, spec):
     return m, "per-component |mean exp(-S_1) - exp(-1)| < 3 stderr", ok
 
 
-def _reference_table_n(cfg, ctx, spec, dt):
+def _mean_abs_step(spec, dt):
+    """E|X_dt| = (2/pi) int_0^inf (1 - exp(-dt psi(xi))) xi^-2 dxi.
+
+    Near 0 the integrand is ~ xi^(2 delta_min - 2), so the mean is finite
+    only for delta_min > 1/2; below that ConfigError.
+    """
+    dm = spec.delta_min
+    if not dm > 0.5:
+        raise ConfigError(f"mean walk step is infinite for delta_min = {dm:g} <= 1/2")
+
+    def f(xi):
+        xi2 = xi * xi
+        return -np.expm1(-dt * phi_eval(spec, xi2)) / xi2
+
+    r = integrate_adaptive(
+        f, 0.0, math.inf, left_exponent=2.0 * dm - 2.0, tail_exponent=2.0
+    )
+    return 2.0 / math.pi * converged_value(r, f"mean walk step at dt={dt:g}")
+
+
+def _reference_table_n(cfg, spec, dt):
     # reference resolution tied to the walk: a lattice walk cannot localize
     # exits below its own step scale, so the solver table is built with the
     # wall cell spanning one mean absolute step (clipped to sane sizes)
-    rng = ctx.stream(_STREAM_STEP_SCALE)
-    step = float(np.mean(np.abs(sample_increment(spec, dt, 4096, rng))))
+    step = _mean_abs_step(spec, dt)
     a, b = cfg.interval
     return int(np.clip(round((b - a) / (2.0 * step)), 64, 512)), step
 
@@ -503,7 +517,7 @@ def _check_mc_exit_law(cfg, ctx, spec):
     dt = cfg.mc_dt[-1]
     st = ctx.walk(spec, dt)
     pos = np.sort(st.exit_pos[st.exited])
-    n_ref, step = _reference_table_n(cfg, ctx, spec, dt)
+    n_ref, step = _reference_table_n(cfg, spec, dt)
     pt = ctx.ptable(spec, "X", n_ref)
     xs = pt.grid.nodes()
     i0 = int(np.argmin(np.abs(xs - cfg.mc_x0)))
@@ -558,7 +572,7 @@ def _check_mc_creep(cfg, ctx, spec):
     # step is coarser than that cell.
     a, b = cfg.interval
     dx = (b - a) / cfg.n_fine
-    _, step = _reference_table_n(cfg, ctx, spec, cfg.mc_dt[-1])
+    _, step = _reference_table_n(cfg, spec, cfg.mc_dt[-1])
     if step < dx:
         raise ConfigError(
             f"solver reference under-resolved: walk mean step {step:.3g} at "

@@ -39,6 +39,12 @@ def levy_c_closed(alpha):
     )
 
 
+def stable_mean_abs(alpha, dt):
+    """E|X_dt| for the symmetric alpha-stable process with psi(xi) = |xi|^alpha,
+    alpha > 1: X_dt = dt^(1/alpha) X_1 and E|X_1| = (2/pi) Gamma(1 - 1/alpha)."""
+    return 2.0 / math.pi * math.gamma(1.0 - 1.0 / alpha) * dt ** (1.0 / alpha)
+
+
 def getoor_exit(alpha, R, u):
     """Mean exit time of the symmetric alpha-stable process from (-R, R),
     started at u: (R^2 - u^2)^(alpha/2) Gamma(1/2) / (2^alpha Gamma((1+alpha)/2) Gamma(1+alpha/2))."""

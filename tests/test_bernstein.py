@@ -126,17 +126,6 @@ def test_scaling_warns_near_upper_edge():
     assert rep.delta2_warn
 
 
-def test_scaling_lattice_validation(stable_spec):
-    with pytest.raises(ConfigError):
-        scaling_exponents(stable_spec, lam_grid=np.array([0.5, 2.0]))
-    with pytest.raises(ConfigError):
-        scaling_exponents(stable_spec, lam_grid=np.array([2.0]))
-    with pytest.raises(ConfigError):
-        scaling_exponents(stable_spec, target="bogus")
-    with pytest.raises(ConfigError):
-        scaling_exponents(stable_spec, target="kernel")
-
-
 def test_regularity_window(stable_spec, mixture_spec):
     assert check_regularity(stable_spec)
     assert check_regularity(mixture_spec)

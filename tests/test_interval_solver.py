@@ -13,6 +13,7 @@ from sbmpot import (
     QuadSpec,
     bhp_sup_ratio,
     build_generator,
+    default_boundary_fset,
     default_zgrid,
     exit_alive_prob,
     exit_time,
@@ -166,8 +167,10 @@ def test_poisson_row_mass_near_one(poisson_x_256):
 
 
 def test_poisson_mass_split(poisson_x_256):
-    total = poisson_x_256.mass_below() + poisson_x_256.mass_above()
-    assert np.allclose(total, poisson_x_256.row_mass(), rtol=1e-12)
+    pt = poisson_x_256
+    above = ~pt.zgrid.below
+    mass_above = pt.K[:, above] @ pt.zgrid.weights[above] + pt.tail_hi
+    assert np.allclose(pt.mass_below() + mass_above, pt.row_mass(), rtol=1e-12)
 
 
 def test_poisson_cdf_monotone(poisson_x_256):
@@ -253,8 +256,6 @@ def test_exit_alive_bracket(stable_ks):
     # the roundoff of a dense solve at n ~ 4000 (1.2e-12 on the middle shelf)
     for p in rep.per_a:
         np.testing.assert_allclose(p["p_exit"] + p["p_shelf"], 1.0, rtol=0.0, atol=1e-11)
-    v, w = rep.scalars()
-    assert v == pytest.approx(rep.value[0]) and w == pytest.approx(rep.bracket[0])
 
 
 def test_exit_alive_validation(stable_ks):
@@ -311,9 +312,26 @@ def test_bhp_report(stable_ks):
         "step-3r-4r", "step-4r-6r", "bump-4r", "power-tail", "step-3r-3.3r",
     }
     with pytest.raises(ConfigError):
-        bhp_sup_ratio(stable_ks, 1.0, n=256, a=0.2)  # shelf too big
+        bhp_sup_ratio(stable_ks, 1.0, n=128)  # shelf 12/128 > lambda1/4: needs n > 192
     with pytest.raises(ConfigError):
         bhp_sup_ratio(stable_ks, 1.0, lambda1=0.7)
+
+
+def test_boundary_data_vanish_below_3r():
+    # bhp_sup_ratio extends these data from the kind-Z mesh of (12r/n, 3r),
+    # so each must vanish on the whole lower exterior (0, 12r/n) and on
+    # every mesh node below 3r, and be nonnegative up to its sup
+    for r in (0.5, 1.0, 2.0):
+        zg = default_zgrid(Grid(12.0 * r / 512, 3.0 * r, 512), "Z")
+        z = np.concatenate([zg.nodes, np.linspace(0.0, 3.0 * r, 3001)[1:-1]])
+        above = z >= 3.0 * r
+        data = default_boundary_fset(r)
+        assert len(data) == 5
+        for bd in data:
+            fz = bd.fn(z)
+            assert np.all(fz[~above] == 0.0), bd.name
+            assert np.all((fz >= 0.0) & (fz <= bd.sup)), bd.name
+            assert np.max(fz[above]) > 0.0, bd.name
 
 
 def test_small_interval_lower(stable_ks):

@@ -27,20 +27,6 @@ def test_left_power_singularity():
     assert abs(r.value - 2.0) < 1e-10
 
 
-def test_right_power_singularity():
-    r = integrate_adaptive(lambda x: (1.0 - x) ** -0.25, 0.0, 1.0, right_exponent=-0.25)
-    assert r.converged
-    assert abs(r.value - 4.0 / 3.0) < 1e-10
-
-
-def test_both_endpoints_singular():
-    # beta(1/2, 1/2) = pi
-    f = lambda x: 1.0 / np.sqrt(x * (1.0 - x))
-    r = integrate_adaptive(f, 0.0, 1.0, left_exponent=-0.5, right_exponent=-0.5)
-    assert r.converged
-    assert abs(r.value - math.pi) < 1e-9
-
-
 def test_infinite_tail_exponential():
     r = integrate_adaptive(lambda x: np.exp(-x), 0.0, math.inf)
     assert r.converged

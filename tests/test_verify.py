@@ -15,6 +15,8 @@ from sbmpot import (
 )
 from sbmpot import verify as vf
 
+from oracles import stable_mean_abs
+
 
 @pytest.fixture(scope="module")
 def small_cfg():
@@ -54,6 +56,9 @@ def test_config_normalizes_dt_order():
 
 def test_config_digest_and_round_trip():
     a, b = RunConfig(), RunConfig()
+    # the key that ties saved reports to their inputs; it moves only when
+    # a default or the serialized form of RunConfig changes
+    assert a.digest() == "5b842578ce636d0c"
     assert a.digest() == b.digest()
     assert a.digest() != RunConfig(seed=1).digest()
     c = RunConfig.from_dict(a.to_dict())
@@ -62,6 +67,33 @@ def test_config_digest_and_round_trip():
         RunConfig.from_dict({"no_such_field": 1})
     with pytest.raises(ConfigError):
         RunConfig.from_dict([1, 2])
+
+
+@pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
+def test_mean_step_matches_the_stable_closed_form(delta, dt):
+    # held to the quadrature contract's rel_tol; at delta = 0.75 the two
+    # agree to about 3e-15
+    got = vf._mean_abs_step(PhiSpec.stable(delta), dt)
+    assert got == pytest.approx(stable_mean_abs(2.0 * delta, dt), rel=1e-9, abs=0.0)
+
+
+def test_reference_table_size():
+    # the wall cell of the reference table spans one mean walk step
+    cfg = RunConfig()
+    stable = PhiSpec.stable(0.75)
+    mix = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
+    assert [vf._reference_table_n(cfg, stable, dt)[0] for dt in cfg.mc_dt] == [64, 64, 136]
+    assert vf._reference_table_n(cfg, mix, 1e-4)[0] == 64
+    # the mixture moves more than its slowest term alone
+    assert vf._mean_abs_step(mix, 1e-4) > vf._mean_abs_step(PhiSpec.stable(0.6), 1e-4)
+
+
+def test_mean_step_needs_delta_min_above_half():
+    # E|X_dt| is infinite once delta_min <= 1/2
+    for spec in (PhiSpec.stable(0.5), PhiSpec.mixture(((1.0, 0.4), (1.0, 0.9)))):
+        with pytest.raises(ConfigError):
+            vf._mean_abs_step(spec, 1e-3)
 
 
 def test_run_verify_validates_inputs(small_cfg):
