@@ -18,9 +18,6 @@ from .quadrature import (
 from .bernstein import (
     PhiSpec,
     ScalingReport,
-    check_bernstein_bound,
-    check_regularity,
-    nu_eval,
     phi_eval,
     scaling_exponents,
 )
@@ -101,8 +98,6 @@ __all__ = [
     "ZGrid",
     "bhp_sup_ratio",
     "build_generator",
-    "check_bernstein_bound",
-    "check_regularity",
     "default_boundary_fset",
     "default_zgrid",
     "emit_report",
@@ -117,7 +112,6 @@ __all__ = [
     "integrate_adaptive_batch",
     "integrate_oscillatory_cos",
     "load_report",
-    "nu_eval",
     "phi_eval",
     "poisson_kernel",
     "run_verify",

@@ -1,13 +1,13 @@
-"""Complete Bernstein functions of the admitted families and their
-subordinator Levy densities, plus empirical scaling diagnostics.
+"""Complete Bernstein functions of the admitted families: the spec, its
+evaluation, and the empirical scaling report.
 
 Two families are supported: a single stable power phi(lam) = lam^delta and
 finite positive mixtures phi(lam) = sum_i w_i lam^{delta_i}, each with
-delta in (0, 1).  Both are complete Bernstein functions with Levy density
-nu(t) = sum_i w_i (delta_i / Gamma(1 - delta_i)) t^{-1 - delta_i}; no drift,
-no killing.  The diagnostics measure global two-sided scaling of phi over a
-log lattice and flag the parameter regions where downstream estimates lose
-uniformity.
+delta in (0, 1); no drift, no killing.  ``scaling_exponents`` measures the
+global two-sided scaling of phi over a log lattice.  Its
+``delta1_above_half`` verdict is the regularity condition (0 regular for
+itself), and ``delta2_warn`` flags the upper edge where downstream
+estimates lose uniformity.
 """
 
 from __future__ import annotations
@@ -20,16 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .quadrature import integrate_adaptive
 
 __all__ = [
     "PhiSpec",
     "ScalingReport",
     "phi_eval",
-    "nu_eval",
     "scaling_exponents",
-    "check_bernstein_bound",
-    "check_regularity",
 ]
 
 _FAMILIES = ("stable", "mixture")
@@ -146,22 +142,9 @@ def _float_if_0d(out):
 def phi_eval(spec, lam):
     """phi(lam) for lam > 0, elementwise over arrays."""
     arr = _as_positive_array(lam, "lam")
-    if spec.family == "stable":
-        out = np.power(arr, spec.delta)
-    else:
-        out = np.zeros_like(arr)
-        for w, d in spec.terms:
-            out += w * np.power(arr, d)
-    return _float_if_0d(out)
-
-
-def nu_eval(spec, t):
-    """Subordinator Levy density nu(t) for t > 0, elementwise."""
-    arr = _as_positive_array(t, "t")
     out = np.zeros_like(arr)
     for w, d in zip(spec.weights(), spec.exponents()):
-        c = d / math.gamma(1.0 - d)
-        out += w * c * np.power(arr, -1.0 - d)
+        out += w * np.power(arr, d)
     return _float_if_0d(out)
 
 
@@ -248,56 +231,3 @@ def scaling_exponents(spec):
         delta1_above_half=d1 > 0.5,
         delta2_warn=warn,
     )
-
-
-def check_bernstein_bound(spec, lam, r):
-    """Verify min(1, lam) <= phi(lam r)/phi(r) <= max(1, lam) elementwise.
-
-    The bound holds for every Bernstein function; a violation beyond a few
-    ulps therefore indicates an implementation bug, not unusual inputs.
-    Returns True/False (scalar) over the full input product.
-    """
-    lam_arr = _as_positive_array(lam, "lam").ravel()
-    r_arr = _as_positive_array(r, "r").ravel()
-    L, R = np.meshgrid(lam_arr, r_arr, indexing="ij")
-    ratio = phi_eval(spec, (L * R).ravel()) / phi_eval(spec, R.ravel())
-    ratio = ratio.reshape(L.shape)
-    lo = np.minimum(1.0, L)
-    hi = np.maximum(1.0, L)
-    slack = 1e-12
-    return bool(np.all(ratio >= lo * (1.0 - slack)) and np.all(ratio <= hi * (1.0 + slack)))
-
-
-def _tail_integral_converges(spec):
-    """Advisory probe: does int_1^inf dlam / phi(lam^2) close numerically?
-
-    Compares increments over [1e2, 1e4] and [1e4, 1e6]; a convergent power
-    tail shrinks them geometrically, a divergent one grows them.
-    """
-    g = lambda lam: 1.0 / phi_eval(spec, lam * lam)
-    cuts = (1.0, 1e2, 1e4, 1e6)
-    incs = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        incs.append(integrate_adaptive(g, lo, hi).value)
-    return incs[2] < incs[1] < incs[0]
-
-
-def check_regularity(spec):
-    """Decide the admissible scaling window from fitted exponents.
-
-    Returns True when the fitted lower exponent sits strictly above 1/2
-    (the regime where the inverse-exponent tail integral converges and the
-    absorbed process admits the regular limit at the origin).  An
-    independent quadrature probe of that tail cross-checks the verdict and
-    warns on disagreement rather than overruling it.
-    """
-    rep = scaling_exponents(spec)
-    verdict = rep.delta1_above_half
-    probe = _tail_integral_converges(spec)
-    if probe != verdict:
-        warnings.warn(
-            "scaling-exponent verdict and tail-integral probe disagree "
-            f"(exponents say {verdict}, probe says {probe}); keeping the exponent verdict",
-            RuntimeWarning,
-        )
-    return verdict

@@ -2,7 +2,8 @@
 
 Numbers go to CSV ("%.12e"), run metadata to JSON on stdout.  Exit codes:
 0 success (verify: all checks pass), 1 verify found failing checks,
-2 bad configuration or input.
+2 bad configuration or input, 3 a quadrature or dense solve could not
+deliver its result.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from .bernstein import PhiSpec, phi_eval, scaling_exponents
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, QuadratureError, SolverError
 from .kernels import KernelSet
 from .interval_solver import (
     DEFAULT_A_SEQ,
@@ -81,12 +82,11 @@ def _write_rows(path, header, rows):
 def _cmd_solve_green(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
-    kind = args.process.upper()
     n = args.n
-    green = green_matrix(build_generator(ks, Grid(args.a, args.b, n), kind))
+    green = green_matrix(build_generator(ks, Grid(args.a, args.b, n), args.process))
     drift = None
     if n >= 64 and n % 2 == 0:
-        half = green_matrix(build_generator(ks, Grid(args.a, args.b, n // 2), kind))
+        half = green_matrix(build_generator(ks, Grid(args.a, args.b, n // 2), green.kind))
         drift = green_drift(half, green)
     xs = green.grid.nodes()
     mid = int(np.argmin(np.abs(xs - 0.5 * (args.a + args.b))))
@@ -97,7 +97,7 @@ def _cmd_solve_green(args):
         )
         _write_rows(args.out, header, rows)
     _emit_diag(
-        kind=f"green-{kind}",
+        kind=f"green-{green.kind}",
         grid={"a": args.a, "b": args.b, "n": n, "spec": spec.label()},
         value=float(green.G[mid, mid]),
         refinement_drift=drift,
@@ -249,14 +249,11 @@ def _load_run_config(path):
     return RunConfig.from_dict(data)
 
 
-def _report_format(args):
-    if args.format:
-        return args.format
-    if args.out:
-        if args.out.endswith(".csv"):
-            return "csv"
-        if args.out.endswith(".txt") or args.out.endswith(".text"):
-            return "text"
+def _report_format(path):
+    if path.endswith(".csv"):
+        return "csv"
+    if path.endswith(".txt") or path.endswith(".text"):
+        return "text"
     return "json"
 
 
@@ -265,7 +262,7 @@ def _cmd_verify(args, only):
     report = run_verify(cfg, only=only)
     sys.stdout.write(render_text(report))
     if args.out:
-        emit_report(report, args.out, _report_format(args))
+        emit_report(report, args.out, _report_format(args.out))
     return report.exit_code()
 
 
@@ -421,7 +418,7 @@ def build_parser():
     q.add_argument("--a", type=float, required=True)
     q.add_argument("--b", type=float, required=True)
     q.add_argument("--n", type=int, default=512)
-    q.add_argument("--process", default="z", choices=("x", "y", "z", "X", "Y", "Z"))
+    q.add_argument("--process", default="Z", type=str.upper, choices=("X", "Y", "Z"))
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_solve_green)
 
@@ -475,14 +472,14 @@ def build_parser():
     psub = p.add_subparsers(dest="sub", required=True)
     q = psub.add_parser("all", help="run every check")
     q.add_argument("--config", default=None, help="RunConfig JSON")
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", default=None, choices=("json", "csv", "text"))
+    q.add_argument("--out", default=None,
+                   help="report file; .csv and .txt/.text pick the format, else JSON")
     q.set_defaults(fn=_cmd_verify_all)
     q = psub.add_parser("one", help="run a single named check")
     q.add_argument("--name", required=True)
     q.add_argument("--config", default=None, help="RunConfig JSON")
-    q.add_argument("--out", default=None)
-    q.add_argument("--format", default=None, choices=("json", "csv", "text"))
+    q.add_argument("--out", default=None,
+                   help="report file; .csv and .txt/.text pick the format, else JSON")
     q.set_defaults(fn=_cmd_verify_one)
 
     return ap
@@ -499,6 +496,9 @@ def main(argv=None):
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2
+    except (QuadratureError, SolverError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

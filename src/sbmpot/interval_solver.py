@@ -75,6 +75,14 @@ N_PROBE = 16
 _KINDS = ("X", "Y", "Z")
 
 
+def _kind(kind):
+    """``kind`` as one of _KINDS, case-insensitively."""
+    kind = str(kind).upper()
+    if kind not in _KINDS:
+        raise ConfigError(f"kind must be one of {_KINDS}")
+    return kind
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform midpoint lattice on (a, b): x_i = a + (i + 1/2) dx."""
@@ -181,9 +189,7 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     exactly-integrated killing rate: Poisson row masses then measure only
     the exterior-mesh quality, not assembly error.
     """
-    kind = str(kind).upper()
-    if kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {_KINDS}")
+    kind = _kind(kind)
     if kind in ("Y", "Z") and grid.a <= 0.0:
         raise DomainError(f"kind {kind} needs a > 0 (forms live on the half line)")
     n = grid.n
@@ -305,9 +311,7 @@ def default_zgrid(grid: Grid, kind: str) -> ZGrid:
     scale) plus a geometric zone out to Z_MAX_FACTOR interval-widths.
     Beyond that the callers integrate the kernel tail in closed form.
     """
-    kind = str(kind).upper()
-    if kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {_KINDS}")
+    kind = _kind(kind)
     a, b = grid.a, grid.b
     width = b - a
     m = max(48, grid.n // 4)
@@ -398,9 +402,10 @@ def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
     z = zg.nodes
 
     xs = grid.nodes()
-    KERN = ks.levy_j(np.abs(xs[:, None] - z[None, :]))
     if green.kind == "Z":
-        KERN += ks.levy_j(xs[:, None] + z[None, :])
+        KERN = ks.jump_i(xs[:, None], z[None, :])
+    else:
+        KERN = ks.levy_j(xs[:, None] - z[None, :])
 
     # the generator carries extra wall-node kill mass (profile-weighted
     # collocation); that mass exits through the wall-side kernel, so scale

@@ -162,17 +162,19 @@ def sample_increment(spec: PhiSpec, dt: float, size, rng) -> np.ndarray:
     return inc
 
 
+def _keyed_stream(seed, index):
+    """The counter-based substream keyed (seed, index), at its start."""
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    )
+
+
 class _LaneStreams:
     """The keyed streams of a lane block, read as one generator: row i of
     ``random(shape)`` continues the stream of the block's i-th live path."""
 
     def __init__(self, seed, paths):
-        self.live = [
-            np.random.Generator(
-                np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-            )
-            for i in paths
-        ]
+        self.live = [_keyed_stream(seed, i) for i in paths]
 
     def keep(self, mask):
         self.live = [g for g, k in zip(self.live, mask) if k]

@@ -37,13 +37,19 @@ from .interval_solver import (
     small_interval_lower,
     three_g_sup,
 )
-from .montecarlo import PathConfig, sample_stable_subordinator, simulate_exit
+from .montecarlo import (
+    PathConfig,
+    _keyed_stream,
+    sample_stable_subordinator,
+    simulate_exit,
+)
 from .quadrature import converged_value, integrate_adaptive
 
 FIXTURE_STABLE = PhiSpec.stable(0.75)
 FIXTURE_MIXTURE = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
 
-# reserved Philox substream index, above any path index
+# reserved _keyed_stream index, above any path index, so the Laplace draws
+# never share a stream with a walk
 _STREAM_LAPLACE = 2 ** 32 + 1
 
 
@@ -225,8 +231,7 @@ class _Context:
         return self._get(("walk", spec.label(), dt), build)
 
     def stream(self, index):
-        key = np.array([self.cfg.seed, index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return _keyed_stream(self.cfg.seed, index)
 
 
 # -- the checks -------------------------------------------------------------------

@@ -3,11 +3,14 @@
 Everything here is computed by routes disjoint from the package code:
 special-function closed forms, a convergent alternating series for the
 one-sided stable law, and the classical interval exit laws of the
-symmetric stable process.  Frozen constants carry their regeneration
+symmetric stable process and its Green function killed at the origin.
+Frozen constants carry their regeneration
 function; tests assert the two agree, so a stale constant cannot hide.
 """
 
 import math
+
+import numpy as np
 
 
 # -- closed forms for the pure stable family (alpha = 2 delta) ---------------------
@@ -86,6 +89,30 @@ def bgr_wall_mass(alpha, eps, kmax=60):
     s = 1.0 - 0.5 * alpha
     tot = sum((-1.0) ** k * U ** (k + s) / (k + s) for k in range(kmax))
     return math.sin(0.5 * math.pi * alpha) / math.pi * tot
+
+
+def bgr_killed_exit_alive(alpha, x, nodes=256):
+    """P_x(|X| leaves (0, 1) before X hits 0) for the symmetric alpha-stable
+    process, 1 < alpha <= 2, 0 < x < 1.
+
+    For a symmetric process with 0 regular, P_x(T_0 < tau) = G(x, 0)/G(0, 0),
+    with the Blumenthal-Getoor-Ray Green function of (-1, 1),
+        G(x, y) ~ |x - y|^(alpha-1) I(w),  w = (1 - x^2)(1 - y^2)/(x - y)^2,
+        I(w) = int_0^w r^(alpha/2 - 1) (1 + r)^(-1/2) dr,
+    whose diagonal limit is 2/(alpha - 1).  So the probability is
+    1 - x^(alpha-1) I((1 - x^2)/x^2) (alpha - 1)/2.  The substitution
+    r = u^(2/alpha) gives I(w) = (2/alpha) int_0^(w^(alpha/2))
+    (1 + u^(2/alpha))^(-1/2) du with a smooth integrand, summed here by
+    Gauss-Legendre.  At alpha = 2 this is x, the Brownian ruin probability.
+    """
+    w = (1.0 - x * x) / (x * x)
+    top = w ** (0.5 * alpha)
+    t, wt = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * top * (t + 1.0)
+    integral = (2.0 / alpha) * 0.5 * top * float(
+        np.sum(wt / np.sqrt(1.0 + u ** (2.0 / alpha)))
+    )
+    return 1.0 - x ** (alpha - 1.0) * integral * 0.5 * (alpha - 1.0)
 
 
 # -- one-sided stable law by convergent series --------------------------------------

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,6 @@ from sbmpot import (
     ConfigError,
     DomainError,
     PhiSpec,
-    check_bernstein_bound,
-    check_regularity,
-    nu_eval,
     phi_eval,
     scaling_exponents,
 )
@@ -71,9 +66,12 @@ def test_bad_serialized_forms():
 
 
 def test_phi_eval_stable(stable_spec):
-    lam = np.array([0.25, 1.0, 7.5])
-    assert np.allclose(phi_eval(stable_spec, lam), lam ** 0.75, rtol=1e-15)
-    assert phi_eval(stable_spec, 4.0) == pytest.approx(4.0 ** 0.75, rel=1e-15)
+    # the stable family runs the mixture loop with one unit-weight term;
+    # 0 + 1.0 * lam^delta must round to lam^delta exactly
+    lam = np.logspace(-300.0, 300.0, 20001)
+    for d in (0.51, 0.6, 0.75, 0.9):
+        assert np.array_equal(phi_eval(PhiSpec.stable(d), lam), np.power(lam, d))
+    assert phi_eval(stable_spec, 4.0) == 4.0 ** 0.75
 
 
 def test_phi_eval_mixture(mixture_spec):
@@ -89,19 +87,14 @@ def test_phi_eval_domain():
         phi_eval(PhiSpec.stable(0.75), np.array([1.0, 0.0]))
 
 
-def test_nu_eval_closed_form(mixture_spec):
-    t = np.array([0.5, 2.0])
-    want = sum(
-        d / math.gamma(1.0 - d) * t ** (-1.0 - d) for d in (0.6, 0.9)
-    )
-    assert np.allclose(nu_eval(mixture_spec, t), want, rtol=1e-14)
-
-
 def test_bernstein_bound_holds(stable_spec, mixture_spec):
-    lam = np.logspace(-2, 2, 9)
-    r = np.logspace(-2, 2, 9)
-    assert check_bernstein_bound(stable_spec, lam, r)
-    assert check_bernstein_bound(mixture_spec, lam, r)
+    # min(1, lam) <= phi(lam r)/phi(r) <= max(1, lam) for every Bernstein
+    # function, so a violation beyond roundoff is an evaluation bug
+    lam, r = np.meshgrid(np.logspace(-2, 2, 9), np.logspace(-2, 2, 9))
+    for spec in (stable_spec, mixture_spec):
+        ratio = phi_eval(spec, lam * r) / phi_eval(spec, r)
+        assert np.all(ratio >= np.minimum(1.0, lam) * (1.0 - 1e-12))
+        assert np.all(ratio <= np.maximum(1.0, lam) * (1.0 + 1e-12))
 
 
 def test_scaling_exponents_pure_power(stable_spec):
@@ -127,6 +120,6 @@ def test_scaling_warns_near_upper_edge():
 
 
 def test_regularity_window(stable_spec, mixture_spec):
-    assert check_regularity(stable_spec)
-    assert check_regularity(mixture_spec)
-    assert not check_regularity(PhiSpec.stable(0.4))
+    assert scaling_exponents(stable_spec).delta1_above_half
+    assert scaling_exponents(mixture_spec).delta1_above_half
+    assert not scaling_exponents(PhiSpec.stable(0.4)).delta1_above_half

@@ -59,6 +59,15 @@ def test_kernel_table_bad_list(capsys):
     assert "error:" in err
 
 
+def test_numerical_failure_exits_3(capsys):
+    # h at 1e-300 overflows its integrand: a QuadratureError, which must
+    # not leave as a traceback or as the "verify failed" code 1
+    rc, out, err = _run(capsys, "kernel", "table", "--what", "h", "--xs", "1e-300")
+    assert rc == 3
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_quad_selftest(capsys):
     rc, out, _ = _run(capsys, "quad", "selftest")
     assert rc == 0

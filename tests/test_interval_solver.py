@@ -28,7 +28,7 @@ from sbmpot import (
 )
 from sbmpot.interval_solver import _exit_rates, _wall_correction
 
-from oracles import bgr_density, bgr_wall_mass, getoor_exit
+from oracles import bgr_density, bgr_killed_exit_alive, bgr_wall_mass, getoor_exit
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,21 @@ def test_exit_alive_bracket(stable_ks):
     # the roundoff of a dense solve at n ~ 4000 (1.2e-12 on the middle shelf)
     for p in rep.per_a:
         np.testing.assert_allclose(p["p_exit"] + p["p_shelf"], 1.0, rtol=0.0, atol=1e-11)
+
+
+def test_bgr_killed_oracle_is_brownian_ruin_at_alpha_2():
+    # alpha = 2: I(w) = 2 (sqrt(1 + w) - 1) in closed form, and the
+    # probability of leaving (0, 1) upwards before 0 is x
+    for x in np.linspace(0.05, 0.95, 19):
+        assert bgr_killed_exit_alive(2.0, x) == pytest.approx(x, rel=1e-12)
+
+
+def test_exit_alive_bracket_contains_bgr_exact(stable_ks):
+    # the stable fixture is alpha = 1.5; the bracket must hold the exact value
+    xs = np.arange(1, 10) / 10.0
+    rep = exit_alive_prob(stable_ks, 1.0, xs)
+    exact = np.array([bgr_killed_exit_alive(1.5, x) for x in xs])
+    assert np.all(rep.lower <= exact) and np.all(exact <= rep.upper)
 
 
 def test_exit_alive_validation(stable_ks):

@@ -10,7 +10,6 @@ from sbmpot import (
     PhiSpec,
     QuadratureError,
     QuadSpec,
-    nu_eval,
     phi_eval,
 )
 
@@ -123,7 +122,6 @@ _ARRAY_LIKE = {
     "phi_cap_inv": lambda ks, v: ks.phi_cap_inv(v),
     "gx_estimate": lambda ks, v: ks.gx_estimate(0.0, 1.0, v, 0.45),
     "phi_eval": lambda ks, v: phi_eval(ks.phi, v),
-    "nu_eval": lambda ks, v: nu_eval(ks.phi, v),
 }
 
 
