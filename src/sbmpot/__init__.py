@@ -12,7 +12,6 @@ from .quadrature import (
     QuadResult,
     QuadSpec,
     integrate_adaptive,
-    integrate_adaptive_batch,
     integrate_oscillatory_cos,
 )
 from .bernstein import (
@@ -31,8 +30,6 @@ from .interval_solver import (
     Grid,
     HarnackReport,
     PoissonTable,
-    SmallIntervalReport,
-    ThreeGReport,
     ZGrid,
     bhp_sup_ratio,
     build_generator,
@@ -92,9 +89,7 @@ __all__ = [
     "QuadratureError",
     "RunConfig",
     "ScalingReport",
-    "SmallIntervalReport",
     "SolverError",
-    "ThreeGReport",
     "ZGrid",
     "bhp_sup_ratio",
     "build_generator",
@@ -109,7 +104,6 @@ __all__ = [
     "harmonic_extend",
     "harnack_sup_ratio",
     "integrate_adaptive",
-    "integrate_adaptive_batch",
     "integrate_oscillatory_cos",
     "load_report",
     "phi_eval",

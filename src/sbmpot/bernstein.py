@@ -110,12 +110,21 @@ class PhiSpec:
 
     @classmethod
     def from_dict(cls, d):
+        """The spec ``to_dict`` wrote; ConfigError for any other input."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"serialized PhiSpec must be an object, got {d!r}")
         family = d.get("family")
-        if family == "stable":
-            return cls.stable(d["delta"])
-        if family == "mixture":
-            return cls.mixture(d["terms"])
-        raise ConfigError(f"unknown family {family!r} in serialized form")
+        key = {"stable": "delta", "mixture": "terms"}.get(family)
+        if key is None:
+            raise ConfigError(f"unknown family {family!r} in serialized form")
+        if key not in d:
+            raise ConfigError(f"serialized {family} spec needs {key!r}")
+        try:
+            return cls.stable(d[key]) if key == "delta" else cls.mixture(d[key])
+        except ConfigError:
+            raise
+        except (IndexError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad {key} {d[key]!r} in serialized {family} spec") from e
 
     @classmethod
     def from_json(cls, s):

@@ -174,16 +174,16 @@ def _cmd_solve_bhp(args):
 def _cmd_solve_small(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
-    rep = small_interval_lower(ks, args.R, args.lambda1, args.a, n=args.n)
-    rep_half = small_interval_lower(
+    lam2 = small_interval_lower(ks, args.R, args.lambda1, args.a, n=args.n)
+    lam2_half = small_interval_lower(
         ks, args.R, args.lambda1, 0.5 * args.a, n=args.n, window_lo=args.a
     )
     _emit_diag(
         kind="small-interval",
         grid={"R": args.R, "lambda1": args.lambda1, "a": args.a, "n": args.n,
               "spec": spec.label()},
-        value=rep.lambda2,
-        refinement_drift=abs(rep_half.lambda2 / rep.lambda2 - 1.0),
+        value=lam2,
+        refinement_drift=abs(lam2_half / lam2 - 1.0),
     )
     return 0
 
@@ -249,29 +249,13 @@ def _load_run_config(path):
     return RunConfig.from_dict(data)
 
 
-def _report_format(path):
-    if path.endswith(".csv"):
-        return "csv"
-    if path.endswith(".txt") or path.endswith(".text"):
-        return "text"
-    return "json"
-
-
-def _cmd_verify(args, only):
+def _cmd_verify(args):
     cfg = _load_run_config(args.config)
-    report = run_verify(cfg, only=only)
+    report = run_verify(cfg, only=None if args.name is None else [args.name])
     sys.stdout.write(render_text(report))
     if args.out:
-        emit_report(report, args.out, _report_format(args.out))
+        emit_report(report, args.out)
     return report.exit_code()
-
-
-def _cmd_verify_all(args):
-    return _cmd_verify(args, None)
-
-
-def _cmd_verify_one(args):
-    return _cmd_verify(args, [args.name])
 
 
 # -- small utilities ---------------------------------------------------------------
@@ -474,13 +458,13 @@ def build_parser():
     q.add_argument("--config", default=None, help="RunConfig JSON")
     q.add_argument("--out", default=None,
                    help="report file; .csv and .txt/.text pick the format, else JSON")
-    q.set_defaults(fn=_cmd_verify_all)
+    q.set_defaults(fn=_cmd_verify, name=None)
     q = psub.add_parser("one", help="run a single named check")
     q.add_argument("--name", required=True)
     q.add_argument("--config", default=None, help="RunConfig JSON")
     q.add_argument("--out", default=None,
                    help="report file; .csv and .txt/.text pick the format, else JSON")
-    q.set_defaults(fn=_cmd_verify_one)
+    q.set_defaults(fn=_cmd_verify)
 
     return ap
 

@@ -109,13 +109,12 @@ class Grid:
 
 @dataclass
 class GeneratorMatrix:
-    """Discrete generator A with its kill rates: kappa_vec is the row-sum
-    gap, exit_rates the (lo, hi, dk) split of _exit_rates it was built from."""
+    """Discrete generator A with the (lo, hi, dk) split of _exit_rates it
+    was built from; the row-sum gap of A is lo + hi, plus dk at the walls."""
 
     kind: str
     grid: Grid
     A: np.ndarray = field(repr=False)
-    kappa_vec: np.ndarray = field(repr=False)
     exit_rates: tuple = field(repr=False)
 
 
@@ -250,7 +249,7 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
 
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -(A.sum(axis=1) + kappa))
-    return GeneratorMatrix(kind=kind, grid=grid, A=A, kappa_vec=kappa, exit_rates=rates)
+    return GeneratorMatrix(kind=kind, grid=grid, A=A, exit_rates=rates)
 
 
 def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
@@ -474,7 +473,6 @@ class ExitAliveReport:
     """a -> 0 bracket for P_x(exit (0, R) through [R, inf) before dying at 0)."""
 
     x: np.ndarray
-    R: float
     value: np.ndarray
     bracket: np.ndarray
     lower: np.ndarray
@@ -548,7 +546,6 @@ def exit_alive_prob(
     upper = np.maximum(upper, lower)
     return ExitAliveReport(
         x=x_arr,
-        R=R,
         value=0.5 * (lower + upper),
         bracket=upper - lower,
         lower=lower,
@@ -588,15 +585,9 @@ def gauge_ratios(gX: GreenMatrix, gY: GreenMatrix, gZ: GreenMatrix) -> GaugeRepo
     )
 
 
-@dataclass(frozen=True)
-class ThreeGReport:
-    sup: float
-    arg: tuple
-    n: int
-
-
-def three_g_sup(green: GreenMatrix, ks: KernelSet) -> ThreeGReport:
-    """sup over triples of G(x,y) G(y,z) / G(x,z) * dist(y)^2 / Phi(dist(y)).
+def three_g_sup(green: GreenMatrix, ks: KernelSet) -> float:
+    """The 3G constant: sup over node triples of
+    G(x,y) G(y,z) / G(x,z) * dist(y)^2 / Phi(dist(y)), as a float.
 
     The weight tames the diagonal blow-up of the raw triple ratio; the
     supremum is a Kato-type constant expected finite and refinement-stable.
@@ -608,27 +599,16 @@ def three_g_sup(green: GreenMatrix, ks: KernelSet) -> ThreeGReport:
     dist = np.minimum(xs - green.grid.a, green.grid.b - xs)
     wgt = dist * dist / ks.phi_cap(dist)
     best = -np.inf
-    arg = (0, 0, 0)
     for k in range(xs.size):
         ratio = np.outer(G[:, k], G[k, :]) / G
-        m = float(ratio.max())
-        v = m * wgt[k]
-        if v > best:
-            i, j = np.unravel_index(int(ratio.argmax()), ratio.shape)
-            best = v
-            arg = (int(i), int(k), int(j))
-    return ThreeGReport(sup=best, arg=arg, n=green.grid.n)
+        best = max(best, float(ratio.max()) * wgt[k])
+    return best
 
 
 @dataclass(frozen=True)
 class HarnackReport:
     c6: float
-    r: float
-    a_frac: float
-    n: int
-    interval: tuple
     window: tuple
-    z_at_sup: float | None  # None when the analytic tail column attains it
 
 
 def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 512) -> HarnackReport:
@@ -655,29 +635,26 @@ def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 
     Kin = pt.K[mask]
     col_ratio = Kin.max(axis=0) / Kin.min(axis=0)
     tail = pt.tail_hi[mask]
-    tail_ratio = float(tail.max() / tail.min())
-    c6 = float(col_ratio.max())
-    z_at = float(pt.zgrid.nodes[int(col_ratio.argmax())])
-    if tail_ratio > c6:
-        c6, z_at = tail_ratio, None
-    return HarnackReport(
-        c6=c6, r=r, a_frac=a_frac, n=n,
-        interval=(b1, b4), window=(w1, w2), z_at_sup=z_at,
-    )
+    c6 = max(float(col_ratio.max()), float(tail.max() / tail.min()))
+    return HarnackReport(c6=c6, window=(w1, w2))
 
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Nonnegative exterior data."""
+    """Exterior data with values in [0, 1]."""
 
     name: str
     fn: object = field(repr=False)
-    sup: float
     tail: tuple | None  # (c, p) power tail beyond the mesh, or None
 
 
 def default_boundary_fset(r: float):
-    """Five qualitatively different data supported in [3r, inf)."""
+    """Five qualitatively different data supported in [3r, inf).
+
+    Every datum takes values in [0, 1]: the shelf bracket of
+    ``bhp_sup_ratio`` bounds the mass that re-enters from below the shelf
+    by its sup, and takes that sup to be 1.
+    """
     s = 3.0 * r
 
     def step(lo, hi):
@@ -686,11 +663,11 @@ def default_boundary_fset(r: float):
     bump = lambda z: np.where(z >= s, np.exp(-(((z - 4.0 * r) / (0.5 * r)) ** 2)), 0.0)
     power = lambda z: np.where(z >= s, (np.maximum(z, s) / s) ** -3.0, 0.0)
     return [
-        BoundaryData("step-3r-4r", step(s, 4.0 * r), 1.0, None),
-        BoundaryData("step-4r-6r", step(4.0 * r, 6.0 * r), 1.0, None),
-        BoundaryData("bump-4r", bump, 1.0, None),
-        BoundaryData("power-tail", power, 1.0, (s**3.0, 3.0)),
-        BoundaryData("step-3r-3.3r", step(s, 3.3 * r), 1.0, None),
+        BoundaryData("step-3r-4r", step(s, 4.0 * r), None),
+        BoundaryData("step-4r-6r", step(4.0 * r, 6.0 * r), None),
+        BoundaryData("bump-4r", bump, None),
+        BoundaryData("power-tail", power, (s**3.0, 3.0)),
+        BoundaryData("step-3r-3.3r", step(s, 3.3 * r), None),
     ]
 
 
@@ -699,11 +676,7 @@ class BhpReport:
     c7: float
     c7_upper: float
     per_f: tuple
-    r: float
-    lambda1: float
-    a: float
-    n: int
-    n_window: int
+    a: float  # the shelf
 
 
 def bhp_sup_ratio(
@@ -717,7 +690,7 @@ def bhp_sup_ratio(
     must stay below lambda1 r / 4, so n > 48 / lambda1.  The shelf
     correction gives a bracketed variant: paths absorbed below a could
     still reach the data, adding at most mass_below * h(a)/h(3r) * sup f
-    to u.
+    to u, with sup f = 1 for every datum.
     """
     if not (r > 0.0):
         raise DomainError("r must be positive")
@@ -747,26 +720,13 @@ def bhp_sup_ratio(
             raise SolverError(f"boundary datum {bd.name} is invisible from the window")
         rho = uw / h_vec
         sup_f = float(rho.max() / rho.min())
-        rho_up = (uw + dmass * shelf_corr * bd.sup) / h_vec
+        rho_up = (uw + dmass * shelf_corr) / h_vec
         sup_f_up = float(rho_up.max() / rho.min())
         per_f.append({"name": bd.name, "sup": sup_f, "sup_upper": sup_f_up})
         sup_all = max(sup_all, sup_f)
         sup_up_all = max(sup_up_all, sup_f_up)
 
-    return BhpReport(
-        c7=sup_all, c7_upper=sup_up_all, per_f=tuple(per_f),
-        r=r, lambda1=lambda1, a=a, n=n, n_window=int(wmask.sum()),
-    )
-
-
-@dataclass(frozen=True)
-class SmallIntervalReport:
-    lambda2: float
-    R: float
-    a: float
-    lambda1: float
-    n: int
-    n_window: int
+    return BhpReport(c7=sup_all, c7_upper=sup_up_all, per_f=tuple(per_f), a=a)
 
 
 def small_interval_lower(
@@ -777,8 +737,9 @@ def small_interval_lower(
     *,
     n: int = 512,
     window_lo: float | None = None,
-) -> SmallIntervalReport:
-    """Certified floor: min over the near-origin window of G^Z / h(R).
+) -> float:
+    """Certified floor lambda2: min over the near-origin window of
+    G^Z / h(R), as a float.
 
     Domain monotonicity (the (a, R) Green function sits below the (0, R)
     one) makes this a valid lower certificate for the shelf-free object.
@@ -799,10 +760,7 @@ def small_interval_lower(
     if mask.sum() < 1:
         raise ConfigError("no grid nodes inside the probe window")
     sub = green.G[np.ix_(mask, mask)]
-    lam2 = float(sub.min() / ks.h_comp(R))
-    return SmallIntervalReport(
-        lambda2=lam2, R=R, a=a, lambda1=lambda1, n=n, n_window=int(mask.sum()),
-    )
+    return float(sub.min() / ks.h_comp(R))
 
 
 # -- refinement diagnostics ----------------------------------------------------

@@ -44,6 +44,7 @@ from .quadrature import (
     integrate_adaptive,
     integrate_adaptive_batch,
     integrate_oscillatory_cos,
+    oscillatory_reach,
 )
 
 __all__ = ["KernelSet"]
@@ -53,12 +54,17 @@ _SQRT_PI = math.sqrt(math.pi)
 # e^{-u} below ~1e-52 contributes nothing at double precision
 _GAMMA_CUT = 120.0
 
+# lam * lam stays a factor 4 below overflow up to this lam, which leaves
+# room for the rounding of the quadrature nodes
+_LAM_MAX = 2.0**511
+
 
 class KernelSet:
     """All kernels derived from one Bernstein function.
 
     ``quad`` is the accuracy contract of every internal integral: the
-    engine default, which tests may override on an instance.
+    engine default, which tests may override on an instance.  ``h_floor``
+    is the smallest x that ``h_comp`` accepts.
     """
 
     def __init__(self, phi: PhiSpec):
@@ -68,6 +74,13 @@ class KernelSet:
         self.quad = DEFAULT_QUADSPEC
         self.delta_min = phi.delta_min
         self.delta_max = phi.delta_max
+        # h's integrand 1/phi(lam^2) decays like lam^(-2 delta_max); with
+        # delta_max <= 1/2 h diverges and the engine rejects the tail itself
+        self.h_floor = (
+            oscillatory_reach(2.0 * self.delta_max) / _LAM_MAX
+            if self.delta_max > 0.5
+            else 0.0
+        )
         self._jump_coefs = None  # [(coef, 2*d)] per mixture term
 
     # -- characteristic exponent -------------------------------------------
@@ -155,10 +168,19 @@ class KernelSet:
         """Compensated potential kernel h(x) = (1/pi) int (1 - cos(lam x))/psi(lam) dlam.
 
         Increasing in |x| with h(0) = 0; the q->0 limit of u^q(0) - u^q(x).
+        A nonzero |x| below ``h_floor`` raises DomainError: from half of it
+        down, the quadrature's first pass squares a lam past the float
+        range, so the integrand reads 0 on part of the tail and h comes out
+        low (the factor 2 is margin for the rounding of the nodes).
         """
         x = abs(float(x))
         if x == 0.0:
             return 0.0
+        if x < self.h_floor:
+            raise DomainError(
+                f"h({x}) is below h_floor = {self.h_floor:.6g}, where the "
+                "integrand's lam^2 overflows"
+            )
         g = lambda lam: 1.0 / phi_eval(self.phi, lam * lam)
         r = integrate_oscillatory_cos(
             g,

@@ -378,10 +378,10 @@ def _power_sub(f, end, other, p):
     """Map [end, other] with an x -> (x-end)^p integrand onto t in [0, 1]:
     (integrand, 0, 1).
 
-    x = end + (other-end) t^m with m = ceil(2/(1+p)) turns the integrand
+    x = end + (other-end) t^m with m = _sub_power(p) turns the integrand
     into O(t^{m(1+p)-1}) = O(t) or better, which the Kronrod rule digests.
     """
-    m = math.ceil(2.0 / (1.0 + p))
+    m = _sub_power(p)
     span = other - end
 
     def g(t):
@@ -389,6 +389,10 @@ def _power_sub(f, end, other, p):
         return f(end + span * tm) * (span * m) * np.power(t, m - 1)
 
     return g, 0.0, 1.0
+
+
+def _sub_power(p):
+    return math.ceil(2.0 / (1.0 + p))
 
 
 def _needs_sub(p):
@@ -648,3 +652,19 @@ def integrate_oscillatory_cos(
         g, x, lam_split, spec, int(spec.max_evals) - evals
     )
     return QuadResult(value + sign * osc_v, err + osc_e, evals + osc_n, ok and osc_ok)
+
+
+def oscillatory_reach(tail_exponent):
+    """lam * x at the largest lam where ``integrate_oscillatory_cos`` in
+    "one_minus_cos" mode, for x <= 2, evaluates g before any refinement.
+
+    That lam is the smallest node u of the first panel of the inverted
+    tail int_{4/x}^inf g = int_0^{x/4} g(1/u) u^-2 du, after the power
+    substitution for ``tail_exponent``.  Refinement can only add nodes
+    nearer u = 0.  Returns inf when the node underflows.
+    """
+    p = float(tail_exponent) - 2.0
+    m = _sub_power(p) if _needs_sub(p) else 1
+    t0 = 0.5 * (1.0 - _XK_HALF[0]) / _N_INIT
+    with np.errstate(over="ignore"):
+        return float(4.0 * np.float64(t0) ** -m)

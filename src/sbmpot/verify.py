@@ -15,6 +15,8 @@ import csv
 import hashlib
 import json
 import math
+import numbers
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -90,6 +92,10 @@ class RunConfig:
             raise ConfigError("mc_paths is too small to estimate anything")
         if not (self.interval[0] < self.mc_x0 < self.interval[1]):
             raise ConfigError("mc_x0 must lie inside the interval")
+        if not (0.0 < self.R < math.inf):
+            raise ConfigError(f"R must be positive and finite, got {self.R!r}")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     def to_dict(self):
         return {
@@ -110,15 +116,17 @@ class RunConfig:
         if not isinstance(d, dict):
             raise ConfigError("run config must be a JSON object")
         kw = dict(d)
-        if "specs" in kw:
-            kw["specs"] = tuple(PhiSpec.from_dict(s) for s in kw["specs"])
-        if "interval" in kw:
-            kw["interval"] = tuple(kw["interval"])
-        if "mc_dt" in kw:
-            kw["mc_dt"] = tuple(kw["mc_dt"])
         try:
+            if "specs" in kw:
+                kw["specs"] = tuple(PhiSpec.from_dict(s) for s in kw["specs"])
+            if "interval" in kw:
+                kw["interval"] = tuple(kw["interval"])
+            if "mc_dt" in kw:
+                kw["mc_dt"] = tuple(kw["mc_dt"])
             return cls(**kw)
-        except TypeError as e:
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad run config field: {e}") from e
 
     def digest(self):
@@ -457,10 +465,10 @@ def _check_small_interval(cfg, ctx, spec):
     ks = ctx.kernels(spec)
     R = cfg.R
     a = 0.004 * R
-    rep = small_interval_lower(ks, R, a=a, n=cfg.n_fine)
-    rep_half = small_interval_lower(ks, R, a=0.5 * a, n=cfg.n_fine, window_lo=a)
-    ok = rep.lambda2 > 0.0 and rep_half.lambda2 >= rep.lambda2 - 1e-12
-    m = {"lambda2": rep.lambda2, "lambda2_half_shelf": rep_half.lambda2}
+    lam2 = small_interval_lower(ks, R, a=a, n=cfg.n_fine)
+    lam2_half = small_interval_lower(ks, R, a=0.5 * a, n=cfg.n_fine, window_lo=a)
+    ok = lam2 > 0.0 and lam2_half >= lam2 - 1e-12
+    m = {"lambda2": lam2, "lambda2_half_shelf": lam2_half}
     return m, "lambda2 > 0 and not decreasing as the shelf halves", ok
 
 
@@ -468,7 +476,7 @@ def _check_three_g(cfg, ctx, spec):
     ks = ctx.kernels(spec)
     sup = {}
     for n in (cfg.n_coarse, cfg.n_fine):
-        sup[n] = three_g_sup(ctx.green(spec, "X", n), ks).sup
+        sup[n] = three_g_sup(ctx.green(spec, "X", n), ks)
     drift = abs(sup[cfg.n_coarse] / sup[cfg.n_fine] - 1.0)
     ok = math.isfinite(sup[cfg.n_fine]) and drift < 0.10
     m = {"sup_coarse": sup[cfg.n_coarse], "sup_fine": sup[cfg.n_fine], "drift": drift}
@@ -817,15 +825,15 @@ def render_text(report: CheckReport):
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: CheckReport, path, format="json"):
-    """Write the report; JSON round-trips, CSV flattens one row per constant."""
+def emit_report(report: CheckReport, path):
+    """Write the report to ``path`` (a str or a Path), in the format its
+    suffix names: ``.csv`` flattens one row per constant, ``.txt`` or
+    ``.text`` is the rendered text, anything else is JSON, which
+    ``load_report`` reads back."""
     if not report.checks:
         raise ConfigError("refusing to emit an empty report")
-    if format == "json":
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    elif format == "csv":
+    name = os.fspath(path)
+    if name.endswith(".csv"):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["check", "constant", "value", "tol", "pass", "runtime"])
@@ -834,11 +842,13 @@ def emit_report(report: CheckReport, path, format="json"):
                     w.writerow(
                         [c.name, k, repr(c.measured[k]), c.tol, c.passed, f"{c.runtime:.3f}"]
                     )
-    elif format == "text":
+    elif name.endswith((".txt", ".text")):
         with open(path, "w") as fh:
             fh.write(render_text(report))
     else:
-        raise ConfigError(f"unknown report format {format!r}")
+        with open(path, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def load_report(path) -> CheckReport:

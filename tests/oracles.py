@@ -91,28 +91,77 @@ def bgr_wall_mass(alpha, eps, kmax=60):
     return math.sin(0.5 * math.pi * alpha) / math.pi * tot
 
 
+def bgr_I(alpha, w, nodes=256):
+    """I(w) = int_0^w r^(alpha/2 - 1) (1 + r)^(-1/2) dr, elementwise over w.
+
+    The substitution r = u^(2/alpha) gives I(w) = (2/alpha)
+    int_0^(w^(alpha/2)) (1 + u^(2/alpha))^(-1/2) du with a smooth
+    integrand, summed here by Gauss-Legendre.
+    """
+    top = np.asarray(w, dtype=float)[..., None] ** (0.5 * alpha)
+    t, wt = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * top * (t + 1.0)
+    return (2.0 / alpha) * 0.5 * top[..., 0] * np.sum(
+        wt / np.sqrt(1.0 + u ** (2.0 / alpha)), axis=-1
+    )
+
+
+def bgr_green(alpha, x, y):
+    """Green function of (-1, 1) for the symmetric alpha-stable process with
+    psi(xi) = |xi|^alpha, 1 < alpha < 2, x != y (Blumenthal-Getoor-Ray):
+        G(x, y) = |x - y|^(alpha-1) I(w) / (2^alpha Gamma(alpha/2)^2),
+        w = (1 - x^2)(1 - y^2)/(x - y)^2.
+    Elementwise over arrays x, y.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = (1.0 - x * x) * (1.0 - y * y) / (x - y) ** 2
+    c = 2.0 ** alpha * math.gamma(0.5 * alpha) ** 2
+    return np.abs(x - y) ** (alpha - 1.0) * bgr_I(alpha, w) / c
+
+
 def bgr_killed_exit_alive(alpha, x, nodes=256):
     """P_x(|X| leaves (0, 1) before X hits 0) for the symmetric alpha-stable
     process, 1 < alpha <= 2, 0 < x < 1.
 
     For a symmetric process with 0 regular, P_x(T_0 < tau) = G(x, 0)/G(0, 0),
-    with the Blumenthal-Getoor-Ray Green function of (-1, 1),
-        G(x, y) ~ |x - y|^(alpha-1) I(w),  w = (1 - x^2)(1 - y^2)/(x - y)^2,
-        I(w) = int_0^w r^(alpha/2 - 1) (1 + r)^(-1/2) dr,
-    whose diagonal limit is 2/(alpha - 1).  So the probability is
-    1 - x^(alpha-1) I((1 - x^2)/x^2) (alpha - 1)/2.  The substitution
-    r = u^(2/alpha) gives I(w) = (2/alpha) int_0^(w^(alpha/2))
-    (1 + u^(2/alpha))^(-1/2) du with a smooth integrand, summed here by
-    Gauss-Legendre.  At alpha = 2 this is x, the Brownian ruin probability.
+    with the Blumenthal-Getoor-Ray Green function of (-1, 1) (see
+    bgr_green), whose I(w) has the diagonal limit 2/(alpha - 1) times
+    |x - y|^(1-alpha).  So the probability is
+    1 - x^(alpha-1) I((1 - x^2)/x^2) (alpha - 1)/2.  At alpha = 2 this is x,
+    the Brownian ruin probability.
     """
     w = (1.0 - x * x) / (x * x)
-    top = w ** (0.5 * alpha)
-    t, wt = np.polynomial.legendre.leggauss(nodes)
-    u = 0.5 * top * (t + 1.0)
-    integral = (2.0 / alpha) * 0.5 * top * float(
-        np.sum(wt / np.sqrt(1.0 + u ** (2.0 / alpha)))
-    )
+    integral = float(bgr_I(alpha, w, nodes))
     return 1.0 - x ** (alpha - 1.0) * integral * 0.5 * (alpha - 1.0)
+
+
+# -- power-sum integrals of the solver's band and wall treatment ----------------------
+
+
+def _jump_terms(terms):
+    """(c_k, 2 delta_k) of j(u) = sum_k c_k u^(-1 - 2 delta_k) for
+    phi = sum_k w_k lam^delta_k, from the stable constant levy_c_closed."""
+    return [(w * levy_c_closed(2.0 * d), 2.0 * d) for w, d in terms]
+
+
+def band_coefficient(terms, dx):
+    """dx^-2 int_0^(1.5 dx) u^2 j(u) du = dx^-2 sum_k c_k (1.5 dx)^(2-2d_k) / (2-2d_k)."""
+    return sum(
+        c * (1.5 * dx) ** (2.0 - a) / (2.0 - a) for c, a in _jump_terms(terms)
+    ) / (dx * dx)
+
+
+def wall_correction(terms, dx):
+    """(gamma - 1) T(dx/2) with T(d) = int_d^inf j = sum_k (c_k/2d_k) d^(-2d_k) and
+    gamma = int_0^dx T(d) d^dm dd / (dx T(dx/2) (dx/2)^dm), dm = max_k d_k:
+    the profile integral is sum_k (c_k/2d_k) dx^(1+dm-2d_k) / (1+dm-2d_k)."""
+    jt = _jump_terms(terms)
+    dm = max(d for _, d in terms)
+    prof = sum(c / a * dx ** (1.0 + dm - a) / (1.0 + dm - a) for c, a in jt)
+    near = sum(c / a * (0.5 * dx) ** -a for c, a in jt)
+    gamma = prof / (dx * near * (0.5 * dx) ** dm)
+    return (gamma - 1.0) * near
 
 
 # -- one-sided stable law by convergent series --------------------------------------

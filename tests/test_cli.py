@@ -60,10 +60,49 @@ def test_kernel_table_bad_list(capsys):
 
 
 def test_numerical_failure_exits_3(capsys):
-    # h at 1e-300 overflows its integrand: a QuadratureError, which must
+    # u^q at q = 1e-300 does not converge: a QuadratureError, which must
     # not leave as a traceback or as the "verify failed" code 1
-    rc, out, err = _run(capsys, "kernel", "table", "--what", "h", "--xs", "1e-300")
+    rc, out, err = _run(capsys, "kernel", "table", "--what", "uq", "--q", "1e-300", "--xs", "1")
     assert rc == 3
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_h_below_its_floor_exits_2(capsys):
+    rc, out, err = _run(capsys, "kernel", "table", "--what", "h", "--xs", "1e-160")
+    assert rc == 2
+    assert err.startswith("error:") and "h_floor" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--spec", '{"family": "stable"}'),
+        ("--spec", "[1, 2]"),
+        ("--spec", '{"family": "mixture", "terms": [[1.0]]}'),
+        ("--spec", '{"family": "stable", "delta": "abc"}'),
+        ("--config", '{"n_coarse": "abc"}'),
+        ("--config", '{"interval": 5}'),
+        ("--config", '{"R": -1}'),
+        ("--config", '{"seed": -1}'),
+        ("--config", '{"specs": [{"family": "stable"}]}'),
+    ],
+    ids=[
+        "spec-no-delta", "spec-not-an-object", "spec-short-term", "spec-bad-delta",
+        "config-bad-n", "config-bad-interval", "config-negative-R",
+        "config-negative-seed", "config-bad-spec",
+    ],
+)
+def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if flag == "--spec":
+        argv = ["phi", "show", "--spec", str(path)]
+    else:
+        argv = ["verify", "one", "--name", "h-value", "--config", str(path)]
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
     assert err.startswith("error:")
     assert out == ""
 

@@ -167,6 +167,44 @@ def test_h_closed_form_three_exponents():
         assert ks.h_comp(1.0) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
+def test_h_sweep_is_accurate_or_raises(delta):
+    # h(x) = h(1) x^(2 delta - 1) exactly for a stable exponent.  Where h's
+    # integral falls below the engine's abs_tol the first pass is accepted,
+    # and that pass is within 6.7e-9 of the closed form, hence the 1e-8 bar.
+    # An x the quadrature cannot serve must raise, never return a wrong value.
+    ks = KernelSet(PhiSpec.stable(delta))
+    h1 = H1_CLOSED[delta]
+    served = []
+    for x in np.logspace(-300.0, 300.0, 121):
+        try:
+            v = ks.h_comp(x)
+        except (DomainError, QuadratureError):
+            continue
+        assert v == pytest.approx(h1 * x ** (2.0 * delta - 1.0), rel=1e-8, abs=0.0), x
+        served.append(x)
+    # and the range that holds values does get them
+    assert min(served) <= 1e-120 and max(served) >= 1e15
+
+
+@pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
+def test_h_floor_guards_the_overflow(delta):
+    ks = KernelSet(PhiSpec.stable(delta))
+    h1 = H1_CLOSED[delta]
+    x = ks.h_floor
+    assert 1e-150 < x < 1e-100
+    assert ks.h_comp(x) == pytest.approx(h1 * x ** (2.0 * delta - 1.0), rel=1e-8, abs=0.0)
+    with pytest.raises(DomainError, match="h_floor"):
+        ks.h_comp(0.99 * x)
+    # unguarded, a quarter of the floor squares a lam past the float range,
+    # and the integrand reading 0 there makes h low
+    ks.h_floor = 0.0
+    v = ks.h_comp(0.25 * x)
+    assert v < h1 * (0.25 * x) ** (2.0 * delta - 1.0) * (1.0 - 1e-8)
+    # h diverges for delta <= 1/2, which the engine reports without a floor
+    assert KernelSet(PhiSpec.stable(0.5)).h_floor == 0.0
+
+
 def test_h_basics(stable_ks, mixture_ks):
     for ks in (stable_ks, mixture_ks):
         assert ks.h_comp(0.0) == 0.0

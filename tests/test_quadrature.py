@@ -9,10 +9,10 @@ from sbmpot import (
     QuadSpec,
     QuadratureError,
     integrate_adaptive,
-    integrate_adaptive_batch,
     integrate_oscillatory_cos,
     phi_eval,
 )
+from sbmpot.quadrature import integrate_adaptive_batch
 
 
 def test_plain_finite_interval():

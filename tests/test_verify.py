@@ -47,6 +47,12 @@ def test_config_validation():
         RunConfig(mc_paths=10)
     with pytest.raises(ConfigError):
         RunConfig(mc_x0=5.0)
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            RunConfig(R=bad)
+    for bad in (-1, 1.5, "7", 2**64):
+        with pytest.raises(ConfigError):
+            RunConfig(seed=bad)
 
 
 def test_config_normalizes_dt_order():
@@ -145,14 +151,14 @@ def test_exceptions_become_recorded_failures(monkeypatch, small_cfg):
 
 def test_emit_json_round_trip(small_report, tmp_path):
     p = tmp_path / "report.json"
-    emit_report(small_report, p, format="json")
+    emit_report(small_report, p)
     loaded = load_report(p)
     assert loaded.to_dict() == small_report.to_dict()
 
 
 def test_emit_csv_layout(small_report, tmp_path):
     p = tmp_path / "report.csv"
-    emit_report(small_report, p, format="csv")
+    emit_report(small_report, p)
     lines = p.read_text().strip().splitlines()
     want = 1 + sum(len(c.measured) for c in small_report.checks)
     assert len(lines) == want
@@ -161,7 +167,7 @@ def test_emit_csv_layout(small_report, tmp_path):
 
 def test_emit_text_tokens(small_report, tmp_path):
     p = tmp_path / "report.txt"
-    emit_report(small_report, p, format="text")
+    emit_report(small_report, p)
     text = p.read_text()
     for c in small_report.checks:
         assert c.name in text
@@ -169,11 +175,17 @@ def test_emit_text_tokens(small_report, tmp_path):
     assert f"{len(small_report.checks)} checks" in text
 
 
+@pytest.mark.parametrize("name, head", [("r.text", ("PASS  ", "FAIL  ")), ("r.out", "{")])
+def test_emit_format_follows_the_suffix(small_report, tmp_path, name, head):
+    # .csv, .txt and .json are covered above with Path arguments; a str works too
+    p = tmp_path / name
+    emit_report(small_report, str(p))
+    assert p.read_text().startswith(head)
+
+
 def test_emit_rejects_bad_requests(small_report, tmp_path):
     with pytest.raises(ConfigError):
         emit_report(CheckReport(checks=[], config_digest="x"), tmp_path / "r.json")
-    with pytest.raises(ConfigError):
-        emit_report(small_report, tmp_path / "r.bin", format="binary")
     with pytest.raises(OSError):
         emit_report(small_report, tmp_path / "missing" / "r.json")
 
