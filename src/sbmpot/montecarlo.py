@@ -19,6 +19,7 @@ round.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -73,6 +74,8 @@ class PathConfig:
             raise DomainError("x0 must start inside the interval")
         if int(self.n_paths) < 1:
             raise ConfigError("n_paths must be positive")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
 
 @dataclass
@@ -169,12 +172,40 @@ def _keyed_stream(seed, index):
     )
 
 
+def _rewind(gen, seed, index):
+    """Put the Philox generator ``gen`` at the start of the substream keyed
+    (seed, index): counter 0 and an empty buffer, as a fresh
+    `_keyed_stream` starts.  A fresh Philox costs several times more, since
+    numpy draws OS entropy for it even when the key is given."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed, index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 class _LaneStreams:
     """The keyed streams of a lane block, read as one generator: row i of
-    ``random(shape)`` continues the stream of the block's i-th live path."""
+    ``random(shape)`` continues the stream of the block's i-th live path.
 
-    def __init__(self, seed, paths):
-        self.live = [_keyed_stream(seed, i) for i in paths]
+    One walk keeps one pool of generators, as many as its widest block,
+    and rewinds them onto each new block's paths."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.pool = []
+        self.live = []
+
+    def start(self, paths):
+        self.pool += [_keyed_stream(self.seed, i) for i in paths[len(self.pool):]]
+        self.live = [_rewind(g, self.seed, i) for g, i in zip(self.pool, paths)]
 
     def keep(self, mask):
         self.live = [g for g, k in zip(self.live, mask) if k]
@@ -204,9 +235,10 @@ def simulate_exit(cfg: PathConfig, spec: PhiSpec) -> ExitStats:
     exited = np.zeros(n, bool)
     epos = np.full(n, np.nan)
     etime = np.full(n, np.nan)
+    streams = _LaneStreams(cfg.seed)
     for start in range(0, n, _LANES):
         lanes = np.arange(start, min(start + _LANES, n))
-        streams = _LaneStreams(cfg.seed, lanes)
+        streams.start(lanes)
         x = np.full(lanes.size, float(cfg.x0))  # unfolded coordinate
         done = 0
         while lanes.size and done < n_max:

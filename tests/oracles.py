@@ -4,6 +4,8 @@ Everything here is computed by routes disjoint from the package code:
 special-function closed forms, a convergent alternating series for the
 one-sided stable law, and the classical interval exit laws of the
 symmetric stable process and its Green function killed at the origin.
+The one exception is the full-matrix generator assembly, which takes the
+package's kernel inputs and is independent only in how it assembles them.
 Frozen constants carry their regeneration
 function; tests assert the two agree, so a stale constant cannot hide.
 """
@@ -11,6 +13,8 @@ function; tests assert the two agree, so a stale constant cannot hide.
 import math
 
 import numpy as np
+
+from sbmpot.interval_solver import _band_coefficient, _exit_rates
 
 
 # -- closed forms for the pure stable family (alpha = 2 delta) ---------------------
@@ -162,6 +166,42 @@ def wall_correction(terms, dx):
     near = sum(c / a * (0.5 * dx) ** -a for c, a in jt)
     gamma = prof / (dx * near * (0.5 * dx) ** dm)
     return (gamma - 1.0) * near
+
+
+# -- the full-matrix generator assembly -----------------------------------------------
+
+
+def dense_generator_matrix(ks, grid, kind):
+    """The generator of ``build_generator`` assembled on the whole n x n
+    matrix at once, by array expressions over every entry.
+
+    The package builds it from the upper triangle in row blocks; this is the
+    independent route for that assembly.  Its inputs are the package's own
+    (closed kernel tail, band coefficient and kill rates), since only the
+    assembly is under test, and the two must agree bit for bit.
+    """
+    n, dx = grid.n, grid.dx
+    xs = grid.nodes()
+    D = np.abs(xs[:, None] - xs[None, :])
+    np.fill_diagonal(D, 1.0)
+    A = ks.jump_tail_closed(D - 0.5 * dx) - ks.jump_tail_closed(D + 0.5 * dx)
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A[1:], 0.0)
+    np.fill_diagonal(A[:, 1:], 0.0)
+    c2 = _band_coefficient(ks, dx)
+    idx = np.arange(n - 1)
+    A[idx, idx + 1] = c2
+    A[idx + 1, idx] = c2
+    if kind == "Z":
+        S = xs[:, None] + xs[None, :]
+        A += ks.jump_tail_closed(S - 0.5 * dx) - ks.jump_tail_closed(S + 0.5 * dx)
+    lo, hi, dk = _exit_rates(ks, grid, kind)
+    kappa = lo + hi
+    kappa[0] += dk
+    kappa[n - 1] += dk
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -(A.sum(axis=1) + kappa))
+    return A
 
 
 # -- one-sided stable law by convergent series --------------------------------------

@@ -187,6 +187,17 @@ def test_mc_exit(capsys, tmp_path):
     assert lines[0] == "exit_time,exit_position,side,censored"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_mc_exit_bad_seed_exits_2(capsys, seed):
+    rc, out, err = _run(
+        capsys, "mc", "exit", "--a", "1", "--b", "2", "--x0", "1.5",
+        "--dt", "1e-2", "--paths", "10", "--seed", seed,
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "seed" in err
+    assert out == ""
+
+
 def test_verify_one(capsys, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(RunConfig(specs=(PhiSpec.stable(0.75),)).to_dict()))

@@ -26,7 +26,7 @@ from sbmpot import (
     small_interval_lower,
     three_g_sup,
 )
-from sbmpot.interval_solver import _exit_rates, _wall_correction
+from sbmpot.interval_solver import _BLOCK, _exit_rates, _wall_correction
 
 from oracles import (
     band_coefficient,
@@ -34,6 +34,7 @@ from oracles import (
     bgr_green,
     bgr_killed_exit_alive,
     bgr_wall_mass,
+    dense_generator_matrix,
     getoor_exit,
     wall_correction,
 )
@@ -98,6 +99,31 @@ def test_kill_rate_is_the_exterior_jump_tail(request, monkeypatch, ks_name, kind
     hi_want = T(b - xs) + (T(xs + b) if kind == "Z" else 0.0)
     np.testing.assert_allclose(lo, lo_want, rtol=1e-9)
     np.testing.assert_allclose(hi, hi_want, rtol=1e-9)
+
+
+# n below, at and above one row block, and a non-multiple of it
+_BLOCK_NS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK + 44)
+
+
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize(
+    "kind, a, n",
+    # and the wall grid (0, 2) of kind X
+    [(kind, 1.0, n) for kind in "XYZ" for n in _BLOCK_NS] + [("X", 0.0, _BLOCK_NS[-1])],
+)
+def test_blocked_assembly_equals_the_dense_one(request, ks_name, kind, a, n):
+    ks = request.getfixturevalue(ks_name)
+    grid = Grid(a, 2.0, n)
+    A = build_generator(ks, grid, kind).A
+    assert np.array_equal(A, dense_generator_matrix(ks, grid, kind))
+
+
+def test_generator_with_cells_wider_than_two(stable_ks):
+    # the own-cell distance is a placeholder that must stay a valid tail start
+    grid = Grid(1.0, 41.0, 8)
+    gen = build_generator(stable_ks, grid, "Z")
+    assert np.all(np.isfinite(gen.A))
+    np.testing.assert_array_equal(gen.A, gen.A.T)
 
 
 def test_unconverged_solver_quadrature_raises(stable_spec):

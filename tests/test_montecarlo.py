@@ -49,6 +49,10 @@ def test_path_config_validation():
         PathConfig(**{**good, "x0": 2.5})
     with pytest.raises(ConfigError):
         PathConfig(**{**good, "n_paths": 0})
+    for seed in (-1, 2**64, 1.5, "7"):
+        with pytest.raises(ConfigError, match="seed"):
+            PathConfig(**{**good, "seed": seed})
+    PathConfig(**{**good, "seed": 2**64 - 1})
 
 
 def test_subordinator_domain():
@@ -152,6 +156,16 @@ def test_increment_reads_its_keyed_slice(mixture_spec):
 def test_increment_validation(stable_spec):
     with pytest.raises(ConfigError):
         sample_increment(stable_spec, 0.0, 10, _rng(1))
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_rewound_stream_matches_a_fresh_philox(seed):
+    gen = mc._keyed_stream(3, 4)
+    gen.random(5)  # mid-stream, with a part-used buffer
+    for index in (0, 1, 255, 2**64 - 1):
+        got = mc._rewind(gen, seed, index).random(9)
+        want = _rng(seed, index).random(9)
+        assert np.array_equal(got, want)
 
 
 def test_simulate_exit_deterministic(stable_spec):
