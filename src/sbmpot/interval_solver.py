@@ -18,7 +18,9 @@ floor) are reductions over those matrices.
 The left endpoint of (0, R) problems is always approximated from inside by a
 small absorbing shelf a > 0; the shelf correction h(a)/h(R) brackets the
 re-entry mass, following the same limit argument the continuum objects are
-defined by.
+defined by.  The negated generator is symmetric positive definite, so each
+shelf's exit problem is solved by a blocked Cholesky factorization done in
+place: the shelf's generator is consumed by its solve.
 """
 
 from __future__ import annotations
@@ -75,6 +77,10 @@ N_PROBE = 16
 # rows per block of the generator assembly: at n = 4096, kind Z, 16 to 64
 # rows timed alike and 128 or more were slower
 _BLOCK = 64
+
+# columns per block of the exit solve's Cholesky factorization: at n = 4096
+# 128 was fastest, with 64 and 256 within 10%
+_CHOL_BLOCK = 128
 
 _KINDS = ("X", "Y", "Z")
 
@@ -501,6 +507,73 @@ class ExitAliveReport:
     shrank: bool
 
 
+def _spd_solve(M, B):
+    """Solve M X = B for a symmetric positive definite M, consuming M.
+
+    A left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
+    4.2) over M's lower triangle, _CHOL_BLOCK columns at a time: each block
+    column is updated by one GEMM against the columns already factored, its
+    diagonal block is factored by ``np.linalg.cholesky`` and the panel below
+    is scaled by that block's inverse.  The forward substitution rides along
+    and the back substitution follows.  M is overwritten: its lower triangle
+    ends as L with each diagonal block replaced by its inverse, which is all
+    the back substitution reads.  The largest temporary is (n, _CHOL_BLOCK),
+    and there are half the flops of an LU.  A diagonal block that is not
+    positive definite raises ``np.linalg.LinAlgError``.
+    """
+    n = M.shape[0]
+    X = np.array(B, dtype=float)
+    for j0 in range(0, n, _CHOL_BLOCK):
+        j1 = min(j0 + _CHOL_BLOCK, n)
+        if j0:
+            M[j0:, j0:j1] -= M[j0:, :j0] @ M[j0:j1, :j0].T
+            X[j0:j1] -= M[j0:j1, :j0] @ X[:j0]
+        Linv = np.linalg.inv(np.linalg.cholesky(M[j0:j1, j0:j1]))
+        M[j0:j1, j0:j1] = Linv
+        M[j1:, j0:j1] = M[j1:, j0:j1] @ Linv.T
+        X[j0:j1] = Linv @ X[j0:j1]
+    for j0 in reversed(range(0, n, _CHOL_BLOCK)):
+        j1 = min(j0 + _CHOL_BLOCK, n)
+        X[j0:j1] = M[j0:j1, j0:j1].T @ (X[j0:j1] - M[j1:, j0:j1].T @ X[j1:])
+    return X
+
+
+def _shelf_solve(ks: KernelSet, a: float, R: float):
+    """(grid, P) for the kind Z problem on (a, R): P[:, 0] is the probability
+    of exiting above R, P[:, 1] that of being absorbed at the shelf.
+
+    The generator is built, consumed by the solve and freed on return, so
+    only one shelf's n x n matrix is alive at a time.
+    """
+    n = int(np.clip(round(SHELF_CELLS * (R - a) / a), 256, SHELF_N_CAP))
+    grid = Grid(a, R, n)
+    gen = build_generator(ks, grid, "Z")
+    down, up, dk = gen.exit_rates
+    # match the generator's wall-corrected kill masses so that the two
+    # exit routes partition the whole probability: p_up + p_shelf = 1
+    up = up.copy()
+    down = down.copy()
+    up[-1] += dk
+    down[0] += dk
+    # -A is symmetric positive definite by construction (strictly
+    # diagonally dominant with a positive diagonal); negate it in place
+    np.negative(gen.A, out=gen.A)
+    try:
+        P = _spd_solve(gen.A, np.column_stack([up, down]))
+    except np.linalg.LinAlgError as e:
+        raise SolverError(
+            f"exit solve failed at shelf a={a}: the generator lost positive "
+            f"definiteness ({e})"
+        ) from e
+    # M 1 = up + down, so the two columns sum to 1 up to the solve's roundoff
+    gap = float(np.max(np.abs(P[:, 0] + P[:, 1] - 1.0)))
+    if not gap <= 1e-9:
+        raise SolverError(
+            f"exit solve at shelf a={a}: p_exit + p_shelf misses 1 by {gap:.3g}"
+        )
+    return grid, P
+
+
 def exit_alive_prob(
     ks: KernelSet,
     R: float,
@@ -515,6 +588,11 @@ def exit_alive_prob(
     mass is bounded by the h(a)/h(R) escape factor from below the shelf
     (the upper bound).  The literal exterior integrals enter as exact
     per-node jump-tail rates, so no exterior mesh is involved.
+
+    Each shelf's negated generator is factored in place by a blocked
+    Cholesky, which consumes it, and is freed before the next shelf is
+    built.  A generator that is not positive definite, or exit and shelf
+    probabilities that do not sum to 1 within 1e-9, raise SolverError.
     """
     R = float(R)
     if not (R > 0.0):
@@ -532,30 +610,14 @@ def exit_alive_prob(
     hR = ks.h_comp(R)
     lowers, uppers, per_a = [], [], []
     for a in a_list:
-        n = int(np.clip(round(SHELF_CELLS * (R - a) / a), 256, SHELF_N_CAP))
-        grid = Grid(a, R, n)
-        gen = build_generator(ks, grid, "Z")
+        grid, P = _shelf_solve(ks, a, R)
         xs = grid.nodes()
-        down, up, dk = gen.exit_rates
-        # match the generator's wall-corrected kill masses so that the two
-        # exit routes partition the whole probability: p_up + p_shelf = 1
-        up = up.copy()
-        down = down.copy()
-        up[-1] += dk
-        down[0] += dk
-        # the generator is this shelf's alone: negate it in place rather
-        # than solve against a negated n x n copy
-        np.negative(gen.A, out=gen.A)
-        try:
-            sol = np.linalg.solve(gen.A, np.column_stack([up, down]))
-        except np.linalg.LinAlgError as e:
-            raise SolverError(f"exit solve failed at shelf a={a}: {e}") from e
-        p_up = np.interp(x_arr, xs, sol[:, 0])
-        p_dn = np.interp(x_arr, xs, sol[:, 1])
+        p_up = np.interp(x_arr, xs, P[:, 0])
+        p_dn = np.interp(x_arr, xs, P[:, 1])
         corr = ks.h_comp(a) / hR
         lowers.append(p_up)
         uppers.append(p_up + (1.0 - p_up) * corr)
-        per_a.append({"a": a, "n": n, "p_exit": p_up, "p_shelf": p_dn})
+        per_a.append({"a": a, "n": grid.n, "p_exit": p_up, "p_shelf": p_dn})
 
     lower = np.maximum.reduce(lowers)
     upper = np.minimum.reduce(uppers)

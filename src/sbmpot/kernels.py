@@ -58,6 +58,21 @@ _GAMMA_CUT = 120.0
 # room for the rounding of the quadrature nodes
 _LAM_MAX = 2.0**511
 
+# the normal doubles: phi_cap and phi_cap_inv serve x only where x^-2 is one
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
+
+def _check_normal(t, what):
+    """Raise DomainError unless every t = x^-2 is a finite normal double:
+    beyond them phi is evaluated at inf, 0 or a subnormal, and the result is
+    0 or loses digits without an error."""
+    if not np.all((t >= _TINY) & (t <= _HUGE)):
+        raise DomainError(
+            f"{what}: x^-2 leaves the normal doubles (x must lie in "
+            f"[{_HUGE**-0.5:.4g}, {_TINY**-0.5:.4g}])"
+        )
+
 
 class KernelSet:
     """All kernels derived from one Bernstein function.
@@ -242,9 +257,15 @@ class KernelSet:
     # -- scale function and comparator ---------------------------------------
 
     def phi_cap(self, x):
-        """Phi(x) = 1/phi(x^{-2}), increasing on (0, inf)."""
+        """Phi(x) = 1/phi(x^{-2}), increasing on (0, inf).
+
+        An x whose x^{-2} is not a normal double raises DomainError.
+        """
         arr = _as_positive_array(x, "phi_cap argument")
-        return _float_if_0d(1.0 / phi_eval(self.phi, np.power(arr, -2.0)))
+        with np.errstate(over="ignore"):
+            t = np.power(arr, -2.0)
+        _check_normal(t, "phi_cap")
+        return _float_if_0d(1.0 / phi_eval(self.phi, t))
 
     def phi_cap_inv(self, y):
         """Inverse of phi_cap, solved by bisection on log(x^{-2}).
@@ -252,6 +273,8 @@ class KernelSet:
         Brackets come in closed form from the extreme mixture terms, then
         100 bisection steps pin the root to full double precision.  The
         round trip phi_cap(phi_cap_inv(y)) = y holds to ~1e-13 relative.
+        A bracket that leaves the normal doubles raises DomainError, as
+        ``phi_cap`` does.
         """
         arr = _as_positive_array(y, "phi_cap_inv argument")
         if not np.all(np.isfinite(arr)):
@@ -262,12 +285,15 @@ class KernelSet:
         kk = float(len(ws))
         # phi(t) >= w_i t^{d_i} gives the upper bracket; phi(t) <= k max_i w_i t^{d_i}
         # gives the lower one
-        cand_hi = np.min(
-            np.power(u[..., None] / ws, 1.0 / ds), axis=-1
-        )
-        cand_lo = np.min(
-            np.power(u[..., None] / (kk * ws), 1.0 / ds), axis=-1
-        )
+        with np.errstate(over="ignore", under="ignore"):
+            cand_hi = np.min(
+                np.power(u[..., None] / ws, 1.0 / ds), axis=-1
+            )
+            cand_lo = np.min(
+                np.power(u[..., None] / (kk * ws), 1.0 / ds), axis=-1
+            )
+        _check_normal(cand_lo, "phi_cap_inv")
+        _check_normal(cand_hi, "phi_cap_inv")
         s_lo = np.log(cand_lo)
         s_hi = np.log(cand_hi)
         for _ in range(100):

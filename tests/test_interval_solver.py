@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sbmpot import (
     KernelSet,
     QuadratureError,
     QuadSpec,
+    SolverError,
     bhp_sup_ratio,
     build_generator,
     default_boundary_fset,
@@ -26,7 +28,14 @@ from sbmpot import (
     small_interval_lower,
     three_g_sup,
 )
-from sbmpot.interval_solver import _BLOCK, _exit_rates, _wall_correction
+from sbmpot import interval_solver
+from sbmpot.interval_solver import (
+    _BLOCK,
+    _CHOL_BLOCK,
+    _exit_rates,
+    _spd_solve,
+    _wall_correction,
+)
 
 from oracles import (
     band_coefficient,
@@ -287,9 +296,68 @@ def test_exit_alive_bracket(stable_ks):
     assert np.all(np.diff(rep.value) > 0.0)  # increasing in x
     assert rep.shrank
     # the shelf and the far exterior share out the whole probability, up to
-    # the roundoff of a dense solve at n ~ 4000 (1.2e-12 on the middle shelf)
+    # the roundoff of a dense solve at n ~ 4000 (1.5e-12 on the middle shelf)
     for p in rep.per_a:
         np.testing.assert_allclose(p["p_exit"] + p["p_shelf"], 1.0, rtol=0.0, atol=1e-11)
+
+
+def _shelf_system(ks, a, n):
+    """(-A, B) of the kind Z exit problem on (a, 1) with n cells."""
+    gen = build_generator(ks, Grid(a, 1.0, n), "Z")
+    lo, hi, _ = gen.exit_rates
+    return -gen.A, np.column_stack([hi, lo])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
+def test_spd_solve_matches_lu_off_the_block(stable_ks, n):
+    # none of these is a multiple of the block, so the last block is short
+    assert n % _CHOL_BLOCK
+    M, B = _shelf_system(stable_ks, 0.05, n)
+    want = np.linalg.solve(M, B)
+    np.testing.assert_allclose(_spd_solve(M, B), want, rtol=1e-10, atol=0.0)
+
+
+def test_spd_solve_matches_lu_on_the_shelf_generators(stable_ks):
+    # the two largest default shelves: 3996 and 4096 (the cap) cells
+    for a, n in ((0.001, 3996), (0.00025, 4096)):
+        M, B = _shelf_system(stable_ks, a, n)
+        want = np.linalg.solve(M, B)
+        np.testing.assert_allclose(_spd_solve(M, B), want, rtol=1e-10, atol=0.0)
+        del M
+
+
+def test_spd_solve_makes_no_n_by_n_copy(stable_ks):
+    # the largest temporary is (n, _CHOL_BLOCK), an eighth of M at n = 1024;
+    # a stray n x n copy would be all of it
+    M, B = _shelf_system(stable_ks, 0.05, 1024)
+    nbytes = M.nbytes
+    tracemalloc.start()
+    try:
+        _spd_solve(M, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes / 4
+
+
+def test_exit_solve_rejects_an_indefinite_generator(stable_ks, monkeypatch):
+    def indefinite(ks, grid, kind):
+        gen = build_generator(ks, grid, kind)
+        gen.A[200, 200] *= -1.0  # a negative diagonal entry of -A
+        return gen
+
+    monkeypatch.setattr(interval_solver, "build_generator", indefinite)
+    with pytest.raises(SolverError, match="a=0.004: the generator lost positive"):
+        exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=(0.004,))
+
+
+def test_exit_solve_rejects_a_broken_partition(stable_ks, monkeypatch):
+    # exit and shelf probabilities must sum to 1 at every node
+    monkeypatch.setattr(
+        interval_solver, "_spd_solve", lambda M, B: np.linalg.solve(M, B) * (1.0 + 1e-8)
+    )
+    with pytest.raises(SolverError, match="p_exit \\+ p_shelf misses 1"):
+        exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=(0.004,))
 
 
 def test_bgr_killed_oracle_is_brownian_ruin_at_alpha_2():

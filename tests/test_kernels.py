@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sbmpot import (
     phi_eval,
 )
 
-from oracles import H1_CLOSED, LEVY_C_ALPHA15, UQ0_ALPHA15
+from oracles import H1_CLOSED, LEVY_C_ALPHA15, UQ0_ALPHA15, levy_c_closed
 
 
 def test_kernelset_validation():
@@ -185,6 +186,37 @@ def test_h_sweep_is_accurate_or_raises(delta):
         served.append(x)
     # and the range that holds values does get them
     assert min(served) <= 1e-120 and max(served) >= 1e15
+
+
+@pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
+def test_kernel_sweep_is_accurate_or_raises(delta):
+    # for a stable exponent, alpha = 2 delta: j(x) = c x^(-1-alpha), its tail
+    # is (c/alpha) x^(-alpha), Phi(x) = x^alpha and PhiInv(y) = y^(1/alpha).
+    # Wherever that closed form is a finite normal double the kernel must
+    # match it or raise DomainError; phi_cap(1e-200) at delta 0.75 and
+    # phi_cap_inv(1e-200) at delta 0.6 used to return 0.0
+    ks = KernelSet(PhiSpec.stable(delta))
+    alpha = 2.0 * delta
+    c = levy_c_closed(alpha)
+    closed = {  # kernel: (log of the prefactor, power)
+        ks.levy_j: (math.log(c), -1.0 - alpha),
+        ks.jump_tail_closed: (math.log(c / alpha), -alpha),
+        ks.phi_cap: (0.0, alpha),
+        ks.phi_cap_inv: (0.0, 1.0 / alpha),
+    }
+    log_lo, log_hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+    for f, (log_c, p) in closed.items():
+        for x in np.logspace(-300.0, 300.0, 121):
+            log_want = log_c + p * math.log(x)
+            if not log_lo < log_want < log_hi:
+                continue
+            try:
+                v = f(x)
+            except DomainError:
+                # the range that holds values does get them
+                assert not 1e-150 <= x <= 1e150, (f, x)
+                continue
+            assert v == pytest.approx(math.exp(log_want), rel=1e-11, abs=0.0), (f, x)
 
 
 @pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
