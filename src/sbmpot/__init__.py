@@ -7,13 +7,6 @@ toolkit relies on.
 """
 
 from .errors import ConfigError, DomainError, QuadratureError, SolverError
-from .quadrature import (
-    DEFAULT_QUADSPEC,
-    QuadResult,
-    QuadSpec,
-    integrate_adaptive,
-    integrate_oscillatory_cos,
-)
 from .bernstein import (
     PhiSpec,
     ScalingReport,
@@ -71,7 +64,6 @@ __all__ = [
     "CheckReport",
     "CheckResult",
     "ConfigError",
-    "DEFAULT_QUADSPEC",
     "DomainError",
     "ExitAliveReport",
     "ExitStats",
@@ -84,8 +76,6 @@ __all__ = [
     "PathConfig",
     "PhiSpec",
     "PoissonTable",
-    "QuadResult",
-    "QuadSpec",
     "QuadratureError",
     "RunConfig",
     "ScalingReport",
@@ -103,8 +93,6 @@ __all__ = [
     "green_matrix",
     "harmonic_extend",
     "harnack_sup_ratio",
-    "integrate_adaptive",
-    "integrate_oscillatory_cos",
     "load_report",
     "phi_eval",
     "poisson_kernel",

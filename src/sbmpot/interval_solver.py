@@ -9,11 +9,14 @@ All three discretize the same way: midpoint lattice x_i = a + (i + 1/2) D,
 off-diagonal generator entries kernel(x_i, x_j) * D for |i - j| >= 2, a
 second-difference coefficient for the singular near-diagonal band, and an
 exactly-integrated per-node killing rate so the row-sum identity
-(-A) 1 = kappa holds to quadrature accuracy.  Everything downstream is dense
-linear algebra: the Green matrix is the scaled inverse, Poisson kernels are
-Green-kernel products against an exterior mesh, and the empirical
-certificates (gauge ratios, 3G, Harnack, boundary ratios, small-interval
-floor) are reductions over those matrices.
+(-A) 1 = kappa holds to quadrature accuracy.  Every kernel integral this
+takes (cell masses, jump tails, the band coefficient and the wall
+correction) is a value read from the KernelSet, which alone decides how it
+is computed; this module runs no quadrature itself.  Everything downstream
+is dense linear algebra: the Green matrix is the scaled inverse, Poisson
+kernels are Green-kernel products against an exterior mesh, and the
+empirical certificates (gauge ratios, 3G, Harnack, boundary ratios,
+small-interval floor) are reductions over those matrices.
 
 The left endpoint of (0, R) problems is always approximated from inside by a
 small absorbing shelf a > 0; the shelf correction h(a)/h(R) brackets the
@@ -33,7 +36,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SolverError
 from .kernels import KernelSet
-from .quadrature import converged_value, integrate_adaptive
 
 __all__ = [
     "Grid",
@@ -139,31 +141,6 @@ class GreenMatrix:
     asymmetry: float = 0.0
 
 
-def _wall_correction(ks: KernelSet, dx: float) -> float:
-    """Extra wall-node kill mass from profile-weighted collocation.
-
-    Solutions vanish like d^delta toward an absorbing wall while the kill
-    rate grows like the jump tail; weighting the wall cell's rate by the
-    d^delta profile (instead of sampling both at the midpoint) multiplies
-    the singular component by gamma = avg(rate * d^dm) / (rate * d^dm at
-    midpoint) > 1.  Returned is the additive correction (gamma - 1) * rate.
-    """
-    dm = ks.delta_max
-    prof = converged_value(
-        integrate_adaptive(
-            lambda d: ks.jump_tail_closed(d) * d**dm,
-            0.0,
-            dx,
-            ks.quad,
-            left_exponent=-dm,
-        ),
-        f"wall correction at dx={dx}",
-    )
-    near = float(ks.jump_tail_closed(0.5 * dx))
-    gamma = prof / (dx * near * (0.5 * dx) ** dm)
-    return (gamma - 1.0) * near
-
-
 def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
     """Per-node rates of jumping below a and above b, and the wall correction.
 
@@ -187,26 +164,7 @@ def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
         lo = lo - T[n : 2 * n]
     if kind == "Z":
         hi = hi + T[2 * n :]
-    return lo, hi, _wall_correction(ks, grid.dx)
-
-
-def _band_coefficient(ks: KernelSet, dx: float) -> float:
-    """Second-difference coefficient of the near-diagonal band.
-
-    The symmetric principal-value part within |y - x| < 3 dx / 2 (everything
-    the far cells do not cover), int_0^{3 dx/2} u^2 j(u) du / dx^2, with
-    exponent hint 1 - 2 delta_max.
-    """
-    return converged_value(
-        integrate_adaptive(
-            lambda u: u * u * ks.levy_j(u),
-            0.0,
-            1.5 * dx,
-            ks.quad,
-            left_exponent=1.0 - 2.0 * ks.delta_max,
-        ),
-        f"band coefficient at dx={dx}",
-    ) / (dx * dx)
+    return lo, hi, ks.wall_correction(grid.dx)
 
 
 def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
@@ -235,7 +193,7 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
 
     xs = grid.nodes()
     dx = grid.dx
-    c2 = _band_coefficient(ks, dx)
+    c2 = ks.band_coefficient(dx)
 
     # exact per-cell kernel masses: the kernel is a power sum, so the cell
     # integral is a closed tail difference; midpoint sampling would carry an

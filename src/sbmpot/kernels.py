@@ -13,6 +13,9 @@ and verification checks consume:
 * ``jump_i``         folded jump kernel i(x, y) = j(|x-y|) + j(x+y)
 * ``phi_cap``        scale function Phi(x) = 1/phi(x^{-2}) and its inverse
 * ``gx_estimate``    two-sided Green comparator built from Phi
+* ``band_coefficient``, ``wall_correction``
+                     the generator's near-diagonal band and wall-cell terms
+* ``mean_abs_step``  mean absolute step E|X_dt| of the Monte Carlo walk
 
 The jump density reduces exactly to a finite power sum: substituting
 u = x^2/(4s) in the subordination integral gives
@@ -28,6 +31,13 @@ generator matrices.  Nothing else is cached: ``uq`` and ``h_comp`` run one
 oscillatory quadrature per call, and ``jump_tail`` sends the distinct tail
 starts of one call to the batched adaptive engine together, so every
 value depends only on its own argument.
+
+This class is the one owner of kernel integrals: the interval solvers and
+the certification checks read kernel values from it and never call the
+quadrature engine themselves.  Whether an integral is a quadrature or a
+closed power sum is decided here.  Every quadrature runs under the engine's
+fixed contract (abs 1e-10, rel 1e-9, 200,000 evaluations), and a result
+that misses it raises QuadratureError naming the integral.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ import numpy as np
 from .bernstein import PhiSpec, _as_positive_array, _float_if_0d, phi_eval
 from .errors import ConfigError, DomainError
 from .quadrature import (
-    DEFAULT_QUADSPEC,
     converged_value,
     integrate_adaptive,
     integrate_adaptive_batch,
@@ -77,16 +86,13 @@ def _check_normal(t, what):
 class KernelSet:
     """All kernels derived from one Bernstein function.
 
-    ``quad`` is the accuracy contract of every internal integral: the
-    engine default, which tests may override on an instance.  ``h_floor``
-    is the smallest x that ``h_comp`` accepts.
+    ``h_floor`` is the smallest x that ``h_comp`` accepts.
     """
 
     def __init__(self, phi: PhiSpec):
         if not isinstance(phi, PhiSpec):
             raise ConfigError("phi must be a PhiSpec")
         self.phi = phi
-        self.quad = DEFAULT_QUADSPEC
         self.delta_min = phi.delta_min
         self.delta_max = phi.delta_max
         # h's integrand 1/phi(lam^2) decays like lam^(-2 delta_max); with
@@ -120,7 +126,6 @@ class KernelSet:
                     lambda u, _d=d: np.power(u, _d - 0.5) * np.exp(-u),
                     0.0,
                     _GAMMA_CUT,
-                    self.quad,
                     left_exponent=le,
                 )
                 gamma = converged_value(r, f"gamma-type factor for exponent {d}")
@@ -160,10 +165,51 @@ class KernelSet:
         if not (cutoff > 0.0):
             raise ConfigError("cutoff must be positive")
         ts, inv = np.unique(arr.ravel(), return_inverse=True)
-        r = integrate_adaptive_batch(self.levy_j, ts, ts + cutoff, self.quad)
+        r = integrate_adaptive_batch(self.levy_j, ts, ts + cutoff)
         head = converged_value(r, lambda i: f"jump tail integral at t={ts[i]}")
         vals = head + self.jump_tail_closed(ts + cutoff)
         return _float_if_0d(vals[inv].reshape(arr.shape))
+
+    def band_coefficient(self, dx):
+        """Second-difference coefficient of the generator's near-diagonal
+        band on a lattice of spacing ``dx``.
+
+        The symmetric principal-value part within |y - x| < 3 dx / 2
+        (everything the far cells do not cover), int_0^{3 dx/2} u^2 j(u) du
+        / dx^2, with exponent hint 1 - 2 delta_max.
+        """
+        return converged_value(
+            integrate_adaptive(
+                lambda u: u * u * self.levy_j(u),
+                0.0,
+                1.5 * dx,
+                left_exponent=1.0 - 2.0 * self.delta_max,
+            ),
+            f"band coefficient at dx={dx}",
+        ) / (dx * dx)
+
+    def wall_correction(self, dx):
+        """Extra wall-node kill mass from profile-weighted collocation.
+
+        Solutions vanish like d^delta toward an absorbing wall while the kill
+        rate grows like the jump tail; weighting the wall cell's rate by the
+        d^delta profile (instead of sampling both at the midpoint) multiplies
+        the singular component by gamma = avg(rate * d^dm) / (rate * d^dm at
+        midpoint) > 1.  Returned is the additive correction (gamma - 1) * rate.
+        """
+        dm = self.delta_max
+        prof = converged_value(
+            integrate_adaptive(
+                lambda d: self.jump_tail_closed(d) * d**dm,
+                0.0,
+                dx,
+                left_exponent=-dm,
+            ),
+            f"wall correction at dx={dx}",
+        )
+        near = float(self.jump_tail_closed(0.5 * dx))
+        gamma = prof / (dx * near * (0.5 * dx) ** dm)
+        return (gamma - 1.0) * near
 
     # -- resolvent and compensated kernels ----------------------------------
 
@@ -175,7 +221,7 @@ class KernelSet:
         x = abs(float(x))
         g = lambda lam: 1.0 / (q + phi_eval(self.phi, lam * lam))
         r = integrate_oscillatory_cos(
-            g, x, self.quad, mode="cos", tail_exponent=2.0 * self.delta_max
+            g, x, mode="cos", tail_exponent=2.0 * self.delta_max
         )
         return converged_value(r, f"uq({q}, {x})") / math.pi
 
@@ -200,7 +246,6 @@ class KernelSet:
         r = integrate_oscillatory_cos(
             g,
             x,
-            self.quad,
             mode="one_minus_cos",
             left_exponent=-2.0 * self.delta_min,
             tail_exponent=2.0 * self.delta_max,
@@ -215,6 +260,27 @@ class KernelSet:
         flat = arr.ravel()
         out = np.array([self.h_comp(v) for v in flat])
         return out.reshape(arr.shape)
+
+    # -- the walk's step -------------------------------------------------------
+
+    def mean_abs_step(self, dt):
+        """E|X_dt| = (2/pi) int_0^inf (1 - exp(-dt psi(xi))) xi^-2 dxi.
+
+        Near 0 the integrand is ~ xi^(2 delta_min - 2), so the mean is finite
+        only for delta_min > 1/2; below that ConfigError.
+        """
+        dm = self.delta_min
+        if not dm > 0.5:
+            raise ConfigError(f"mean walk step is infinite for delta_min = {dm:g} <= 1/2")
+
+        def f(xi):
+            xi2 = xi * xi
+            return -np.expm1(-dt * phi_eval(self.phi, xi2)) / xi2
+
+        r = integrate_adaptive(
+            f, 0.0, math.inf, left_exponent=2.0 * dm - 2.0, tail_exponent=2.0
+        )
+        return 2.0 / math.pi * converged_value(r, f"mean walk step at dt={dt:g}")
 
     # -- free Green functions ------------------------------------------------
 

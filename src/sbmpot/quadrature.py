@@ -1,7 +1,10 @@
 """Deterministic adaptive quadrature on the half line.
 
-Everything downstream (kernel integrals, killing rates, verification checks)
-funnels through three entry points:
+This is the engine behind ``KernelSet``: every integral of a kernel the
+solvers and the checks read (the jump coefficients, jump tails, the band
+coefficient, the wall correction, u^q, h and the walk's mean step) is run
+by a ``KernelSet`` method through one of three entry points.  Outside
+``kernels.py`` only the CLI's ``quad selftest`` calls them.
 
 ``integrate_adaptive``
     Globally adaptive 15-point Kronrod / 7-point Gauss quadrature with
@@ -14,7 +17,7 @@ funnels through three entry points:
     The same adaptive rule over many finite intervals at once, in lockstep:
     each round every unfinished interval takes the step the scalar loop
     would take, and all new panels go to the integrand in one call.  Row i
-    is bit for bit ``integrate_adaptive(f, a[i], b[i], spec)``.
+    is bit for bit ``integrate_adaptive(f, a[i], b[i])``.
 
 ``integrate_oscillatory_cos``
     Integrals of ``(1 - cos(lam*x)) g(lam)`` and ``cos(lam*x) g(lam)`` over
@@ -33,11 +36,14 @@ integrand values, so repeated runs are bit-identical.  Non-finite integrand
 values raise QuadratureError immediately rather than poisoning the sum.
 ``converged_value`` is the one rule for callers that need a converged
 result: the value, or QuadratureError.
+
+The accuracy contract is fixed: absolute tolerance ABS_TOL = 1e-10,
+relative tolerance REL_TOL = 1e-9, and at most MAX_EVALS = 200,000
+integrand evaluations per integral.  No caller passes its own.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 import warnings
@@ -48,7 +54,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, QuadratureError
 
 __all__ = [
-    "QuadSpec",
     "QuadResult",
     "integrate_adaptive",
     "integrate_adaptive_batch",
@@ -104,31 +109,12 @@ _ERR_FLOOR = float(50.0 * _EPS)
 # panels an adaptive run starts from
 _N_INIT = 4
 
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Accuracy contract for the adaptive engine.
-
-    ``abs_tol`` and ``rel_tol`` combine as max(abs_tol, rel_tol*|I|); the
-    engine stops as soon as its global error estimate drops below that, or
-    gives up (converged=False) once ``max_evals`` integrand evaluations are
-    spent.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_evals: int = 200_000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 or self.rel_tol > 0.0):
-            raise ConfigError("QuadSpec needs a positive abs_tol or rel_tol")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ConfigError("tolerances must be nonnegative")
-        if int(self.max_evals) < 100:
-            raise ConfigError("max_evals below 100 cannot fit a single refinement pass")
-
-
-DEFAULT_QUADSPEC = QuadSpec()
+# The accuracy contract of every integral: a run stops once its error
+# estimate drops below max(ABS_TOL, REL_TOL * |I|), or gives up
+# (converged=False) once MAX_EVALS integrand evaluations are spent.
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+MAX_EVALS = 200_000
 
 
 @dataclass(frozen=True)
@@ -205,18 +191,18 @@ def converged_value(r, what):
     raise QuadratureError(f"{what} did not converge", err_est=err)
 
 
-def _adaptive_finite(f, a, b, spec, budget):
+def _adaptive_finite(f, a, b, budget):
     """Worst-first adaptive refinement on a finite interval.
 
-    ``budget`` caps integrand evaluations for this piece (callers split one
-    QuadSpec budget across several pieces).  Panels narrower than a few ulps
+    ``budget`` caps integrand evaluations for this piece (callers split
+    MAX_EVALS across several pieces, at least 60 each, so the _N_INIT
+    starting panels always fit).  Panels narrower than a few ulps
     are frozen instead of split, so an unhinted endpoint singularity degrades
     into an honest converged=False rather than an infinite loop.
     """
     if not (b > a):
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    n_init = max(1, min(_N_INIT, budget // 15))
-    edges = np.linspace(a, b, n_init + 1)
+    edges = np.linspace(a, b, _N_INIT + 1)
     vs, es = _gk15_panels(f, edges[:-1], edges[1:])
     heap = []
     total = 0.0
@@ -228,11 +214,11 @@ def _adaptive_finite(f, a, b, spec, budget):
         total += v
         total_err += e
     heapq.heapify(heap)
-    seq = n_init
-    evals = 15 * n_init
+    seq = _N_INIT
+    evals = 15 * _N_INIT
 
     def tol():
-        return max(spec.abs_tol, spec.rel_tol * abs(total))
+        return max(ABS_TOL, REL_TOL * abs(total))
 
     while total_err > tol() and evals + 30 <= budget:
         neg_e, _, lo, hi, v, e = heapq.heappop(heap)
@@ -262,8 +248,8 @@ def _adaptive_finite(f, a, b, spec, budget):
     return QuadResult(total, total_err, evals, total_err <= tol())
 
 
-def integrate_adaptive_batch(f, a, b, spec=None):
-    """``integrate_adaptive(f, a[i], b[i], spec)`` for every i, in lockstep.
+def integrate_adaptive_batch(f, a, b):
+    """``integrate_adaptive(f, a[i], b[i])`` for every i, in lockstep.
 
     ``a`` and ``b`` are 1-d arrays of finite endpoints with a < b.  Each
     round, every interval still above its tolerance and inside its budget
@@ -277,7 +263,6 @@ def integrate_adaptive_batch(f, a, b, spec=None):
 
     Returns a QuadResult of arrays: value, err_est, evals, converged.
     """
-    spec = spec or DEFAULT_QUADSPEC
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
@@ -288,40 +273,39 @@ def integrate_adaptive_batch(f, a, b, spec=None):
     if bad.size:
         raise DomainError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
     m = a.size
-    budget = max(int(spec.max_evals), 60)  # _run_pieces' share for one piece
-    n_init = max(1, min(_N_INIT, budget // 15))
+    budget = max(MAX_EVALS, 60)  # _run_pieces' share for one piece
     value = np.zeros(m)
     err_est = np.zeros(m)
-    evals = np.full(m, 15 * n_init)
+    evals = np.full(m, 15 * _N_INIT)
     if m == 0:
         return QuadResult(value, err_est, evals, np.zeros(0, dtype=bool))
 
     # panel slots per row in push order; key = err (0 once frozen), and
     # -inf marks a popped or unused slot, so argmax pops like the heap
-    cap = n_init + 16
-    edges = np.linspace(a, b, n_init + 1, axis=1)
+    cap = _N_INIT + 16
+    edges = np.linspace(a, b, _N_INIT + 1, axis=1)
     LO = np.zeros((m, cap))
     HI = np.zeros((m, cap))
-    LO[:, :n_init] = edges[:, :-1]
-    HI[:, :n_init] = edges[:, 1:]
-    v0, e0 = _gk15_panels(f, LO[:, :n_init].ravel(), HI[:, :n_init].ravel())
+    LO[:, :_N_INIT] = edges[:, :-1]
+    HI[:, :_N_INIT] = edges[:, 1:]
+    v0, e0 = _gk15_panels(f, LO[:, :_N_INIT].ravel(), HI[:, :_N_INIT].ravel())
     V = np.zeros((m, cap))
     E = np.zeros((m, cap))
-    V[:, :n_init] = v0.reshape(m, n_init)
-    E[:, :n_init] = e0.reshape(m, n_init)
+    V[:, :_N_INIT] = v0.reshape(m, _N_INIT)
+    E[:, :_N_INIT] = e0.reshape(m, _N_INIT)
     KEY = np.full((m, cap), -np.inf)
-    KEY[:, :n_init] = E[:, :n_init]
+    KEY[:, :_N_INIT] = E[:, :_N_INIT]
     total = np.zeros(m)
     total_err = np.zeros(m)
-    for k in range(n_init):  # panel by panel, in the scalar loop's order
+    for k in range(_N_INIT):  # panel by panel, in the scalar loop's order
         total += V[:, k]
         total_err += E[:, k]
-    nslot = np.full(m, n_init)
+    nslot = np.full(m, _N_INIT)
     halted = np.zeros(m, dtype=bool)
     rows = np.arange(m)  # the caller's index of each working row
 
     while rows.size:
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
         go = (total_err > tol) & (evals[rows] + 30 <= budget) & ~halted
         if not go.all():
             # drift-free recomputation of the running sums, as the scalar loop
@@ -370,7 +354,7 @@ def integrate_adaptive_batch(f, a, b, spec=None):
         nslot[sp] += 2
         evals[rows[sp]] += 30
 
-    converged = err_est <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    converged = err_est <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))
     return QuadResult(value, err_est, evals, converged)
 
 
@@ -401,7 +385,7 @@ def _needs_sub(p):
     return p < 1.0 and p != 0.0
 
 
-def integrate_adaptive(f, a, b, spec=None, *, left_exponent=0.0, tail_exponent=None):
+def integrate_adaptive(f, a, b, *, left_exponent=0.0, tail_exponent=None):
     """Integrate ``f`` over [a, b], b possibly ``inf``.
 
     ``left_exponent`` hints the power behavior f(x) ~ (x-a)^p at the left
@@ -414,41 +398,39 @@ def integrate_adaptive(f, a, b, spec=None, *, left_exponent=0.0, tail_exponent=N
     Returns QuadResult.  converged=False means the evaluation budget ran out
     first; the value and error estimate are still the best available.
     """
-    spec = spec or DEFAULT_QUADSPEC
     a = float(a)
     if not math.isfinite(a):
         raise DomainError("lower endpoint must be finite")
     if math.isinf(b):
         if b < 0:
             raise DomainError("only b = +inf is supported")
-        return _integrate_to_inf(f, a, spec, left_exponent, tail_exponent)
+        return _integrate_to_inf(f, a, left_exponent, tail_exponent)
     b = float(b)
     if not (b > a):
         raise DomainError(f"need a < b, got [{a}, {b}]")
 
     piece = _power_sub(f, a, b, left_exponent) if _needs_sub(left_exponent) else (f, a, b)
-    return _run_pieces([piece], spec)
+    return _run_pieces([piece])
 
 
-def _run_pieces(pieces, spec):
-    budget = int(spec.max_evals)
+def _run_pieces(pieces):
     value = 0.0
     err = 0.0
     evals = 0
     ok = True
     for k, (g, lo, hi) in enumerate(pieces):
-        share = (budget - evals) // (len(pieces) - k)
-        r = _adaptive_finite(g, lo, hi, spec, max(share, 60))
+        share = (MAX_EVALS - evals) // (len(pieces) - k)
+        r = _adaptive_finite(g, lo, hi, max(share, 60))
         value += r.value
         err += r.err_est
         evals += r.evals
         ok = ok and r.converged
     # convergence is judged on the combined value, not piece by piece
-    ok = ok or err <= max(spec.abs_tol, spec.rel_tol * abs(value))
+    ok = ok or err <= max(ABS_TOL, REL_TOL * abs(value))
     return QuadResult(value, err, evals, ok)
 
 
-def _integrate_to_inf(f, a, spec, left_exponent, tail_exponent):
+def _integrate_to_inf(f, a, left_exponent, tail_exponent):
     if tail_exponent is not None and tail_exponent <= 1.0:
         raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
     cut = a + max(1.0, abs(a))
@@ -468,7 +450,7 @@ def _integrate_to_inf(f, a, spec, left_exponent, tail_exponent):
         pieces.append(_power_sub(g, 0.0, 1.0 / cut, tail_p))
     else:
         pieces.append((g, 0.0, 1.0 / cut))
-    return _run_pieces(pieces, spec)
+    return _run_pieces(pieces)
 
 
 def _averaged_limit(partials):
@@ -490,32 +472,24 @@ def _averaged_limit(partials):
     return est, abs(est - prev) + 4.0 * _EPS * abs(est)
 
 
-def _cos_tail_chunked(g, x, lam0, spec, budget):
-    """sum of int cos(lam x) g(lam) over [lam0, inf) by half-period chunks.
+def _cos_tail_chunked(g, x, budget):
+    """int cos(lam x) g(lam) over [2/x, inf) by half-period chunks.
 
-    Chunk k spans consecutive zeros of cos(lam x); the resulting alternating
-    series is fed to _averaged_limit, tested every 4 chunks from chunk 8 on.
-    The chunks up to the next test go to the integrand as one block, cut
-    short only by the 600-chunk cap or the budget.  Returns (value, err,
-    evals, converged).  If chunk magnitudes fail to decay (g not eventually
+    A bridge integral reaches from 2/x to the first zero of cos(lam x)
+    beyond it, 1.5 pi / x.  From there chunk k spans consecutive zeros; the
+    resulting alternating series is fed to _averaged_limit, tested every 4
+    chunks from chunk 8 on.  The chunks up to the next test go to the
+    integrand as one block, cut short only by the 600-chunk cap or the
+    budget.  Returns (value, err, evals, converged).  If chunk magnitudes fail to decay (g not eventually
     monotone), emits a RuntimeWarning and reports converged=False.
     """
-    k0 = math.ceil(lam0 * x / math.pi - 0.5)
-    z0 = (k0 + 0.5) * math.pi / x
-    evals = 0
-    value = 0.0
-    err = 0.0
-    ok = True
+    z0 = 1.5 * math.pi / x
 
     def f(lam):
         return np.cos(lam * x) * g(lam)
 
-    if z0 > lam0 * (1.0 + 1e-14):
-        bridge = integrate_adaptive(f, lam0, z0, spec)
-        value += bridge.value
-        err += bridge.err_est
-        evals += bridge.evals
-        ok = ok and bridge.converged
+    bridge = integrate_adaptive(f, 2.0 / x, z0)
+    value, err, evals, ok = bridge.value, bridge.err_est, bridge.evals, bridge.converged
 
     chunk_vals = []
     chunk_errs = []
@@ -527,7 +501,7 @@ def _cos_tail_chunked(g, x, lam0, spec, budget):
     lim_err = 0.0
     n_chunks_max = 600
     increase_count = 0
-    tol = max(spec.abs_tol, spec.rel_tol * max(abs(value), 1.0))
+    tol = max(ABS_TOL, REL_TOL * max(abs(value), 1.0))
 
     k = 0
     while True:
@@ -579,7 +553,6 @@ def _cos_tail_chunked(g, x, lam0, spec, budget):
 def integrate_oscillatory_cos(
     g,
     x,
-    spec=None,
     *,
     mode="one_minus_cos",
     left_exponent=0.0,
@@ -600,7 +573,6 @@ def integrate_oscillatory_cos(
     is never evaluated as 1 - cos directly: the head uses 2 sin^2(lam x / 2),
     which is exact near zero, and int g over the tail comes separately.
     """
-    spec = spec or DEFAULT_QUADSPEC
     if mode not in ("one_minus_cos", "cos"):
         raise ConfigError(f"unknown mode {mode!r}")
     x = float(x)
@@ -611,7 +583,7 @@ def integrate_oscillatory_cos(
         if mode == "one_minus_cos":
             return QuadResult(0.0, 0.0, 0, True)
         return integrate_adaptive(
-            g, 0.0, math.inf, spec,
+            g, 0.0, math.inf,
             left_exponent=left_exponent, tail_exponent=tail_exponent,
         )
 
@@ -628,15 +600,15 @@ def integrate_oscillatory_cos(
         sign = -1.0
         parts = (
             integrate_adaptive(
-                head_f, 0.0, lam_split, spec, left_exponent=left_exponent + 2.0
+                head_f, 0.0, lam_split, left_exponent=left_exponent + 2.0
             ),
-            integrate_adaptive(g, lam_split, math.inf, spec, tail_exponent=tail_exponent),
+            integrate_adaptive(g, lam_split, math.inf, tail_exponent=tail_exponent),
         )
     else:
         sign = 1.0
         parts = (
             integrate_adaptive(
-                lambda lam: np.cos(lam * x) * g(lam), 0.0, lam_split, spec,
+                lambda lam: np.cos(lam * x) * g(lam), 0.0, lam_split,
                 left_exponent=left_exponent,
             ),
         )
@@ -648,9 +620,7 @@ def integrate_oscillatory_cos(
         err += r.err_est
         evals += r.evals
         ok = ok and r.converged
-    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked(
-        g, x, lam_split, spec, int(spec.max_evals) - evals
-    )
+    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked(g, x, MAX_EVALS - evals)
     return QuadResult(value + sign * osc_v, err + osc_e, evals + osc_n, ok and osc_ok)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import PhiSpec, phi_eval
+from .bernstein import PhiSpec
 from .errors import ConfigError
 from .kernels import KernelSet
 from .interval_solver import (
@@ -45,7 +45,6 @@ from .montecarlo import (
     sample_stable_subordinator,
     simulate_exit,
 )
-from .quadrature import converged_value, integrate_adaptive
 
 FIXTURE_STABLE = PhiSpec.stable(0.75)
 FIXTURE_MIXTURE = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
@@ -86,10 +85,19 @@ class RunConfig:
         if not dts or dts[-1] <= 0.0:
             raise ConfigError("mc_dt must hold positive steps")
         object.__setattr__(self, "mc_dt", dts)
-        if int(self.n_coarse) < 8 or int(self.n_fine) <= int(self.n_coarse):
+        for name in ("n_coarse", "n_fine", "mc_paths"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if self.n_coarse < 8 or self.n_fine <= self.n_coarse:
             raise ConfigError("need 8 <= n_coarse < n_fine")
-        if int(self.mc_paths) < 100:
+        if self.mc_paths < 100:
             raise ConfigError("mc_paths is too small to estimate anything")
+        if not (dts[0] < self.mc_tmax < math.inf):
+            raise ConfigError(
+                f"mc_tmax must be finite and exceed the largest mc_dt {dts[0]!r}, "
+                f"got {self.mc_tmax!r}"
+            )
         if not (self.interval[0] < self.mc_x0 < self.interval[1]):
             raise ConfigError("mc_x0 must lie inside the interval")
         if not (0.0 < self.R < math.inf):
@@ -497,31 +505,11 @@ def _check_mc_laplace(cfg, ctx, spec):
     return m, "per-component |mean exp(-S_1) - exp(-1)| < 3 stderr", ok
 
 
-def _mean_abs_step(spec, dt):
-    """E|X_dt| = (2/pi) int_0^inf (1 - exp(-dt psi(xi))) xi^-2 dxi.
-
-    Near 0 the integrand is ~ xi^(2 delta_min - 2), so the mean is finite
-    only for delta_min > 1/2; below that ConfigError.
-    """
-    dm = spec.delta_min
-    if not dm > 0.5:
-        raise ConfigError(f"mean walk step is infinite for delta_min = {dm:g} <= 1/2")
-
-    def f(xi):
-        xi2 = xi * xi
-        return -np.expm1(-dt * phi_eval(spec, xi2)) / xi2
-
-    r = integrate_adaptive(
-        f, 0.0, math.inf, left_exponent=2.0 * dm - 2.0, tail_exponent=2.0
-    )
-    return 2.0 / math.pi * converged_value(r, f"mean walk step at dt={dt:g}")
-
-
-def _reference_table_n(cfg, spec, dt):
+def _reference_table_n(cfg, ks, dt):
     # reference resolution tied to the walk: a lattice walk cannot localize
     # exits below its own step scale, so the solver table is built with the
     # wall cell spanning one mean absolute step (clipped to sane sizes)
-    step = _mean_abs_step(spec, dt)
+    step = ks.mean_abs_step(dt)
     a, b = cfg.interval
     return int(np.clip(round((b - a) / (2.0 * step)), 64, 512)), step
 
@@ -530,7 +518,7 @@ def _check_mc_exit_law(cfg, ctx, spec):
     dt = cfg.mc_dt[-1]
     st = ctx.walk(spec, dt)
     pos = np.sort(st.exit_pos[st.exited])
-    n_ref, step = _reference_table_n(cfg, spec, dt)
+    n_ref, step = _reference_table_n(cfg, ctx.kernels(spec), dt)
     pt = ctx.ptable(spec, "X", n_ref)
     xs = pt.grid.nodes()
     i0 = int(np.argmin(np.abs(xs - cfg.mc_x0)))
@@ -585,7 +573,7 @@ def _check_mc_creep(cfg, ctx, spec):
     # step is coarser than that cell.
     a, b = cfg.interval
     dx = (b - a) / cfg.n_fine
-    _, step = _reference_table_n(cfg, spec, cfg.mc_dt[-1])
+    _, step = _reference_table_n(cfg, ctx.kernels(spec), cfg.mc_dt[-1])
     if step < dx:
         raise ConfigError(
             f"solver reference under-resolved: walk mean step {step:.3g} at "
@@ -762,8 +750,10 @@ CHECK_NAMES = tuple(c.name for c in _CHECKS)
 def run_verify(cfg: RunConfig, only=None) -> CheckReport:
     """Execute the check list for every configured spec.
 
-    ``only`` restricts to matching base names or full bracketed names.
-    Checks never abort the run: exceptions are recorded as failures.
+    ``only`` restricts to matching base names or full bracketed names.  An
+    unknown name, or a selection that matches no check of the configured
+    specs, raises ConfigError.  Checks never abort the run: exceptions are
+    recorded as failures.
     """
     if not isinstance(cfg, RunConfig):
         raise ConfigError("run_verify needs a RunConfig")
@@ -799,6 +789,8 @@ def run_verify(cfg: RunConfig, only=None) -> CheckReport:
                     runtime=time.perf_counter() - t0,
                 )
             )
+    if only is not None and not results:
+        raise ConfigError(f"no check of the configured specs matches {sorted(only)}")
     return CheckReport(checks=results, config_digest=cfg.digest())
 
 

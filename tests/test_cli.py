@@ -231,6 +231,34 @@ def test_verify_rejects_unknown_name(capsys):
     assert "error:" in err
 
 
+def test_verify_selecting_no_check_exits_2(capsys, tmp_path):
+    # a label no configured spec has: bad input, reported before any check
+    # runs and before any report file is written
+    out_file = tmp_path / "report.json"
+    rc, out, err = _run(
+        capsys, "verify", "one", "--name", "h-value[stable-0.6]", "--out", str(out_file)
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "no check" in err
+    assert out == "" and not out_file.exists()
+
+    mix = tmp_path / "mix.json"
+    mix.write_text(json.dumps(
+        RunConfig(specs=(PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9))),)).to_dict()
+    ))
+    rc, out, err = _run(capsys, "verify", "one", "--name", "h-value", "--config", str(mix))
+    assert rc == 2 and "no check" in err and out == ""
+
+
+def test_verify_rejects_bad_config_sizes(capsys, tmp_path):
+    for text in ('{"mc_tmax": 0.001}', '{"mc_paths": 1000.7}', '{"n_fine": "600"}'):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc, out, err = _run(capsys, "verify", "all", "--config", str(cfg))
+        assert rc == 2, text
+        assert err.startswith("error:") and out == ""
+
+
 def test_verify_rejects_bad_config(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

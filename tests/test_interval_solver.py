@@ -11,7 +11,6 @@ from sbmpot import (
     Grid,
     KernelSet,
     QuadratureError,
-    QuadSpec,
     SolverError,
     bhp_sup_ratio,
     build_generator,
@@ -34,7 +33,6 @@ from sbmpot.interval_solver import (
     _CHOL_BLOCK,
     _exit_rates,
     _spd_solve,
-    _wall_correction,
 )
 
 from oracles import (
@@ -42,6 +40,7 @@ from oracles import (
     bgr_density,
     bgr_green,
     bgr_killed_exit_alive,
+    bgr_killed_green,
     bgr_wall_mass,
     dense_generator_matrix,
     getoor_exit,
@@ -135,25 +134,23 @@ def test_generator_with_cells_wider_than_two(stable_ks):
     np.testing.assert_array_equal(gen.A, gen.A.T)
 
 
-def test_unconverged_solver_quadrature_raises(stable_spec):
+def test_unconverged_solver_quadrature_raises(stable_spec, quad_contract):
     ks = KernelSet(stable_spec)
-    ks._coefs()  # the jump coefficients converge under the default contract
-    ks.quad = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=100)
+    ks._coefs()  # the jump coefficients converge under the fixed contract
+    quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=100)
     with pytest.raises(QuadratureError, match="band coefficient"):
         build_generator(ks, Grid(1.0, 2.0, 64), "X")
     with pytest.raises(QuadratureError, match="wall correction"):
-        _wall_correction(ks, 1.0 / 64)
+        ks.wall_correction(1.0 / 64)
 
 
 def test_poisson_kernel_reuses_the_generator_exit_rates(stable_spec, monkeypatch):
     # the Green matrix carries its generator's (lo, hi, dk) split, so the
     # Poisson table makes no second wall-correction quadrature
-    import sbmpot.interval_solver as isol
-
     calls = []
-    real = isol._wall_correction
+    real = KernelSet.wall_correction
     monkeypatch.setattr(
-        isol, "_wall_correction", lambda ks, dx: calls.append(dx) or real(ks, dx)
+        KernelSet, "wall_correction", lambda ks, dx: calls.append(dx) or real(ks, dx)
     )
     ks = KernelSet(stable_spec)
     harnack_sup_ratio(ks, 1.0, n=256)
@@ -397,6 +394,59 @@ def test_green_matrix_matches_the_bgr_green_function(stable_ks):
     assert np.max(np.abs(1.01 * ratio - 1.0)) > 6.5e-3
 
 
+def _tracks_the_killed_green_function(ratios):
+    # ratios: G_Z / exact on the lattice, for a = 0.004, 0.002, 0.001
+    gaps = [float(np.max(1.0 - r)) for r in ratios]
+    s2 = math.sqrt(2.0)
+    extrapolated = (s2 * ratios[2] - ratios[1]) / (s2 - 1.0)
+    return (
+        all(float(np.max(r)) < 1.0 for r in ratios)
+        and all(1.3 < g0 / g1 < 1.5 for g0, g1 in zip(gaps, gaps[1:]))
+        and gaps[2] < 0.095
+        and float(np.max(np.abs(extrapolated - 1.0))) < 6e-3
+    )
+
+
+def test_killed_green_matrix_approaches_the_bgr_killed_green_function(stable_ks):
+    # kind Z on (a, 1) is |X| killed on entering (0, a] or on leaving (0, 1):
+    # a smaller domain than |X| killed at 0 alone, so on a 15 x 15 lattice
+    # of nodes off the diagonal it sits below the exact bgr_killed_green,
+    # by a shelf gap that goes like a^(alpha - 1) = a^(1/2).  At n = 512
+    # the worst gaps are 17.5%, 12.6% and 9.0% for a = 0.004, 0.002, 0.001
+    # (1.39 and 1.40 per halving; bars 1.3 to 1.5, and 9.5% at a = 0.001).
+    # The a^(1/2) extrapolation of the last two sits 0.18% to 0.49% below
+    # the exact function, the kind-X matrix's own bias (bar 0.6%).  G
+    # scaled by 1.01 fails.
+    n = 512
+    idx = (np.arange(1, 16) * n) // 16
+    off = ~np.eye(idx.size, dtype=bool)
+    ratios = []
+    for a in (0.004, 0.002, 0.001):
+        green = green_matrix(build_generator(stable_ks, Grid(a, 1.0, n), "Z"))
+        x, y = np.meshgrid(green.grid.nodes()[idx], green.grid.nodes()[idx], indexing="ij")
+        exact = bgr_killed_green(1.5, x[off], y[off])
+        ratios.append(green.G[np.ix_(idx, idx)][off] / exact)
+    assert _tracks_the_killed_green_function(ratios)
+    assert not _tracks_the_killed_green_function([1.01 * r for r in ratios])
+
+
+def test_bgr_killed_green_is_symmetric_and_vanishes_at_the_origin():
+    # point killing makes the oracle symmetric, positive inside, and
+    # vanishing like x^(alpha - 1) = x^(1/2) at the origin, where the
+    # process is killed: a quarter of the distance halves it (measured
+    # within 1.5e-3 of 1/2)
+    x = np.linspace(0.05, 0.95, 10)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    off = ~np.eye(x.size, dtype=bool)
+    K = bgr_killed_green(1.5, X[off], Y[off])
+    assert np.all(K > 0.0)
+    np.testing.assert_allclose(K, bgr_killed_green(1.5, Y[off], X[off]), rtol=1e-13)
+    y = np.array([0.3, 0.5, 0.7, 0.9])
+    for x0 in (4e-3, 1e-3):
+        ratio = bgr_killed_green(1.5, x0, y) / bgr_killed_green(1.5, 4.0 * x0, y)
+        np.testing.assert_allclose(ratio, 0.5, atol=5e-3)
+
+
 @pytest.mark.parametrize("ks_name, terms", [
     ("stable_ks", ((1.0, 0.75),)),
     ("mixture_ks", ((1.0, 0.6), (1.0, 0.9))),
@@ -410,7 +460,7 @@ def test_band_and_wall_quadratures_match_their_closed_forms(request, ks_name, te
                  Grid(0.25, 2.75, 512)):
         gen = build_generator(ks, grid, "X")
         assert gen.A[0, 1] == pytest.approx(band_coefficient(terms, grid.dx), rel=1e-11)
-        assert _wall_correction(ks, grid.dx) == pytest.approx(
+        assert ks.wall_correction(grid.dx) == pytest.approx(
             wall_correction(terms, grid.dx), rel=1e-11
         )
 

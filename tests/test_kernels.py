@@ -10,7 +10,6 @@ from sbmpot import (
     KernelSet,
     PhiSpec,
     QuadratureError,
-    QuadSpec,
     phi_eval,
 )
 
@@ -56,7 +55,7 @@ def test_levy_j_singular_origin(stable_ks):
 
 
 def test_jump_tail_closed_matches_quadrature(stable_ks, mixture_ks):
-    from sbmpot import integrate_adaptive
+    from sbmpot.quadrature import integrate_adaptive
 
     for ks in (stable_ks, mixture_ks):
         for t in (0.5, 2.0):
@@ -101,10 +100,10 @@ def test_h_comp_ignores_earlier_calls(stable_spec, mixture_spec):
         assert used.h_comp(0.3 + 1e-14) == KernelSet(spec).h_comp(0.3 + 1e-14)
 
 
-def test_jump_tail_unconverged_raises(stable_spec):
+def test_jump_tail_unconverged_raises(stable_spec, quad_contract):
     ks = KernelSet(stable_spec)
-    ks._coefs()
-    ks.quad = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=100)
+    ks._coefs()  # the jump coefficients converge under the fixed contract
+    quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=100)
     with pytest.raises(QuadratureError, match="t=0.5 did not converge"):
         ks.jump_tail(np.array([0.5, 2.0]), 10.0)
     with pytest.raises(DomainError):

@@ -49,6 +49,9 @@ def test_path_config_validation():
         PathConfig(**{**good, "x0": 2.5})
     with pytest.raises(ConfigError):
         PathConfig(**{**good, "n_paths": 0})
+    for n in (10.7, 10.0, "10", True):
+        with pytest.raises(ConfigError, match="n_paths must be an integer"):
+            PathConfig(**{**good, "n_paths": n})
     for seed in (-1, 2**64, 1.5, "7"):
         with pytest.raises(ConfigError, match="seed"):
             PathConfig(**{**good, "seed": seed})

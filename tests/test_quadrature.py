@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sbmpot import (
-    ConfigError,
-    DomainError,
-    QuadSpec,
-    QuadratureError,
+from sbmpot import ConfigError, DomainError, QuadratureError, phi_eval
+from sbmpot.quadrature import (
     integrate_adaptive,
+    integrate_adaptive_batch,
     integrate_oscillatory_cos,
-    phi_eval,
 )
-from sbmpot.quadrature import integrate_adaptive_batch
 
 
 def test_plain_finite_interval():
@@ -65,19 +61,12 @@ def test_oscillatory_x_zero_short_circuit():
     assert r.value == 0.0 and r.converged
 
 
-def test_budget_exhaustion_flags_not_raises():
-    spec = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=200)
+def test_budget_exhaustion_flags_not_raises(quad_contract):
+    quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=200)
     f = lambda x: np.cos(50.0 * x) * np.cos(49.0 * x)
-    r = integrate_adaptive(f, 0.0, 10.0, spec)
+    r = integrate_adaptive(f, 0.0, 10.0)
     assert not r.converged
     assert math.isfinite(r.value)
-
-
-def test_quadspec_validation():
-    with pytest.raises(ConfigError):
-        QuadSpec(abs_tol=0.0, rel_tol=0.0)
-    with pytest.raises(ConfigError):
-        QuadSpec(max_evals=10)
 
 
 def test_bad_endpoints():
@@ -113,8 +102,8 @@ def test_oscillatory_validation():
         integrate_oscillatory_cos(lambda t: t, 1.0, mode="sin", tail_exponent=2.0)
 
 
-def _scalar_runs(f, a, b, spec=None):
-    return [integrate_adaptive(f, float(lo), float(hi), spec) for lo, hi in zip(a, b)]
+def _scalar_runs(f, a, b):
+    return [integrate_adaptive(f, float(lo), float(hi)) for lo, hi in zip(a, b)]
 
 
 def _assert_rows_identical(batch, runs):
@@ -144,9 +133,9 @@ def _tail_sets(a, b, n):
 )
 def test_batch_equals_scalar_on_jump_tails(request, ks_name, ts, cut):
     ks = request.getfixturevalue(ks_name)
-    batch = integrate_adaptive_batch(ks.levy_j, ts, ts + cut, ks.quad)
+    batch = integrate_adaptive_batch(ks.levy_j, ts, ts + cut)
     assert batch.converged.all()
-    _assert_rows_identical(batch, _scalar_runs(ks.levy_j, ts, ts + cut, ks.quad))
+    _assert_rows_identical(batch, _scalar_runs(ks.levy_j, ts, ts + cut))
 
 
 def _panels_one_by_one(f, lo, hi):
@@ -181,12 +170,11 @@ def test_stacked_panels_equal_single_panels(mixture_ks):
         assert (vs, es) == single
 
 
-def test_oscillatory_tail_budget_cut_inside_a_block():
+def test_oscillatory_tail_budget_cut_inside_a_block(quad_contract):
     # the budget leaves room for 3 of the 4 chunks between two convergence
     # tests (11 chunks in all): the tail stops there, unconverged
-    r = integrate_oscillatory_cos(
-        lambda t: 1.0 / (1.0 + t * t), 1.0, QuadSpec(max_evals=297), mode="cos"
-    )
+    quad_contract(max_evals=297)
+    r = integrate_oscillatory_cos(lambda t: 1.0 / (1.0 + t * t), 1.0, mode="cos")
     assert not r.converged
     assert r.evals == 285
     assert abs(r.value - 0.5 * math.pi / math.e) < 1e-5
@@ -201,25 +189,25 @@ def test_oscillatory_tail_non_decaying_envelope():
     assert r.evals == 1020
 
 
-def test_batch_equals_scalar_at_the_width_floor():
+def test_batch_equals_scalar_at_the_width_floor(quad_contract):
     # panels a few ulps wide cannot be split: they are frozen, and a row
     # whose panels are all frozen stops before its budget
-    spec = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=5000)
+    quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=5000)
     a = np.array([1.0, 1e15, 2.0, -3.0])
     b = np.array([1.0 + 1e-13, 1e15 + 1.0, 2.0 + 3e-14, -3.0 + 1e-12])
     f = lambda x: np.exp(np.sin(7.0 * x))
-    batch = integrate_adaptive_batch(f, a, b, spec)
-    _assert_rows_identical(batch, _scalar_runs(f, a, b, spec))
+    batch = integrate_adaptive_batch(f, a, b)
+    _assert_rows_identical(batch, _scalar_runs(f, a, b))
     assert not batch.converged.any()
-    assert (batch.evals[:3] + 30 <= spec.max_evals).all()  # halted, not exhausted
+    assert (batch.evals[:3] + 30 <= 5000).all()  # halted, not exhausted
 
 
-def test_batch_budget_exhaustion_flags():
-    spec = QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_evals=200)
+def test_batch_budget_exhaustion_flags(quad_contract):
+    quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=200)
     f = lambda x: np.cos(50.0 * x) * np.cos(49.0 * x)
     a, b = np.array([0.0, 1.0]), np.array([10.0, 3.0])
-    batch = integrate_adaptive_batch(f, a, b, spec)
-    _assert_rows_identical(batch, _scalar_runs(f, a, b, spec))
+    batch = integrate_adaptive_batch(f, a, b)
+    _assert_rows_identical(batch, _scalar_runs(f, a, b))
     assert not batch.converged.any()
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sbmpot import (
@@ -7,6 +8,7 @@ from sbmpot import (
     CheckReport,
     CheckResult,
     ConfigError,
+    KernelSet,
     PhiSpec,
     RunConfig,
     emit_report,
@@ -55,6 +57,30 @@ def test_config_validation():
             RunConfig(seed=bad)
 
 
+def test_config_rejects_non_integral_sizes_and_short_horizons():
+    # accepted, each of these would fail every Monte Carlo check of the
+    # run (or walk a truncated path count), so it is refused up front
+    for field, bad in (
+        ("n_coarse", 256.5), ("n_coarse", 256.0), ("n_fine", "600"),
+        ("n_fine", True), ("mc_paths", 1000.7), ("mc_paths", None),
+    ):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            RunConfig(**{field: bad})
+    for bad in (-1.0, 0.0, 1e-2, 1e-3, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="mc_tmax"):
+            RunConfig(mc_tmax=bad)
+    with pytest.raises(ConfigError, match="mc_tmax"):
+        RunConfig.from_dict({"mc_tmax": 0.001})
+    # the largest step bounds the horizon, whatever order mc_dt comes in
+    RunConfig(mc_dt=(1e-4, 0.5), mc_tmax=0.6)
+    with pytest.raises(ConfigError, match="mc_tmax"):
+        RunConfig(mc_dt=(1e-4, 0.5), mc_tmax=0.5)
+    # numpy integers are integers; the accepted configs keep their digests
+    assert RunConfig(n_coarse=np.int64(256)).n_coarse == 256
+    certify = RunConfig(n_coarse=200, n_fine=256, mc_paths=2000, mc_dt=(1e-2, 1e-3))
+    assert certify.digest() == "ccfe7a87178d890e"
+
+
 def test_config_normalizes_dt_order():
     cfg = RunConfig(mc_dt=(1e-4, 1e-2, 1e-3))
     assert cfg.mc_dt == (1e-2, 1e-3, 1e-4)
@@ -80,26 +106,26 @@ def test_config_digest_and_round_trip():
 def test_mean_step_matches_the_stable_closed_form(delta, dt):
     # held to the quadrature contract's rel_tol; at delta = 0.75 the two
     # agree to about 3e-15
-    got = vf._mean_abs_step(PhiSpec.stable(delta), dt)
+    got = KernelSet(PhiSpec.stable(delta)).mean_abs_step(dt)
     assert got == pytest.approx(stable_mean_abs(2.0 * delta, dt), rel=1e-9, abs=0.0)
 
 
 def test_reference_table_size():
     # the wall cell of the reference table spans one mean walk step
     cfg = RunConfig()
-    stable = PhiSpec.stable(0.75)
-    mix = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
+    stable = KernelSet(PhiSpec.stable(0.75))
+    mix = KernelSet(PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9))))
     assert [vf._reference_table_n(cfg, stable, dt)[0] for dt in cfg.mc_dt] == [64, 64, 136]
     assert vf._reference_table_n(cfg, mix, 1e-4)[0] == 64
     # the mixture moves more than its slowest term alone
-    assert vf._mean_abs_step(mix, 1e-4) > vf._mean_abs_step(PhiSpec.stable(0.6), 1e-4)
+    assert mix.mean_abs_step(1e-4) > KernelSet(PhiSpec.stable(0.6)).mean_abs_step(1e-4)
 
 
 def test_mean_step_needs_delta_min_above_half():
     # E|X_dt| is infinite once delta_min <= 1/2
     for spec in (PhiSpec.stable(0.5), PhiSpec.mixture(((1.0, 0.4), (1.0, 0.9)))):
         with pytest.raises(ConfigError):
-            vf._mean_abs_step(spec, 1e-3)
+            KernelSet(spec).mean_abs_step(1e-3)
 
 
 def test_run_verify_validates_inputs(small_cfg):
@@ -124,10 +150,27 @@ def test_run_verify_is_deterministic(small_cfg, small_report):
 
 
 def test_applicability_filters_by_spec():
-    cfg = RunConfig(specs=(PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9))),))
-    rep = run_verify(cfg, only=["h-value"])
-    assert rep.checks == []
-    assert rep.all_pass() and rep.exit_code() == 0
+    # h-value applies to the canonical stable spec only
+    mix = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
+    rep = run_verify(RunConfig(specs=(PhiSpec.stable(0.75), mix)), only=["h-value"])
+    assert [c.name for c in rep.checks] == ["h-value[stable-0.75]"]
+    # so under a mixture-only config it selects nothing, which is bad input
+    with pytest.raises(ConfigError, match="no check"):
+        run_verify(RunConfig(specs=(mix,)), only=["h-value"])
+
+
+def test_selection_matching_no_check_raises_before_running(monkeypatch):
+    # a well-formed label that no configured spec has selects nothing: an
+    # error, not an empty report that passes
+    def boom(cfg, ctx, spec):
+        raise AssertionError("no check may run")
+
+    monkeypatch.setattr(vf, "_CHECKS", tuple(
+        vf._CheckDef(d.name, d.anchor, boom, d.applies) for d in vf._CHECKS
+    ))
+    for only in (["h-value[stable-0.6]"], ["bhp[stable-0.6]", "h-value[mix-0.6-0.9]"], []):
+        with pytest.raises(ConfigError, match="no check"):
+            run_verify(RunConfig(), only=only)
 
 
 def test_check_names_cover_both_fixtures():
