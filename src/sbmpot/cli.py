@@ -20,6 +20,8 @@ from .errors import ConfigError, DomainError, QuadratureError, SolverError
 from .kernels import KernelSet
 from .interval_solver import (
     DEFAULT_A_SEQ,
+    DEFAULT_LAMBDA1,
+    DEFAULT_SHELF,
     Grid,
     bhp_sup_ratio,
     build_generator,
@@ -120,10 +122,7 @@ def _cmd_solve_exit(args):
         _write_rows(args.out, ["x", "value", "lower", "upper", "width"], rows)
     drift = None
     if len(rep.per_a) >= 2:
-        drift = float(
-            np.max(np.abs(np.asarray(rep.per_a[-1]["p_exit"])
-                          - np.asarray(rep.per_a[-2]["p_exit"])))
-        )
+        drift = float(np.max(np.abs(rep.per_a[-1]["p_exit"] - rep.per_a[-2]["p_exit"])))
     _emit_diag(
         kind="exit-alive",
         grid={"R": args.R, "a_seq": [p["a"] for p in rep.per_a],
@@ -154,12 +153,12 @@ def _cmd_solve_bhp(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     rep = bhp_sup_ratio(ks, args.r, args.lambda1, n=args.n)
-    # the shelf 12r/m must stay under lambda1 r / 4, so the coarse
-    # companion run only exists when n//2 clears that bound
-    drift = None
-    if args.n // 2 > 48.0 / args.lambda1:
+    # no coarse companion where bhp_sup_ratio refuses n//2 (before solving)
+    try:
         half = bhp_sup_ratio(ks, args.r, args.lambda1, n=args.n // 2)
         drift = abs(half.c7 / rep.c7 - 1.0)
+    except ConfigError:
+        drift = None
     _emit_diag(
         kind="bhp",
         grid={"r": args.r, "lambda1": args.lambda1, "a": rep.a, "n": args.n,
@@ -174,10 +173,7 @@ def _cmd_solve_bhp(args):
 def _cmd_solve_small(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
-    lam2 = small_interval_lower(ks, args.R, args.lambda1, args.a, n=args.n)
-    lam2_half = small_interval_lower(
-        ks, args.R, args.lambda1, 0.5 * args.a, n=args.n, window_lo=args.a
-    )
+    lam2, lam2_half = small_interval_lower(ks, args.R, args.lambda1, args.a, n=args.n)
     _emit_diag(
         kind="small-interval",
         grid={"R": args.R, "lambda1": args.lambda1, "a": args.a, "n": args.n,
@@ -424,15 +420,15 @@ def build_parser():
     q = psub.add_parser("bhp", help="boundary Harnack constant at the origin")
     _add_spec(q)
     q.add_argument("--r", type=float, required=True)
-    q.add_argument("--lambda1", type=float, default=0.25)
+    q.add_argument("--lambda1", type=float, default=DEFAULT_LAMBDA1)
     q.add_argument("--n", type=int, default=512)
     q.set_defaults(fn=_cmd_solve_bhp)
 
     q = psub.add_parser("small", help="near-origin Green lower constant")
     _add_spec(q)
     q.add_argument("--R", type=float, required=True)
-    q.add_argument("--lambda1", type=float, default=0.25)
-    q.add_argument("--a", type=float, default=0.004)
+    q.add_argument("--lambda1", type=float, default=DEFAULT_LAMBDA1)
+    q.add_argument("--a", type=float, default=DEFAULT_SHELF)
     q.add_argument("--n", type=int, default=512)
     q.set_defaults(fn=_cmd_solve_small)
 

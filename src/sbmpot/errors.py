@@ -1,9 +1,11 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy and integer and seed rules shared by every module.
 
 Callers can rely on the split: bad mathematical inputs raise DomainError,
 bad knob settings raise ConfigError, and numerical machinery that fails to
 deliver its requested accuracy raises QuadratureError or SolverError.
 """
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -27,3 +29,18 @@ class QuadratureError(RuntimeError):
 
 class SolverError(RuntimeError):
     """A dense linear-algebra step failed or produced unusable output."""
+
+
+def check_integer(name, value, least):
+    """Raise ConfigError unless ``value`` is an integer >= ``least`` (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
+
+
+def check_seed(seed):
+    """Raise ConfigError unless ``seed`` is an integer in [0, 2^64)."""
+    check_integer("seed", seed, 0)
+    if seed >= 2**64:
+        raise ConfigError(f"seed must be below 2^64, got {seed!r}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SolverError
+from .errors import ConfigError, DomainError, SolverError, check_integer
 from .kernels import KernelSet
 
 __all__ = [
@@ -66,8 +66,9 @@ Z_MAX_FACTOR = 50.0
 # near-origin probe fraction for boundary-ratio and small-interval checks
 DEFAULT_LAMBDA1 = 0.25
 
-# absorbing-shelf sequence for (0, R) bracketing
-DEFAULT_A_SEQ = (0.004, 0.001, 0.00025)
+# default absorbing shelf as a fraction of R, and the (0, R) bracketing ladder
+DEFAULT_SHELF = 0.004
+DEFAULT_A_SEQ = (DEFAULT_SHELF, DEFAULT_SHELF / 4, DEFAULT_SHELF / 16)
 
 # cells across each shelf, and the dense-matrix cap that limits them
 SHELF_CELLS = 4.0
@@ -108,8 +109,7 @@ class Grid:
             raise ConfigError("grid endpoints must be finite")
         if not (0.0 <= self.a < self.b):
             raise ConfigError(f"need 0 <= a < b, got ({self.a}, {self.b})")
-        if int(self.n) < 1 or int(self.n) != self.n:
-            raise ConfigError("n must be a positive integer")
+        check_integer("n", self.n, 1)
 
     @property
     def dx(self):
@@ -282,8 +282,7 @@ class ZGrid:
 def _graded_edges(start, width, m, reverse=False):
     # quartic grading toward `start`; cells of width ~ width/m^4 at the wall
     t = (np.arange(m + 1) / m) ** 4
-    e = start + width * t
-    return start - width * t if reverse else e
+    return start - width * t if reverse else start + width * t
 
 
 def default_zgrid(grid: Grid, kind: str) -> ZGrid:
@@ -332,6 +331,13 @@ def default_zgrid(grid: Grid, kind: str) -> ZGrid:
 
 @dataclass
 class PoissonTable:
+    """Exit law of each interior node: density K on the exterior cells and
+    closed tails beyond the mesh (tail_lo is zero unless kind X).  The wall
+    node's extra kill mass dk (profile-weighted collocation) exits through
+    the wall side: the first row's lower columns and tail carry 1 + dk/lo[0],
+    the last row's upper ones 1 + dk/hi[-1].  So the harmonic extension of
+    f = 1 with tail (1, 0), plus tail_lo, is row_mass() exactly."""
+
     kind: str
     grid: Grid
     zgrid: ZGrid = field(repr=False)
@@ -374,6 +380,18 @@ class PoissonTable:
         return z, F / self.row_mass()[i]
 
 
+def _rate_beyond(ks: KernelSet, green: GreenMatrix, cut_hi: float, p: float = 0.0):
+    """Per-node rate of jumping beyond cut_hi (kind Z: also below -cut_hi),
+    weighted by z^-p, with the last row scaled by 1 + dk/hi[-1]."""
+    xs = green.grid.nodes()
+    rate = ks.jump_tail_closed(cut_hi - xs, weight_exponent=p)
+    if green.kind == "Z":
+        rate = rate + ks.jump_tail_closed(cut_hi + xs, weight_exponent=p)
+    _, hi, dk = green.exit_rates
+    rate[-1] *= 1.0 + dk / hi[-1]
+    return rate
+
+
 def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
     """Exit-position density table K[i][m] = sum_j dx G[i][j] kernel(x_j, z_m).
 
@@ -390,23 +408,15 @@ def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
     else:
         KERN = ks.levy_j(xs[:, None] - z[None, :])
 
-    # the generator carries extra wall-node kill mass (profile-weighted
-    # collocation); that mass exits through the wall-side kernel, so scale
-    # the wall rows' wall-side columns to keep row masses exact
     lo, hi, dk = green.exit_rates
     s_lo = 1.0 + dk / lo[0]
-    s_hi = 1.0 + dk / hi[-1]
     KERN[0, zg.below] *= s_lo
-    KERN[-1, ~zg.below] *= s_hi
+    KERN[-1, ~zg.below] *= 1.0 + dk / hi[-1]
 
     P = green.G * grid.dx  # = (-A)^{-1}
     K = P @ KERN
 
-    hi_rate = ks.jump_tail_closed(zg.cut_hi - xs)
-    if green.kind == "Z":
-        hi_rate = hi_rate + ks.jump_tail_closed(zg.cut_hi + xs)
-    hi_rate[-1] *= s_hi
-    tail_hi = P @ hi_rate
+    tail_hi = P @ _rate_beyond(ks, green, zg.cut_hi)
     if green.kind == "X":
         lo_rate = ks.jump_tail_closed(xs - zg.cut_lo)
         lo_rate[0] *= s_lo
@@ -427,7 +437,8 @@ def harmonic_extend(pt: PoissonTable, f, f_tail=None):
     nonnegative.  ``f_tail = (c, p)`` declares
     f(z) ~ c z^{-p} beyond cut_hi, integrated against the leading kernel
     tail (the shelf at cut_hi = many interval widths keeps this term tiny,
-    so the leading order suffices).
+    so the leading order suffices).  The tail rate is tail_hi's, wall row
+    scaled, so f = 1 with tail (1, 0) gives row_mass() - tail_lo exactly.
     """
     zg = pt.zgrid
     fz = np.asarray(f, dtype=float)
@@ -440,11 +451,7 @@ def harmonic_extend(pt: PoissonTable, f, f_tail=None):
         c, p = float(f_tail[0]), float(f_tail[1])
         if c < 0.0:
             raise DomainError("tail coefficient must be nonnegative")
-        ks = pt.ks
-        xs = pt.grid.nodes()
-        rate = c * ks.jump_tail_closed(zg.cut_hi - xs, weight_exponent=p)
-        if pt.kind == "Z":
-            rate = rate + c * ks.jump_tail_closed(zg.cut_hi + xs, weight_exponent=p)
+        rate = c * _rate_beyond(pt.ks, pt.green, zg.cut_hi, p)
         u = u + (pt.green.G * pt.grid.dx) @ rate
     return u
 
@@ -509,15 +516,14 @@ def _shelf_solve(ks: KernelSet, a: float, R: float):
     down, up, dk = gen.exit_rates
     # match the generator's wall-corrected kill masses so that the two
     # exit routes partition the whole probability: p_up + p_shelf = 1
-    up = up.copy()
-    down = down.copy()
-    up[-1] += dk
-    down[0] += dk
+    rates = np.column_stack([up, down])
+    rates[-1, 0] += dk
+    rates[0, 1] += dk
     # -A is symmetric positive definite by construction (strictly
     # diagonally dominant with a positive diagonal); negate it in place
     np.negative(gen.A, out=gen.A)
     try:
-        P = _spd_solve(gen.A, np.column_stack([up, down]))
+        P = _spd_solve(gen.A, rates)
     except np.linalg.LinAlgError as e:
         raise SolverError(
             f"exit solve failed at shelf a={a}: the generator lost positive "
@@ -556,10 +562,9 @@ def exit_alive_prob(
     if not (R > 0.0):
         raise DomainError("R must be positive")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    a_list = sorted(float(av) for av in a_seq)
-    if not a_list or a_list[0] <= 0.0:
+    a_list = sorted((float(av) for av in a_seq), reverse=True)
+    if not a_list or a_list[-1] <= 0.0:
         raise ConfigError("a_seq must contain positive shelf values")
-    a_list = a_list[::-1]  # decreasing
     if np.any(x_arr >= R) or np.any(x_arr <= 0.0):
         raise DomainError("evaluation points must lie in (0, R)")
     if np.any(x_arr <= 2.0 * a_list[0]):
@@ -668,8 +673,7 @@ def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 
         raise ConfigError("a_frac must lie in (0, 1)")
     b1, b4 = 0.5 * a_frac * r, (3.0 - 0.5 * a_frac) * r
     grid = Grid(b1, b4, n)
-    gen = build_generator(ks, grid, "Z")
-    pt = poisson_kernel(green_matrix(gen), ks)
+    pt = poisson_kernel(green_matrix(build_generator(ks, grid, "Z")), ks)
     xs = grid.nodes()
     w1, w2 = a_frac * r, (3.0 - a_frac) * r
     mask = (xs > w1) & (xs < w2)
@@ -727,25 +731,24 @@ def bhp_sup_ratio(
 ) -> BhpReport:
     """Boundary ratio constant: sup of u(x) h(y) / (u(y) h(x)) near the origin.
 
-    Solves kind Z on (a, 3r) with a shelf a = 12 r / n, four cells wide,
+    Solves kind Z on (a, 3r) with a shelf of SHELF_CELLS cells, a = 12 r / n,
     extends each datum of ``default_boundary_fset(r)`` harmonically, and
-    compares the profile to h over every node below lambda1 r.  The shelf
-    must stay below lambda1 r / 4, so n > 48 / lambda1.  The shelf
-    correction gives a bracketed variant: paths absorbed below a could
-    still reach the data, adding at most mass_below * h(a)/h(3r) * sup f
-    to u, with sup f = 1 for every datum.
+    compares the profile to h over every node below lambda1 r.  A shelf not
+    below lambda1 r / 4 (n <= 48 / lambda1) raises ConfigError before any
+    solve.  The shelf correction gives a bracketed variant: paths absorbed
+    below a could still reach the data, adding at most
+    mass_below * h(a)/h(3r) * sup f to u, with sup f = 1 for every datum.
     """
     if not (r > 0.0):
         raise DomainError("r must be positive")
     if not (0.0 < lambda1 < 0.5):
         raise ConfigError("lambda1 must lie in (0, 1/2)")
-    a = 12.0 * r / n
+    a = SHELF_CELLS * (3.0 * r) / n
     if not (0.0 < a < lambda1 * r / 4.0):
         raise ConfigError("shelf a must be small against the probe window")
 
     grid = Grid(a, 3.0 * r, n)
-    gen = build_generator(ks, grid, "Z")
-    pt = poisson_kernel(green_matrix(gen), ks)
+    pt = poisson_kernel(green_matrix(build_generator(ks, grid, "Z")), ks)
     zg = pt.zgrid
     xs = grid.nodes()
     wmask = xs < lambda1 * r
@@ -776,18 +779,15 @@ def small_interval_lower(
     ks: KernelSet,
     R: float,
     lambda1: float = DEFAULT_LAMBDA1,
-    a: float = 0.004,
+    a: float = DEFAULT_SHELF,
     *,
     n: int = 512,
-    window_lo: float | None = None,
-) -> float:
-    """Certified floor lambda2: min over the near-origin window of
-    G^Z / h(R), as a float.
-
-    Domain monotonicity (the (a, R) Green function sits below the (0, R)
-    one) makes this a valid lower certificate for the shelf-free object.
-    ``window_lo`` pins the probe window when sweeping a, so shrinking the
-    shelf compares like with like.
+) -> tuple:
+    """Certified floor lambda2 and its halved-shelf companion, two floats:
+    the min of G^Z / h(R) over the nodes of one window (a, lambda1 R), with
+    G^Z on n cells of (a, R) and then of (a/2, R).  Domain monotonicity (the
+    (a, R) Green function sits below the (0, R) one) makes each a lower
+    certificate for the shelf-free object, and the second >= the first.
     """
     if not (R > 0.0):
         raise DomainError("R must be positive")
@@ -795,15 +795,15 @@ def small_interval_lower(
         raise ConfigError("lambda1 must lie in (0, 1/2)")
     if not (0.0 < a < lambda1 * R / 4.0):
         raise ConfigError("shelf a must satisfy a < lambda1 R / 4")
-    grid = Grid(a, R, n)
-    green = green_matrix(build_generator(ks, grid, "Z"))
-    xs = grid.nodes()
-    wl = a if window_lo is None else float(window_lo)
-    mask = (xs > wl) & (xs < lambda1 * R)
-    if mask.sum() < 1:
-        raise ConfigError("no grid nodes inside the probe window")
-    sub = green.G[np.ix_(mask, mask)]
-    return float(sub.min() / ks.h_comp(R))
+    floors = []
+    for shelf in (a, 0.5 * a):
+        green = green_matrix(build_generator(ks, Grid(shelf, R, n), "Z"))
+        xs = green.grid.nodes()
+        mask = (xs > a) & (xs < lambda1 * R)
+        if mask.sum() < 1:
+            raise ConfigError("no grid nodes inside the probe window")
+        floors.append(float(green.G[np.ix_(mask, mask)].min() / ks.h_comp(R)))
+    return tuple(floors)
 
 
 # -- refinement diagnostics ----------------------------------------------------

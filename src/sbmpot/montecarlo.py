@@ -19,14 +19,13 @@ round.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bernstein import PhiSpec
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integer, check_seed
 
 __all__ = [
     "PathConfig",
@@ -72,12 +71,8 @@ class PathConfig:
             raise ConfigError("folded walks need a >= 0")
         if not (a < self.x0 < b):
             raise DomainError("x0 must start inside the interval")
-        if not isinstance(self.n_paths, numbers.Integral) or isinstance(self.n_paths, bool):
-            raise ConfigError(f"n_paths must be an integer, got {self.n_paths!r}")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be positive")
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        check_integer("n_paths", self.n_paths, 1)
+        check_seed(self.seed)
 
 
 @dataclass

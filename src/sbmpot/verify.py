@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -23,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernstein import PhiSpec
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, check_seed
 from .kernels import KernelSet
 from .interval_solver import (
+    DEFAULT_SHELF,
     Grid,
     bhp_sup_ratio,
     build_generator,
@@ -85,14 +85,9 @@ class RunConfig:
         if not dts or dts[-1] <= 0.0:
             raise ConfigError("mc_dt must hold positive steps")
         object.__setattr__(self, "mc_dt", dts)
-        for name in ("n_coarse", "n_fine", "mc_paths"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        if self.n_coarse < 8 or self.n_fine <= self.n_coarse:
-            raise ConfigError("need 8 <= n_coarse < n_fine")
-        if self.mc_paths < 100:
-            raise ConfigError("mc_paths is too small to estimate anything")
+        check_integer("n_coarse", self.n_coarse, 8)
+        check_integer("n_fine", self.n_fine, self.n_coarse + 1)
+        check_integer("mc_paths", self.mc_paths, 100)
         if not (dts[0] < self.mc_tmax < math.inf):
             raise ConfigError(
                 f"mc_tmax must be finite and exceed the largest mc_dt {dts[0]!r}, "
@@ -102,21 +97,20 @@ class RunConfig:
             raise ConfigError("mc_x0 must lie inside the interval")
         if not (0.0 < self.R < math.inf):
             raise ConfigError(f"R must be positive and finite, got {self.R!r}")
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        check_seed(self.seed)
 
     def to_dict(self):
         return {
             "specs": [s.to_dict() for s in self.specs],
             "interval": list(self.interval),
-            "n_coarse": self.n_coarse,
-            "n_fine": self.n_fine,
+            "n_coarse": int(self.n_coarse),
+            "n_fine": int(self.n_fine),
             "R": self.R,
-            "mc_paths": self.mc_paths,
+            "mc_paths": int(self.mc_paths),
             "mc_dt": list(self.mc_dt),
             "mc_x0": self.mc_x0,
             "mc_tmax": self.mc_tmax,
-            "seed": self.seed,
+            "seed": int(self.seed),
         }
 
     @classmethod
@@ -346,12 +340,12 @@ def _check_exit_prob_sandwich(cfg, ctx, spec):
         "max_width": width,
         "shrank": float(rep.shrank),
     }
-    return m, "value in [h/8h(R)-0.02, h/h(R)+0.02], width < 0.02", ok
+    return m, "value in [h/8h(R)-0.02, h/h(R)+0.02], width < 0.02 and shrinking", ok
 
 
 def _check_exit_time_bound(cfg, ctx, spec):
     ks = ctx.kernels(spec)
-    R, shelf = cfg.R, 0.004 * cfg.R
+    R, shelf = cfg.R, DEFAULT_SHELF * cfg.R
     probes = np.linspace(0.02, 0.1, 17) * R
     c3, max_ratio = {}, 0.0
     for n in (cfg.n_fine, 2 * cfg.n_fine):
@@ -369,7 +363,7 @@ def _check_exit_time_bound(cfg, ctx, spec):
         "c3_double": c3[2 * cfg.n_fine],
         "c3_drift": drift,
     }
-    return m, "E <= 4 R h * 1.05 everywhere; near-origin floor drift < 0.15", ok
+    return m, "E <= 4 R h * 1.05 everywhere; near-origin floor c3 > 0, drift < 0.15", ok
 
 
 def _check_green_comparability(cfg, ctx, spec):
@@ -398,7 +392,7 @@ def _check_green_comparability(cfg, ctx, spec):
         "inf_drift": inf_drift,
         "min_yx_gap": yx_gap,
     }
-    return m, "finite ratios, drift < 0.10, min(G_Y - G_X) >= -1e-08", ok
+    return m, "finite ratios, inf G_Z/G_X > 0, drift < 0.10, min(G_Y - G_X) >= -1e-08", ok
 
 
 def _check_gx_band(cfg, ctx, spec):
@@ -466,15 +460,13 @@ def _check_bhp(cfg, ctx, spec):
         "a_fine": fine.a,
         "n_data": float(len(fine.per_f)),
     }
-    return m, "c7 finite over 5 data; ladder drift < 0.15 and shrinking", ok
+    return m, "c7 finite, > 0 on each rung, 5 data; ladder drift < 0.15 and shrinking", ok
 
 
 def _check_small_interval(cfg, ctx, spec):
     ks = ctx.kernels(spec)
     R = cfg.R
-    a = 0.004 * R
-    lam2 = small_interval_lower(ks, R, a=a, n=cfg.n_fine)
-    lam2_half = small_interval_lower(ks, R, a=0.5 * a, n=cfg.n_fine, window_lo=a)
+    lam2, lam2_half = small_interval_lower(ks, R, a=DEFAULT_SHELF * R, n=cfg.n_fine)
     ok = lam2 > 0.0 and lam2_half >= lam2 - 1e-12
     m = {"lambda2": lam2, "lambda2_half_shelf": lam2_half}
     return m, "lambda2 > 0 and not decreasing as the shelf halves", ok

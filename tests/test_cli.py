@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from sbmpot import PhiSpec, RunConfig, load_report
+from sbmpot import (
+    KernelSet,
+    PhiSpec,
+    RunConfig,
+    bhp_sup_ratio,
+    load_report,
+    small_interval_lower,
+)
 from sbmpot.cli import main
 
 
@@ -163,11 +170,27 @@ def test_solve_bhp(capsys):
     assert diag["refinement_drift"] is None
 
 
+def test_solve_bhp_companion_is_bhp_sup_ratio_at_half_n(capsys):
+    # the CLI keeps no copy of the shelf bound: it asks bhp_sup_ratio at
+    # n//2, here 208 > 48 / lambda1 = 192, which bhp_sup_ratio accepts
+    rc, out, _ = _run(capsys, "solve", "bhp", "--r", "1", "--n", "417")
+    assert rc == 0
+    diag = json.loads(out)
+    ks = KernelSet(PhiSpec.stable(0.75))
+    full, half = bhp_sup_ratio(ks, 1.0, n=417), bhp_sup_ratio(ks, 1.0, n=208)
+    assert diag["value"] == full.c7
+    assert diag["refinement_drift"] == abs(half.c7 / full.c7 - 1.0)
+
+
 def test_solve_small(capsys):
     rc, out, _ = _run(capsys, "solve", "small", "--R", "1", "--n", "128")
     assert rc == 0
     diag = json.loads(out)
     assert diag["value"] > 0.0
+    # the drift compares the floor with its halved-shelf companion
+    lam2, lam2_half = small_interval_lower(KernelSet(PhiSpec.stable(0.75)), 1.0, n=128)
+    assert diag["value"] == lam2
+    assert diag["refinement_drift"] == abs(lam2_half / lam2 - 1.0)
 
 
 def test_mc_exit(capsys, tmp_path):

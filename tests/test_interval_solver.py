@@ -37,6 +37,7 @@ from sbmpot.interval_solver import (
 
 from oracles import (
     band_coefficient,
+    bgr_I,
     bgr_density,
     bgr_green,
     bgr_killed_exit_alive,
@@ -68,6 +69,11 @@ def test_grid_validation():
         Grid(2.0, 1.0, 8)
     with pytest.raises(ConfigError):
         Grid(1.0, 2.0, 0)
+    # a float or a bool is no cell count, though 256.0 == 256 and True == 1
+    for n in (256.0, True, "256"):
+        with pytest.raises(ConfigError, match="n must be an integer"):
+            Grid(1.0, 2.0, n)
+    assert Grid(1.0, 2.0, np.int64(256)).n == 256
     with pytest.raises(ConfigError):
         Grid(1.0, math.inf, 8)
 
@@ -268,14 +274,19 @@ def test_exterior_mesh_shapes(stable_ks):
         default_zgrid(grid, "Q")
 
 
-def test_harmonic_extension_of_unit_data(stable_ks, poisson_x_256):
-    # f = 1 everywhere outside reproduces the full exit mass
-    pt = poisson_x_256
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize("kind", ["X", "Y", "Z"])
+def test_harmonic_extension_of_unit_data(request, ks_name, kind):
+    # f = 1 everywhere outside reproduces the full exit mass: the tail
+    # beyond the mesh carries the same wall-row factor as the table's
+    # tail_hi (without it the last rows missed by 1.2e-7 to 5.1e-7)
+    ks = request.getfixturevalue(ks_name)
+    pt = poisson_kernel(green_matrix(build_generator(ks, Grid(1.0, 2.0, 256), kind)), ks)
     ones = np.ones_like(pt.zgrid.nodes)
     u = harmonic_extend(pt, ones, f_tail=(1.0, 0.0))
     # the X lower exterior also carries an analytic tail, add it directly
     u_full = u + pt.tail_lo
-    assert np.allclose(u_full, pt.row_mass(), rtol=1e-5)
+    np.testing.assert_allclose(u_full, pt.row_mass(), rtol=1e-13, atol=0.0)
 
 
 def test_harmonic_extension_validation(poisson_x_256):
@@ -367,8 +378,8 @@ def test_bgr_killed_oracle_is_brownian_ruin_at_alpha_2():
 def test_bgr_green_integrates_to_the_mean_exit_time():
     # int G(x, y) dy over (-1, 1) is E_x[tau], Getoor's closed form; a
     # 2000-node Gauss-Legendre rule on each side of the kink at y = x.  The
-    # gap, 5.4e-6 at worst, is the 256-node I(w) near the diagonal: it does
-    # not move between 500 and 2000 nodes
+    # gap is 2.1e-10 at worst (5.4e-6 while I(w) was one rule over
+    # [0, w^(alpha/2)], which lost digits near the diagonal)
     t, wt = np.polynomial.legendre.leggauss(2000)
     for x in (-0.9, -0.5, 0.0, 0.3, 0.7, 0.95):
         total = 0.0
@@ -430,11 +441,31 @@ def test_killed_green_matrix_approaches_the_bgr_killed_green_function(stable_ks)
     assert not _tracks_the_killed_green_function([1.01 * r for r in ratios])
 
 
+def test_bgr_I_holds_its_digits_for_large_w():
+    # alpha = 2 has the closed form 2 (sqrt(1 + w) - 1); at alpha = 1.5 the
+    # 256-node rule agrees with 4096 nodes (a single rule over
+    # [0, w^(alpha/2)] read 39388 at w = 1e16, 4096 nodes of it 39904)
+    w = np.array([0.5, 1.0, 10.0, 1e4, 1e8, 1e16, 1e24])
+    np.testing.assert_allclose(bgr_I(2.0, w), 2.0 * (np.sqrt(1.0 + w) - 1.0), rtol=1e-13)
+    np.testing.assert_allclose(bgr_I(1.5, w), bgr_I(1.5, w, nodes=4096), rtol=1e-11)
+
+
+def test_bgr_killed_green_halves_near_the_origin():
+    # G(x, y) ~ x^(alpha - 1) = x^(1/2) at the origin, so G(x, y)/G(4x, y)
+    # tends to 1/2: measured 1.9e-5 and 4.7e-6 off at x = 2.5e-4 and 1e-4
+    # (0.620 and 0.848 with the single-rule I(w), which G(x, 0) reads at
+    # w ~ 1/x^2)
+    y = np.array([0.3, 0.5, 0.7, 0.9])
+    for x0 in (2.5e-4, 1e-4):
+        ratio = bgr_killed_green(1.5, x0, y) / bgr_killed_green(1.5, 4.0 * x0, y)
+        np.testing.assert_allclose(ratio, 0.5, atol=1e-4)
+
+
 def test_bgr_killed_green_is_symmetric_and_vanishes_at_the_origin():
     # point killing makes the oracle symmetric, positive inside, and
     # vanishing like x^(alpha - 1) = x^(1/2) at the origin, where the
     # process is killed: a quarter of the distance halves it (measured
-    # within 1.5e-3 of 1/2)
+    # within 1.2e-3 of 1/2)
     x = np.linspace(0.05, 0.95, 10)
     X, Y = np.meshgrid(x, x, indexing="ij")
     off = ~np.eye(x.size, dtype=bool)
@@ -558,11 +589,17 @@ def test_boundary_data_vanish_below_3r():
 
 
 def test_small_interval_lower(stable_ks):
-    lam2 = small_interval_lower(stable_ks, 1.0)
+    lam2, lam2_half = small_interval_lower(stable_ks, 1.0)
     assert isinstance(lam2, float) and lam2 > 0.0
     # shrinking the shelf grows the domain, so the floor can only rise
-    lam2_half = small_interval_lower(stable_ks, 1.0, a=0.002, window_lo=0.004)
-    assert lam2_half >= lam2 - 1e-12
+    assert isinstance(lam2_half, float) and lam2_half >= lam2 - 1e-12
+    # the companion is the (a/2, R) Green matrix over the window (a, lambda1 R)
+    green = green_matrix(build_generator(stable_ks, Grid(0.002, 1.0, 512), "Z"))
+    xs = green.grid.nodes()
+    win = (xs > 0.004) & (xs < 0.25)
+    assert lam2_half == float(green.G[np.ix_(win, win)].min() / stable_ks.h_comp(1.0))
+    with pytest.raises(TypeError):
+        small_interval_lower(stable_ks, 1.0, a=0.002, window_lo=0.004)
 
 
 def test_green_drift_zero_on_self(stable_ks, green_x_256):

@@ -52,7 +52,8 @@ def test_path_config_validation():
     for n in (10.7, 10.0, "10", True):
         with pytest.raises(ConfigError, match="n_paths must be an integer"):
             PathConfig(**{**good, "n_paths": n})
-    for seed in (-1, 2**64, 1.5, "7"):
+    # a bool is a numbers.Integral, but False is no seed
+    for seed in (-1, 2**64, 1.5, "7", False, True):
         with pytest.raises(ConfigError, match="seed"):
             PathConfig(**{**good, "seed": seed})
     PathConfig(**{**good, "seed": 2**64 - 1})

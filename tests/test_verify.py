@@ -8,6 +8,7 @@ from sbmpot import (
     CheckReport,
     CheckResult,
     ConfigError,
+    ExitAliveReport,
     KernelSet,
     PhiSpec,
     RunConfig,
@@ -55,6 +56,19 @@ def test_config_validation():
     for bad in (-1, 1.5, "7", 2**64):
         with pytest.raises(ConfigError):
             RunConfig(seed=bad)
+
+
+def test_config_rejects_bool_seeds():
+    # a bool is a numbers.Integral, but True is no seed: accepted, it keyed
+    # the report to "seed": true, another digest than seed 1
+    for bad in (True, False):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            RunConfig(seed=bad)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            RunConfig.from_dict({"seed": bad})
+    # numpy integers are integers, and serialize as the same digest
+    assert RunConfig(seed=np.uint64(1)).digest() == RunConfig(seed=1).digest()
+    assert RunConfig(n_coarse=np.int64(200)).digest() == RunConfig(n_coarse=200).digest()
 
 
 def test_config_rejects_non_integral_sizes_and_short_horizons():
@@ -147,6 +161,33 @@ def test_run_verify_is_deterministic(small_cfg, small_report):
         assert num1 == num2
         assert c1.passed == c2.passed
     assert small_report.config_digest == small_cfg.digest()
+
+
+def test_tol_names_every_clause_of_the_verdict(monkeypatch):
+    # a bracket that did not shrink fails exit-prob-sandwich, whose tol
+    # says so; the values themselves sit inside the band
+    def not_shrinking(ks, R, xs):
+        value = 0.5 * ks.h_many(xs) / ks.h_comp(R)
+        zero = np.zeros_like(xs)
+        return ExitAliveReport(xs, value, zero, value, value, (), shrank=False)
+
+    monkeypatch.setattr(vf, "exit_alive_prob", not_shrinking)
+    cfg = RunConfig(specs=(PhiSpec.stable(0.75),), n_coarse=200, n_fine=256)
+    # the other verdicts also test a positivity their tol used to leave out
+    clauses = {
+        "exit-prob-sandwich": "shrinking",
+        "exit-time-bound": "c3 > 0",
+        "green-comparability": "inf G_Z/G_X > 0",
+        "bhp": "> 0 on each rung",
+    }
+    rep = run_verify(cfg, only=list(clauses))
+    checks = {c.name.split("[")[0]: c for c in rep.checks}
+    sandwich = checks["exit-prob-sandwich"]
+    assert not sandwich.passed and sandwich.measured["shrank"] == 0.0
+    assert sandwich.measured["lo_margin"] >= 0.0 and sandwich.measured["hi_margin"] >= 0.0
+    assert sandwich.measured["max_width"] == 0.0
+    for name, clause in clauses.items():
+        assert clause in checks[name].tol, name
 
 
 def test_applicability_filters_by_spec():
