@@ -134,17 +134,26 @@ def _cmd_solve_exit(args):
     return 0
 
 
+def _half_n_drift(solve, n, value):
+    """|solve(n // 2) / value - 1|, or None where the solver refuses n // 2 cells."""
+    try:
+        return abs(solve(n // 2) / value - 1.0)
+    except ConfigError:
+        return None
+
+
 def _cmd_solve_harnack(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     rep = harnack_sup_ratio(ks, args.r, args.afrac, n=args.n)
-    half = harnack_sup_ratio(ks, args.r, args.afrac, n=args.n // 2)
+    drift = _half_n_drift(lambda n: harnack_sup_ratio(ks, args.r, args.afrac, n=n).c6,
+                          args.n, rep.c6)
     _emit_diag(
         kind="harnack",
         grid={"r": args.r, "a_frac": args.afrac, "n": args.n,
               "window": list(rep.window), "spec": spec.label()},
         value=rep.c6,
-        refinement_drift=abs(half.c6 / rep.c6 - 1.0),
+        refinement_drift=drift,
     )
     return 0
 
@@ -153,12 +162,8 @@ def _cmd_solve_bhp(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     rep = bhp_sup_ratio(ks, args.r, args.lambda1, n=args.n)
-    # no coarse companion where bhp_sup_ratio refuses n//2 (before solving)
-    try:
-        half = bhp_sup_ratio(ks, args.r, args.lambda1, n=args.n // 2)
-        drift = abs(half.c7 / rep.c7 - 1.0)
-    except ConfigError:
-        drift = None
+    drift = _half_n_drift(lambda n: bhp_sup_ratio(ks, args.r, args.lambda1, n=n).c7,
+                          args.n, rep.c7)
     _emit_diag(
         kind="bhp",
         grid={"r": args.r, "lambda1": args.lambda1, "a": rep.a, "n": args.n,

@@ -743,6 +743,7 @@ def bhp_sup_ratio(
         raise DomainError("r must be positive")
     if not (0.0 < lambda1 < 0.5):
         raise ConfigError("lambda1 must lie in (0, 1/2)")
+    check_integer("n", n, 1)
     a = SHELF_CELLS * (3.0 * r) / n
     if not (0.0 < a < lambda1 * r / 4.0):
         raise ConfigError("shelf a must be small against the probe window")

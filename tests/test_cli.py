@@ -170,6 +170,22 @@ def test_solve_bhp(capsys):
     assert diag["refinement_drift"] is None
 
 
+def test_solve_bhp_refuses_zero_cells(capsys):
+    rc, out, err = _run(capsys, "solve", "bhp", "--r", "1", "--n", "0")
+    assert rc == 2 and out == ""
+    assert "n must be at least 1" in err
+
+
+def test_solve_harnack_drops_a_refused_companion(capsys):
+    # n//2 = 6 cells is below the generator's 8, so, as for bhp, the drift
+    # is null rather than the valid n = 12 run exiting 2
+    rc, out, _ = _run(capsys, "solve", "harnack", "--r", "1", "--n", "12")
+    assert rc == 0
+    diag = json.loads(out)
+    assert diag["value"] > 1.0
+    assert diag["refinement_drift"] is None
+
+
 def test_solve_bhp_companion_is_bhp_sup_ratio_at_half_n(capsys):
     # the CLI keeps no copy of the shelf bound: it asks bhp_sup_ratio at
     # n//2, here 208 > 48 / lambda1 = 192, which bhp_sup_ratio accepts

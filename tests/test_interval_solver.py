@@ -568,6 +568,10 @@ def test_bhp_report(stable_ks):
         bhp_sup_ratio(stable_ks, 1.0, n=128)  # shelf 12/128 > lambda1/4: needs n > 192
     with pytest.raises(ConfigError):
         bhp_sup_ratio(stable_ks, 1.0, lambda1=0.7)
+    # n is checked before the shelf 12r/n divides by it
+    for bad in (0, 256.0):
+        with pytest.raises(ConfigError, match="n must be an integer|n must be at least"):
+            bhp_sup_ratio(stable_ks, 1.0, n=bad)
 
 
 def test_boundary_data_vanish_below_3r():

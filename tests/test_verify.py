@@ -115,6 +115,16 @@ def test_config_digest_and_round_trip():
         RunConfig.from_dict([1, 2])
 
 
+def test_config_digest_takes_numpy_floats():
+    # a numpy float32 R, mc_x0 or mc_tmax made digest() raise TypeError,
+    # which run_verify met only after every check had run
+    cfg = RunConfig(R=np.float32(1.0), mc_x0=np.float32(1.5), mc_tmax=np.float32(50.0))
+    assert cfg.digest() == RunConfig().digest() == "5b842578ce636d0c"
+    # the fields are held as floats, so the run behind that digest solves
+    # in float64 (a float32 R moved c7 and lambda2 in the eighth digit)
+    assert all(type(v) is float for v in (cfg.R, cfg.mc_x0, cfg.mc_tmax))
+
+
 @pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
 @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
 def test_mean_step_matches_the_stable_closed_form(delta, dt):
@@ -190,6 +200,26 @@ def test_tol_names_every_clause_of_the_verdict(monkeypatch):
         assert clause in checks[name].tol, name
 
 
+def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
+    # both used to fold with max from 0.0, and max(0.0, nan) is 0.0: all
+    # three drifts nan read worst = 0.0 and passed
+    monkeypatch.setattr(vf, "green_drift", lambda coarse, fine: float("nan"))
+    real_exit_time = vf.exit_time
+
+    def nan_at_the_wall(green):
+        E = real_exit_time(green).copy()
+        E[-1] = float("nan")  # far from the c3 probes, so only the 4Rh ratio sees it
+        return E
+
+    monkeypatch.setattr(vf, "exit_time", nan_at_the_wall)
+    cfg = RunConfig(specs=(PhiSpec.stable(0.75),), n_coarse=32, n_fine=64)
+    rep = run_verify(cfg, only=["green-self-convergence", "exit-time-bound"])
+    conv, bound = rep.checks
+    assert np.isnan(conv.measured["worst"]) and not conv.passed
+    assert np.isnan(bound.measured["max_ratio_4Rh"]) and not bound.passed
+    assert np.isfinite(bound.measured["c3_drift"])
+
+
 def test_applicability_filters_by_spec():
     # h-value applies to the canonical stable spec only
     mix = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
@@ -203,7 +233,7 @@ def test_applicability_filters_by_spec():
 def test_selection_matching_no_check_raises_before_running(monkeypatch):
     # a well-formed label that no configured spec has selects nothing: an
     # error, not an empty report that passes
-    def boom(cfg, ctx, spec):
+    def boom(ctx):
         raise AssertionError("no check may run")
 
     monkeypatch.setattr(vf, "_CHECKS", tuple(
@@ -214,13 +244,41 @@ def test_selection_matching_no_check_raises_before_running(monkeypatch):
             run_verify(RunConfig(), only=only)
 
 
+def test_verdict_and_tol_come_from_the_clauses(monkeypatch, small_cfg):
+    def stub(ctx):
+        return {"v": 1.0}, [("a holds", True), ("b fails", False)]
+
+    monkeypatch.setattr(vf, "_CHECKS", (vf._CheckDef("h-value", "anchor", stub),))
+    (c,) = run_verify(small_cfg).checks
+    assert not c.passed
+    assert c.tol == "a holds; b fails"
+    assert c.measured == {"v": 1.0}
+
+
+def test_each_spec_runs_alone():
+    # one context per spec: a run over two specs is the two one-spec runs
+    # back to back, bit for bit (walks, Green matrices and Poisson tables
+    # included), so the specs can be run apart
+    specs = (PhiSpec.stable(0.75), PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9))))
+    kw = dict(n_coarse=32, n_fine=64, mc_paths=200, mc_dt=(1e-2,))
+    only = ["green-self-convergence", "mc-laplace", "mc-exit-time", "mc-exit-side"]
+
+    def rows(rep):
+        return [(c.name, c.measured, c.tol, c.passed) for c in rep.checks]
+
+    both = run_verify(RunConfig(specs=specs, **kw), only=only)
+    apart = [run_verify(RunConfig(specs=(s,), **kw), only=only) for s in specs]
+    assert len(both.checks) == 8
+    assert rows(both) == rows(apart[0]) + rows(apart[1])
+
+
 def test_check_names_cover_both_fixtures():
     assert "bhp" in CHECK_NAMES and "mc-creep" in CHECK_NAMES
     assert len(CHECK_NAMES) == len(set(CHECK_NAMES)) == 19
 
 
 def test_exceptions_become_recorded_failures(monkeypatch, small_cfg):
-    def boom(cfg, ctx, spec):
+    def boom(ctx):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(vf, "_CHECKS", (vf._CheckDef("h-value", "anchor", boom),))
