@@ -43,7 +43,6 @@ from .montecarlo import (
     ExitStats,
     PathConfig,
     sample_increment,
-    sample_stable_subordinator,
     simulate_exit,
 )
 from .verify import (
@@ -99,7 +98,6 @@ __all__ = [
     "run_verify",
     "scaling_exponents",
     "sample_increment",
-    "sample_stable_subordinator",
     "simulate_exit",
     "small_interval_lower",
     "three_g_sup",

@@ -1,10 +1,11 @@
-"""Exception taxonomy and integer and seed rules shared by every module.
+"""Exception taxonomy and the integer, seed and step-count rules shared by every module.
 
 Callers can rely on the split: bad mathematical inputs raise DomainError,
 bad knob settings raise ConfigError, and numerical machinery that fails to
 deliver its requested accuracy raises QuadratureError or SolverError.
 """
 
+import math
 import numbers
 
 
@@ -44,3 +45,10 @@ def check_seed(seed):
     check_integer("seed", seed, 0)
     if seed >= 2**64:
         raise ConfigError(f"seed must be below 2^64, got {seed!r}")
+
+
+def check_steps(t_max, dt):
+    """Raise ConfigError unless a walk to horizon ``t_max`` at step ``dt`` has
+    a finite step count t_max/dt."""
+    if not math.isfinite(t_max / dt):
+        raise ConfigError(f"t_max/dt must be a finite step count, got {t_max!r}/{dt!r}")

@@ -646,11 +646,10 @@ def three_g_sup(green: GreenMatrix, ks: KernelSet) -> float:
     xs = green.grid.nodes()
     dist = np.minimum(xs - green.grid.a, green.grid.b - xs)
     wgt = dist * dist / ks.phi_cap(dist)
-    best = -np.inf
-    for k in range(xs.size):
-        ratio = np.outer(G[:, k], G[k, :]) / G
-        best = max(best, float(ratio.max()) * wgt[k])
-    return best
+    # np.max keeps a nan, which Python's max folds away
+    return float(np.max([
+        (np.outer(G[:, k], G[k, :]) / G).max() * wgt[k] for k in range(xs.size)
+    ]))
 
 
 @dataclass(frozen=True)
@@ -682,7 +681,7 @@ def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 
     Kin = pt.K[mask]
     col_ratio = Kin.max(axis=0) / Kin.min(axis=0)
     tail = pt.tail_hi[mask]
-    c6 = max(float(col_ratio.max()), float(tail.max() / tail.min()))
+    c6 = float(np.max([col_ratio.max(), tail.max() / tail.min()]))
     return HarnackReport(c6=c6, window=(w1, w2))
 
 
@@ -759,21 +758,24 @@ def bhp_sup_ratio(
     shelf_corr = ks.h_comp(a) / ks.h_comp(3.0 * r)
     dmass = pt.mass_below()[wmask]
 
-    sup_all, sup_up_all, per_f = 0.0, 0.0, []
+    per_f = []
     for bd in default_boundary_fset(r):
         u = harmonic_extend(pt, bd.fn(zg.nodes), f_tail=bd.tail)
         uw = u[wmask]
-        if np.min(uw) <= 0.0:
+        if not np.min(uw) > 0.0:  # a nan is refused too
             raise SolverError(f"boundary datum {bd.name} is invisible from the window")
         rho = uw / h_vec
         sup_f = float(rho.max() / rho.min())
         rho_up = (uw + dmass * shelf_corr) / h_vec
         sup_f_up = float(rho_up.max() / rho.min())
         per_f.append({"name": bd.name, "sup": sup_f, "sup_upper": sup_f_up})
-        sup_all = max(sup_all, sup_f)
-        sup_up_all = max(sup_up_all, sup_f_up)
 
-    return BhpReport(c7=sup_all, c7_upper=sup_up_all, per_f=tuple(per_f), a=a)
+    return BhpReport(
+        c7=float(np.max([f["sup"] for f in per_f])),
+        c7_upper=float(np.max([f["sup_upper"] for f in per_f])),
+        per_f=tuple(per_f),
+        a=a,
+    )
 
 
 def small_interval_lower(

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bernstein import PhiSpec
-from .errors import ConfigError, DomainError, check_integer, check_seed
+from .errors import ConfigError, DomainError, check_integer, check_seed, check_steps
 
 __all__ = [
     "PathConfig",
     "ExitStats",
-    "sample_stable_subordinator",
     "sample_increment",
     "simulate_exit",
 ]
@@ -65,6 +64,7 @@ class PathConfig:
             raise ConfigError("dt must be positive and finite")
         if not (self.t_max > self.dt):
             raise ConfigError("t_max must exceed dt")
+        check_steps(self.t_max, self.dt)
         if not (a < b):
             raise ConfigError("interval must satisfy a < b")
         if self.fold and a < 0.0:
@@ -101,29 +101,6 @@ class ExitStats:
         a, b = self.interval
         p = self.exit_pos[self.exited]
         return int(np.count_nonzero((p == a) | (p == b)))
-
-
-def sample_stable_subordinator(delta: float, size, rng) -> np.ndarray:
-    """Draws of the standard stable subordinator S with E exp(-lam S) = exp(-lam^delta).
-
-    Uses the product representation
-        A(u) = [sin(delta pi u)^delta sin((1-delta) pi u)^(1-delta) / sin(pi u)]^(1/(1-delta)),
-        S = (A(U) / E)^((1-delta)/delta),
-    with U uniform on (0,1) and E unit exponential.
-    """
-    if not (0.0 < delta < 1.0):
-        raise DomainError("delta must lie in (0,1)")
-    u = rng.random(size)
-    # keep u strictly inside (0,1); endpoint draws would divide by sin(0)
-    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
-    e = rng.standard_exponential(size)
-    pu = math.pi * u
-    logA = (
-        delta * np.log(np.sin(delta * pu))
-        + (1.0 - delta) * np.log(np.sin((1.0 - delta) * pu))
-        - np.log(np.sin(pu))
-    ) / (1.0 - delta)
-    return np.exp((1.0 - delta) / delta * (logA - np.log(e)))
 
 
 def sample_increment(spec: PhiSpec, dt: float, size, rng) -> np.ndarray:

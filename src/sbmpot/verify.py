@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import PhiSpec
-from .errors import ConfigError, check_integer, check_seed
+from .errors import ConfigError, check_integer, check_seed, check_steps
 from .kernels import KernelSet
 from .interval_solver import (
     DEFAULT_SHELF,
@@ -39,12 +39,7 @@ from .interval_solver import (
     small_interval_lower,
     three_g_sup,
 )
-from .montecarlo import (
-    PathConfig,
-    _keyed_stream,
-    sample_stable_subordinator,
-    simulate_exit,
-)
+from .montecarlo import PathConfig, _keyed_stream, sample_increment, simulate_exit
 
 FIXTURE_STABLE = PhiSpec.stable(0.75)
 FIXTURE_MIXTURE = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
@@ -93,6 +88,7 @@ class RunConfig:
                 f"mc_tmax must be finite and exceed the largest mc_dt {dts[0]!r}, "
                 f"got {self.mc_tmax!r}"
             )
+        check_steps(self.mc_tmax, dts[-1])  # the smallest step walks longest
         if not (self.interval[0] < self.mc_x0 < self.interval[1]):
             raise ConfigError("mc_x0 must lie inside the interval")
         if not (0.0 < self.R < math.inf):
@@ -475,17 +471,19 @@ def _check_three_g(ctx):
 
 
 def _check_mc_laplace(ctx):
-    paths = ctx.cfg.mc_paths
-    rng = _keyed_stream(ctx.cfg.seed, _STREAM_LAPLACE)
+    # subordination: E cos(xi X_dt) = E exp(-xi^2 S_dt) = exp(-dt psi(xi)),
+    # read at the xi with dt psi(xi) = 1
+    cfg = ctx.cfg
+    rng = _keyed_stream(cfg.seed, _STREAM_LAPLACE)
     m, clauses = {}, []
-    for idx, d in enumerate(ctx.spec.exponents()):
-        vals = np.exp(-sample_stable_subordinator(d, paths, rng))
+    for k, dt in enumerate(cfg.mc_dt):
+        xi = 1.0 / ctx.ks.phi_cap_inv(dt)
+        # through the module global, which a test may wrap to perturb the walk
+        vals = np.cos(xi * sample_increment(ctx.spec, dt, cfg.mc_paths, rng))
         dev = abs(float(vals.mean()) - math.exp(-1.0))
-        se3 = 3.0 * float(vals.std(ddof=1)) / math.sqrt(paths)
-        m[f"dev_{idx}"] = dev
-        m[f"se3_{idx}"] = se3
-        m[f"delta_{idx}"] = float(d)
-        clauses.append((f"|mean exp(-S_1) - exp(-1)| < 3 stderr at delta {d:g}", dev < se3))
+        se3 = 3.0 * float(vals.std(ddof=1)) / math.sqrt(cfg.mc_paths)
+        m.update({f"dev_{k}": dev, f"se3_{k}": se3, f"xi_{k}": xi})
+        clauses.append((f"|mean cos(xi X_dt) - exp(-1)| < 3 stderr at dt {dt:g}", dev < se3))
     return m, clauses
 
 
@@ -701,7 +699,8 @@ _CHECKS = (
     ),
     _CheckDef(
         "mc-laplace",
-        "E[exp(-S_1)] = exp(-1) for each unit-scale subordinator component",
+        "the walk's increments keep E cos(xi X_dt) = E exp(-xi^2 S_dt) = "
+        "exp(-dt psi(xi)), read where dt psi(xi) = 1",
         _check_mc_laplace,
     ),
     _CheckDef(

@@ -2,7 +2,8 @@
 
 Everything here is computed by routes disjoint from the package code:
 special-function closed forms, a convergent alternating series for the
-one-sided stable law, and the classical interval exit laws of the
+one-sided stable law and a sampler of it by its product representation
+(the subordinated route of the walk's increments), and the classical interval exit laws of the
 symmetric stable process and its Green function killed at the origin.
 The one exception is the full-matrix generator assembly, which takes the
 package's kernel inputs and is independent only in how it assembles them.
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from sbmpot.errors import DomainError
 from sbmpot.interval_solver import _exit_rates
 
 
@@ -269,6 +271,29 @@ def stable_median_series(delta, lo=0.5, hi=50.0):
         else:
             hi = mid
     return mid
+
+
+def sample_stable_subordinator(delta, size, rng):
+    """Draws of the standard stable subordinator S with E exp(-lam S) = exp(-lam^delta).
+
+    Uses the product representation
+        A(u) = [sin(delta pi u)^delta sin((1-delta) pi u)^(1-delta) / sin(pi u)]^(1/(1-delta)),
+        S = (A(U) / E)^((1-delta)/delta),
+    with U uniform on (0,1) and E unit exponential.
+    """
+    if not (0.0 < delta < 1.0):
+        raise DomainError("delta must lie in (0,1)")
+    u = rng.random(size)
+    # keep u strictly inside (0,1); endpoint draws would divide by sin(0)
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    e = rng.standard_exponential(size)
+    pu = math.pi * u
+    logA = (
+        delta * np.log(np.sin(delta * pu))
+        + (1.0 - delta) * np.log(np.sin((1.0 - delta) * pu))
+        - np.log(np.sin(pu))
+    ) / (1.0 - delta)
+    return np.exp((1.0 - delta) / delta * (logA - np.log(e)))
 
 
 # -- frozen values -------------------------------------------------------------------

@@ -237,6 +237,23 @@ def test_mc_exit_bad_seed_exits_2(capsys, seed):
     assert out == ""
 
 
+@pytest.mark.parametrize("tmax", ["inf", "1e307"])
+def test_mc_exit_unbounded_horizon_exits_2(capsys, tmp_path, tmax):
+    # t_max/dt overflows to inf: refused as bad input, not an OverflowError
+    rc, out, err = _run(
+        capsys, "mc", "exit", "--a", "1", "--b", "2", "--x0", "1.5",
+        "--dt", "1e-2", "--paths", "10", "--tmax", tmax,
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "t_max/dt" in err
+    assert out == ""
+    # and a run config whose smallest step does the same
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mc_tmax": 1e307, "mc_dt": [1e-2]}))
+    rc, out, err = _run(capsys, "verify", "all", "--config", str(cfg))
+    assert rc == 2 and "t_max/dt" in err and out == ""
+
+
 def test_verify_one(capsys, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(RunConfig(specs=(PhiSpec.stable(0.75),)).to_dict()))

@@ -574,6 +574,53 @@ def test_bhp_report(stable_ks):
             bhp_sup_ratio(stable_ks, 1.0, n=bad)
 
 
+def test_three_g_sup_keeps_a_nan(stable_ks):
+    # Python's max(best, nan) is best, so a nan triple used to vanish
+    green = green_matrix(build_generator(stable_ks, Grid(1.0, 2.0, 32), "X"))
+    G = green.G.copy()
+    G[3, 5] = np.nan
+    assert math.isnan(three_g_sup(dataclasses.replace(green, G=G), stable_ks))
+
+
+def test_harnack_keeps_a_nan_tail(stable_ks, monkeypatch):
+    # a nan tail ratio used to fold away, leaving the finite column sup
+    real = interval_solver.poisson_kernel
+
+    def nan_tail(green, ks):
+        pt = real(green, ks)
+        tail = pt.tail_hi.copy()
+        tail[tail.size // 2] = np.nan
+        return dataclasses.replace(pt, tail_hi=tail)
+
+    monkeypatch.setattr(interval_solver, "poisson_kernel", nan_tail)
+    assert math.isnan(harnack_sup_ratio(stable_ks, 1.0, n=128).c6)
+
+
+def test_bhp_refuses_a_nan_datum(stable_ks, monkeypatch):
+    # np.min(uw) <= 0.0 is False for a nan, so a nan extension used to pass
+    # the guard and drop out of the sup
+    real = interval_solver.default_boundary_fset
+    nan_datum = interval_solver.BoundaryData("nan", lambda z: np.full(z.shape, np.nan), None)
+    monkeypatch.setattr(interval_solver, "default_boundary_fset", lambda r: real(r) + [nan_datum])
+    with pytest.raises(SolverError, match="invisible"):
+        bhp_sup_ratio(stable_ks, 1.0, n=256)
+
+
+def test_bhp_keeps_a_nan_ratio(stable_spec, monkeypatch):
+    # a nan profile ratio used to fold to the starting 0.0
+    ks = KernelSet(stable_spec)
+    real = ks.h_many
+
+    def nan_h(xs):
+        h = real(xs)
+        h[0] = np.nan
+        return h
+
+    monkeypatch.setattr(ks, "h_many", nan_h)
+    rep = bhp_sup_ratio(ks, 1.0, n=256)
+    assert math.isnan(rep.c7) and math.isnan(rep.c7_upper)
+
+
 def test_boundary_data_vanish_below_3r():
     # bhp_sup_ratio extends these data from the kind-Z mesh of (12r/n, 3r),
     # so each must vanish on the whole lower exterior (0, 12r/n) and on

@@ -12,11 +12,10 @@ from sbmpot import (
     PhiSpec,
     phi_eval,
     sample_increment,
-    sample_stable_subordinator,
     simulate_exit,
 )
 
-from oracles import STABLE_MEDIAN, STABLE_TAIL_100_D075
+from oracles import STABLE_MEDIAN, STABLE_TAIL_100_D075, sample_stable_subordinator
 
 
 def _rng(seed, sub=0):
@@ -41,6 +40,10 @@ def test_path_config_validation():
         PathConfig(**{**good, "dt": 0.0})
     with pytest.raises(ConfigError):
         PathConfig(**{**good, "t_max": 1e-2})
+    # t_max/dt must count finitely many steps
+    for t_max, dt in ((math.inf, 1e-2), (1e307, 1e-2), (1.0, 5e-324)):
+        with pytest.raises(ConfigError, match="t_max/dt"):
+            PathConfig(**{**good, "t_max": t_max, "dt": dt})
     with pytest.raises(ConfigError):
         PathConfig(**{**good, "interval": (2.0, 1.0)})
     with pytest.raises(ConfigError):

@@ -89,6 +89,11 @@ def test_config_rejects_non_integral_sizes_and_short_horizons():
     RunConfig(mc_dt=(1e-4, 0.5), mc_tmax=0.6)
     with pytest.raises(ConfigError, match="mc_tmax"):
         RunConfig(mc_dt=(1e-4, 0.5), mc_tmax=0.5)
+    # the smallest step must leave a finite step count, as PathConfig asks
+    for tmax, dts in ((1e307, (1e-2,)), (1e305, (1e-2, 1e-4))):
+        with pytest.raises(ConfigError, match="t_max/dt"):
+            RunConfig(mc_tmax=tmax, mc_dt=dts)
+    RunConfig(mc_tmax=1e305, mc_dt=(1e-2,))
     # numpy integers are integers; the accepted configs keep their digests
     assert RunConfig(n_coarse=np.int64(256)).n_coarse == 256
     certify = RunConfig(n_coarse=200, n_fine=256, mc_paths=2000, mc_dt=(1e-2, 1e-3))
@@ -218,6 +223,22 @@ def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
     assert np.isnan(conv.measured["worst"]) and not conv.passed
     assert np.isnan(bound.measured["max_ratio_4Rh"]) and not bound.passed
     assert np.isfinite(bound.measured["c3_drift"])
+
+
+@pytest.mark.parametrize("spec", [vf.FIXTURE_STABLE, vf.FIXTURE_MIXTURE], ids=lambda s: s.label())
+def test_mc_laplace_catches_a_scaled_walk(monkeypatch, spec):
+    # mc-laplace draws the walk's own increments: scaling them by 1.02 moves
+    # E cos(xi X_dt) off exp(-1) by more than 3 stderr at 1e5 paths
+    cfg = RunConfig(specs=(spec,))
+    (clean,) = run_verify(cfg, only=["mc-laplace"]).checks
+    assert clean.passed, clean.tol
+    ks = KernelSet(spec)
+    for k, dt in enumerate(cfg.mc_dt):
+        assert dt * ks.psi(clean.measured[f"xi_{k}"]) == pytest.approx(1.0, rel=1e-12)
+    real = vf.sample_increment
+    monkeypatch.setattr(vf, "sample_increment", lambda *args: 1.02 * real(*args))
+    (scaled,) = run_verify(cfg, only=["mc-laplace"]).checks
+    assert not scaled.passed
 
 
 def test_applicability_filters_by_spec():
