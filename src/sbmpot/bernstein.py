@@ -1,13 +1,13 @@
 """Complete Bernstein functions of the admitted families: the spec, its
-evaluation, and the empirical scaling report.
+evaluation, and its exact scaling envelope.
 
 Two families are supported: a single stable power phi(lam) = lam^delta and
 finite positive mixtures phi(lam) = sum_i w_i lam^{delta_i}, each with
-delta in (0, 1); no drift, no killing.  ``scaling_exponents`` measures the
-global two-sided scaling of phi over a log lattice.  Its
-``delta1_above_half`` verdict is the regularity condition (0 regular for
-itself), and ``delta2_warn`` flags the upper edge where downstream
-estimates lose uniformity.
+delta in (0, 1); no drift, no killing.  ``scaling_exponents`` reads the
+global two-sided scaling of phi from the spec: delta1 = delta_min and
+delta2 = delta_max, with prefactors 1.  Its ``delta1_above_half`` verdict
+is the paper's standing hypothesis 1/2 < delta1, and ``delta2_warn`` flags
+the upper edge where downstream estimates lose uniformity.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class PhiSpec:
             clean = []
             for pair in self.terms:
                 w, d = (float(pair[0]), float(pair[1]))
-                if not (w > 0.0):
-                    raise ConfigError(f"mixture weight must be positive, got {w}")
+                if not (0.0 < w < math.inf):
+                    raise ConfigError(f"mixture weight must be positive and finite, got {w}")
                 if not (0.0 < d < 1.0):
                     raise ConfigError(f"mixture exponent must lie in (0, 1), got {d}")
                 clean.append((w, d))
@@ -159,84 +159,52 @@ def phi_eval(spec, lam):
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Fitted global scaling envelope a1 lam^{d1} <= phi(lam r)/phi(r) <= a2 lam^{d2}.
+    """Global scaling envelope lam^{delta1} <= phi(lam r)/phi(r) <= lam^{delta2}
+    for every lam >= 1 and r > 0, read exactly from the spec.
 
-    ``delta1_hat``/``delta2_hat`` are the extreme log-log slopes over all
-    lattice pairs, ``a1_hat``/``a2_hat`` the matching prefactors so that the
-    two-sided bound holds with equality somewhere on the lattice.
-    ``delta1_above_half`` records the recurrence-side condition and
-    ``delta2_warn`` flags the near-degenerate upper edge where downstream
-    comparability constants blow up.
+    ``delta1_above_half`` is the paper's standing hypothesis 1/2 < delta1
+    (under it 0 is also regular for itself), and ``delta2_warn`` flags the
+    upper edge where downstream comparability constants blow up.
     """
 
-    delta1_hat: float
-    delta2_hat: float
-    a1_hat: float
-    a2_hat: float
-    lam_range: tuple[float, float]
-    r_range: tuple[float, float]
-    n_lam: int
-    n_r: int
+    delta1: float
+    delta2: float
     delta1_above_half: bool
     delta2_warn: bool
 
     def to_dict(self):
-        return {
-            "delta1_hat": self.delta1_hat,
-            "delta2_hat": self.delta2_hat,
-            "a1_hat": self.a1_hat,
-            "a2_hat": self.a2_hat,
-            "lam_range": list(self.lam_range),
-            "r_range": list(self.r_range),
-            "n_lam": self.n_lam,
-            "n_r": self.n_r,
-            "delta1_above_half": self.delta1_above_half,
-            "delta2_warn": self.delta2_warn,
-        }
+        return asdict(self)
 
 
-# fitted upper exponents above this edge degrade the comparability constants
+# upper exponents above this edge degrade the comparability constants
 _WARN_EDGE = 0.95
 
 
 def scaling_exponents(spec):
-    """Empirical scaling exponents of phi(lam r)/phi(r) over a log lattice:
-    21 points of lam in [1.05, 1e3] by 21 of r in [1e-3, 1e3].
+    """The exact global scaling envelope of phi: delta1 = delta_min and
+    delta2 = delta_max, each with prefactor 1.
 
-    For a pure power the two fitted exponents coincide with the power and
-    both prefactors are 1 up to roundoff.  Emits a RuntimeWarning (and sets
-    ``delta2_warn``) when the fitted upper exponent is above 0.95, close
-    enough to its admissible edge that comparability constants downstream
-    degrade.
+    phi(lam r)/phi(r) is the average of lam^{delta_i} under the weights
+    w_i r^{delta_i} / phi(r), so for lam >= 1 it lies in
+    [lam^{delta_min}, lam^{delta_max}].  It tends to the lower end as
+    r -> 0 and to the upper end as r -> inf, so no larger delta1, no
+    smaller delta2 and no prefactor better than 1 holds globally.
+
+    Emits a RuntimeWarning (and sets ``delta2_warn``) when delta2 is above
+    0.95, close enough to its admissible edge that comparability constants
+    downstream degrade.
     """
-    lam = np.logspace(math.log10(1.05), 3.0, 21)
-    r = np.logspace(-3.0, 3.0, 21)
-    L, R = np.meshgrid(lam, r, indexing="ij")
-    num = phi_eval(spec, (L * R).ravel()).reshape(L.shape)
-    den = phi_eval(spec, R.ravel()).reshape(R.shape)
-    ratio = num / den
-    slopes = np.log(ratio) / np.log(L)
-    d1 = float(slopes.min())
-    d2 = float(slopes.max())
-    a1 = float(np.min(ratio / np.power(L, d1)))
-    a2 = float(np.max(ratio / np.power(L, d2)))
-
+    d1, d2 = spec.delta_min, spec.delta_max
     warn = d2 > _WARN_EDGE
     if warn:
         warnings.warn(
-            f"fitted upper scaling exponent {d2:.4f} is near its admissible edge; "
+            f"upper scaling exponent {d2:.4f} is near its admissible edge; "
             "comparability constants degrade in this regime",
             RuntimeWarning,
         )
     return ScalingReport(
-        delta1_hat=d1,
-        delta2_hat=d2,
-        a1_hat=a1,
-        a2_hat=a2,
-        lam_range=(float(lam.min()), float(lam.max())),
-        r_range=(float(r.min()), float(r.max())),
-        n_lam=int(lam.size),
-        n_r=int(r.size),
+        delta1=d1,
+        delta2=d2,
         delta1_above_half=d1 > 0.5,
         delta2_warn=warn,
     )

@@ -374,7 +374,7 @@ def build_parser():
     q = psub.add_parser("show", help="print the spec as canonical JSON")
     _add_spec(q)
     q.set_defaults(fn=_cmd_phi_show)
-    q = psub.add_parser("scaling", help="fitted two-sided scaling envelope")
+    q = psub.add_parser("scaling", help="exact two-sided scaling envelope")
     _add_spec(q)
     q.set_defaults(fn=_cmd_phi_scaling)
 

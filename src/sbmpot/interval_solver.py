@@ -563,11 +563,11 @@ def exit_alive_prob(
         raise DomainError("R must be positive")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     a_list = sorted((float(av) for av in a_seq), reverse=True)
-    if not a_list or a_list[-1] <= 0.0:
-        raise ConfigError("a_seq must contain positive shelf values")
-    if np.any(x_arr >= R) or np.any(x_arr <= 0.0):
+    if not a_list or not all(0.0 < av < math.inf for av in a_list):
+        raise ConfigError("a_seq must contain finite positive shelf values")
+    if not np.all((x_arr > 0.0) & (x_arr < R)):
         raise DomainError("evaluation points must lie in (0, R)")
-    if np.any(x_arr <= 2.0 * a_list[0]):
+    if not np.all(x_arr > 2.0 * a_list[0]):
         raise DomainError("evaluation points must sit well above the largest shelf")
 
     hR = ks.h_comp(R)

@@ -73,8 +73,8 @@ class RunConfig:
                 raise ConfigError("specs must be PhiSpec instances")
         object.__setattr__(self, "specs", specs)
         a, b = (float(v) for v in self.interval)
-        if not (0.0 <= a < b and math.isfinite(b)):
-            raise ConfigError("interval must satisfy 0 <= a < b")
+        if not (0.0 < a < b and math.isfinite(b)):  # kinds Y and Z need a > 0
+            raise ConfigError(f"interval must satisfy 0 < a < b, got {self.interval!r}")
         object.__setattr__(self, "interval", (a, b))
         dts = tuple(sorted((float(d) for d in self.mc_dt), reverse=True))
         if not dts or dts[-1] <= 0.0:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -40,8 +41,21 @@ def test_phi_scaling_recovers_pure_power(capsys):
     rc, out, _ = _run(capsys, "phi", "scaling")
     assert rc == 0
     rep = json.loads(out)
-    assert rep["delta1_hat"] == pytest.approx(0.75, abs=1e-9)
-    assert rep["delta2_hat"] == pytest.approx(0.75, abs=1e-9)
+    assert rep == {
+        "delta1": 0.75, "delta2": 0.75, "delta1_above_half": True, "delta2_warn": False,
+    }
+
+
+def test_phi_scaling_reads_a_crossing_mixture_exactly(capsys, tmp_path):
+    # the terms cross near r = 1e-7, far below any fitting window, and
+    # int_0 dxi / psi < inf: 0 is not regular, so the verdict is false
+    spec = tmp_path / "spec.json"
+    spec.write_text(PhiSpec.mixture(((1.0, 0.45), (1000.0, 0.9))).to_json())
+    rc, out, _ = _run(capsys, "phi", "scaling", "--spec", str(spec))
+    assert rc == 0
+    rep = json.loads(out)
+    assert (rep["delta1"], rep["delta2"]) == (0.45, 0.9)
+    assert rep["delta1_above_half"] is False
 
 
 def test_kernel_table_h(capsys):
@@ -89,16 +103,20 @@ def test_h_below_its_floor_exits_2(capsys):
         ("--spec", "[1, 2]"),
         ("--spec", '{"family": "mixture", "terms": [[1.0]]}'),
         ("--spec", '{"family": "stable", "delta": "abc"}'),
+        ("--spec", '{"family": "mixture", "terms": [[Infinity, 0.6]]}'),
         ("--config", '{"n_coarse": "abc"}'),
         ("--config", '{"interval": 5}'),
+        # kinds Y and Z need a > 0, so three checks could only fail
+        ("--config", '{"interval": [0, 2], "mc_x0": 1}'),
         ("--config", '{"R": -1}'),
         ("--config", '{"seed": -1}'),
         ("--config", '{"specs": [{"family": "stable"}]}'),
     ],
     ids=[
         "spec-no-delta", "spec-not-an-object", "spec-short-term", "spec-bad-delta",
-        "config-bad-n", "config-bad-interval", "config-negative-R",
-        "config-negative-seed", "config-bad-spec",
+        "spec-infinite-weight", "config-bad-n", "config-bad-interval",
+        "config-interval-at-origin", "config-negative-R", "config-negative-seed",
+        "config-bad-spec",
     ],
 )
 def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text):
@@ -150,6 +168,20 @@ def test_solve_exit(capsys, tmp_path):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "x,value,lower,upper,width"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--x", "nan"), ("--x", "0.5,nan"), ("--x", "0.5", "--aseq", "nan"),
+     ("--x", "0.5", "--aseq", "0.004,inf")],
+    ids=["x-nan", "x-list-nan", "aseq-nan", "aseq-inf"],
+)
+def test_solve_exit_refuses_non_finite_input(capsys, extra):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any shelf is solved
+        rc, out, err = _run(capsys, "solve", "exit", "--R", "1", *extra)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_solve_harnack(capsys):

@@ -513,6 +513,14 @@ def test_exit_alive_validation(stable_ks):
         exit_alive_prob(stable_ks, 1.0, 0.001)  # below the largest shelf
     with pytest.raises(ConfigError):
         exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=())
+    # a nan compares false both ways, so each rule must ask for what holds
+    nan = float("nan")
+    for x in (nan, [0.5, nan]):
+        with pytest.raises(DomainError, match=r"\(0, R\)"):
+            exit_alive_prob(stable_ks, 1.0, x)
+    for a_seq in ((nan,), (0.004, nan), (0.004, math.inf)):
+        with pytest.raises(ConfigError, match="finite positive"):
+            exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=a_seq)
 
 
 def test_gauge_ratios_ordering(stable_ks):

@@ -38,6 +38,11 @@ def test_config_validation():
         RunConfig(specs=("stable",))
     with pytest.raises(ConfigError):
         RunConfig(interval=(2.0, 1.0))
+    # kinds Y and Z are killed at the origin and need a > 0; the walk's
+    # PathConfig and the solver's Grid keep a = 0 for kind X and folding
+    for interval in ((0.0, 2.0), (-1.0, 2.0), (float("nan"), 2.0)):
+        with pytest.raises(ConfigError, match="0 < a < b"):
+            RunConfig(interval=interval, mc_x0=1.0)
     with pytest.raises(ConfigError):
         RunConfig(mc_dt=())
     with pytest.raises(ConfigError):
