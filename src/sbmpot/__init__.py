@@ -17,7 +17,6 @@ from .kernels import KernelSet
 from .interval_solver import (
     BhpReport,
     ExitAliveReport,
-    GaugeReport,
     GeneratorMatrix,
     GreenMatrix,
     Grid,
@@ -66,7 +65,6 @@ __all__ = [
     "DomainError",
     "ExitAliveReport",
     "ExitStats",
-    "GaugeReport",
     "GeneratorMatrix",
     "GreenMatrix",
     "Grid",

@@ -19,12 +19,11 @@ from .bernstein import PhiSpec, phi_eval, scaling_exponents
 from .errors import ConfigError, DomainError, QuadratureError, SolverError
 from .kernels import KernelSet
 from .interval_solver import (
-    DEFAULT_A_SEQ,
     DEFAULT_LAMBDA1,
-    DEFAULT_SHELF,
     Grid,
     bhp_sup_ratio,
     build_generator,
+    default_shelf,
     exit_alive_prob,
     exit_time,
     green_drift,
@@ -111,8 +110,7 @@ def _cmd_solve_exit(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     xs = _floats(args.x)
-    aseq = _floats(args.aseq) if args.aseq else DEFAULT_A_SEQ
-    rep = exit_alive_prob(ks, args.R, xs, aseq)
+    rep = exit_alive_prob(ks, args.R, xs, _floats(args.aseq) if args.aseq else None)
     if args.out:
         rows = (
             [_FMT % rep.x[i], _FMT % rep.value[i], _FMT % rep.lower[i],
@@ -178,10 +176,11 @@ def _cmd_solve_bhp(args):
 def _cmd_solve_small(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
-    lam2, lam2_half = small_interval_lower(ks, args.R, args.lambda1, args.a, n=args.n)
+    a = default_shelf(args.R) if args.a is None else args.a
+    lam2, lam2_half = small_interval_lower(ks, args.R, args.lambda1, a, n=args.n)
     _emit_diag(
         kind="small-interval",
-        grid={"R": args.R, "lambda1": args.lambda1, "a": args.a, "n": args.n,
+        grid={"R": args.R, "lambda1": args.lambda1, "a": a, "n": args.n,
               "spec": spec.label()},
         value=lam2,
         refinement_drift=abs(lam2_half / lam2 - 1.0),
@@ -411,7 +410,8 @@ def build_parser():
     _add_spec(q)
     q.add_argument("--R", type=float, required=True)
     q.add_argument("--x", required=True, help="comma list of starting points")
-    q.add_argument("--aseq", default=None, help="comma list of shelf heights")
+    q.add_argument("--aseq", default=None,
+                   help="comma list of shelf heights (default: the solver's, fractions of R)")
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_solve_exit)
 
@@ -433,7 +433,8 @@ def build_parser():
     _add_spec(q)
     q.add_argument("--R", type=float, required=True)
     q.add_argument("--lambda1", type=float, default=DEFAULT_LAMBDA1)
-    q.add_argument("--a", type=float, default=DEFAULT_SHELF)
+    q.add_argument("--a", type=float, default=None,
+                   help="absorbing shelf (default: the solver's, a fraction of R)")
     q.add_argument("--n", type=int, default=512)
     q.set_defaults(fn=_cmd_solve_small)
 

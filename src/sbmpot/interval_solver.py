@@ -50,6 +50,7 @@ __all__ = [
     "default_zgrid",
     "poisson_kernel",
     "harmonic_extend",
+    "default_shelf",
     "exit_alive_prob",
     "gauge_ratios",
     "three_g_sup",
@@ -66,7 +67,9 @@ Z_MAX_FACTOR = 50.0
 # near-origin probe fraction for boundary-ratio and small-interval checks
 DEFAULT_LAMBDA1 = 0.25
 
-# default absorbing shelf as a fraction of R, and the (0, R) bracketing ladder
+# default absorbing shelf and the (0, R) bracketing ladder, as fractions of R:
+# the (0, R) solvers scale them by R, so for a stable process every (0, R)
+# answer depends on x/R alone
 DEFAULT_SHELF = 0.004
 DEFAULT_A_SEQ = (DEFAULT_SHELF, DEFAULT_SHELF / 4, DEFAULT_SHELF / 16)
 
@@ -459,6 +462,11 @@ def harmonic_extend(pt: PoissonTable, f, f_tail=None):
 # -- exit statistics over (0, R) ----------------------------------------------
 
 
+def default_shelf(R):
+    """The absorbing shelf of a (0, R) solve given none: DEFAULT_SHELF R."""
+    return DEFAULT_SHELF * R
+
+
 @dataclass
 class ExitAliveReport:
     """a -> 0 bracket for P_x(exit (0, R) through [R, inf) before dying at 0)."""
@@ -542,11 +550,12 @@ def exit_alive_prob(
     ks: KernelSet,
     R: float,
     x,
-    a_seq=DEFAULT_A_SEQ,
+    a_seq=None,
 ) -> ExitAliveReport:
     """Bracketed P_x(exit (0, R) alive), approaching the origin by shelves.
 
-    For each shelf a the kind=Z problem on (a, R) is solved for the
+    The shelves are ``a_seq``, by default ``DEFAULT_A_SEQ`` times R.  For
+    each shelf a the kind=Z problem on (a, R) is solved for the
     harmonic extension of the indicator of [R, inf) (a lower bound: paths
     absorbed at the shelf might still have escaped), and the complementary
     mass is bounded by the h(a)/h(R) escape factor from below the shelf
@@ -559,9 +568,11 @@ def exit_alive_prob(
     probabilities that do not sum to 1 within 1e-9, raise SolverError.
     """
     R = float(R)
-    if not (R > 0.0):
-        raise DomainError("R must be positive")
+    if not (0.0 < R < math.inf):
+        raise DomainError(f"R must be positive and finite, got {R!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if a_seq is None:
+        a_seq = [f * R for f in DEFAULT_A_SEQ]
     a_list = sorted((float(av) for av in a_seq), reverse=True)
     if not a_list or not all(0.0 < av < math.inf for av in a_list):
         raise ConfigError("a_seq must contain finite positive shelf values")
@@ -606,31 +617,14 @@ def exit_alive_prob(
 # -- comparability reductions --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaugeReport:
-    sup_yx: float
-    inf_yx: float
-    sup_zy: float
-    inf_zy: float
-    sup_zx: float
-    inf_zx: float
-
-
-def gauge_ratios(gX: GreenMatrix, gY: GreenMatrix, gZ: GreenMatrix) -> GaugeReport:
-    """Entrywise sup/inf of G^Y/G^X, G^Z/G^Y, G^Z/G^X on a common grid."""
-    if not (gX.kind, gY.kind, gZ.kind) == ("X", "Y", "Z"):
-        raise ConfigError("pass the three kinds in order (X, Y, Z)")
-    for g in (gY, gZ):
-        if g.grid != gX.grid:
-            raise ConfigError("gauge ratios need a common grid")
-    ryx = gY.G / gX.G
-    rzy = gZ.G / gY.G
-    rzx = gZ.G / gX.G
-    return GaugeReport(
-        sup_yx=float(ryx.max()), inf_yx=float(ryx.min()),
-        sup_zy=float(rzy.max()), inf_zy=float(rzy.min()),
-        sup_zx=float(rzx.max()), inf_zx=float(rzx.min()),
-    )
+def gauge_ratios(gX: GreenMatrix, gZ: GreenMatrix) -> tuple:
+    """(inf, sup) of the entrywise ratio G^Z / G^X on a common grid, two floats."""
+    if (gX.kind, gZ.kind) != ("X", "Z"):
+        raise ConfigError("pass the two kinds in order (X, Z)")
+    if gZ.grid != gX.grid:
+        raise ConfigError("gauge ratios need a common grid")
+    r = gZ.G / gX.G
+    return float(r.min()), float(r.max())
 
 
 def three_g_sup(green: GreenMatrix, ks: KernelSet) -> float:
@@ -666,8 +660,8 @@ def harnack_sup_ratio(ks: KernelSet, r: float, a_frac: float = 0.5, *, n: int = 
     resulting constant dominates u(x1)/u(x2) for every nonnegative function
     harmonic across the window, whatever its exterior data.
     """
-    if not (r > 0.0):
-        raise DomainError("r must be positive")
+    if not (0.0 < r < math.inf):
+        raise DomainError(f"r must be positive and finite, got {r!r}")
     if not (0.0 < a_frac < 1.0):
         raise ConfigError("a_frac must lie in (0, 1)")
     b1, b4 = 0.5 * a_frac * r, (3.0 - 0.5 * a_frac) * r
@@ -738,8 +732,8 @@ def bhp_sup_ratio(
     below a could still reach the data, adding at most
     mass_below * h(a)/h(3r) * sup f to u, with sup f = 1 for every datum.
     """
-    if not (r > 0.0):
-        raise DomainError("r must be positive")
+    if not (0.0 < r < math.inf):
+        raise DomainError(f"r must be positive and finite, got {r!r}")
     if not (0.0 < lambda1 < 0.5):
         raise ConfigError("lambda1 must lie in (0, 1/2)")
     check_integer("n", n, 1)
@@ -782,20 +776,23 @@ def small_interval_lower(
     ks: KernelSet,
     R: float,
     lambda1: float = DEFAULT_LAMBDA1,
-    a: float = DEFAULT_SHELF,
+    a: float | None = None,
     *,
     n: int = 512,
 ) -> tuple:
     """Certified floor lambda2 and its halved-shelf companion, two floats:
     the min of G^Z / h(R) over the nodes of one window (a, lambda1 R), with
-    G^Z on n cells of (a, R) and then of (a/2, R).  Domain monotonicity (the
-    (a, R) Green function sits below the (0, R) one) makes each a lower
-    certificate for the shelf-free object, and the second >= the first.
+    G^Z on n cells of (a, R) and then of (a/2, R).  The shelf a defaults to
+    ``default_shelf(R)``.  Domain monotonicity (the (a, R) Green function
+    sits below the (0, R) one) makes each a lower certificate for the
+    shelf-free object, and the second >= the first.
     """
-    if not (R > 0.0):
-        raise DomainError("R must be positive")
+    if not (0.0 < R < math.inf):
+        raise DomainError(f"R must be positive and finite, got {R!r}")
     if not (0.0 < lambda1 < 0.5):
         raise ConfigError("lambda1 must lie in (0, 1/2)")
+    if a is None:
+        a = default_shelf(R)
     if not (0.0 < a < lambda1 * R / 4.0):
         raise ConfigError("shelf a must satisfy a < lambda1 R / 4")
     floors = []

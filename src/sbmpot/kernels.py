@@ -232,9 +232,12 @@ class KernelSet:
         A nonzero |x| below ``h_floor`` raises DomainError: from half of it
         down, the quadrature's first pass squares a lam past the float
         range, so the integrand reads 0 on part of the tail and h comes out
-        low (the factor 2 is margin for the rounding of the nodes).
+        low (the factor 2 is margin for the rounding of the nodes).  A nan
+        or infinite x raises DomainError too.
         """
         x = abs(float(x))
+        if not math.isfinite(x):
+            raise DomainError(f"h needs a finite x, got x = {x}")
         if x == 0.0:
             return 0.0
         if x < self.h_floor:

@@ -25,10 +25,10 @@ from .bernstein import PhiSpec
 from .errors import ConfigError, check_integer, check_seed, check_steps
 from .kernels import KernelSet
 from .interval_solver import (
-    DEFAULT_SHELF,
     Grid,
     bhp_sup_ratio,
     build_generator,
+    default_shelf,
     exit_alive_prob,
     exit_time,
     gauge_ratios,
@@ -338,15 +338,15 @@ def _check_exit_prob_sandwich(ctx):
 
 def _check_exit_time_bound(ctx):
     ks, R, fine = ctx.ks, ctx.cfg.R, ctx.cfg.n_fine
-    shelf = DEFAULT_SHELF * R
     probes = np.linspace(0.02, 0.1, 17) * R
+    h_probes = ks.h_many(probes)
     c3, ratio = {}, {}
     for n in (fine, 2 * fine):
-        g = Grid(shelf, R, n)
+        g = Grid(default_shelf(R), R, n)
         E = exit_time(green_matrix(build_generator(ks, g, "Z")))
         xs = g.nodes()
         ratio[n] = float(np.max(E / (4.0 * R * ks.h_many(xs))))
-        c3[n] = float(np.min(np.interp(probes, xs, E) / ks.h_many(probes)))
+        c3[n] = float(np.min(np.interp(probes, xs, E) / h_probes))
     drift = abs(c3[2 * fine] / c3[fine] - 1.0)
     max_ratio = float(np.max(list(ratio.values())))  # np.max keeps a nan, as above
     m = {
@@ -364,23 +364,21 @@ def _check_exit_time_bound(ctx):
 
 def _check_green_comparability(ctx):
     cfg = ctx.cfg
-    reps = {}
-    for n in (cfg.n_coarse, cfg.n_fine):
-        reps[n] = gauge_ratios(ctx.green("X", n), ctx.green("Y", n), ctx.green("Z", n))
-    rc, rf = reps[cfg.n_coarse], reps[cfg.n_fine]
-    sup_drift = abs(rc.sup_zx / rf.sup_zx - 1.0)
-    inf_drift = abs(rc.inf_zx / rf.inf_zx - 1.0)
+    inf_c, sup_c = gauge_ratios(ctx.green("X", cfg.n_coarse), ctx.green("Z", cfg.n_coarse))
+    inf_f, sup_f = gauge_ratios(ctx.green("X", cfg.n_fine), ctx.green("Z", cfg.n_fine))
+    sup_drift = abs(sup_c / sup_f - 1.0)
+    inf_drift = abs(inf_c / inf_f - 1.0)
     yx_gap = float(np.min(ctx.green("Y", cfg.n_fine).G - ctx.green("X", cfg.n_fine).G))
     m = {
-        "sup_zx": rf.sup_zx,
-        "inf_zx": rf.inf_zx,
+        "sup_zx": sup_f,
+        "inf_zx": inf_f,
         "sup_drift": sup_drift,
         "inf_drift": inf_drift,
         "min_yx_gap": yx_gap,
     }
     return m, [
-        ("finite ratios", np.isfinite([rf.sup_zx, rf.inf_zx]).all()),
-        ("inf G_Z/G_X > 0", rf.inf_zx > 0.0),
+        ("finite ratios", np.isfinite([sup_f, inf_f]).all()),
+        ("inf G_Z/G_X > 0", inf_f > 0.0),
         ("sup drift < 0.10", sup_drift < 0.10),
         ("inf drift < 0.10", inf_drift < 0.10),
         ("min(G_Y - G_X) >= -1e-08", yx_gap >= -1e-8),
@@ -451,8 +449,7 @@ def _check_bhp(ctx):
 
 
 def _check_small_interval(ctx):
-    R = ctx.cfg.R
-    lam2, lam2_half = small_interval_lower(ctx.ks, R, a=DEFAULT_SHELF * R, n=ctx.cfg.n_fine)
+    lam2, lam2_half = small_interval_lower(ctx.ks, ctx.cfg.R, n=ctx.cfg.n_fine)
     return {"lambda2": lam2, "lambda2_half_shelf": lam2_half}, [
         ("lambda2 > 0", lam2 > 0.0),
         ("lambda2 at the halved shelf >= lambda2 - 1e-12", lam2_half >= lam2 - 1e-12),

@@ -241,6 +241,34 @@ def test_solve_small(capsys):
     assert diag["refinement_drift"] == abs(lam2_half / lam2 - 1.0)
 
 
+def test_solve_small_scales_its_shelf_with_R(capsys):
+    # with no --a the shelf is the solver's, a fraction of R, and the
+    # diagnostic prints the shelf that was used
+    rc, out, _ = _run(capsys, "solve", "small", "--R", "0.01", "--n", "128")
+    assert rc == 0
+    diag = json.loads(out)
+    assert diag["grid"]["a"] == 0.004 * 0.01
+    lam2, _ = small_interval_lower(KernelSet(PhiSpec.stable(0.75)), 0.01, n=128)
+    assert diag["value"] == lam2
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("solve", "exit", "--R", "inf", "--x", "0.5"), "R"),
+        (("solve", "small", "--R", "inf"), "R"),
+        (("solve", "harnack", "--r", "inf"), "r"),
+        (("solve", "bhp", "--r", "inf"), "r"),
+        (("kernel", "table", "--what", "h", "--xs", "nan"), "x"),
+    ],
+    ids=["exit-R", "small-R", "harnack-r", "bhp-r", "h-x"],
+)
+def test_non_finite_lengths_exit_2_naming_the_argument(capsys, argv, name):
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{name} " in err and "finite" in err
+
+
 def test_mc_exit(capsys, tmp_path):
     out_file = tmp_path / "paths.csv"
     rc, out, _ = _run(

@@ -504,6 +504,37 @@ def test_exit_alive_bracket_contains_bgr_exact(stable_ks):
     assert np.all(rep.lower <= exact) and np.all(exact <= rep.upper)
 
 
+def test_exit_alive_prob_is_scale_free(stable_ks):
+    # the stable killed process is self-similar, so P_x(exit (0, R) alive)
+    # depends on x/R alone; the default shelves are fractions of R, so the
+    # discrete problems at R and at 1 are rescalings of one another
+    xs = np.array([0.1, 0.3, 0.5, 0.9])
+    ref = exit_alive_prob(stable_ks, 1.0, xs)
+    for R in (0.01, 4.0):
+        rep = exit_alive_prob(stable_ks, R, R * xs)
+        assert [p["a"] for p in rep.per_a] == [R * p["a"] for p in ref.per_a]
+        np.testing.assert_allclose(rep.value, ref.value, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rep.bracket, ref.bracket, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "solve, name",
+    [
+        (lambda ks, v: exit_alive_prob(ks, v, 0.5), "R"),
+        (lambda ks, v: small_interval_lower(ks, v, n=128), "R"),
+        (lambda ks, v: harnack_sup_ratio(ks, v, n=128), "r"),
+        (lambda ks, v: bhp_sup_ratio(ks, v, n=256), "r"),
+    ],
+    ids=["exit_alive_prob", "small_interval_lower", "harnack_sup_ratio", "bhp_sup_ratio"],
+)
+def test_lengths_must_be_finite(stable_ks, solve, name, bad):
+    # an infinite or nan length used to reach the grid or the quadrature
+    # and fail there with an error that named neither
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+        solve(stable_ks, bad)
+
+
 def test_exit_alive_validation(stable_ks):
     with pytest.raises(DomainError):
         exit_alive_prob(stable_ks, -1.0, 0.5)
@@ -528,15 +559,19 @@ def test_gauge_ratios_ordering(stable_ks):
         k: green_matrix(build_generator(stable_ks, Grid(1.0, 2.0, 64), k))
         for k in ("X", "Y", "Z")
     }
-    rep = gauge_ratios(gs["X"], gs["Y"], gs["Z"])
+    inf_zx, sup_zx = gauge_ratios(gs["X"], gs["Z"])
+    ratio = gs["Z"].G / gs["X"].G
+    assert (inf_zx, sup_zx) == (float(ratio.min()), float(ratio.max()))
     # deleting the down-crossing jumps (Y) can only raise the Green function;
     # folding them (Z) keeps the return routes, so Z sits between X and Y
-    assert rep.inf_yx >= 1.0 - 1e-9
-    assert rep.inf_zx >= 1.0 - 1e-9
-    assert rep.sup_zy <= 1.0 + 1e-9
-    assert rep.sup_zx >= rep.sup_zy - 1e-12
-    with pytest.raises(ConfigError):
-        gauge_ratios(gs["Y"], gs["X"], gs["Z"])
+    assert inf_zx >= 1.0 - 1e-9
+    assert np.all(gs["Z"].G <= gs["Y"].G * (1.0 + 1e-9))
+    for pair in ((gs["Z"], gs["X"]), (gs["X"], gs["Y"])):
+        with pytest.raises(ConfigError, match="order"):
+            gauge_ratios(*pair)
+    coarse_z = green_matrix(build_generator(stable_ks, Grid(1.0, 2.0, 32), "Z"))
+    with pytest.raises(ConfigError, match="common grid"):
+        gauge_ratios(gs["X"], coarse_z)
 
 
 def test_three_g_kind_restriction(stable_ks, green_x_256):
@@ -659,6 +694,17 @@ def test_small_interval_lower(stable_ks):
     assert lam2_half == float(green.G[np.ix_(win, win)].min() / stable_ks.h_comp(1.0))
     with pytest.raises(TypeError):
         small_interval_lower(stable_ks, 1.0, a=0.002, window_lo=0.004)
+
+
+def test_small_interval_lower_scales_its_shelf(stable_ks):
+    # the default shelf is a fraction of R: at R = 0.01 the old absolute
+    # 0.004 sat above the window edge lambda1 R / 4 and was refused, and for
+    # the stable fixture the floor G^Z / h(R) is scale free
+    ref = small_interval_lower(stable_ks, 1.0, n=128)
+    for R in (0.01, 4.0):
+        np.testing.assert_allclose(
+            small_interval_lower(stable_ks, R, n=128), ref, rtol=1e-12, atol=0.0
+        )
 
 
 def test_green_drift_zero_on_self(stable_ks, green_x_256):

@@ -236,6 +236,14 @@ def test_h_floor_guards_the_overflow(delta):
     assert KernelSet(PhiSpec.stable(0.5)).h_floor == 0.0
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_h_comp_refuses_a_non_finite_x(stable_ks, x):
+    # an infinite x used to reach the quadrature as an empty interval, and
+    # a nan x the same, with an error naming neither
+    with pytest.raises(DomainError, match="finite x"):
+        stable_ks.h_comp(x)
+
+
 def test_h_basics(stable_ks, mixture_ks):
     for ks in (stable_ks, mixture_ks):
         assert ks.h_comp(0.0) == 0.0

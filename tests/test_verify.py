@@ -210,6 +210,14 @@ def test_tol_names_every_clause_of_the_verdict(monkeypatch):
         assert clause in checks[name].tol, name
 
 
+def test_exit_prob_sandwich_at_a_small_R():
+    # the default shelves are fractions of R: an absolute 0.004 sat above the
+    # probes 0.1 R at R = 0.01, and the check raised instead of measuring
+    cfg = RunConfig(specs=(vf.FIXTURE_STABLE,), R=0.01)
+    (check,) = run_verify(cfg, only=["exit-prob-sandwich"]).checks
+    assert check.passed, check.tol
+
+
 def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
     # both used to fold with max from 0.0, and max(0.0, nan) is 0.0: all
     # three drifts nan read worst = 0.0 and passed
