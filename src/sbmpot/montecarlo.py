@@ -11,16 +11,25 @@ dt-sweep cross-checks.
 
 Every path owns a counter-based RNG substream keyed by (seed, path index),
 and its step s reads a fixed slice of that stream, so results are bitwise
-reproducible and independent of batching or execution order.  The walk
-advances a block of paths in lockstep, one fixed-length chunk of steps per
-round.
+reproducible and independent of batching, execution order or the process
+that walks the path.  The walk advances a lane block of paths in lockstep,
+one fixed-length chunk of steps per round.  A walk of two or more blocks
+fans its blocks out to a pool of forked worker processes, one per usable
+CPU, and stitches their results back in path order.  It walks in-process
+on one usable CPU, on a platform without ``os.sched_getaffinity`` (where
+``fork`` is unsafe or absent), in a process forked from the one that made
+the pool, and when `sample_increment` is no longer the function the
+workers were forked with (a patched or traced sampler).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +48,14 @@ __all__ = [
 _CHUNK = 128
 # paths per lane block; caps one round at _LANES x _CHUNK increments
 _LANES = 256
+# private hook: False walks every block in-process
+_FAN_OUT = True
+# the walk's worker pool, made by the first walk that fans out and kept for
+# the life of the process
+_pool = None
+_pool_lock = threading.Lock()
+# per thread: the Philox generators that lane blocks are rewound onto
+_generators = threading.local()
 
 
 @dataclass(frozen=True)
@@ -166,20 +183,16 @@ def _rewind(gen, seed, index):
 
 
 class _LaneStreams:
-    """The keyed streams of a lane block, read as one generator: row i of
+    """The keyed streams of paths [lo, hi), read as one generator: row i of
     ``random(shape)`` continues the stream of the block's i-th live path.
 
-    One walk keeps one pool of generators, as many as its widest block,
-    and rewinds them onto each new block's paths."""
+    The generators come from one pool per thread, as many as the widest
+    block it has walked, rewound onto this block's paths."""
 
-    def __init__(self, seed):
-        self.seed = seed
-        self.pool = []
-        self.live = []
-
-    def start(self, paths):
-        self.pool += [_keyed_stream(self.seed, i) for i in paths[len(self.pool):]]
-        self.live = [_rewind(g, self.seed, i) for g, i in zip(self.pool, paths)]
+    def __init__(self, seed, lo, hi):
+        pool = _generators.__dict__.setdefault("pool", [])
+        pool += [_keyed_stream(seed, i) for i in range(lo + len(pool), hi)]
+        self.live = [_rewind(g, seed, i) for g, i in zip(pool, range(lo, hi))]
 
     def keep(self, mask):
         self.live = [g for g, k in zip(self.live, mask) if k]
@@ -191,44 +204,101 @@ class _LaneStreams:
         return u
 
 
+def _walk_block(cfg, spec, lo, hi):
+    """Walk paths [lo, hi) of cfg as one lane block, all live lanes one
+    _CHUNK of steps per round; a lane leaves the block when it exits.
+    Returns the block's (exited, exit_pos, exit_time)."""
+    a, b = cfg.interval
+    n_max = int(math.ceil(cfg.t_max / cfg.dt))
+    exited = np.zeros(hi - lo, bool)
+    epos = np.full(hi - lo, np.nan)
+    etime = np.full(hi - lo, np.nan)
+    streams = _LaneStreams(cfg.seed, lo, hi)
+    lanes = np.arange(hi - lo)
+    x = np.full(lanes.size, float(cfg.x0))  # unfolded coordinate
+    done = 0
+    while lanes.size and done < n_max:
+        m = min(_CHUNK, n_max - done)
+        inc = sample_increment(spec, cfg.dt, (lanes.size, m), streams)
+        raw = x[:, None] + np.cumsum(inc, axis=1)
+        pos = np.abs(raw) if cfg.fold else raw
+        out = (pos <= a) | (pos >= b)
+        k = np.argmax(out, axis=1)
+        hit = out[np.arange(lanes.size), k]
+        epos[lanes[hit]] = pos[hit, k[hit]]
+        etime[lanes[hit]] = (done + k[hit] + 1) * cfg.dt
+        exited[lanes[hit]] = True
+        lanes, x = lanes[~hit], raw[~hit, -1]
+        streams.keep(~hit)
+        done += m
+    return exited, epos, etime
+
+
+def _usable_cpus():
+    # 1 where os.sched_getaffinity is missing (macOS, Windows): there fork is
+    # unsafe or absent, so the walk stays in-process
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _Pool:
+    """Worker processes forked for the walk, with the pid that forked them
+    and the `sample_increment` they were forked with.  Workers ignore
+    SIGINT, so an interrupted walk leaves the pool usable."""
+
+    def __init__(self):
+        # kept out of `import sbmpot`, which never walks
+        import multiprocessing
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+
+        self.pid = os.getpid()
+        self.sampler = sample_increment
+        self.executor = ProcessPoolExecutor(
+            _usable_cpus(),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
+
+
+def _walk_pool(blocks):
+    """The executor to walk ``blocks`` lane blocks on, or None to walk them
+    in-process.  The workers run the code they were forked with, so they
+    serve only the process that forked them, and only while its
+    `sample_increment` is the one they hold."""
+    global _pool
+    if blocks < 2 or not _FAN_OUT or _usable_cpus() < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            _pool = _Pool()
+    if _pool.pid != os.getpid() or _pool.sampler is not sample_increment:
+        return None
+    return _pool.executor
+
+
 def simulate_exit(cfg: PathConfig, spec: PhiSpec) -> ExitStats:
     """First-exit statistics over cfg.n_paths independent walks.
 
     Path i uses the Philox substream keyed (seed, i), and its step s the
     uniforms [k s, k s + k) of that stream (k as in `sample_increment`), so
     path i is a pure function of (seed, i): identical seeds give
-    bitwise-identical results whatever the execution order or lane block,
-    and a shorter run is a prefix of a longer one.  Paths walk in blocks of
-    _LANES, all live lanes of a block one _CHUNK of steps per round; a lane
-    leaves its block when it exits.  All paths censoring at t_max is
-    downgraded to a warning result.
+    bitwise-identical results whatever the execution order, lane block or
+    process, and a shorter run is a prefix of a longer one.  Paths walk in
+    lane blocks of _LANES.  Two or more blocks go one per task to the
+    forked worker pool (see the module docstring for when the walk stays
+    in-process instead); the results come back to this process in path
+    order.  All paths censoring at t_max is downgraded to a warning result.
     """
     n = int(cfg.n_paths)
-    a, b = cfg.interval
-    n_max = int(math.ceil(cfg.t_max / cfg.dt))
-    exited = np.zeros(n, bool)
-    epos = np.full(n, np.nan)
-    etime = np.full(n, np.nan)
-    streams = _LaneStreams(cfg.seed)
-    for start in range(0, n, _LANES):
-        lanes = np.arange(start, min(start + _LANES, n))
-        streams.start(lanes)
-        x = np.full(lanes.size, float(cfg.x0))  # unfolded coordinate
-        done = 0
-        while lanes.size and done < n_max:
-            m = min(_CHUNK, n_max - done)
-            inc = sample_increment(spec, cfg.dt, (lanes.size, m), streams)
-            raw = x[:, None] + np.cumsum(inc, axis=1)
-            pos = np.abs(raw) if cfg.fold else raw
-            out = (pos <= a) | (pos >= b)
-            k = np.argmax(out, axis=1)
-            hit = out[np.arange(lanes.size), k]
-            epos[lanes[hit]] = pos[hit, k[hit]]
-            etime[lanes[hit]] = (done + k[hit] + 1) * cfg.dt
-            exited[lanes[hit]] = True
-            lanes, x = lanes[~hit], raw[~hit, -1]
-            streams.keep(~hit)
-            done += m
+    lo = range(0, n, _LANES)
+    hi = [min(i + _LANES, n) for i in lo]
+    pool = _walk_pool(len(lo))
+    walk = map if pool is None else pool.map
+    parts = list(walk(_walk_block, repeat(cfg), repeat(spec), lo, hi))
+    exited, epos, etime = (np.concatenate(p) for p in zip(*parts))
     if not exited.any():
         warnings.warn(
             "simulate_exit: every path was censored at t_max", RuntimeWarning

@@ -1,4 +1,12 @@
 import math
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +245,141 @@ def test_lockstep_walk_equals_a_per_path_loop(case, stable_spec, mixture_spec, m
             monkeypatch.undo()
             assert np.array_equal(blk.exit_pos, st.exit_pos, equal_nan=True)
             assert np.array_equal(blk.exit_time, st.exit_time, equal_nan=True)
+
+
+def _assert_same_walk(got, want):
+    assert np.array_equal(got.exited, want.exited)
+    assert np.array_equal(got.exit_pos, want.exit_pos, equal_nan=True)
+    assert np.array_equal(got.exit_time, want.exit_time, equal_nan=True)
+
+
+def _in_process(cfg, spec, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_FAN_OUT", False)
+        return simulate_exit(cfg, spec)
+
+
+needs_cores = pytest.mark.skipif(
+    mc._usable_cpus() < 2, reason="the walk fans out only on two or more usable CPUs"
+)
+
+
+@pytest.fixture
+def fanned(monkeypatch):
+    """Whether each walk since the fixture was made went to the worker pool."""
+    seen = []
+    real = mc._walk_pool
+
+    def spy(blocks):
+        pool = real(blocks)
+        seen.append(pool is not None)
+        return pool
+
+    monkeypatch.setattr(mc, "_walk_pool", spy)
+    return seen
+
+
+# two full lane blocks and a short one; t_max = 0.3 at dt 1e-3 censors at 300 steps
+_FAN_OUT_CASES = [
+    dict(dt=1e-3, t_max=0.3, x0=1.5, interval=(1.0, 2.0), seed=8),
+    dict(dt=1e-3, t_max=0.3, x0=0.2, interval=(0.05, 1.5), seed=9, fold=True),
+    dict(dt=1e-2, t_max=50.0, x0=1.1, interval=(1.0, 2.0), seed=10),
+]
+
+
+@needs_cores
+@pytest.mark.parametrize("case", range(len(_FAN_OUT_CASES)))
+def test_fan_out_equals_the_in_process_walk(case, stable_spec, mixture_spec, monkeypatch, fanned):
+    cfg = PathConfig(n_paths=2 * mc._LANES + 5, **_FAN_OUT_CASES[case])
+    for spec in (stable_spec, mixture_spec):
+        st = simulate_exit(cfg, spec)
+        assert fanned[-1]
+        _assert_same_walk(st, _in_process(cfg, spec, monkeypatch))
+        if case < 2:
+            assert 0 < st.censored < cfg.n_paths
+
+
+@needs_cores
+def test_fan_out_warns_once_in_the_caller(stable_spec, fanned):
+    cfg = PathConfig(
+        dt=1e-2, t_max=2.5e-2, x0=0.0, interval=(-1e6, 1e6),
+        n_paths=2 * mc._LANES + 5, seed=3,
+    )
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        st = simulate_exit(cfg, stable_spec)
+    assert fanned == [True]
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert st.censored == cfg.n_paths
+
+
+def test_one_block_makes_no_pool(stable_spec, monkeypatch):
+    monkeypatch.setattr(mc, "_pool", None)
+    cfg = PathConfig(dt=1e-2, t_max=50.0, x0=1.5, interval=(1.0, 2.0), n_paths=mc._LANES, seed=4)
+    simulate_exit(cfg, stable_spec)
+    assert mc._pool is None
+
+
+_TWO_BLOCKS = dict(dt=1e-2, t_max=50.0, x0=1.5, interval=(1.0, 2.0), seed=12)
+
+
+@needs_cores
+def test_a_patched_sampler_walks_in_process(stable_spec, monkeypatch, fanned):
+    cfg = PathConfig(n_paths=mc._LANES + 1, **_TWO_BLOCKS)
+    base = simulate_exit(cfg, stable_spec)
+    assert fanned == [True] and mc._pool.pid == os.getpid()
+    real = mc.sample_increment
+    monkeypatch.setattr(mc, "sample_increment", lambda *args: 1.02 * real(*args))
+    scaled = simulate_exit(cfg, stable_spec)
+    # the workers hold the unscaled sampler, so a fan-out would return base
+    assert fanned == [True, False]
+    assert not np.array_equal(scaled.exit_pos, base.exit_pos, equal_nan=True)
+    _assert_same_walk(scaled, _in_process(cfg, stable_spec, monkeypatch))
+
+
+@needs_cores
+def test_a_forked_child_walks_in_process(stable_spec, monkeypatch):
+    cfg = PathConfig(n_paths=mc._LANES + 1, **_TWO_BLOCKS)
+    simulate_exit(cfg, stable_spec)
+    assert mc._pool is not None and mc._pool.pid == os.getpid()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(r)
+            st = simulate_exit(cfg, stable_spec)
+            out = (mc._walk_pool(2) is None, st.exited, st.exit_pos, st.exit_time)
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(out, fh)
+        finally:
+            os._exit(0)
+    os.close(w)
+    with os.fdopen(r, "rb") as fh:
+        if not select.select([fh], [], [], 60.0)[0]:
+            os.kill(pid, signal.SIGKILL)
+        data = fh.read()
+    os.waitpid(pid, 0)
+    assert data, "the forked child returned no walk within 60 s"
+    no_pool, exited, pos, etime = pickle.loads(data)
+    assert no_pool
+    _assert_same_walk(
+        ExitStats(cfg.n_paths, cfg.dt, cfg.interval, exited, pos, etime),
+        _in_process(cfg, stable_spec, monkeypatch),
+    )
+
+
+def test_import_leaves_the_pool_modules_out():
+    src = str(Path(mc.__file__).resolve().parents[1])
+    code = (
+        "import sys, sbmpot; "
+        "print([m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate_exit_statistics(stable_spec):
