@@ -28,9 +28,11 @@ because the Levy density of each mixture term is itself a pure power.  The
 I(d) factors are computed once per instance by the adaptive engine; after
 that ``levy_j`` is a vectorized power sum, cheap enough to fill dense
 generator matrices.  Nothing else is cached: ``uq`` and ``h_comp`` run one
-oscillatory quadrature per call, and ``jump_tail`` sends the distinct tail
-starts of one call to the batched adaptive engine together, so every
-value depends only on its own argument.
+oscillatory quadrature per call, ``h_many`` sends the distinct points of
+one call to the batched oscillatory engine together, and ``jump_tail``
+does the same with its tail starts and the batched adaptive engine.  A
+batched value is bit for bit the scalar one, so every value depends only
+on its own argument.
 
 This class is the one owner of kernel integrals: the interval solvers and
 the certification checks read kernel values from it and never call the
@@ -47,11 +49,13 @@ import math
 import numpy as np
 
 from .bernstein import PhiSpec, _as_positive_array, _float_if_0d, phi_eval
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, QuadratureError
 from .quadrature import (
+    QuadResult,
     converged_value,
     integrate_adaptive,
     integrate_adaptive_batch,
+    integrate_one_minus_cos_batch,
     integrate_oscillatory_cos,
     oscillatory_reach,
 )
@@ -225,6 +229,9 @@ class KernelSet:
         )
         return converged_value(r, f"uq({q}, {x})") / math.pi
 
+    def _h_integrand(self, lam):
+        return 1.0 / phi_eval(self.phi, lam * lam)
+
     def h_comp(self, x):
         """Compensated potential kernel h(x) = (1/pi) int (1 - cos(lam x))/psi(lam) dlam.
 
@@ -245,9 +252,8 @@ class KernelSet:
                 f"h({x}) is below h_floor = {self.h_floor:.6g}, where the "
                 "integrand's lam^2 overflows"
             )
-        g = lambda lam: 1.0 / phi_eval(self.phi, lam * lam)
         r = integrate_oscillatory_cos(
-            g,
+            self._h_integrand,
             x,
             mode="one_minus_cos",
             left_exponent=-2.0 * self.delta_min,
@@ -256,13 +262,42 @@ class KernelSet:
         return converged_value(r, f"h({x})") / math.pi
 
     def h_many(self, xs):
-        """h at every entry of ``xs``: a Python loop over the scalar
-        ``h_comp``, one oscillatory quadrature per entry (no memo), not a
-        vectorized evaluation."""
+        """h at every entry of ``xs`` (the result has its shape; a scalar
+        gives a float), each bit for bit ``h_comp`` at that entry.
+
+        The distinct nonzero |x| run through the oscillatory engine as the
+        rows of one batched pass (no memo).  Errors are the scalar loop's:
+        the first entry in input order that fails raises what ``h_comp``
+        raises there.
+        """
         arr = np.asarray(xs, dtype=float)
-        flat = arr.ravel()
-        out = np.array([self.h_comp(v) for v in flat])
-        return out.reshape(arr.shape)
+        flat = np.abs(arr.ravel())
+        # the loop stops at its first DomainError: a non-finite x or one
+        # below h_floor; the entries before it are served first
+        bad = ~np.isfinite(flat) | ((0.0 < flat) & (flat < self.h_floor))
+        n = int(bad.argmax()) if bad.any() else flat.size
+        ux, inv = np.unique(flat[:n], return_inverse=True)
+        nz = ux > 0.0
+        try:
+            r = integrate_one_minus_cos_batch(
+                self._h_integrand,
+                ux[nz],
+                left_exponent=-2.0 * self.delta_min,
+                tail_exponent=2.0 * self.delta_max,
+            )
+        except (DomainError, QuadratureError):
+            for x in flat[:n].tolist():  # the error the scalar loop meets first
+                self.h_comp(x)
+            raise
+        value, err_est = np.zeros(ux.size), np.zeros(ux.size)
+        converged = np.ones(ux.size, dtype=bool)
+        value[nz], err_est[nz], converged[nz] = r.value, r.err_est, r.converged
+        # in input order, so the first entry that missed is the one named
+        r = QuadResult(value[inv], err_est[inv], None, converged[inv])
+        vals = converged_value(r, lambda i: f"h({float(flat[i])})") / math.pi
+        if n < flat.size:
+            self.h_comp(flat[n])  # raises that entry's DomainError
+        return _float_if_0d(vals.reshape(arr.shape))
 
     # -- the walk's step -------------------------------------------------------
 

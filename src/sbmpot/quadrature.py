@@ -3,7 +3,7 @@
 This is the engine behind ``KernelSet``: every integral of a kernel the
 solvers and the checks read (the jump coefficients, jump tails, the band
 coefficient, the wall correction, u^q, h and the walk's mean step) is run
-by a ``KernelSet`` method through one of three entry points.  Outside
+by a ``KernelSet`` method through one of four entry points.  Outside
 ``kernels.py`` only the CLI's ``quad selftest`` calls them.
 
 ``integrate_adaptive``
@@ -26,7 +26,15 @@ by a ``KernelSet`` method through one of three entry points.  Outside
     half-periods between consecutive zeros, and the alternating series is
     accelerated by repeated averaging of partial sums.
 
-All three loops evaluate their panels through one GK15 driver,
+``integrate_one_minus_cos_batch``
+    The "one_minus_cos" mode over many x at once, in lockstep.  Its head,
+    tail and bridge integrals run on ``integrate_adaptive_batch``, whose
+    integrand can read per-row parameters (x, a substitution's end and
+    span) and whose budget is per row; its half-period chunks go to the
+    integrand for all rows still summing in one call a block.  Row i is
+    bit for bit ``integrate_oscillatory_cos(g, x[i], mode="one_minus_cos")``.
+
+All loops evaluate their panels through one GK15 routine,
 ``_gk15_panels``, which sends a stack of panels to the integrand as one
 (panels, 15) array; the oscillatory tail stacks the half-period chunks
 between two of its convergence tests.  So integrands, oscillatory ones
@@ -44,6 +52,7 @@ integrand evaluations per integral.  No caller passes its own.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -57,6 +66,7 @@ __all__ = [
     "QuadResult",
     "integrate_adaptive",
     "integrate_adaptive_batch",
+    "integrate_one_minus_cos_batch",
     "integrate_oscillatory_cos",
 ]
 
@@ -125,9 +135,9 @@ class QuadResult:
     converged: bool
 
 
-def _gk15_values(f, x):
+def _gk15_values(f, x, args=()):
     """Integrand values at the nodes x, checked for shape and finiteness."""
-    fx = np.asarray(f(x), dtype=float)
+    fx = np.asarray(f(x, *args), dtype=float)
     if fx.shape != x.shape:
         raise QuadratureError("integrand must be vectorized (ndarray in, ndarray out)")
     if not np.all(np.isfinite(fx)):
@@ -149,13 +159,17 @@ def _gk15_sums(fx, h):
     return vk, vg, resasc
 
 
-def _gk15_err(vk, vg, resasc):
+# a stack of this many panels or more gets the error model in numpy; below
+# it the per-panel float loop is faster (numpy's fixed cost is about 15 us)
+_ERR_NUMPY_MIN = 16
+
+
+def _panel_err(vk, vg, resasc):
     """Error estimate of one panel from its _gk15_sums, as floats.
 
     The usual scaled-difference recipe: |K15 - G7| sharpened by the panel's
     total variation proxy, so smooth panels are not over-refined while rough
-    panels keep the conservative raw difference.  Kept scalar: numpy's SIMD
-    power differs from the C library's ``**`` in the last bit.
+    panels keep the conservative raw difference.
     """
     raw = abs(vk - vg)
     if resasc > 0.0 and raw > 0.0:
@@ -165,15 +179,34 @@ def _gk15_err(vk, vg, resasc):
     return max(err, _ERR_FLOOR * abs(vk))
 
 
-def _gk15_panels(f, a, b):
+def _gk15_err(vk, vg, resasc):
+    """``_panel_err`` of every panel of a stack, as an array.
+
+    A stack of the scalar loops' size (2 to 8 panels) runs it panel by
+    panel; a larger one runs the same float operations in numpy, all but
+    the power, which stays Python's float ``**`` because numpy's SIMD power
+    differs from the C library's in the last bit.  So every panel gets the
+    bits ``_panel_err`` gives it.
+    """
+    if vk.size < _ERR_NUMPY_MIN:
+        return np.array(list(map(_panel_err, vk.tolist(), vg.tolist(), resasc.tolist())))
+    raw = np.abs(vk - vg)
+    sharp = ((resasc > 0.0) & (raw > 0.0)).nonzero()[0]
+    q = 200.0 * raw[sharp] / resasc[sharp]
+    err = raw
+    err[sharp] = resasc[sharp] * np.minimum(1.0, [t**1.5 for t in q.tolist()])
+    return np.maximum(err, _ERR_FLOOR * np.abs(vk))
+
+
+def _gk15_panels(f, a, b, args=()):
     """Kronrod-15 / Gauss-7 passes over the panels [a[k], b[k]] in one
-    integrand call: (values, err_ests) as arrays."""
+    integrand call ``f(nodes, *args)``: (values, err_ests) as arrays.
+    ``args`` holds per-panel parameter columns of shape (panels, 1)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = c[:, None] + h[:, None] * _XK
-    sums = _gk15_sums(_gk15_values(f, x), h)
-    err = list(map(_gk15_err, *(s.tolist() for s in sums)))
-    return sums[0], np.array(err, dtype=float)
+    vk, vg, resasc = _gk15_sums(_gk15_values(f, x, args), h)
+    return vk, _gk15_err(vk, vg, resasc)
 
 
 def converged_value(r, what):
@@ -248,7 +281,7 @@ def _adaptive_finite(f, a, b, budget):
     return QuadResult(total, total_err, evals, total_err <= tol())
 
 
-def integrate_adaptive_batch(f, a, b):
+def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     """``integrate_adaptive(f, a[i], b[i])`` for every i, in lockstep.
 
     ``a`` and ``b`` are 1-d arrays of finite endpoints with a < b.  Each
@@ -260,6 +293,12 @@ def integrate_adaptive_batch(f, a, b):
     be elementwise.  Panel sums, running totals, stop tests and the final
     ``math.fsum`` are those of the scalar loop, so every row is bit for bit
     the scalar result.
+
+    ``args`` lets the rows' integrands differ: a tuple of 1-d arrays, one
+    entry per row, that ``f`` receives after the nodes as ``f(nodes,
+    *cols)``, each column (panels, 1) holding the entries of the panels'
+    rows.  ``budget`` caps each row's evaluations (a scalar or one entry
+    per row, raised to 60 as ``_run_pieces`` does); by default MAX_EVALS.
 
     Returns a QuadResult of arrays: value, err_est, evals, converged.
     """
@@ -273,12 +312,16 @@ def integrate_adaptive_batch(f, a, b):
     if bad.size:
         raise DomainError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
     m = a.size
-    budget = max(MAX_EVALS, 60)  # _run_pieces' share for one piece
+    budget = np.broadcast_to(np.maximum(MAX_EVALS if budget is None else budget, 60), (m,))
     value = np.zeros(m)
     err_est = np.zeros(m)
     evals = np.full(m, 15 * _N_INIT)
     if m == 0:
         return QuadResult(value, err_est, evals, np.zeros(0, dtype=bool))
+
+    def cols(idx):
+        # the per-row parameters of panels from rows idx, as columns
+        return tuple(c[idx, None] for c in args)
 
     # panel slots per row in push order; key = err (0 once frozen), and
     # -inf marks a popped or unused slot, so argmax pops like the heap
@@ -288,7 +331,10 @@ def integrate_adaptive_batch(f, a, b):
     HI = np.zeros((m, cap))
     LO[:, :_N_INIT] = edges[:, :-1]
     HI[:, :_N_INIT] = edges[:, 1:]
-    v0, e0 = _gk15_panels(f, LO[:, :_N_INIT].ravel(), HI[:, :_N_INIT].ravel())
+    v0, e0 = _gk15_panels(
+        f, LO[:, :_N_INIT].ravel(), HI[:, :_N_INIT].ravel(),
+        cols(np.repeat(np.arange(m), _N_INIT)),
+    )
     V = np.zeros((m, cap))
     E = np.zeros((m, cap))
     V[:, :_N_INIT] = v0.reshape(m, _N_INIT)
@@ -306,7 +352,7 @@ def integrate_adaptive_batch(f, a, b):
 
     while rows.size:
         tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
-        go = (total_err > tol) & (evals[rows] + 30 <= budget) & ~halted
+        go = (total_err > tol) & (evals[rows] + 30 <= budget[rows]) & ~halted
         if not go.all():
             # drift-free recomputation of the running sums, as the scalar loop
             live = KEY[~go] > -np.inf
@@ -343,7 +389,10 @@ def integrate_adaptive_batch(f, a, b):
             continue
         sp, j = r[split], nslot[split]
         lo, mid, hi = lo[split], mid[split], hi[split]
-        cv, ce = _gk15_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        cv, ce = _gk15_panels(
+            f, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+            cols(np.concatenate([rows[sp], rows[sp]])),
+        )
         v1, v2 = cv[: sp.size], cv[sp.size:]
         e1, e2 = ce[: sp.size], ce[sp.size:]
         total[sp] += (v1 + v2) - v[split]
@@ -430,16 +479,21 @@ def _run_pieces(pieces):
     return QuadResult(value, err, evals, ok)
 
 
-def _integrate_to_inf(f, a, left_exponent, tail_exponent):
-    if tail_exponent is not None and tail_exponent <= 1.0:
-        raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
-    cut = a + max(1.0, abs(a))
+def _inverted(f):
+    """The tail inverted: int_cut^inf f = int_0^{1/cut} f(1/u)/u^2 du."""
 
-    # invert the tail: int_cut^inf f = int_0^{1/cut} f(1/u)/u^2 du
     def g(u):
         x = 1.0 / u
         return f(x) * x * x
 
+    return g
+
+
+def _integrate_to_inf(f, a, left_exponent, tail_exponent):
+    if tail_exponent is not None and tail_exponent <= 1.0:
+        raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
+    cut = a + max(1.0, abs(a))
+    g = _inverted(f)
     tail_p = None if tail_exponent is None else float(tail_exponent) - 2.0
     pieces = []
     if _needs_sub(left_exponent):
@@ -453,23 +507,53 @@ def _integrate_to_inf(f, a, left_exponent, tail_exponent):
     return _run_pieces(pieces)
 
 
+def _sin2_head(lam, x, g):
+    """(1 - cos(lam x)) g(lam) as 2 sin^2(lam x / 2) g(lam), exact near 0."""
+    s = np.sin(0.5 * x * lam)
+    return 2.0 * s * s * g(lam)
+
+
+def _cos_times(lam, x, g):
+    return np.cos(lam * x) * g(lam)
+
+
+# chunks the cosine tail sums at most
+_N_CHUNKS_MAX = 600
+
+
+def _block_size(k):
+    """Chunks from chunk k up to the next convergence test (every 4 chunks
+    from chunk 8 on), within the chunk cap."""
+    return min(max(8, k + 4 - k % 4) - k, _N_CHUNKS_MAX - k)
+
+
 def _averaged_limit(partials):
     """Limit of an alternating-tail sequence by repeated adjacent averaging.
 
     Standard Euler-style acceleration: each sweep replaces the sequence by
     midpoints of neighbors; the last entry converges fast for alternating
-    remainders with slowly varying amplitude.  Returns (limit, err_est).
+    remainders with slowly varying amplitude.  Returns (limit, err_est):
+    floats for one sequence, or arrays for a (rows, k) array of them, each
+    row reduced as it would be alone.
     """
-    row = np.asarray(partials[-40:], dtype=float)
-    if row.size == 1:
-        return float(row[0]), abs(float(row[0]))
-    est = float(row[-1])
-    prev = est
-    while row.size > 1:
-        row = 0.5 * (row[:-1] + row[1:])
+    row = np.asarray(partials, dtype=float)[..., -40:]
+    if row.shape[-1] == 1:
+        est, err = row[..., 0], np.abs(row[..., 0])
+    else:
+        est = row[..., -1]
         prev = est
-        est = float(row[-1])
-    return est, abs(est - prev) + 4.0 * _EPS * abs(est)
+        while row.shape[-1] > 1:
+            row = 0.5 * (row[..., :-1] + row[..., 1:])
+            prev = est
+            est = row[..., -1]
+        err = np.abs(est - prev) + 4.0 * _EPS * np.abs(est)
+    return (float(est), float(err)) if row.ndim == 1 else (est, err)
+
+
+_NOT_DECAYING = (
+    "oscillatory tail: chunk magnitudes are not decaying; "
+    "g may not be eventually monotone, falling back to the raw partial sum"
+)
 
 
 def _cos_tail_chunked(g, x, budget):
@@ -484,10 +568,7 @@ def _cos_tail_chunked(g, x, budget):
     monotone), emits a RuntimeWarning and reports converged=False.
     """
     z0 = 1.5 * math.pi / x
-
-    def f(lam):
-        return np.cos(lam * x) * g(lam)
-
+    f = functools.partial(_cos_times, x=x, g=g)
     bridge = integrate_adaptive(f, 2.0 / x, z0)
     value, err, evals, ok = bridge.value, bridge.err_est, bridge.evals, bridge.converged
 
@@ -499,14 +580,13 @@ def _cos_tail_chunked(g, x, budget):
     stable_hits = 0
     limit = 0.0
     lim_err = 0.0
-    n_chunks_max = 600
     increase_count = 0
     tol = max(ABS_TOL, REL_TOL * max(abs(value), 1.0))
 
     k = 0
     while True:
         # the chunks up to the next convergence test, as far as cap and budget allow
-        size = min(max(8, k + 4 - k % 4) - k, n_chunks_max - k, (budget - evals) // 15)
+        size = min(_block_size(k), (budget - evals) // 15)
         if size <= 0:
             ok = False
             break
@@ -532,11 +612,7 @@ def _cos_tail_chunked(g, x, budget):
             est_prev = limit
 
     if increase_count >= 3:
-        warnings.warn(
-            "oscillatory tail: chunk magnitudes are not decaying; "
-            "g may not be eventually monotone, falling back to the raw partial sum",
-            RuntimeWarning,
-        )
+        warnings.warn(_NOT_DECAYING, RuntimeWarning)
         limit = partials[-1] if partials else 0.0
         lim_err = abs(chunk_vals[-1]) if chunk_vals else 0.0
         ok = False
@@ -593,14 +669,11 @@ def integrate_oscillatory_cos(
     lam_split = 2.0 / x
     if mode == "one_minus_cos":
 
-        def head_f(lam):
-            s = np.sin(0.5 * x * lam)
-            return 2.0 * s * s * g(lam)
-
         sign = -1.0
         parts = (
             integrate_adaptive(
-                head_f, 0.0, lam_split, left_exponent=left_exponent + 2.0
+                functools.partial(_sin2_head, x=x, g=g), 0.0, lam_split,
+                left_exponent=left_exponent + 2.0,
             ),
             integrate_adaptive(g, lam_split, math.inf, tail_exponent=tail_exponent),
         )
@@ -608,7 +681,7 @@ def integrate_oscillatory_cos(
         sign = 1.0
         parts = (
             integrate_adaptive(
-                lambda lam: np.cos(lam * x) * g(lam), 0.0, lam_split,
+                functools.partial(_cos_times, x=x, g=g), 0.0, lam_split,
                 left_exponent=left_exponent,
             ),
         )
@@ -622,6 +695,190 @@ def integrate_oscillatory_cos(
         ok = ok and r.converged
     osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked(g, x, MAX_EVALS - evals)
     return QuadResult(value + sign * osc_v, err + osc_e, evals + osc_n, ok and osc_ok)
+
+
+def _run_pieces_batch(pieces):
+    """``_run_pieces`` over rows: each piece is (integrand, lo, hi, args)
+    with one entry per row in lo, hi and every array of args, run by
+    ``integrate_adaptive_batch`` on the row's share of the budget."""
+    m = pieces[0][1].size
+    value = np.zeros(m)
+    err = np.zeros(m)
+    evals = np.zeros(m, dtype=int)
+    ok = np.ones(m, dtype=bool)
+    for k, (g, lo, hi, args) in enumerate(pieces):
+        share = (MAX_EVALS - evals) // (len(pieces) - k)
+        r = integrate_adaptive_batch(g, lo, hi, args=args, budget=share)
+        value += r.value
+        err += r.err_est
+        evals += r.evals
+        ok &= r.converged
+    ok |= err <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))
+    return QuadResult(value, err, evals, ok)
+
+
+def _power_sub_rows(f, end, other, p, args=()):
+    """``_power_sub`` with an end and span per row: the piece (integrand, 0,
+    1, args) of ``_run_pieces_batch``.  The integrand takes (t, end, span,
+    *args) and passes ``args`` on to ``f``."""
+    m = _sub_power(p)
+
+    def g(t, e, s, *rest):
+        tm = np.power(t, m)
+        return f(e + s * tm, *rest) * (s * m) * np.power(t, m - 1)
+
+    n = end.size
+    return g, np.zeros(n), np.ones(n), (end, other - end, *args)
+
+
+def integrate_one_minus_cos_batch(g, x, *, left_exponent=0.0, tail_exponent):
+    """``integrate_oscillatory_cos(g, x[i], mode="one_minus_cos", ...)`` for
+    every x[i] of a 1-d array of finite x > 0, in lockstep.
+
+    The head, the int g tail and the cosine tail's bridge run as the pieces
+    of ``integrate_adaptive_batch``, the rows' own x, substitution end and
+    span reaching the integrand as per-row parameters, and each row's
+    budget is what the scalar route leaves it.  The half-period chunks of
+    all rows still summing go to the integrand together, a block at a time
+    (see ``_cos_tail_chunked_batch``).  The float expressions are the
+    scalar route's, in its order, so row i is bit for bit the scalar result.
+
+    Returns a QuadResult of arrays; an unconverged row is flagged, not
+    raised, as in the scalar route.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ConfigError("x must be a 1-d array")
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise DomainError("batched x must be finite and positive")
+    if tail_exponent is None:
+        raise ConfigError("one_minus_cos mode needs tail_exponent for the int g tail")
+    if tail_exponent <= 1.0:
+        raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
+
+    lam_split = 2.0 / x
+    head_f = functools.partial(_sin2_head, g=g)
+    p = left_exponent + 2.0
+    if _needs_sub(p):
+        head = _power_sub_rows(head_f, np.zeros(x.size), lam_split, p, (x,))
+    else:
+        head = (head_f, np.zeros(x.size), lam_split, (x,))
+    head = _run_pieces_batch([head])
+
+    # int g over [2/x, inf): _integrate_to_inf with no left exponent
+    cut = lam_split + np.maximum(1.0, np.abs(lam_split))
+    inverted = _inverted(g)
+    tail_p = float(tail_exponent) - 2.0
+    if _needs_sub(tail_p):
+        beyond = _power_sub_rows(inverted, np.zeros(x.size), 1.0 / cut, tail_p)
+    else:
+        beyond = (inverted, np.zeros(x.size), 1.0 / cut, ())
+    tail = _run_pieces_batch([(g, lam_split, cut, ()), beyond])
+
+    value = head.value + tail.value
+    err = head.err_est + tail.err_est
+    evals = head.evals + tail.evals
+    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked_batch(g, x, MAX_EVALS - evals)
+    ok = head.converged & tail.converged & osc_ok
+    return QuadResult(value + -1.0 * osc_v, err + osc_e, evals + osc_n, ok)
+
+
+def _cos_tail_chunked_batch(g, x, budget):
+    """``_cos_tail_chunked(g, x[i], budget[i])`` for every i, in lockstep.
+
+    The rows share the chunk count k until they stop, so each round sends
+    the same block of chunks for every row still summing to the integrand
+    in one call, and the partial sums are a (rows, k) array that
+    ``_averaged_limit`` reduces row by row.  A row whose budget cuts its
+    block takes the chunks that fit and stops, as the scalar loop does.
+    Returns arrays (value, err, evals, converged).
+    """
+    z0 = 1.5 * math.pi / x
+    f = functools.partial(_cos_times, g=g)
+    bridge = _run_pieces_batch([(f, 2.0 / x, z0, (x,))])
+    value, err = bridge.value, bridge.err_est
+    evals, ok = bridge.evals, bridge.converged
+    tol = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(value), 1.0))
+
+    live = np.arange(x.size)  # the rows still summing
+    room = 16  # columns held per row, doubled as k grows
+    vals = np.zeros((live.size, room))  # chunk values, errors and partial sums
+    errs = np.zeros((live.size, room))
+    partials = np.zeros((live.size, room))
+    run = np.zeros(live.size)
+    increase_count = np.zeros(live.size, dtype=int)
+    stable_hits = np.zeros(live.size, dtype=int)
+    est_prev = limit = lim_err = None
+
+    def finish(sel, n, stable):
+        # rows sel (of live) stop with n chunks each, after a stable test or
+        # not: the scalar loop's epilogue
+        for i, r, k in zip(sel.tolist(), live[sel].tolist(), n.tolist()):
+            if increase_count[i] >= 3:
+                warnings.warn(_NOT_DECAYING, RuntimeWarning)
+                lim = (partials[i, k - 1], abs(vals[i, k - 1])) if k else (0.0, 0.0)
+                ok[r] = False
+            elif stable:
+                lim = (limit[i], lim_err[i])
+            elif k:
+                lim = _averaged_limit(partials[i, :k])
+            else:
+                lim = (0.0, 0.0)
+            value[r] += lim[0]
+            err[r] += lim[1] + math.fsum(errs[i, :k].tolist())
+
+    k = 0
+    while live.size:
+        nominal = _block_size(k)
+        size = np.minimum(nominal, (budget[live] - evals[live]) // 15)
+        if k + nominal > room:
+            room *= 2
+            vals, errs, partials = (
+                np.pad(X, ((0, 0), (0, room - X.shape[1]))) for X in (vals, errs, partials)
+            )
+        # the chunks up to the next convergence test, as far as the chunk cap
+        # and each row's budget allow
+        block = np.arange(nominal) < size[:, None]
+        j = k + np.arange(nominal)
+        lo = (z0[live, None] + j * math.pi / x[live, None])[block]
+        step = np.broadcast_to(math.pi / x[live, None], block.shape)[block]
+        xcol = np.broadcast_to(x[live, None], block.shape)[block]
+        vs, es = _gk15_panels(f, lo, lo + step, (xcol[:, None],))
+        evals[live] += 15 * np.maximum(size, 0)
+        vals[:, k:k + nominal][block] = vs
+        errs[:, k:k + nominal][block] = es
+        for c in range(k, k + nominal):
+            run = run + vals[:, c]
+            partials[:, c] = run
+            if c >= 2:
+                up = np.abs(vals[:, c]) > np.abs(vals[:, c - 1]) * (1.0 + 1e-12)
+                increase_count += up & (c < k + size)
+        k += nominal
+
+        # a block cut short, or none at all past the chunk cap, ends the row
+        # unconverged
+        cut = (size < nominal) | (nominal == 0)
+        ok[live[cut]] = False
+        finish(cut.nonzero()[0], k - nominal + np.maximum(size[cut], 0), False)
+        stop = cut
+        if nominal and k >= 8 and k % 4 == 0:
+            limit, lim_err = _averaged_limit(partials[:, :k])
+            if est_prev is not None:
+                near = np.abs(limit - est_prev) < 0.25 * tol[live]
+                stable_hits = np.where(near, stable_hits + 1, 0)
+            stable = (stable_hits >= 2) & ~cut
+            finish(stable.nonzero()[0], np.full(stable.sum(), k), True)
+            stop = stop | stable
+            est_prev = limit
+        if stop.any():
+            keep = ~stop
+            live, run, increase_count, stable_hits = (
+                live[keep], run[keep], increase_count[keep], stable_hits[keep]
+            )
+            vals, errs, partials = vals[keep], errs[keep], partials[keep]
+            if est_prev is not None:
+                est_prev = est_prev[keep]
+    return value, err, evals, ok
 
 
 def oscillatory_reach(tail_exponent):

@@ -7,6 +7,7 @@ import pytest
 from sbmpot import (
     ConfigError,
     DomainError,
+    Grid,
     KernelSet,
     PhiSpec,
     QuadratureError,
@@ -122,6 +123,7 @@ _ARRAY_LIKE = {
     "phi_cap_inv": lambda ks, v: ks.phi_cap_inv(v),
     "gx_estimate": lambda ks, v: ks.gx_estimate(0.0, 1.0, v, 0.45),
     "phi_eval": lambda ks, v: phi_eval(ks.phi, v),
+    "h_many": lambda ks, v: ks.h_many(v),
 }
 
 
@@ -175,7 +177,7 @@ def test_h_sweep_is_accurate_or_raises(delta):
     # An x the quadrature cannot serve must raise, never return a wrong value.
     ks = KernelSet(PhiSpec.stable(delta))
     h1 = H1_CLOSED[delta]
-    served = []
+    served, vals = [], []
     for x in np.logspace(-300.0, 300.0, 121):
         try:
             v = ks.h_comp(x)
@@ -183,8 +185,12 @@ def test_h_sweep_is_accurate_or_raises(delta):
             continue
         assert v == pytest.approx(h1 * x ** (2.0 * delta - 1.0), rel=1e-8, abs=0.0), x
         served.append(x)
+        vals.append(v)
     # and the range that holds values does get them
     assert min(served) <= 1e-120 and max(served) >= 1e15
+    # h_many runs the batched oscillatory engine: each entry carries the
+    # bits of h_comp at that entry
+    assert ks.h_many(served).tolist() == vals
 
 
 @pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
@@ -256,6 +262,64 @@ def test_h_basics(stable_ks, mixture_ks):
 def test_h_many_matches_scalar(stable_ks):
     xs = np.array([0.2, 1.0, 5.0])
     assert np.array_equal(stable_ks.h_many(xs), [stable_ks.h_comp(x) for x in xs])
+
+
+def _h_loop(ks, xs):
+    return [ks.h_comp(float(x)) for x in xs]
+
+
+def test_h_many_is_the_scalar_loop_on_the_certified_points(stable_ks, mixture_ks):
+    # the lattice of h-psi-band, the probes of exit-time-bound and a grid's nodes
+    xs = np.concatenate([
+        0.1 * np.arange(1, 201),
+        np.logspace(-3.0, 3.0, 41),
+        Grid(0.004, 1.0, 512).nodes(),
+    ])
+    for ks in (stable_ks, mixture_ks):
+        assert ks.h_many(xs).tolist() == _h_loop(ks, xs)
+
+
+def test_h_many_shapes_and_repeats(mixture_ks):
+    ks = mixture_ks
+    xs = np.array([[0.3, 0.0, -0.3], [2.5, 0.3 + 1e-14, 0.3]])
+    got = ks.h_many(xs)
+    assert got.shape == (2, 3)
+    assert got.tolist() == [_h_loop(ks, xs[0]), _h_loop(ks, xs[1])]
+    assert got[0, 1] == 0.0 and got[0, 0] == got[0, 2] == got[1, 2]
+    empty = ks.h_many(np.zeros((0, 2)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0, 2)
+    scalar = ks.h_many(0.5)
+    assert type(scalar) is float and scalar == ks.h_comp(0.5)
+    assert ks.h_many(0.0) == 0.0
+
+
+def _raised(f):
+    try:
+        f()
+    except (DomainError, QuadratureError) as e:
+        return type(e), str(e)
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [[0.5, 1e20], [0.5, math.nan, 1e20], [0.5, 1e20, math.nan], [2.0, -math.inf], [1e-145, 1.0]],
+    ids=["unconverged", "nan-first", "unconverged-first", "inf", "below-floor"],
+)
+def test_h_many_raises_what_the_scalar_loop_raises(stable_ks, xs):
+    # the first entry in input order that fails names the error
+    want = _raised(lambda: _h_loop(stable_ks, xs))
+    assert _raised(lambda: stable_ks.h_many(xs)) == want
+
+
+def test_h_many_error_messages(stable_ks):
+    with pytest.raises(QuadratureError, match=r"h\(1e\+20\) did not converge"):
+        stable_ks.h_many([0.5, 1e20])
+    with pytest.raises(DomainError, match="finite x"):
+        stable_ks.h_many([0.5, math.nan])
+    # h diverges for delta <= 1/2: the engine's own error, as from h_comp
+    ks = KernelSet(PhiSpec.stable(0.5))
+    assert _raised(lambda: ks.h_many([0.0, 1.0])) == _raised(lambda: ks.h_comp(1.0))
 
 
 def test_h_is_q_to_zero_resolvent_limit(stable_ks, mixture_ks):

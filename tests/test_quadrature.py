@@ -7,6 +7,7 @@ from sbmpot import ConfigError, DomainError, QuadratureError, phi_eval
 from sbmpot.quadrature import (
     integrate_adaptive,
     integrate_adaptive_batch,
+    integrate_one_minus_cos_batch,
     integrate_oscillatory_cos,
 )
 
@@ -221,4 +222,95 @@ def test_batch_validation():
     with pytest.raises(ConfigError):
         integrate_adaptive_batch(lambda x: x, np.array([0.0]), np.array([1.0, 2.0]))
     empty = integrate_adaptive_batch(lambda x: x, np.zeros(0), np.zeros(0))
+    assert empty.value.shape == (0,)
+
+
+def test_stacked_error_model_equals_the_float_model():
+    # stacks from _ERR_NUMPY_MIN panels up run the error model in numpy
+    from sbmpot.quadrature import _ERR_NUMPY_MIN, _gk15_err, _panel_err
+
+    rng = np.random.default_rng(3)
+    vk = rng.normal(size=400)
+    vg = vk * (1.0 + 10.0 ** rng.uniform(-16.0, 0.0, size=400))
+    resasc = np.abs(rng.normal(size=400))
+    vg[::7] = vk[::7]  # raw 0: no sharpening
+    resasc[::11] = 0.0
+    vk[::13] = 0.0
+    want = list(map(_panel_err, vk.tolist(), vg.tolist(), resasc.tolist()))
+    for n in (_ERR_NUMPY_MIN - 1, _ERR_NUMPY_MIN, 400):
+        assert _gk15_err(vk[:n], vg[:n], resasc[:n]).tolist() == want[:n]
+
+
+def _one_minus_cos_rows_identical(g, xs, **kw):
+    batch = integrate_one_minus_cos_batch(g, xs, **kw)
+    scalar = [integrate_oscillatory_cos(g, x, mode="one_minus_cos", **kw) for x in xs]
+    _assert_rows_identical(batch, scalar)
+    return batch
+
+
+def test_one_minus_cos_batch_equals_scalar(stable_ks, mixture_ks):
+    xs = np.concatenate([np.geomspace(1e-6, 1e6, 25), [0.3, 0.3 + 1e-14]])
+    for ks in (stable_ks, mixture_ks):
+        g = lambda lam: 1.0 / phi_eval(ks.phi, lam * lam)
+        kw = dict(left_exponent=-2.0 * ks.delta_min, tail_exponent=2.0 * ks.delta_max)
+        assert _one_minus_cos_rows_identical(g, xs, **kw).converged.all()
+    # a head exponent of 2 needs no power substitution
+    g = lambda t: 1.0 / (1.0 + t * t)
+    b = _one_minus_cos_rows_identical(g, np.array([0.5, 1.0, 3.0]), tail_exponent=2.0)
+    assert np.allclose(b.value, 0.5 * math.pi * (1.0 - np.exp(-np.array([0.5, 1.0, 3.0]))))
+
+
+def test_one_minus_cos_batch_budget_cut_inside_a_block(quad_contract):
+    # head, int g tail and bridge take 240 evaluations at x >= 0.5, which
+    # leaves 13 chunks: one past the test at 12, cut inside the block.  At
+    # x = 0.05 the pieces take more and the cut falls elsewhere.
+    quad_contract(max_evals=435)
+    xs = np.array([0.05, 0.5, 1.0, 2.0, 30.0])
+    batch = _one_minus_cos_rows_identical(lambda t: 1.0 / (1.0 + t * t), xs, tail_exponent=2.0)
+    assert not batch.converged.any()
+    assert (batch.evals == 435).all()
+    assert abs(batch.value[2] - 0.5 * math.pi * (1.0 - math.exp(-1.0))) < 1e-5
+
+
+def test_one_minus_cos_batch_non_decaying_envelope():
+    # chunk magnitudes grow up to lam = 10: rows whose chunks start below it
+    # warn and fall back to the raw partial sum, as the scalar route does
+    g = lambda t: t**10 * np.exp(-t)
+    xs = np.array([0.5, 10.0, 20.0])
+    with pytest.warns(RuntimeWarning, match="not decaying"):
+        batch = integrate_one_minus_cos_batch(g, xs, tail_exponent=2.0)
+    with pytest.warns(RuntimeWarning, match="not decaying"):
+        scalar = [integrate_oscillatory_cos(g, x, mode="one_minus_cos", tail_exponent=2.0)
+                  for x in xs]
+    _assert_rows_identical(batch, scalar)
+    assert batch.converged.tolist() == [True, False, False]
+
+
+def test_chunked_tail_batch_at_the_chunk_cap(quad_contract):
+    # under a zero tolerance no two averaged limits of the noisy envelope
+    # agree: two rows sum all 600 chunks, and the third row's budget cuts a
+    # block short
+    from sbmpot.quadrature import _cos_tail_chunked, _cos_tail_chunked_batch
+
+    quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=3000)
+    g = lambda t: 1.0 / (1.0 + t * t) + 1e-13 * np.cos(t * t)
+    xs, budget = np.array([0.5, 1.0, 3.0]), np.array([20000, 20000, 5000])
+    batch = _cos_tail_chunked_batch(g, xs, budget)
+    scalar = [_cos_tail_chunked(g, x, b) for x, b in zip(xs.tolist(), budget.tolist())]
+    assert [tuple(r) for r in zip(*(a.tolist() for a in batch))] == scalar
+    assert batch[2].tolist() == [3000 + 600 * 15] * 2 + [4995]
+
+
+def test_one_minus_cos_batch_validation():
+    g = lambda t: 1.0 / (1.0 + t * t)
+    for bad in ([0.0, 1.0], [1.0, math.nan], [-1.0]):
+        with pytest.raises(DomainError):
+            integrate_one_minus_cos_batch(g, np.array(bad), tail_exponent=2.0)
+    with pytest.raises(DomainError):
+        integrate_one_minus_cos_batch(g, np.array([1.0]), tail_exponent=1.0)
+    with pytest.raises(ConfigError):
+        integrate_one_minus_cos_batch(g, np.ones((2, 2)), tail_exponent=2.0)
+    with pytest.raises(ConfigError):
+        integrate_one_minus_cos_batch(g, np.ones(2), tail_exponent=None)
+    empty = integrate_one_minus_cos_batch(g, np.zeros(0), tail_exponent=2.0)
     assert empty.value.shape == (0,)
