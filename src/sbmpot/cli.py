@@ -296,15 +296,15 @@ def _cmd_kernel_table(args):
     elif what == "uq":
         vals = np.array([ks.uq(args.q, x) for x in xs])
     elif what == "h":
-        vals = ks.h_many(xs)
+        vals = ks.h_comp(xs)
     elif what == "gz":
         if args.y is None:
             raise ConfigError("gz needs --y")
-        vals = np.array([ks.green_free_z(x, args.y) for x in xs])
+        vals = ks.green_free_z(xs, args.y)
     elif what == "gx0":
         if args.y is None:
             raise ConfigError("gx0 needs --y")
-        vals = np.array([ks.green_free_x0(x, args.y) for x in xs])
+        vals = ks.green_free_x0(xs, args.y)
     else:  # argparse choices make this unreachable
         raise ConfigError(f"unknown kernel {what!r}")
     lines = [f"{_FMT % x},{_FMT % v}" for x, v in zip(xs, vals)]

@@ -581,14 +581,14 @@ def exit_alive_prob(
     if not np.all(x_arr > 2.0 * a_list[0]):
         raise DomainError("evaluation points must sit well above the largest shelf")
 
-    hR = ks.h_comp(R)
+    hR, *h_shelves = ks.h_comp([R, *a_list])
     lowers, uppers, per_a = [], [], []
-    for a in a_list:
+    for a, ha in zip(a_list, h_shelves):
         grid, P = _shelf_solve(ks, a, R)
         xs = grid.nodes()
         p_up = np.interp(x_arr, xs, P[:, 0])
         p_dn = np.interp(x_arr, xs, P[:, 1])
-        corr = ks.h_comp(a) / hR
+        corr = ha / hR
         lowers.append(p_up)
         uppers.append(p_up + (1.0 - p_up) * corr)
         per_a.append({"a": a, "n": grid.n, "p_exit": p_up, "p_shelf": p_dn})
@@ -748,8 +748,9 @@ def bhp_sup_ratio(
     wmask = xs < lambda1 * r
     if wmask.sum() < 2:
         raise ConfigError("probe window holds fewer than two nodes")
-    h_vec = ks.h_many(xs[wmask])
-    shelf_corr = ks.h_comp(a) / ks.h_comp(3.0 * r)
+    h = ks.h_comp(np.append(xs[wmask], [a, 3.0 * r]))
+    h_vec = h[:-2]
+    shelf_corr = h[-2] / h[-1]
     dmass = pt.mass_below()[wmask]
 
     per_f = []
@@ -795,6 +796,7 @@ def small_interval_lower(
         a = default_shelf(R)
     if not (0.0 < a < lambda1 * R / 4.0):
         raise ConfigError("shelf a must satisfy a < lambda1 R / 4")
+    hR = ks.h_comp(R)
     floors = []
     for shelf in (a, 0.5 * a):
         green = green_matrix(build_generator(ks, Grid(shelf, R, n), "Z"))
@@ -802,7 +804,7 @@ def small_interval_lower(
         mask = (xs > a) & (xs < lambda1 * R)
         if mask.sum() < 1:
             raise ConfigError("no grid nodes inside the probe window")
-        floors.append(float(green.G[np.ix_(mask, mask)].min() / ks.h_comp(R)))
+        floors.append(float(green.G[np.ix_(mask, mask)].min() / hR))
     return tuple(floors)
 
 

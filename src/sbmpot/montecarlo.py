@@ -82,6 +82,10 @@ class PathConfig:
         if not (self.t_max > self.dt):
             raise ConfigError("t_max must exceed dt")
         check_steps(self.t_max, self.dt)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(
+                f"interval endpoints a and b must be finite, got a = {a}, b = {b}"
+            )
         if not (a < b):
             raise ConfigError("interval must satisfy a < b")
         if self.fold and a < 0.0:

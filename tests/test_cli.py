@@ -68,6 +68,16 @@ def test_kernel_table_h(capsys):
     )
 
 
+def test_kernel_table_green_free(capsys):
+    # one call per table: each row is the kernel at its own x
+    ks = KernelSet(PhiSpec.stable(0.75))
+    for what, g in (("gz", ks.green_free_z), ("gx0", ks.green_free_x0)):
+        rc, out, _ = _run(capsys, "kernel", "table", "--what", what, "--y", "1", "--xs", "0.5,1,2")
+        assert rc == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [v for _, v in rows] == ["%.12e" % g(x, 1.0) for x in (0.5, 1.0, 2.0)]
+
+
 def test_kernel_table_gz_needs_y(capsys):
     rc, _, err = _run(capsys, "kernel", "table", "--what", "gz", "--xs", "1.0")
     assert rc == 2
@@ -260,8 +270,14 @@ def test_solve_small_scales_its_shelf_with_R(capsys):
         (("solve", "harnack", "--r", "inf"), "r"),
         (("solve", "bhp", "--r", "inf"), "r"),
         (("kernel", "table", "--what", "h", "--xs", "nan"), "x"),
+        (("kernel", "table", "--what", "uq", "--xs", "inf"), "x"),
+        (("kernel", "table", "--what", "uq", "--xs", "0.5,nan"), "x"),
+        (("kernel", "table", "--what", "uq", "--q", "inf", "--xs", "1"), "q"),
+        (("mc", "exit", "--a", "1", "--b", "inf", "--x0", "1.5", "--dt", "1e-2",
+          "--paths", "10"), "b"),
     ],
-    ids=["exit-R", "small-R", "harnack-r", "bhp-r", "h-x"],
+    ids=["exit-R", "small-R", "harnack-r", "bhp-r", "h-x", "uq-x-inf", "uq-x-nan",
+         "uq-q", "mc-exit-b"],
 )
 def test_non_finite_lengths_exit_2_naming_the_argument(capsys, argv, name):
     rc, out, err = _run(capsys, *argv)

@@ -652,14 +652,14 @@ def test_bhp_refuses_a_nan_datum(stable_ks, monkeypatch):
 def test_bhp_keeps_a_nan_ratio(stable_spec, monkeypatch):
     # a nan profile ratio used to fold to the starting 0.0
     ks = KernelSet(stable_spec)
-    real = ks.h_many
+    real = ks.h_comp
 
     def nan_h(xs):
         h = real(xs)
         h[0] = np.nan
         return h
 
-    monkeypatch.setattr(ks, "h_many", nan_h)
+    monkeypatch.setattr(ks, "h_comp", nan_h)
     rep = bhp_sup_ratio(ks, 1.0, n=256)
     assert math.isnan(rep.c7) and math.isnan(rep.c7_upper)
 
@@ -694,6 +694,30 @@ def test_small_interval_lower(stable_ks):
     assert lam2_half == float(green.G[np.ix_(win, win)].min() / stable_ks.h_comp(1.0))
     with pytest.raises(TypeError):
         small_interval_lower(stable_ks, 1.0, a=0.002, window_lo=0.004)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda ks: exit_alive_prob(ks, 1.0, [0.5], a_seq=[0.1, 0.05, 0.025]),
+        lambda ks: bhp_sup_ratio(ks, 1.0, n=256),
+        lambda ks: small_interval_lower(ks, 1.0, n=128),
+    ],
+    ids=["exit_alive_prob", "bhp_sup_ratio", "small_interval_lower"],
+)
+def test_each_solve_reads_h_in_one_call(stable_spec, monkeypatch, solve):
+    # exit_alive_prob used to read h once plus once per shelf, bhp_sup_ratio
+    # a window table plus h(a) and h(3r), small_interval_lower h(R) per shelf
+    ks = KernelSet(stable_spec)
+    real, calls = ks.h_comp, []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(ks, "h_comp", counted)
+    solve(ks)
+    assert len(calls) == 1
 
 
 def test_small_interval_lower_scales_its_shelf(stable_ks):

@@ -14,6 +14,8 @@ from sbmpot import (
     phi_eval,
 )
 
+from sbmpot.quadrature import integrate_oscillatory_cos
+
 from oracles import H1_CLOSED, LEVY_C_ALPHA15, UQ0_ALPHA15, levy_c_closed
 
 
@@ -123,7 +125,7 @@ _ARRAY_LIKE = {
     "phi_cap_inv": lambda ks, v: ks.phi_cap_inv(v),
     "gx_estimate": lambda ks, v: ks.gx_estimate(0.0, 1.0, v, 0.45),
     "phi_eval": lambda ks, v: phi_eval(ks.phi, v),
-    "h_many": lambda ks, v: ks.h_many(v),
+    "h_comp": lambda ks, v: ks.h_comp(v),
 }
 
 
@@ -163,6 +165,18 @@ def test_uq_domain(stable_ks):
         stable_ks.uq(-1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "q, x, name",
+    [(math.inf, 1.0, "q"), (math.nan, 1.0, "q"), (1.0, math.inf, "x"),
+     (1.0, -math.inf, "x"), (1.0, math.nan, "x")],
+)
+def test_uq_refuses_a_non_finite_argument_by_name(stable_ks, q, x, name):
+    # an infinite q used to give u^q = 0.0, and an infinite or nan x the
+    # quadrature's "need a < b" about an empty interval
+    with pytest.raises(DomainError, match=f"finite {name}, got {name} = "):
+        stable_ks.uq(q, x)
+
+
 def test_h_closed_form_three_exponents():
     for d, want in H1_CLOSED.items():
         ks = KernelSet(PhiSpec.stable(d))
@@ -188,9 +202,9 @@ def test_h_sweep_is_accurate_or_raises(delta):
         vals.append(v)
     # and the range that holds values does get them
     assert min(served) <= 1e-120 and max(served) >= 1e15
-    # h_many runs the batched oscillatory engine: each entry carries the
-    # bits of h_comp at that entry
-    assert ks.h_many(served).tolist() == vals
+    # one call runs them as the rows of one batched pass: each entry
+    # carries the bits of the scalar engine at that entry
+    assert ks.h_comp(served).tolist() == vals == _h_loop(ks, served)
 
 
 @pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
@@ -254,18 +268,66 @@ def test_h_basics(stable_ks, mixture_ks):
     for ks in (stable_ks, mixture_ks):
         assert ks.h_comp(0.0) == 0.0
         assert ks.h_comp(-1.0) == ks.h_comp(1.0)
-        vals = ks.h_many(np.array([0.1, 1.0, 10.0]))
+        vals = ks.h_comp(np.array([0.1, 1.0, 10.0]))
         assert np.all(np.diff(vals) > 0.0)
         assert vals[0] > 0.0
 
 
-def test_h_many_matches_scalar(stable_ks):
-    xs = np.array([0.2, 1.0, 5.0])
-    assert np.array_equal(stable_ks.h_many(xs), [stable_ks.h_comp(x) for x in xs])
+def test_h_at_zero_needs_no_quadrature():
+    # h diverges for delta = 1/2, but h(0) = 0 and an empty table are
+    # served without the engine; only a nonzero x reaches it and fails
+    ks = KernelSet(PhiSpec.stable(0.5))
+    assert ks.h_comp(0.0) == 0.0
+    assert ks.h_comp([0.0, -0.0]).tolist() == [0.0, 0.0]
+    empty = ks.h_comp([])
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    with pytest.raises(DomainError, match="tail exponent 1.0 is not integrable"):
+        ks.h_comp([0.0, 1.0])
+
+
+def _h_engine(ks, x):
+    """h at one x from the scalar oscillatory engine: the reference that
+    the batched rows of ``h_comp`` are held to, bit for bit."""
+    r = integrate_oscillatory_cos(
+        ks._h_integrand,
+        abs(float(x)),
+        mode="one_minus_cos",
+        left_exponent=-2.0 * ks.delta_min,
+        tail_exponent=2.0 * ks.delta_max,
+    )
+    assert r.converged, x
+    return r.value / math.pi
 
 
 def _h_loop(ks, xs):
-    return [ks.h_comp(float(x)) for x in xs]
+    return [_h_engine(ks, x) for x in xs]
+
+
+def test_h_many_matches_scalar(stable_ks):
+    # h_many is another name for h_comp, kept for callers that bind it
+    assert KernelSet.h_many is KernelSet.h_comp
+    xs = np.array([0.2, 1.0, 5.0])
+    assert stable_ks.h_comp(xs).tolist() == _h_loop(stable_ks, xs)
+    assert [stable_ks.h_comp(x) for x in xs] == _h_loop(stable_ks, xs)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PhiSpec.stable(0.75),
+        PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9))),
+        PhiSpec.stable(0.63),
+        PhiSpec.mixture(((2.0, 0.55), (0.3, 0.95))),
+    ],
+    ids=["stable-0.75", "mixture", "stable-0.63", "mixture-0.55-0.95"],
+)
+def test_h_rows_are_the_scalar_engine_on_random_points(spec):
+    # 150 log-uniform |x| in [1e-6, 1e6], some negative: one batched call
+    # against one scalar engine run per point
+    rng = np.random.default_rng(20161)
+    xs = 10.0 ** rng.uniform(-6.0, 6.0, 150) * rng.choice([-1.0, 1.0], 150)
+    ks = KernelSet(spec)
+    assert ks.h_comp(xs).tolist() == _h_loop(ks, xs)
 
 
 def test_h_many_is_the_scalar_loop_on_the_certified_points(stable_ks, mixture_ks):
@@ -276,21 +338,21 @@ def test_h_many_is_the_scalar_loop_on_the_certified_points(stable_ks, mixture_ks
         Grid(0.004, 1.0, 512).nodes(),
     ])
     for ks in (stable_ks, mixture_ks):
-        assert ks.h_many(xs).tolist() == _h_loop(ks, xs)
+        assert ks.h_comp(xs).tolist() == _h_loop(ks, xs)
 
 
 def test_h_many_shapes_and_repeats(mixture_ks):
     ks = mixture_ks
     xs = np.array([[0.3, 0.0, -0.3], [2.5, 0.3 + 1e-14, 0.3]])
-    got = ks.h_many(xs)
+    got = ks.h_comp(xs)
     assert got.shape == (2, 3)
     assert got.tolist() == [_h_loop(ks, xs[0]), _h_loop(ks, xs[1])]
     assert got[0, 1] == 0.0 and got[0, 0] == got[0, 2] == got[1, 2]
-    empty = ks.h_many(np.zeros((0, 2)))
+    empty = ks.h_comp(np.zeros((0, 2)))
     assert isinstance(empty, np.ndarray) and empty.shape == (0, 2)
-    scalar = ks.h_many(0.5)
-    assert type(scalar) is float and scalar == ks.h_comp(0.5)
-    assert ks.h_many(0.0) == 0.0
+    scalar = ks.h_comp(0.5)
+    assert type(scalar) is float and scalar == _h_engine(ks, 0.5)
+    assert ks.h_comp(0.0) == 0.0
 
 
 def _raised(f):
@@ -301,25 +363,42 @@ def _raised(f):
     raise AssertionError("no error raised")
 
 
+_BELOW_FLOOR = "h(1e-145) is below h_floor = {:.6g}, where the integrand's lam^2 overflows"
+
+
 @pytest.mark.parametrize(
-    "xs",
-    [[0.5, 1e20], [0.5, math.nan, 1e20], [0.5, 1e20, math.nan], [2.0, -math.inf], [1e-145, 1.0]],
+    "xs, want",
+    [
+        ([0.5, 1e20], (QuadratureError, "h(1e+20) did not converge")),
+        ([0.5, math.nan, 1e20], (DomainError, "h needs a finite x, got x = nan")),
+        ([0.5, 1e20, math.nan], (QuadratureError, "h(1e+20) did not converge")),
+        ([2.0, -math.inf], (DomainError, "h needs a finite x, got x = inf")),
+        ([1e-145, 1.0], (DomainError, _BELOW_FLOOR)),
+    ],
     ids=["unconverged", "nan-first", "unconverged-first", "inf", "below-floor"],
 )
-def test_h_many_raises_what_the_scalar_loop_raises(stable_ks, xs):
-    # the first entry in input order that fails names the error
-    want = _raised(lambda: _h_loop(stable_ks, xs))
-    assert _raised(lambda: stable_ks.h_many(xs)) == want
+def test_h_many_raises_what_the_scalar_loop_raises(stable_ks, xs, want):
+    # the first entry in input order that fails names the error: the
+    # entries before a refused x are served, and one that misses the
+    # quadrature contract is reported first
+    kind, msg = want
+    assert _raised(lambda: stable_ks.h_comp(xs)) == (kind, msg.format(stable_ks.h_floor))
+    # and a scalar loop meets the same error first
+    assert _raised(lambda: [stable_ks.h_comp(x) for x in xs]) == (
+        kind, msg.format(stable_ks.h_floor)
+    )
 
 
 def test_h_many_error_messages(stable_ks):
     with pytest.raises(QuadratureError, match=r"h\(1e\+20\) did not converge"):
-        stable_ks.h_many([0.5, 1e20])
+        stable_ks.h_comp([0.5, 1e20])
     with pytest.raises(DomainError, match="finite x"):
-        stable_ks.h_many([0.5, math.nan])
-    # h diverges for delta <= 1/2: the engine's own error, as from h_comp
+        stable_ks.h_comp([0.5, math.nan])
+    # h diverges for delta <= 1/2: the engine's own error, whatever the x
     ks = KernelSet(PhiSpec.stable(0.5))
-    assert _raised(lambda: ks.h_many([0.0, 1.0])) == _raised(lambda: ks.h_comp(1.0))
+    want = (DomainError, "tail exponent 1.0 is not integrable at infinity")
+    assert _raised(lambda: ks.h_comp([0.0, 1.0])) == want
+    assert _raised(lambda: ks.h_comp(1.0)) == want
 
 
 def test_h_is_q_to_zero_resolvent_limit(stable_ks, mixture_ks):
@@ -350,6 +429,31 @@ def test_green_free_identities(stable_ks):
     assert stable_ks.green_free_z(x, y) == stable_ks.green_free_z(y, x)
     with pytest.raises(DomainError):
         stable_ks.green_free_x0(0.0, 1.0)
+
+
+def test_green_free_on_arrays_is_the_scalar_formula(stable_ks, mixture_ks):
+    # x and y broadcast, one h call serves every entry, and each entry is
+    # the formula on the scalar engine's h bit for bit (x == y included)
+    xs = np.array([[0.8, 2.3, 0.05], [1.0, 0.3, 40.0]])
+    y = 2.3
+    for ks in (stable_ks, mixture_ks):
+        h = lambda v: _h_engine(ks, v)
+        gx0, gz = ks.green_free_x0(xs, y), ks.green_free_z(xs, y)
+        assert gx0.shape == gz.shape == xs.shape
+        assert gx0.tolist() == [[h(x) + h(y) - h(x - y) for x in row] for row in xs]
+        assert gz.tolist() == [
+            [2.0 * h(x) + 2.0 * h(y) - h(x - y) - h(x + y) for x in row] for row in xs
+        ]
+        one = ks.green_free_z(0.8, y)
+        assert type(one) is float and one == gz[0, 0]
+        assert type(ks.green_free_x0(0.8, y)) is float
+    with pytest.raises(DomainError, match="nonzero"):
+        stable_ks.green_free_x0([1.0, 0.0], 1.0)
+    with pytest.raises(DomainError, match="finite x"):
+        stable_ks.green_free_x0([1.0, math.nan], 1.0)
+    for x, y in (([1.0, -1.0], 1.0), ([1.0, 2.0], 0.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="open half line"):
+            stable_ks.green_free_z(x, y)
 
 
 def test_jump_i_identity(stable_ks):

@@ -54,6 +54,10 @@ def test_path_config_validation():
             PathConfig(**{**good, "t_max": t_max, "dt": dt})
     with pytest.raises(ConfigError):
         PathConfig(**{**good, "interval": (2.0, 1.0)})
+    # an infinite endpoint used to walk and report "b": Infinity, not JSON
+    for interval in ((1.0, math.inf), (-math.inf, 2.0), (1.0, math.nan)):
+        with pytest.raises(ConfigError, match="endpoints a and b must be finite"):
+            PathConfig(**{**good, "interval": interval})
     with pytest.raises(ConfigError):
         PathConfig(**{**good, "interval": (-1.0, 2.0), "x0": 0.5, "fold": True})
     with pytest.raises(DomainError):

@@ -187,7 +187,7 @@ def test_tol_names_every_clause_of_the_verdict(monkeypatch):
     # a bracket that did not shrink fails exit-prob-sandwich, whose tol
     # says so; the values themselves sit inside the band
     def not_shrinking(ks, R, xs):
-        value = 0.5 * ks.h_many(xs) / ks.h_comp(R)
+        value = 0.5 * ks.h_comp(xs) / ks.h_comp(R)
         zero = np.zeros_like(xs)
         return ExitAliveReport(xs, value, zero, value, value, (), shrank=False)
 
