@@ -29,10 +29,11 @@ I(d) factors are computed once per instance by the adaptive engine; after
 that ``levy_j`` is a vectorized power sum, cheap enough to fill dense
 generator matrices.  Nothing else is cached: ``uq`` runs one oscillatory
 quadrature per point, ``h_comp`` sends the distinct points of one call to
-the batched oscillatory engine together, and ``jump_tail`` does the same
-with its tail starts and the batched adaptive engine.  A batched value is
-bit for bit the scalar engine's, so every value depends only on its own
-argument; callers gather the points of one solve into one call.
+the oscillatory engine together, and ``jump_tail`` does the same with its
+tail starts and the adaptive engine.  Each point is one row of the
+engine's lockstep pass and gets the same bits alone as in any batch, so
+every value depends only on its own argument; callers gather the points
+of one solve into one call.
 
 This class is the one owner of kernel integrals: the interval solvers and
 the certification checks read kernel values from it and never call the
@@ -55,8 +56,9 @@ from .quadrature import (
     converged_value,
     integrate_adaptive,
     integrate_adaptive_batch,
-    integrate_one_minus_cos_batch,
     integrate_oscillatory_cos,
+    integrate_oscillatory_cos_batch,
+    oscillatory_head_reach,
     oscillatory_reach,
 )
 
@@ -67,9 +69,11 @@ _SQRT_PI = math.sqrt(math.pi)
 # e^{-u} below ~1e-52 contributes nothing at double precision
 _GAMMA_CUT = 120.0
 
-# lam * lam stays a factor 4 below overflow up to this lam, which leaves
-# room for the rounding of the quadrature nodes
+# lam * lam stays a factor 4 below overflow up to this lam, and a factor 4
+# above the normal doubles down to _LAM_MIN, which leaves room for the
+# rounding of the quadrature nodes
 _LAM_MAX = 2.0**511
+_LAM_MIN = 2.0**-510
 
 # the normal doubles: phi_cap and phi_cap_inv serve x only where x^-2 is one
 _TINY = np.finfo(float).tiny
@@ -90,7 +94,8 @@ def _check_normal(t, what):
 class KernelSet:
     """All kernels derived from one Bernstein function.
 
-    ``h_floor`` is the smallest x that ``h_comp`` accepts.
+    ``h_floor`` and ``h_ceiling`` are the smallest and the largest nonzero
+    |x| that ``h_comp`` accepts.
     """
 
     def __init__(self, phi: PhiSpec):
@@ -106,6 +111,8 @@ class KernelSet:
             if self.delta_max > 0.5
             else 0.0
         )
+        # the head's first pass keeps lam >= _LAM_MIN up to it
+        self.h_ceiling = oscillatory_head_reach(2.0 - 2.0 * self.delta_min) / _LAM_MIN
         self._jump_coefs = None  # [(coef, 2*d)] per mixture term
 
     # -- characteristic exponent -------------------------------------------
@@ -161,9 +168,9 @@ class KernelSet:
         shape) or a scalar (the result is a float).
 
         Not memoized: each distinct t of one call is integrated once, all of
-        them in one batched-engine pass, and each value equals a scalar call
-        at its own t bit for bit.  A t that does not converge raises
-        QuadratureError naming it.
+        them in one pass of the adaptive engine, and each value equals a
+        call at its own t alone bit for bit.  A t that does not converge
+        raises QuadratureError naming it.
         """
         arr = _as_positive_array(t, "tail start")
         if not (cutoff > 0.0):
@@ -220,7 +227,9 @@ class KernelSet:
     def uq(self, q, x):
         """q-resolvent kernel u^q(x) = (1/pi) int_0^inf cos(lam x)/(q + psi(lam)) dlam.
 
-        A q outside (0, inf) or a nan or infinite x raises DomainError naming it.
+        A q outside (0, inf) or a nan or infinite x raises DomainError naming
+        it, and so does an |x| whose quadrature would square a lam below the
+        normal doubles (from about 1e150), where phi cannot be evaluated.
         """
         q = float(q)
         if not (0.0 < q < math.inf):
@@ -228,7 +237,18 @@ class KernelSet:
         x = abs(float(x))
         if not math.isfinite(x):
             raise DomainError(f"uq needs a finite x, got x = {x}")
-        g = lambda lam: 1.0 / (q + phi_eval(self.phi, lam * lam))
+        x_max = oscillatory_head_reach(0.0) / _LAM_MIN
+        if x > x_max:
+            raise DomainError(
+                f"uq({q}, {x}): x is above {x_max:.6g}, where the integrand's "
+                "lam^2 underflows"
+            )
+
+        def g(lam):
+            # past lam = 1.3e154 lam^2 overflows and g reads 0, its limit
+            with np.errstate(over="ignore"):
+                return 1.0 / (q + phi_eval(self.phi, lam * lam))
+
         r = integrate_oscillatory_cos(
             g, x, mode="cos", tail_exponent=2.0 * self.delta_max
         )
@@ -242,29 +262,36 @@ class KernelSet:
 
         Increasing in |x| with h(0) = 0; the q->0 limit of u^q(0) - u^q(x).
         An array-like x gives an array of its shape, a scalar a float.  The
-        distinct nonzero |x| run as the rows of one batched pass of the
-        oscillatory engine (no memo), each bit for bit the scalar engine.
+        distinct nonzero |x| run as the rows of one pass of the oscillatory
+        engine (no memo), each with the bits it gets alone.
 
         A nan or infinite x raises DomainError, and so does a nonzero |x|
         below ``h_floor``: from half of it down, the quadrature's first pass
         squares a lam past the float range, so the integrand reads 0 on part
         of the tail and h comes out low (the factor 2 is margin for the
-        rounding of the nodes).  The entries before it are served first, and
-        the first in input order that misses the contract raises
-        QuadratureError naming it.
+        rounding of the nodes).  So does an |x| above ``h_ceiling``: from
+        twice it up, the first pass squares a lam below the normal doubles,
+        where phi loses digits, and further up to 0, which phi refuses.  The
+        entries before it are served first, and the first in input order
+        that misses the contract raises QuadratureError naming it.
         """
         arr = np.asarray(x, dtype=float)
         flat = np.abs(arr.ravel())
-        bad = ~np.isfinite(flat) | ((0.0 < flat) & (flat < self.h_floor))
+        bad = (
+            ~np.isfinite(flat)
+            | ((0.0 < flat) & (flat < self.h_floor))
+            | (flat > self.h_ceiling)
+        )
         n = int(bad.argmax()) if bad.any() else flat.size
         ux, inv = np.unique(flat[:n], return_inverse=True)
         z = int(ux.size > 0 and ux[0] == 0.0)  # h(0) = 0 needs no quadrature
         value, err_est = np.zeros(ux.size), np.zeros(ux.size)
         converged = np.ones(ux.size, dtype=bool)
         if z < ux.size:
-            r = integrate_one_minus_cos_batch(
+            r = integrate_oscillatory_cos_batch(
                 self._h_integrand,
                 ux[z:],
+                mode="one_minus_cos",
                 left_exponent=-2.0 * self.delta_min,
                 tail_exponent=2.0 * self.delta_max,
             )
@@ -276,6 +303,11 @@ class KernelSet:
             x = float(flat[n])
             if not math.isfinite(x):
                 raise DomainError(f"h needs a finite x, got x = {x}")
+            if x > self.h_ceiling:
+                raise DomainError(
+                    f"h({x}) is above h_ceiling = {self.h_ceiling:.6g}, where the "
+                    "integrand's lam^2 underflows"
+                )
             raise DomainError(
                 f"h({x}) is below h_floor = {self.h_floor:.6g}, where the "
                 "integrand's lam^2 overflows"

@@ -3,36 +3,33 @@
 This is the engine behind ``KernelSet``: every integral of a kernel the
 solvers and the checks read (the jump coefficients, jump tails, the band
 coefficient, the wall correction, u^q, h and the walk's mean step) is run
-by a ``KernelSet`` method through one of four entry points.  Outside
+by a ``KernelSet`` method through one of two engines.  Outside
 ``kernels.py`` only the CLI's ``quad selftest`` calls them.
 
-``integrate_adaptive``
-    Globally adaptive 15-point Kronrod / 7-point Gauss quadrature with
-    worst-panel-first subdivision.  Integrable endpoint singularities are
-    handled by a power substitution chosen from a caller-supplied exponent
-    hint, and ``b = inf`` is folded onto a finite range by inverting the
-    variable beyond a cut.
+Each engine runs many integrals at once, in lockstep, and a single
+integral is its one row: there is one adaptive loop and one cosine-tail
+loop.
 
 ``integrate_adaptive_batch``
-    The same adaptive rule over many finite intervals at once, in lockstep:
-    each round every unfinished interval takes the step the scalar loop
-    would take, and all new panels go to the integrand in one call.  Row i
-    is bit for bit ``integrate_adaptive(f, a[i], b[i])``.
+    Globally adaptive 15-point Kronrod / 7-point Gauss quadrature over many
+    finite intervals: each round every unfinished interval splits its worst
+    panel, and all new panels go to the integrand in one call.
+    ``integrate_adaptive`` is one interval, [a, b] with b possibly inf:
+    integrable endpoint singularities are handled by a power substitution
+    chosen from a caller-supplied exponent hint, and ``b = inf`` is folded
+    onto a finite range by inverting the variable beyond a cut.
 
-``integrate_oscillatory_cos``
+``integrate_oscillatory_cos_batch``
     Integrals of ``(1 - cos(lam*x)) g(lam)`` and ``cos(lam*x) g(lam)`` over
-    ``lam in (0, inf)`` for slowly varying nonnegative ``g``.  The range is
-    split where the cosine starts oscillating, the remainder is summed over
-    half-periods between consecutive zeros, and the alternating series is
+    ``lam in (0, inf)`` for slowly varying nonnegative ``g``, at many x.
+    The range is split where the cosine starts oscillating; the head and
+    tail integrals run on the adaptive engine, whose integrand can read
+    per-row parameters (x, a substitution's end and span) and whose budget
+    is per row.  The remainder is summed over half-periods between
+    consecutive zeros, the chunks of all rows still summing going to the
+    integrand in one call a block, and the alternating series is
     accelerated by repeated averaging of partial sums.
-
-``integrate_one_minus_cos_batch``
-    The "one_minus_cos" mode over many x at once, in lockstep.  Its head,
-    tail and bridge integrals run on ``integrate_adaptive_batch``, whose
-    integrand can read per-row parameters (x, a substitution's end and
-    span) and whose budget is per row; its half-period chunks go to the
-    integrand for all rows still summing in one call a block.  Row i is
-    bit for bit ``integrate_oscillatory_cos(g, x[i], mode="one_minus_cos")``.
+    ``integrate_oscillatory_cos`` is one x, x = 0 included.
 
 All loops evaluate their panels through one GK15 routine,
 ``_gk15_panels``, which sends a stack of panels to the integrand as one
@@ -53,7 +50,6 @@ integrand evaluations per integral.  No caller passes its own.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -66,8 +62,8 @@ __all__ = [
     "QuadResult",
     "integrate_adaptive",
     "integrate_adaptive_batch",
-    "integrate_one_minus_cos_batch",
     "integrate_oscillatory_cos",
+    "integrate_oscillatory_cos_batch",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].  Positive half of
@@ -182,8 +178,8 @@ def _panel_err(vk, vg, resasc):
 def _gk15_err(vk, vg, resasc):
     """``_panel_err`` of every panel of a stack, as an array.
 
-    A stack of the scalar loops' size (2 to 8 panels) runs it panel by
-    panel; a larger one runs the same float operations in numpy, all but
+    A small stack (one row's 2 to 8 panels) runs it panel by panel; a
+    larger one runs the same float operations in numpy, all but
     the power, which stays Python's float ``**`` because numpy's SIMD power
     differs from the C library's in the last bit.  So every panel gets the
     bits ``_panel_err`` gives it.
@@ -224,81 +220,29 @@ def converged_value(r, what):
     raise QuadratureError(f"{what} did not converge", err_est=err)
 
 
-def _adaptive_finite(f, a, b, budget):
-    """Worst-first adaptive refinement on a finite interval.
-
-    ``budget`` caps integrand evaluations for this piece (callers split
-    MAX_EVALS across several pieces, at least 60 each, so the _N_INIT
-    starting panels always fit).  Panels narrower than a few ulps
-    are frozen instead of split, so an unhinted endpoint singularity degrades
-    into an honest converged=False rather than an infinite loop.
-    """
-    if not (b > a):
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    edges = np.linspace(a, b, _N_INIT + 1)
-    vs, es = _gk15_panels(f, edges[:-1], edges[1:])
-    heap = []
-    total = 0.0
-    total_err = 0.0
-    for seq, (lo, hi, v, e) in enumerate(
-        zip(edges[:-1].tolist(), edges[1:].tolist(), vs.tolist(), es.tolist())
-    ):
-        heap.append((-e, seq, lo, hi, v, e))
-        total += v
-        total_err += e
-    heapq.heapify(heap)
-    seq = _N_INIT
-    evals = 15 * _N_INIT
-
-    def tol():
-        return max(ABS_TOL, REL_TOL * abs(total))
-
-    while total_err > tol() and evals + 30 <= budget:
-        neg_e, _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        width_floor = 4.0 * _EPS * max(abs(lo), abs(hi), 1.0)
-        if hi - lo <= width_floor or mid <= lo or mid >= hi:
-            # cannot subdivide further in float; keep the panel as-is
-            heapq.heappush(heap, (0.0, seq, lo, hi, v, e))
-            seq += 1
-            if all(item[0] == 0.0 for item in heap):
-                break
-            continue
-        (v1, v2), (e1, e2) = (
-            s.tolist() for s in _gk15_panels(f, np.array([lo, mid]), np.array([mid, hi]))
-        )
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
-        seq += 1
-        evals += 30
-
-    # drift-free recomputation of the running sums
-    total = math.fsum(item[4] for item in heap)
-    total_err = math.fsum(item[5] for item in heap)
-    return QuadResult(total, total_err, evals, total_err <= tol())
-
-
 def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
-    """``integrate_adaptive(f, a[i], b[i])`` for every i, in lockstep.
+    """Adaptive quadrature of ``f`` over every finite interval [a[i], b[i]],
+    in lockstep.
 
-    ``a`` and ``b`` are 1-d arrays of finite endpoints with a < b.  Each
-    round, every interval still above its tolerance and inside its budget
-    takes the step of the scalar heap loop: it splits its worst panel (ties
-    go to the older panel, as the heap's insertion counter decides) or
-    freezes one at the width floor.  The child panels of all intervals are
-    evaluated in one call of ``f`` on a (panels, 15) array, so ``f`` must
-    be elementwise.  Panel sums, running totals, stop tests and the final
-    ``math.fsum`` are those of the scalar loop, so every row is bit for bit
-    the scalar result.
+    ``a`` and ``b`` are 1-d arrays of finite endpoints with a < b.  Each row
+    starts from _N_INIT equal panels.  Each round, every row still above its
+    tolerance max(ABS_TOL, REL_TOL |value|) with 30 evaluations left in its
+    budget takes one step on its worst panel: it splits it in two, or, when
+    the panel is at the width floor (a few ulps), freezes it with error key
+    0 instead, so an unhinted endpoint singularity ends in an honest
+    converged=False rather than an endless loop.  Ties go to the panel made
+    first, and a row whose panels are all frozen stops.  The child panels
+    of all rows are evaluated in one call of ``f`` on a (panels, 15) array,
+    so ``f`` must be elementwise.  A row's running sums add its panels in
+    that order and its result is the ``math.fsum`` of its panels, so a row
+    gets the same bits alone as in any batch.
 
     ``args`` lets the rows' integrands differ: a tuple of 1-d arrays, one
     entry per row, that ``f`` receives after the nodes as ``f(nodes,
     *cols)``, each column (panels, 1) holding the entries of the panels'
     rows.  ``budget`` caps each row's evaluations (a scalar or one entry
-    per row, raised to 60 as ``_run_pieces`` does); by default MAX_EVALS.
+    per row, raised to 60 so the starting panels always fit); by default
+    MAX_EVALS.
 
     Returns a QuadResult of arrays: value, err_est, evals, converged.
     """
@@ -323,8 +267,8 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
         # the per-row parameters of panels from rows idx, as columns
         return tuple(c[idx, None] for c in args)
 
-    # panel slots per row in push order; key = err (0 once frozen), and
-    # -inf marks a popped or unused slot, so argmax pops like the heap
+    # panel slots per row in the order made; key = err (0 once frozen), and
+    # -inf marks a split or unused slot, so argmax takes the worst, oldest
     cap = _N_INIT + 16
     edges = np.linspace(a, b, _N_INIT + 1, axis=1)
     LO = np.zeros((m, cap))
@@ -343,7 +287,7 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     KEY[:, :_N_INIT] = E[:, :_N_INIT]
     total = np.zeros(m)
     total_err = np.zeros(m)
-    for k in range(_N_INIT):  # panel by panel, in the scalar loop's order
+    for k in range(_N_INIT):  # panel by panel, in slot order
         total += V[:, k]
         total_err += E[:, k]
     nslot = np.full(m, _N_INIT)
@@ -354,7 +298,7 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
         tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
         go = (total_err > tol) & (evals[rows] + 30 <= budget[rows]) & ~halted
         if not go.all():
-            # drift-free recomputation of the running sums, as the scalar loop
+            # drift-free recomputation of the running sums of rows that stop
             live = KEY[~go] > -np.inf
             done = rows[~go]
             value[done] = [math.fsum(r) for r in np.where(live, V[~go], 0.0).tolist()]
@@ -407,21 +351,52 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     return QuadResult(value, err_est, evals, converged)
 
 
-def _power_sub(f, end, other, p):
-    """Map [end, other] with an x -> (x-end)^p integrand onto t in [0, 1]:
-    (integrand, 0, 1).
+def _run_pieces(pieces):
+    """Integrals split into pieces, per row: each piece is (integrand, lo,
+    hi, args) with one entry per row in lo, hi and every array of args, run
+    by ``integrate_adaptive_batch`` on the row's equal share of what the
+    pieces before it left of MAX_EVALS.  Convergence is judged on the
+    combined value, not piece by piece."""
+    m = pieces[0][1].size
+    value = np.zeros(m)
+    err = np.zeros(m)
+    evals = np.zeros(m, dtype=int)
+    ok = np.ones(m, dtype=bool)
+    for k, (g, lo, hi, args) in enumerate(pieces):
+        share = (MAX_EVALS - evals) // (len(pieces) - k)
+        r = integrate_adaptive_batch(g, lo, hi, args=args, budget=share)
+        value += r.value
+        err += r.err_est
+        evals += r.evals
+        ok &= r.converged
+    ok |= err <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))
+    return QuadResult(value, err, evals, ok)
+
+
+def _first_row(r):
+    """Row 0 of a batched QuadResult, as Python scalars."""
+    return QuadResult(
+        float(r.value[0]), float(r.err_est[0]), int(r.evals[0]), bool(r.converged[0])
+    )
+
+
+def _power_sub_rows(f, end, other, p, args=()):
+    """Map [end, other] of an integrand ~ (x - end)^p onto t in [0, 1], per
+    row: the piece (integrand, 0, 1, args) of ``_run_pieces``.
 
     x = end + (other-end) t^m with m = _sub_power(p) turns the integrand
     into O(t^{m(1+p)-1}) = O(t) or better, which the Kronrod rule digests.
+    The integrand takes (t, end, span, *args) and passes ``args`` on to
+    ``f``.
     """
     m = _sub_power(p)
-    span = other - end
 
-    def g(t):
+    def g(t, e, s, *rest):
         tm = np.power(t, m)
-        return f(end + span * tm) * (span * m) * np.power(t, m - 1)
+        return f(e + s * tm, *rest) * (s * m) * np.power(t, m - 1)
 
-    return g, 0.0, 1.0
+    n = end.size
+    return g, np.zeros(n), np.ones(n), (end, other - end, *args)
 
 
 def _sub_power(p):
@@ -434,8 +409,43 @@ def _needs_sub(p):
     return p < 1.0 and p != 0.0
 
 
+def _piece(f, lo, hi, p, args=()):
+    """The piece [lo, hi] of ``_run_pieces`` for an integrand ~ (x - lo)^p,
+    through the power substitution where p asks for one (None: never)."""
+    if p is not None and _needs_sub(p):
+        return _power_sub_rows(f, lo, hi, p, args)
+    return (f, lo, hi, args)
+
+
+def _inverted(f):
+    """The tail inverted: int_cut^inf f = int_0^{1/cut} f(1/u)/u^2 du."""
+
+    def g(u, *args):
+        x = 1.0 / u
+        return f(x, *args) * x * x
+
+    return g
+
+
+def _to_inf_pieces(f, a, left_exponent, tail_exponent):
+    """The pieces of int_a^inf f per row: [a, cut] and, mapped by u = 1/x,
+    the rest beyond cut = a + max(1, |a|) (or 1 where that is not
+    positive).  ``tail_exponent`` hints f(x) ~ x^-p, which the map turns
+    into u^(p-2) at u = 0."""
+    if tail_exponent is not None and tail_exponent <= 1.0:
+        raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
+    cut = a + np.maximum(1.0, np.abs(a))
+    cut = np.where(cut > 0.0, cut, 1.0)
+    tail_p = None if tail_exponent is None else float(tail_exponent) - 2.0
+    return [
+        _piece(f, a, cut, left_exponent),
+        _piece(_inverted(f), np.zeros(a.size), 1.0 / cut, tail_p),
+    ]
+
+
 def integrate_adaptive(f, a, b, *, left_exponent=0.0, tail_exponent=None):
-    """Integrate ``f`` over [a, b], b possibly ``inf``.
+    """Integrate ``f`` over [a, b], b possibly ``inf``: one row of
+    ``integrate_adaptive_batch``.
 
     ``left_exponent`` hints the power behavior f(x) ~ (x-a)^p at the left
     endpoint; a hint in (-1, 1) routes it through a smoothing substitution.
@@ -444,8 +454,9 @@ def integrate_adaptive(f, a, b, *, left_exponent=0.0, tail_exponent=None):
     mapping.  Exponents at or below the integrability boundary raise
     DomainError.
 
-    Returns QuadResult.  converged=False means the evaluation budget ran out
-    first; the value and error estimate are still the best available.
+    Returns QuadResult of Python scalars.  converged=False means the
+    evaluation budget ran out first; the value and error estimate are still
+    the best available.
     """
     a = float(a)
     if not math.isfinite(a):
@@ -453,58 +464,13 @@ def integrate_adaptive(f, a, b, *, left_exponent=0.0, tail_exponent=None):
     if math.isinf(b):
         if b < 0:
             raise DomainError("only b = +inf is supported")
-        return _integrate_to_inf(f, a, left_exponent, tail_exponent)
+        return _first_row(_run_pieces(
+            _to_inf_pieces(f, np.array([a]), left_exponent, tail_exponent)
+        ))
     b = float(b)
     if not (b > a):
         raise DomainError(f"need a < b, got [{a}, {b}]")
-
-    piece = _power_sub(f, a, b, left_exponent) if _needs_sub(left_exponent) else (f, a, b)
-    return _run_pieces([piece])
-
-
-def _run_pieces(pieces):
-    value = 0.0
-    err = 0.0
-    evals = 0
-    ok = True
-    for k, (g, lo, hi) in enumerate(pieces):
-        share = (MAX_EVALS - evals) // (len(pieces) - k)
-        r = _adaptive_finite(g, lo, hi, max(share, 60))
-        value += r.value
-        err += r.err_est
-        evals += r.evals
-        ok = ok and r.converged
-    # convergence is judged on the combined value, not piece by piece
-    ok = ok or err <= max(ABS_TOL, REL_TOL * abs(value))
-    return QuadResult(value, err, evals, ok)
-
-
-def _inverted(f):
-    """The tail inverted: int_cut^inf f = int_0^{1/cut} f(1/u)/u^2 du."""
-
-    def g(u):
-        x = 1.0 / u
-        return f(x) * x * x
-
-    return g
-
-
-def _integrate_to_inf(f, a, left_exponent, tail_exponent):
-    if tail_exponent is not None and tail_exponent <= 1.0:
-        raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
-    cut = a + max(1.0, abs(a))
-    g = _inverted(f)
-    tail_p = None if tail_exponent is None else float(tail_exponent) - 2.0
-    pieces = []
-    if _needs_sub(left_exponent):
-        pieces.append(_power_sub(f, a, cut, left_exponent))
-    else:
-        pieces.append((f, a, cut))
-    if tail_p is not None and _needs_sub(tail_p):
-        pieces.append(_power_sub(g, 0.0, 1.0 / cut, tail_p))
-    else:
-        pieces.append((g, 0.0, 1.0 / cut))
-    return _run_pieces(pieces)
+    return _first_row(_run_pieces([_piece(f, np.array([a]), np.array([b]), left_exponent)]))
 
 
 def _sin2_head(lam, x, g):
@@ -515,6 +481,112 @@ def _sin2_head(lam, x, g):
 
 def _cos_times(lam, x, g):
     return np.cos(lam * x) * g(lam)
+
+
+def integrate_oscillatory_cos_batch(g, x, *, mode, left_exponent=0.0, tail_exponent=None):
+    """Oscillatory cosine integrals against a slowly varying envelope, at
+    every x[i] of a 1-d array of finite x > 0, in lockstep.
+
+    mode="one_minus_cos": int_0^inf (1 - cos(lam x)) g(lam) dlam
+    mode="cos":           int_0^inf cos(lam x) g(lam) dlam
+
+    ``left_exponent`` describes g(lam) ~ lam^p as lam -> 0 (the engine adds
+    the +2 from 1-cos itself); ``tail_exponent`` describes g(lam) ~ lam^{-q}
+    as lam -> inf and is required in "one_minus_cos" mode, where int g over
+    the tail must exist on its own.
+
+    Both modes integrate a head up to lam = 2/x and add the cosine tail
+    beyond it (``_cos_tail_chunked_batch``) with sign -1 (one_minus_cos)
+    or +1 (cos).  The cosine factor is never evaluated as 1 - cos directly:
+    the head uses 2 sin^2(lam x / 2), which is exact near zero, and int g
+    over [2/x, inf) comes separately.  In cos mode a head that reaches past
+    lam = 64 (x < 1/32) is cut at lam = 1, and its part beyond runs mapped
+    by u = 1/lam with the tail exponent's substitution, as for b = inf in
+    ``integrate_adaptive``: its first panels would otherwise step over the
+    bulk of g, and at a tiny x read the integral as below ABS_TOL.  Head and
+    tail integrals run as the pieces of ``integrate_adaptive_batch``, each
+    row's x, substitution end and span reaching the integrand as per-row
+    parameters, and each row's cosine tail gets the budget they leave it.
+
+    Returns a QuadResult of arrays; an unconverged row is flagged, not
+    raised.
+    """
+    if mode not in ("one_minus_cos", "cos"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ConfigError("x must be a 1-d array")
+    if not np.all(np.isfinite(x) & (x > 0.0)):
+        raise DomainError("batched x must be finite and positive")
+    zeros = np.zeros(x.size)
+    lam_split = 2.0 / x
+
+    if mode == "one_minus_cos":
+        if tail_exponent is None:
+            raise ConfigError("one_minus_cos mode needs tail_exponent for the int g tail")
+        sign = -1.0
+        # built first, so a tail exponent that fails raises before any work
+        beyond = _to_inf_pieces(g, lam_split, 0.0, tail_exponent)
+        head_f = functools.partial(_sin2_head, g=g)
+        head = _run_pieces([_piece(head_f, zeros, lam_split, left_exponent + 2.0, (x,))])
+        tail = _run_pieces(beyond)
+        value = head.value + tail.value
+        err = head.err_est + tail.err_est
+        evals = head.evals + tail.evals
+        ok = head.converged & tail.converged
+    else:
+        sign = 1.0
+        f = functools.partial(_cos_times, g=g)
+        q = tail_exponent  # g ~ lam^-q maps to u^(q-2) at u = 0
+        tail_p = float(q) - 2.0 if q is not None and q > 1.0 else None
+        cut = lam_split > 64.0
+        xn, xc = x[~cut], x[cut]
+        ones = np.ones(xc.size)
+        near = _run_pieces([_piece(f, zeros[~cut], lam_split[~cut], left_exponent, (xn,))])
+        far = _run_pieces([
+            _piece(f, zeros[cut], ones, left_exponent, (xc,)),
+            _piece(_inverted(f), 0.5 * xc, ones, tail_p, (xc,)),
+        ])
+        value, err = np.zeros(x.size), np.zeros(x.size)
+        evals, ok = np.zeros(x.size, dtype=int), np.zeros(x.size, dtype=bool)
+        for rows, r in ((~cut, near), (cut, far)):
+            value[rows], err[rows] = r.value, r.err_est
+            evals[rows], ok[rows] = r.evals, r.converged
+
+    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked_batch(g, x, MAX_EVALS - evals)
+    return QuadResult(value + sign * osc_v, err + osc_e, evals + osc_n, ok & osc_ok)
+
+
+def integrate_oscillatory_cos(
+    g,
+    x,
+    *,
+    mode="one_minus_cos",
+    left_exponent=0.0,
+    tail_exponent=None,
+):
+    """``integrate_oscillatory_cos_batch`` at one x >= 0, as its one row;
+    x = 0 short-circuits (0 in "one_minus_cos" mode, int g in "cos" mode).
+
+    Returns QuadResult of Python scalars.
+    """
+    if mode not in ("one_minus_cos", "cos"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    x = float(x)
+    if x < 0.0:
+        raise DomainError("x must be nonnegative (kernels are even; pass |x|)")
+
+    if x == 0.0:
+        if mode == "one_minus_cos":
+            return QuadResult(0.0, 0.0, 0, True)
+        return integrate_adaptive(
+            g, 0.0, math.inf,
+            left_exponent=left_exponent, tail_exponent=tail_exponent,
+        )
+    return _first_row(integrate_oscillatory_cos_batch(
+        g, np.array([x]), mode=mode,
+        left_exponent=left_exponent, tail_exponent=tail_exponent,
+    ))
 
 
 # chunks the cosine tail sums at most
@@ -556,246 +628,27 @@ _NOT_DECAYING = (
 )
 
 
-def _cos_tail_chunked(g, x, budget):
-    """int cos(lam x) g(lam) over [2/x, inf) by half-period chunks.
+def _cos_tail_chunked_batch(g, x, budget):
+    """int cos(lam x) g(lam) over [2/x, inf) by half-period chunks, for
+    every x[i] on budget[i] evaluations, in lockstep.
 
     A bridge integral reaches from 2/x to the first zero of cos(lam x)
     beyond it, 1.5 pi / x.  From there chunk k spans consecutive zeros; the
-    resulting alternating series is fed to _averaged_limit, tested every 4
-    chunks from chunk 8 on.  The chunks up to the next test go to the
-    integrand as one block, cut short only by the 600-chunk cap or the
-    budget.  Returns (value, err, evals, converged).  If chunk magnitudes fail to decay (g not eventually
-    monotone), emits a RuntimeWarning and reports converged=False.
-    """
-    z0 = 1.5 * math.pi / x
-    f = functools.partial(_cos_times, x=x, g=g)
-    bridge = integrate_adaptive(f, 2.0 / x, z0)
-    value, err, evals, ok = bridge.value, bridge.err_est, bridge.evals, bridge.converged
-
-    chunk_vals = []
-    chunk_errs = []
-    partials = []
-    run = 0.0
-    est_prev = None
-    stable_hits = 0
-    limit = 0.0
-    lim_err = 0.0
-    increase_count = 0
-    tol = max(ABS_TOL, REL_TOL * max(abs(value), 1.0))
-
-    k = 0
-    while True:
-        # the chunks up to the next convergence test, as far as cap and budget allow
-        size = min(_block_size(k), (budget - evals) // 15)
-        if size <= 0:
-            ok = False
-            break
-        lo = np.array([z0 + j * math.pi / x for j in range(k, k + size)])
-        vs, es = _gk15_panels(f, lo, lo + math.pi / x)
-        evals += 15 * size
-        for v in vs.tolist():
-            chunk_vals.append(v)
-            run += v
-            partials.append(run)
-            k += 1
-            if k >= 3 and abs(chunk_vals[-1]) > abs(chunk_vals[-2]) * (1.0 + 1e-12):
-                increase_count += 1
-        chunk_errs += es.tolist()
-        if k >= 8 and k % 4 == 0:
-            limit, lim_err = _averaged_limit(partials)
-            if est_prev is not None and abs(limit - est_prev) < 0.25 * tol:
-                stable_hits += 1
-                if stable_hits >= 2:
-                    break
-            else:
-                stable_hits = 0
-            est_prev = limit
-
-    if increase_count >= 3:
-        warnings.warn(_NOT_DECAYING, RuntimeWarning)
-        limit = partials[-1] if partials else 0.0
-        lim_err = abs(chunk_vals[-1]) if chunk_vals else 0.0
-        ok = False
-    elif not partials:
-        limit, lim_err = 0.0, 0.0
-    elif stable_hits < 2:
-        limit, lim_err = _averaged_limit(partials)
-
-    value += limit
-    err += lim_err + math.fsum(chunk_errs)
-    return value, err, evals, ok
-
-
-def integrate_oscillatory_cos(
-    g,
-    x,
-    *,
-    mode="one_minus_cos",
-    left_exponent=0.0,
-    tail_exponent=None,
-):
-    """Oscillatory cosine integrals against a slowly varying envelope.
-
-    mode="one_minus_cos": int_0^inf (1 - cos(lam x)) g(lam) dlam
-    mode="cos":           int_0^inf cos(lam x) g(lam) dlam
-
-    ``left_exponent`` describes g(lam) ~ lam^p as lam -> 0 (the engine adds
-    the +2 from 1-cos itself); ``tail_exponent`` describes g(lam) ~ lam^{-q}
-    as lam -> inf and is required in "one_minus_cos" mode where int g over
-    the tail must exist on its own.  Needs x >= 0; x = 0 short-circuits.
-
-    Both modes integrate head parts up to lam = 2/x and add the cosine tail
-    beyond it with sign -1 (one_minus_cos) or +1 (cos).  The cosine factor
-    is never evaluated as 1 - cos directly: the head uses 2 sin^2(lam x / 2),
-    which is exact near zero, and int g over the tail comes separately.
-    """
-    if mode not in ("one_minus_cos", "cos"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    x = float(x)
-    if x < 0.0:
-        raise DomainError("x must be nonnegative (kernels are even; pass |x|)")
-
-    if x == 0.0:
-        if mode == "one_minus_cos":
-            return QuadResult(0.0, 0.0, 0, True)
-        return integrate_adaptive(
-            g, 0.0, math.inf,
-            left_exponent=left_exponent, tail_exponent=tail_exponent,
-        )
-
-    if mode == "one_minus_cos" and tail_exponent is None:
-        raise ConfigError("one_minus_cos mode needs tail_exponent for the int g tail")
-
-    lam_split = 2.0 / x
-    if mode == "one_minus_cos":
-
-        sign = -1.0
-        parts = (
-            integrate_adaptive(
-                functools.partial(_sin2_head, x=x, g=g), 0.0, lam_split,
-                left_exponent=left_exponent + 2.0,
-            ),
-            integrate_adaptive(g, lam_split, math.inf, tail_exponent=tail_exponent),
-        )
-    else:
-        sign = 1.0
-        parts = (
-            integrate_adaptive(
-                functools.partial(_cos_times, x=x, g=g), 0.0, lam_split,
-                left_exponent=left_exponent,
-            ),
-        )
-
-    first, *rest = parts
-    value, err, evals, ok = first.value, first.err_est, first.evals, first.converged
-    for r in rest:
-        value += r.value
-        err += r.err_est
-        evals += r.evals
-        ok = ok and r.converged
-    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked(g, x, MAX_EVALS - evals)
-    return QuadResult(value + sign * osc_v, err + osc_e, evals + osc_n, ok and osc_ok)
-
-
-def _run_pieces_batch(pieces):
-    """``_run_pieces`` over rows: each piece is (integrand, lo, hi, args)
-    with one entry per row in lo, hi and every array of args, run by
-    ``integrate_adaptive_batch`` on the row's share of the budget."""
-    m = pieces[0][1].size
-    value = np.zeros(m)
-    err = np.zeros(m)
-    evals = np.zeros(m, dtype=int)
-    ok = np.ones(m, dtype=bool)
-    for k, (g, lo, hi, args) in enumerate(pieces):
-        share = (MAX_EVALS - evals) // (len(pieces) - k)
-        r = integrate_adaptive_batch(g, lo, hi, args=args, budget=share)
-        value += r.value
-        err += r.err_est
-        evals += r.evals
-        ok &= r.converged
-    ok |= err <= np.maximum(ABS_TOL, REL_TOL * np.abs(value))
-    return QuadResult(value, err, evals, ok)
-
-
-def _power_sub_rows(f, end, other, p, args=()):
-    """``_power_sub`` with an end and span per row: the piece (integrand, 0,
-    1, args) of ``_run_pieces_batch``.  The integrand takes (t, end, span,
-    *args) and passes ``args`` on to ``f``."""
-    m = _sub_power(p)
-
-    def g(t, e, s, *rest):
-        tm = np.power(t, m)
-        return f(e + s * tm, *rest) * (s * m) * np.power(t, m - 1)
-
-    n = end.size
-    return g, np.zeros(n), np.ones(n), (end, other - end, *args)
-
-
-def integrate_one_minus_cos_batch(g, x, *, left_exponent=0.0, tail_exponent):
-    """``integrate_oscillatory_cos(g, x[i], mode="one_minus_cos", ...)`` for
-    every x[i] of a 1-d array of finite x > 0, in lockstep.
-
-    The head, the int g tail and the cosine tail's bridge run as the pieces
-    of ``integrate_adaptive_batch``, the rows' own x, substitution end and
-    span reaching the integrand as per-row parameters, and each row's
-    budget is what the scalar route leaves it.  The half-period chunks of
-    all rows still summing go to the integrand together, a block at a time
-    (see ``_cos_tail_chunked_batch``).  The float expressions are the
-    scalar route's, in its order, so row i is bit for bit the scalar result.
-
-    Returns a QuadResult of arrays; an unconverged row is flagged, not
-    raised, as in the scalar route.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ConfigError("x must be a 1-d array")
-    if not np.all(np.isfinite(x) & (x > 0.0)):
-        raise DomainError("batched x must be finite and positive")
-    if tail_exponent is None:
-        raise ConfigError("one_minus_cos mode needs tail_exponent for the int g tail")
-    if tail_exponent <= 1.0:
-        raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
-
-    lam_split = 2.0 / x
-    head_f = functools.partial(_sin2_head, g=g)
-    p = left_exponent + 2.0
-    if _needs_sub(p):
-        head = _power_sub_rows(head_f, np.zeros(x.size), lam_split, p, (x,))
-    else:
-        head = (head_f, np.zeros(x.size), lam_split, (x,))
-    head = _run_pieces_batch([head])
-
-    # int g over [2/x, inf): _integrate_to_inf with no left exponent
-    cut = lam_split + np.maximum(1.0, np.abs(lam_split))
-    inverted = _inverted(g)
-    tail_p = float(tail_exponent) - 2.0
-    if _needs_sub(tail_p):
-        beyond = _power_sub_rows(inverted, np.zeros(x.size), 1.0 / cut, tail_p)
-    else:
-        beyond = (inverted, np.zeros(x.size), 1.0 / cut, ())
-    tail = _run_pieces_batch([(g, lam_split, cut, ()), beyond])
-
-    value = head.value + tail.value
-    err = head.err_est + tail.err_est
-    evals = head.evals + tail.evals
-    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked_batch(g, x, MAX_EVALS - evals)
-    ok = head.converged & tail.converged & osc_ok
-    return QuadResult(value + -1.0 * osc_v, err + osc_e, evals + osc_n, ok)
-
-
-def _cos_tail_chunked_batch(g, x, budget):
-    """``_cos_tail_chunked(g, x[i], budget[i])`` for every i, in lockstep.
-
-    The rows share the chunk count k until they stop, so each round sends
-    the same block of chunks for every row still summing to the integrand
-    in one call, and the partial sums are a (rows, k) array that
-    ``_averaged_limit`` reduces row by row.  A row whose budget cuts its
-    block takes the chunks that fit and stops, as the scalar loop does.
-    Returns arrays (value, err, evals, converged).
+    alternating series of chunks is fed to _averaged_limit, tested every 4
+    chunks from chunk 8 on, and a row stops once two tests in a row move
+    its limit by less than a quarter of its tolerance.  The rows share the
+    chunk count k until they stop, so each round sends the chunks up to the
+    next test, for every row still summing, to the integrand in one call,
+    and the partial sums are a (rows, k) array that ``_averaged_limit``
+    reduces row by row.  A row whose budget cuts its block takes the chunks
+    that fit and stops unconverged, as does a row at the 600-chunk cap.  If
+    a row's chunk magnitudes fail to decay (g not eventually monotone), it
+    emits a RuntimeWarning, falls back to the raw partial sum and reports
+    converged=False.  Returns arrays (value, err, evals, converged).
     """
     z0 = 1.5 * math.pi / x
     f = functools.partial(_cos_times, g=g)
-    bridge = _run_pieces_batch([(f, 2.0 / x, z0, (x,))])
+    bridge = _run_pieces([(f, 2.0 / x, z0, (x,))])
     value, err = bridge.value, bridge.err_est
     evals, ok = bridge.evals, bridge.converged
     tol = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(value), 1.0))
@@ -811,8 +664,7 @@ def _cos_tail_chunked_batch(g, x, budget):
     est_prev = limit = lim_err = None
 
     def finish(sel, n, stable):
-        # rows sel (of live) stop with n chunks each, after a stable test or
-        # not: the scalar loop's epilogue
+        # rows sel (of live) stop with n chunks each, after a stable test or not
         for i, r, k in zip(sel.tolist(), live[sel].tolist(), n.tolist()):
             if increase_count[i] >= 3:
                 warnings.warn(_NOT_DECAYING, RuntimeWarning)
@@ -879,6 +731,20 @@ def _cos_tail_chunked_batch(g, x, budget):
             if est_prev is not None:
                 est_prev = est_prev[keep]
     return value, err, evals, ok
+
+
+def oscillatory_head_reach(p):
+    """lam * x at the smallest lam where ``integrate_oscillatory_cos``, for
+    x >= 2, evaluates g before any refinement, given a head integrand
+    ~ lam^p at 0 (``left_exponent``, plus 2 in "one_minus_cos" mode).
+
+    That lam is the smallest node of the first panel of the head
+    int_0^{2/x}, after the power substitution for p.  Refinement can only
+    add nodes nearer 0.
+    """
+    m = _sub_power(p) if _needs_sub(p) else 1
+    t0 = 0.5 * (1.0 - _XK_HALF[0]) / _N_INIT
+    return float(2.0 * t0**m)
 
 
 def oscillatory_reach(tail_exponent):

@@ -5,16 +5,20 @@ special-function closed forms, a convergent alternating series for the
 one-sided stable law and a sampler of it by its product representation
 (the subordinated route of the walk's increments), and the classical interval exit laws of the
 symmetric stable process and its Green function killed at the origin.
-The one exception is the full-matrix generator assembly, which takes the
-package's kernel inputs and is independent only in how it assembles them.
+Two exceptions take package parts: the full-matrix generator assembly
+takes the package's kernel inputs and is independent only in how it
+assembles them, and the heap loop of adaptive quadrature takes the
+package's GK15 panel rule and is independent only in the order it refines.
 Frozen constants carry their regeneration
 function; tests assert the two agree, so a stale constant cannot hide.
 """
 
+import heapq
 import math
 
 import numpy as np
 
+import sbmpot.quadrature as quad
 from sbmpot.errors import DomainError
 from sbmpot.interval_solver import _exit_rates
 
@@ -238,6 +242,70 @@ def dense_generator_matrix(ks, grid, kind):
     np.fill_diagonal(A, 0.0)
     np.fill_diagonal(A, -(A.sum(axis=1) + kappa))
     return A
+
+
+# -- adaptive quadrature as a heap loop --------------------------------------------
+
+
+def adaptive_finite(f, a, b, budget):
+    """Worst-first adaptive refinement on a finite interval, one panel at a
+    time from a heap: the reference that the lockstep panel order of
+    ``integrate_adaptive_batch`` is held to, bit for bit.
+
+    ``budget`` caps integrand evaluations for this piece (callers split
+    MAX_EVALS across several pieces, at least 60 each, so the _N_INIT
+    starting panels always fit).  Panels narrower than a few ulps
+    are frozen instead of split, so an unhinted endpoint singularity degrades
+    into an honest converged=False rather than an infinite loop.  The
+    tolerances are read from the engine at call time, so a test's override
+    of the contract reaches both loops.
+    """
+    if not (b > a):
+        raise DomainError(f"need a < b, got [{a}, {b}]")
+    edges = np.linspace(a, b, quad._N_INIT + 1)
+    vs, es = quad._gk15_panels(f, edges[:-1], edges[1:])
+    heap = []
+    total = 0.0
+    total_err = 0.0
+    for seq, (lo, hi, v, e) in enumerate(
+        zip(edges[:-1].tolist(), edges[1:].tolist(), vs.tolist(), es.tolist())
+    ):
+        heap.append((-e, seq, lo, hi, v, e))
+        total += v
+        total_err += e
+    heapq.heapify(heap)
+    seq = quad._N_INIT
+    evals = 15 * quad._N_INIT
+
+    def tol():
+        return max(quad.ABS_TOL, quad.REL_TOL * abs(total))
+
+    while total_err > tol() and evals + 30 <= budget:
+        neg_e, _, lo, hi, v, e = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        width_floor = 4.0 * quad._EPS * max(abs(lo), abs(hi), 1.0)
+        if hi - lo <= width_floor or mid <= lo or mid >= hi:
+            # cannot subdivide further in float; keep the panel as-is
+            heapq.heappush(heap, (0.0, seq, lo, hi, v, e))
+            seq += 1
+            if all(item[0] == 0.0 for item in heap):
+                break
+            continue
+        (v1, v2), (e1, e2) = (
+            s.tolist() for s in quad._gk15_panels(f, np.array([lo, mid]), np.array([mid, hi]))
+        )
+        total += (v1 + v2) - v
+        total_err += (e1 + e2) - e
+        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
+        seq += 1
+        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
+        seq += 1
+        evals += 30
+
+    # drift-free recomputation of the running sums
+    total = math.fsum(item[4] for item in heap)
+    total_err = math.fsum(item[5] for item in heap)
+    return quad.QuadResult(total, total_err, evals, total_err <= tol())
 
 
 # -- one-sided stable law by convergent series --------------------------------------

@@ -107,6 +107,18 @@ def test_h_below_its_floor_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [(("--what", "h", "--xs", "0.5,1e160"), "h(1e+160) is above h_ceiling"),
+     (("--what", "uq", "--xs", "0.5,1e160"), "uq(1.0, 1e+160): x is above")],
+    ids=["h", "uq"],
+)
+def test_huge_x_exits_2_naming_it(capsys, argv, name):
+    rc, out, err = _run(capsys, "kernel", "table", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize(
     "flag, text",
     [
         ("--spec", '{"family": "stable"}'),

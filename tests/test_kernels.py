@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from sbmpot import (
 
 from sbmpot.quadrature import integrate_oscillatory_cos
 
-from oracles import H1_CLOSED, LEVY_C_ALPHA15, UQ0_ALPHA15, levy_c_closed
+from oracles import (
+    H1_CLOSED,
+    LEVY_C_ALPHA15,
+    UQ0_ALPHA15,
+    h1_closed,
+    levy_c_closed,
+    uq0_closed,
+)
 
 
 def test_kernelset_validation():
@@ -177,6 +185,48 @@ def test_uq_refuses_a_non_finite_argument_by_name(stable_ks, q, x, name):
         stable_ks.uq(q, x)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [PhiSpec.stable(0.75), PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9))), PhiSpec.stable(0.6)],
+    ids=["stable-0.75", "mixture", "stable-0.6"],
+)
+def test_uq_is_continuous_at_zero(spec):
+    # 0 <= u^q(0) - u^q(x) <= h(x), since (1 - cos)/(q + psi) <= (1 - cos)/psi;
+    # and psi >= w lam^(2 d) for each term, so h(x) <= h1(d) x^(2d - 1) / w.
+    # A tiny x used to leave g's bulk between the head's first nodes, and
+    # u^q read 0.0 as converged
+    ks = KernelSet(spec)
+    terms = list(zip(spec.weights(), spec.exponents()))
+    for q in (1e-4, 1.0, 7.0):
+        if len(terms) == 1:
+            u0 = uq0_closed(q, 2.0 * terms[0][1])
+            assert ks.uq(q, 0.0) == pytest.approx(u0, rel=1e-9)
+        else:
+            u0 = ks.uq(q, 0.0)
+        for x in (1e-300, 1e-200, 1e-80, 1e-40, 1e-20, 1e-10, 1e-5, 1e-3, 0.1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gap = u0 - ks.uq(q, x)
+            h = min(h1_closed(d) * x ** (2.0 * d - 1.0) / w for w, d in terms)
+            tol = 2e-9 * u0
+            assert -tol <= gap <= h + tol, (q, x)
+
+
+def test_huge_x_is_refused_by_name(stable_ks, mixture_ks):
+    # past h_ceiling (h) and about 7e150 (u^q) the quadrature's first pass
+    # squares a lam below the normal doubles, and further up to 0, which
+    # phi_eval refuses without naming the x
+    for ks in (stable_ks, mixture_ks):
+        assert 1e147 < ks.h_ceiling < 1e149
+        with pytest.raises(DomainError, match=r"h\(1e\+160\) is above h_ceiling"):
+            ks.h_comp([0.5, 1e160])
+        with pytest.raises(DomainError, match=r"h\(1e\+149\) is above h_ceiling"):
+            ks.h_comp(-1e149)
+        with pytest.raises(DomainError, match=r"uq\(1.0, 1e\+160\): x is above"):
+            ks.uq(1.0, -1e160)
+        assert 0.0 <= ks.uq(1.0, 1e150) < 1e-10
+
+
 def test_h_closed_form_three_exponents():
     for d, want in H1_CLOSED.items():
         ks = KernelSet(PhiSpec.stable(d))
@@ -202,8 +252,8 @@ def test_h_sweep_is_accurate_or_raises(delta):
         vals.append(v)
     # and the range that holds values does get them
     assert min(served) <= 1e-120 and max(served) >= 1e15
-    # one call runs them as the rows of one batched pass: each entry
-    # carries the bits of the scalar engine at that entry
+    # one call runs them as the rows of one pass: each entry carries the
+    # bits of the engine run at that entry alone
     assert ks.h_comp(served).tolist() == vals == _h_loop(ks, served)
 
 
@@ -286,8 +336,8 @@ def test_h_at_zero_needs_no_quadrature():
 
 
 def _h_engine(ks, x):
-    """h at one x from the scalar oscillatory engine: the reference that
-    the batched rows of ``h_comp`` are held to, bit for bit."""
+    """h at one x from a one-row call of the oscillatory engine: the
+    reference that the rows of ``h_comp``'s pass are held to, bit for bit."""
     r = integrate_oscillatory_cos(
         ks._h_integrand,
         abs(float(x)),
@@ -323,7 +373,7 @@ def test_h_many_matches_scalar(stable_ks):
 )
 def test_h_rows_are_the_scalar_engine_on_random_points(spec):
     # 150 log-uniform |x| in [1e-6, 1e6], some negative: one batched call
-    # against one scalar engine run per point
+    # against one engine run per point
     rng = np.random.default_rng(20161)
     xs = 10.0 ** rng.uniform(-6.0, 6.0, 150) * rng.choice([-1.0, 1.0], 150)
     ks = KernelSet(spec)
@@ -433,7 +483,7 @@ def test_green_free_identities(stable_ks):
 
 def test_green_free_on_arrays_is_the_scalar_formula(stable_ks, mixture_ks):
     # x and y broadcast, one h call serves every entry, and each entry is
-    # the formula on the scalar engine's h bit for bit (x == y included)
+    # the formula on the one-point engine's h bit for bit (x == y included)
     xs = np.array([[0.8, 2.3, 0.05], [1.0, 0.3, 40.0]])
     y = 2.3
     for ks in (stable_ks, mixture_ks):

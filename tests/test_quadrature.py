@@ -1,14 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import oracles
+import sbmpot.quadrature as quad
 from sbmpot import ConfigError, DomainError, QuadratureError, phi_eval
 from sbmpot.quadrature import (
     integrate_adaptive,
     integrate_adaptive_batch,
-    integrate_one_minus_cos_batch,
     integrate_oscillatory_cos,
+    integrate_oscillatory_cos_batch,
 )
 
 
@@ -34,6 +37,15 @@ def test_infinite_tail_power():
     r = integrate_adaptive(lambda x: x ** -2.0, 1.0, math.inf, tail_exponent=2.0)
     assert r.converged
     assert abs(r.value - 1.0) < 1e-9
+
+
+def test_infinite_tail_from_a_negative_start():
+    # from a <= -1 the cut a + max(1, |a|) is 0, where the inverted tail
+    # cannot start: the cut moves to 1
+    for a in (-3.0, -1.0, -0.5):
+        r = integrate_adaptive(lambda x: np.exp(-x * x), a, math.inf)
+        assert r.converged
+        assert abs(r.value - 0.5 * math.sqrt(math.pi) * math.erfc(a)) < 1e-9
 
 
 def test_oscillatory_one_minus_cos():
@@ -68,6 +80,8 @@ def test_budget_exhaustion_flags_not_raises(quad_contract):
     r = integrate_adaptive(f, 0.0, 10.0)
     assert not r.converged
     assert math.isfinite(r.value)
+    # one row of the lockstep loop refines in the heap loop's order
+    assert r == oracles.adaptive_finite(f, 0.0, 10.0, 200)
 
 
 def test_bad_endpoints():
@@ -104,11 +118,14 @@ def test_oscillatory_validation():
 
 
 def _scalar_runs(f, a, b):
-    return [integrate_adaptive(f, float(lo), float(hi)) for lo, hi in zip(a, b)]
+    # the independent reference: one interval at a time, worst panel first
+    # from a heap
+    return [oracles.adaptive_finite(f, float(lo), float(hi), quad.MAX_EVALS)
+            for lo, hi in zip(a, b)]
 
 
 def _assert_rows_identical(batch, runs):
-    # ==, not approx: the batched engine is the scalar engine, round by round
+    # ==, not approx: each row takes the steps its run takes, round by round
     assert batch.value.tolist() == [r.value for r in runs]
     assert batch.err_est.tolist() == [r.err_est for r in runs]
     assert batch.evals.tolist() == [r.evals for r in runs]
@@ -148,7 +165,8 @@ def _panels_one_by_one(f, lo, hi):
 
 def test_stacked_panels_equal_single_panels(mixture_ks):
     # the GK15 driver gives a panel in a stack the bits it gets alone (the
-    # heap loop, the batched loop and the blocked oscillatory tail rely on this)
+    # lockstep loop, its heap reference and the blocked oscillatory tail
+    # rely on this)
     from sbmpot.quadrature import _gk15_panels
 
     lo = np.geomspace(1e-4, 5.0, 64)
@@ -241,10 +259,11 @@ def test_stacked_error_model_equals_the_float_model():
         assert _gk15_err(vk[:n], vg[:n], resasc[:n]).tolist() == want[:n]
 
 
-def _one_minus_cos_rows_identical(g, xs, **kw):
-    batch = integrate_one_minus_cos_batch(g, xs, **kw)
-    scalar = [integrate_oscillatory_cos(g, x, mode="one_minus_cos", **kw) for x in xs]
-    _assert_rows_identical(batch, scalar)
+def _rows_identical(g, xs, mode, **kw):
+    # each row of a batch carries the bits of its own one-row call
+    batch = integrate_oscillatory_cos_batch(g, xs, mode=mode, **kw)
+    alone = [integrate_oscillatory_cos(g, x, mode=mode, **kw) for x in xs]
+    _assert_rows_identical(batch, alone)
     return batch
 
 
@@ -253,11 +272,27 @@ def test_one_minus_cos_batch_equals_scalar(stable_ks, mixture_ks):
     for ks in (stable_ks, mixture_ks):
         g = lambda lam: 1.0 / phi_eval(ks.phi, lam * lam)
         kw = dict(left_exponent=-2.0 * ks.delta_min, tail_exponent=2.0 * ks.delta_max)
-        assert _one_minus_cos_rows_identical(g, xs, **kw).converged.all()
+        assert _rows_identical(g, xs, "one_minus_cos", **kw).converged.all()
     # a head exponent of 2 needs no power substitution
     g = lambda t: 1.0 / (1.0 + t * t)
-    b = _one_minus_cos_rows_identical(g, np.array([0.5, 1.0, 3.0]), tail_exponent=2.0)
+    b = _rows_identical(g, np.array([0.5, 1.0, 3.0]), "one_minus_cos", tail_exponent=2.0)
     assert np.allclose(b.value, 0.5 * math.pi * (1.0 - np.exp(-np.array([0.5, 1.0, 3.0]))))
+
+
+def test_cos_batch_rows_equal_their_one_row_calls(quad_contract):
+    # int cos(x t)/(1+t^2) dt = pi/2 e^-x.  Below x = 1/32 the head is cut
+    # at t = 1; under 600 evaluations those rows' budget cuts their tail
+    # short, while the rows from x = 1 on converge
+    g = lambda t: 1.0 / (1.0 + t * t)
+    xs = np.array([1e-3, 0.02, 1.0, 3.0, 30.0])
+    quad_contract(max_evals=600)
+    b = _rows_identical(g, xs, "cos", tail_exponent=2.0)
+    assert b.evals.tolist() == [600, 600, 540, 540, 480]
+    assert b.converged.tolist() == [False, False, True, True, True]
+    quad_contract()
+    b = _rows_identical(g, xs, "cos", tail_exponent=2.0)
+    assert b.converged.all()
+    assert np.allclose(b.value, 0.5 * math.pi * np.exp(-xs), rtol=0.0, atol=1e-11)
 
 
 def test_one_minus_cos_batch_budget_cut_inside_a_block(quad_contract):
@@ -266,51 +301,70 @@ def test_one_minus_cos_batch_budget_cut_inside_a_block(quad_contract):
     # x = 0.05 the pieces take more and the cut falls elsewhere.
     quad_contract(max_evals=435)
     xs = np.array([0.05, 0.5, 1.0, 2.0, 30.0])
-    batch = _one_minus_cos_rows_identical(lambda t: 1.0 / (1.0 + t * t), xs, tail_exponent=2.0)
+    g = lambda t: 1.0 / (1.0 + t * t)
+    batch = _rows_identical(g, xs, "one_minus_cos", tail_exponent=2.0)
     assert not batch.converged.any()
     assert (batch.evals == 435).all()
     assert abs(batch.value[2] - 0.5 * math.pi * (1.0 - math.exp(-1.0))) < 1e-5
+    # each row's value and error estimate, as measured when each x ran alone
+    # through a scalar route of its own
+    assert batch.value.tolist() == pytest.approx(
+        [0.07660791623076178, 0.6180601632393433, 0.9929325931924082,
+         1.3582120694747428, 1.570796326924377], rel=1e-9)
+    assert batch.err_est.tolist() == pytest.approx(
+        [1.216038547311218e-06, 4.299271149836624e-08, 8.135676931446744e-08,
+         1.3004276854943375e-07, 2.7271955309086616e-10], rel=1e-6)
 
 
 def test_one_minus_cos_batch_non_decaying_envelope():
     # chunk magnitudes grow up to lam = 10: rows whose chunks start below it
-    # warn and fall back to the raw partial sum, as the scalar route does
+    # warn and fall back to the raw partial sum, each row as it does alone
     g = lambda t: t**10 * np.exp(-t)
     xs = np.array([0.5, 10.0, 20.0])
     with pytest.warns(RuntimeWarning, match="not decaying"):
-        batch = integrate_one_minus_cos_batch(g, xs, tail_exponent=2.0)
-    with pytest.warns(RuntimeWarning, match="not decaying"):
-        scalar = [integrate_oscillatory_cos(g, x, mode="one_minus_cos", tail_exponent=2.0)
-                  for x in xs]
-    _assert_rows_identical(batch, scalar)
+        batch = _rows_identical(g, xs, "one_minus_cos", tail_exponent=2.0)
     assert batch.converged.tolist() == [True, False, False]
+    assert batch.evals.tolist() == [870, 930, 780]
 
 
 def test_chunked_tail_batch_at_the_chunk_cap(quad_contract):
     # under a zero tolerance no two averaged limits of the noisy envelope
     # agree: two rows sum all 600 chunks, and the third row's budget cuts a
     # block short
-    from sbmpot.quadrature import _cos_tail_chunked, _cos_tail_chunked_batch
+    from sbmpot.quadrature import _cos_tail_chunked_batch
 
     quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=3000)
     g = lambda t: 1.0 / (1.0 + t * t) + 1e-13 * np.cos(t * t)
     xs, budget = np.array([0.5, 1.0, 3.0]), np.array([20000, 20000, 5000])
     batch = _cos_tail_chunked_batch(g, xs, budget)
-    scalar = [_cos_tail_chunked(g, x, b) for x, b in zip(xs.tolist(), budget.tolist())]
-    assert [tuple(r) for r in zip(*(a.tolist() for a in batch))] == scalar
-    assert batch[2].tolist() == [3000 + 600 * 15] * 2 + [4995]
+    alone = [_cos_tail_chunked_batch(g, xs[i:i + 1], budget[i:i + 1]) for i in range(3)]
+    assert [tuple(r) for r in zip(*(a.tolist() for a in batch))] == [
+        tuple(a.tolist()[0] for a in r) for r in alone
+    ]
+    value, err, evals, ok = (a.tolist() for a in batch)
+    assert evals == [3000 + 600 * 15] * 2 + [4995]
+    assert ok == [False, False, False]
+    assert value == pytest.approx(
+        [-0.08356240572513568, -0.15067027783202225, -0.21767071333158683], rel=1e-9)
+    assert err == pytest.approx(
+        [5.469016514497666e-11, 1.3789190083362704e-11, 8.238455565628944e-14], rel=1e-3)
 
 
 def test_one_minus_cos_batch_validation():
     g = lambda t: 1.0 / (1.0 + t * t)
+    run = functools.partial(integrate_oscillatory_cos_batch, g, mode="one_minus_cos")
     for bad in ([0.0, 1.0], [1.0, math.nan], [-1.0]):
         with pytest.raises(DomainError):
-            integrate_one_minus_cos_batch(g, np.array(bad), tail_exponent=2.0)
+            run(np.array(bad), tail_exponent=2.0)
     with pytest.raises(DomainError):
-        integrate_one_minus_cos_batch(g, np.array([1.0]), tail_exponent=1.0)
+        run(np.array([1.0]), tail_exponent=1.0)
     with pytest.raises(ConfigError):
-        integrate_one_minus_cos_batch(g, np.ones((2, 2)), tail_exponent=2.0)
+        run(np.ones((2, 2)), tail_exponent=2.0)
     with pytest.raises(ConfigError):
-        integrate_one_minus_cos_batch(g, np.ones(2), tail_exponent=None)
-    empty = integrate_one_minus_cos_batch(g, np.zeros(0), tail_exponent=2.0)
+        run(np.ones(2), tail_exponent=None)
+    with pytest.raises(ConfigError):
+        integrate_oscillatory_cos_batch(g, np.ones(2), mode="sin")
+    empty = run(np.zeros(0), tail_exponent=2.0)
+    assert empty.value.shape == (0,)
+    empty = integrate_oscillatory_cos_batch(g, np.zeros(0), mode="cos")
     assert empty.value.shape == (0,)
