@@ -294,7 +294,7 @@ def _cmd_kernel_table(args):
     elif what == "j":
         vals = ks.levy_j(xs)
     elif what == "uq":
-        vals = np.array([ks.uq(args.q, x) for x in xs])
+        vals = ks.uq(args.q, xs)
     elif what == "h":
         vals = ks.h_comp(xs)
     elif what == "gz":

@@ -27,10 +27,10 @@ u = x^2/(4s) in the subordination integral gives
 because the Levy density of each mixture term is itself a pure power.  The
 I(d) factors are computed once per instance by the adaptive engine; after
 that ``levy_j`` is a vectorized power sum, cheap enough to fill dense
-generator matrices.  Nothing else is cached: ``uq`` runs one oscillatory
-quadrature per point, ``h_comp`` sends the distinct points of one call to
-the oscillatory engine together, and ``jump_tail`` does the same with its
-tail starts and the adaptive engine.  Each point is one row of the
+generator matrices.  Nothing else is cached: ``uq`` and ``h_comp`` send
+the distinct points of one call to the oscillatory engine together, through
+one table route, and ``jump_tail`` does the same with its tail starts and
+the adaptive engine.  Each point, x = 0 included, is one row of the
 engine's lockstep pass and gets the same bits alone as in any batch, so
 every value depends only on its own argument; callers gather the points
 of one solve into one call.
@@ -56,7 +56,6 @@ from .quadrature import (
     converged_value,
     integrate_adaptive,
     integrate_adaptive_batch,
-    integrate_oscillatory_cos,
     integrate_oscillatory_cos_batch,
     oscillatory_head_reach,
     oscillatory_reach,
@@ -224,35 +223,55 @@ class KernelSet:
 
     # -- resolvent and compensated kernels ----------------------------------
 
+    def _cos_table(self, x, g, mode, left_exponent, lo, hi, name, refusal):
+        """(1/pi) int_0^inf of ``g`` times the cosine factor of ``mode`` at
+        every |x|: a float for a scalar x, else an array of its shape.  The
+        distinct |x|, 0 included, run as the rows of one engine pass (no
+        memo), each with the bits it gets alone.  The entries before the
+        first |x| that is not finite, lies in (0, lo) or exceeds hi are
+        served, and the first of them that missed the contract raises
+        QuadratureError naming ``name(|x|)``; then that |x| raises
+        DomainError(``refusal(|x|)``).
+        """
+        arr = np.asarray(x, dtype=float)
+        flat = np.abs(arr.ravel())
+        bad = ~np.isfinite(flat) | ((0.0 < flat) & (flat < lo)) | (flat > hi)
+        n = int(bad.argmax()) if bad.any() else flat.size
+        ux, inv = np.unique(flat[:n], return_inverse=True)
+        r = integrate_oscillatory_cos_batch(
+            g, ux, mode=mode, left_exponent=left_exponent, tail_exponent=2.0 * self.delta_max
+        )
+        # in input order, so the first entry that missed is the one named
+        r = QuadResult(r.value[inv], r.err_est[inv], None, r.converged[inv])
+        vals = converged_value(r, lambda i: name(float(flat[i]))) / math.pi
+        if n < flat.size:
+            raise DomainError(refusal(float(flat[n])))
+        return _float_if_0d(vals.reshape(arr.shape))
+
     def uq(self, q, x):
         """q-resolvent kernel u^q(x) = (1/pi) int_0^inf cos(lam x)/(q + psi(lam)) dlam.
 
-        A q outside (0, inf) or a nan or infinite x raises DomainError naming
-        it, and so does an |x| whose quadrature would square a lam below the
-        normal doubles (from about 1e150), where phi cannot be evaluated.
+        Takes x as ``h_comp`` does.  A q outside (0, inf) raises DomainError
+        naming it, and so do a nan or infinite x and an |x| whose quadrature
+        would square a lam below the normal doubles (from about 1e150), where
+        phi cannot be evaluated.
         """
         q = float(q)
         if not (0.0 < q < math.inf):
             raise DomainError(f"uq needs a positive finite q, got q = {q}")
-        x = abs(float(x))
-        if not math.isfinite(x):
-            raise DomainError(f"uq needs a finite x, got x = {x}")
         x_max = oscillatory_head_reach(0.0) / _LAM_MIN
-        if x > x_max:
-            raise DomainError(
-                f"uq({q}, {x}): x is above {x_max:.6g}, where the integrand's "
-                "lam^2 underflows"
-            )
 
         def g(lam):
             # past lam = 1.3e154 lam^2 overflows and g reads 0, its limit
             with np.errstate(over="ignore"):
                 return 1.0 / (q + phi_eval(self.phi, lam * lam))
 
-        r = integrate_oscillatory_cos(
-            g, x, mode="cos", tail_exponent=2.0 * self.delta_max
-        )
-        return converged_value(r, f"uq({q}, {x})") / math.pi
+        def refusal(x):
+            if not math.isfinite(x):
+                return f"uq needs a finite x, got x = {x}"
+            return f"uq({q}, {x}): x is above {x_max:.6g}, where the integrand's lam^2 underflows"
+
+        return self._cos_table(x, g, "cos", 0.0, 0.0, x_max, lambda x: f"uq({q}, {x})", refusal)
 
     def _h_integrand(self, lam):
         return 1.0 / phi_eval(self.phi, lam * lam)
@@ -261,9 +280,7 @@ class KernelSet:
         """Compensated potential kernel h(x) = (1/pi) int (1 - cos(lam x))/psi(lam) dlam.
 
         Increasing in |x| with h(0) = 0; the q->0 limit of u^q(0) - u^q(x).
-        An array-like x gives an array of its shape, a scalar a float.  The
-        distinct nonzero |x| run as the rows of one pass of the oscillatory
-        engine (no memo), each with the bits it gets alone.
+        A scalar x gives a float, an array-like x an array of its shape.
 
         A nan or infinite x raises DomainError, and so does a nonzero |x|
         below ``h_floor``: from half of it down, the quadrature's first pass
@@ -275,44 +292,20 @@ class KernelSet:
         entries before it are served first, and the first in input order
         that misses the contract raises QuadratureError naming it.
         """
-        arr = np.asarray(x, dtype=float)
-        flat = np.abs(arr.ravel())
-        bad = (
-            ~np.isfinite(flat)
-            | ((0.0 < flat) & (flat < self.h_floor))
-            | (flat > self.h_ceiling)
-        )
-        n = int(bad.argmax()) if bad.any() else flat.size
-        ux, inv = np.unique(flat[:n], return_inverse=True)
-        z = int(ux.size > 0 and ux[0] == 0.0)  # h(0) = 0 needs no quadrature
-        value, err_est = np.zeros(ux.size), np.zeros(ux.size)
-        converged = np.ones(ux.size, dtype=bool)
-        if z < ux.size:
-            r = integrate_oscillatory_cos_batch(
-                self._h_integrand,
-                ux[z:],
-                mode="one_minus_cos",
-                left_exponent=-2.0 * self.delta_min,
-                tail_exponent=2.0 * self.delta_max,
-            )
-            value[z:], err_est[z:], converged[z:] = r.value, r.err_est, r.converged
-        # in input order, so the first entry that missed is the one named
-        r = QuadResult(value[inv], err_est[inv], None, converged[inv])
-        vals = converged_value(r, lambda i: f"h({float(flat[i])})") / math.pi
-        if n < flat.size:
-            x = float(flat[n])
+
+        def refusal(x):
             if not math.isfinite(x):
-                raise DomainError(f"h needs a finite x, got x = {x}")
+                return f"h needs a finite x, got x = {x}"
             if x > self.h_ceiling:
-                raise DomainError(
-                    f"h({x}) is above h_ceiling = {self.h_ceiling:.6g}, where the "
-                    "integrand's lam^2 underflows"
-                )
-            raise DomainError(
-                f"h({x}) is below h_floor = {self.h_floor:.6g}, where the "
-                "integrand's lam^2 overflows"
-            )
-        return _float_if_0d(vals.reshape(arr.shape))
+                return (f"h({x}) is above h_ceiling = {self.h_ceiling:.6g}, where the "
+                        "integrand's lam^2 underflows")
+            return (f"h({x}) is below h_floor = {self.h_floor:.6g}, where the "
+                    "integrand's lam^2 overflows")
+
+        return self._cos_table(
+            x, self._h_integrand, "one_minus_cos", -2.0 * self.delta_min,
+            self.h_floor, self.h_ceiling, lambda x: f"h({x})", refusal,
+        )
 
     # perfbench/spans.py wraps KernelSet methods by name, this second name
     # of h_comp among them; nothing in the package calls it

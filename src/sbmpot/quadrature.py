@@ -28,8 +28,9 @@ loop.
     is per row.  The remainder is summed over half-periods between
     consecutive zeros, the chunks of all rows still summing going to the
     integrand in one call a block, and the alternating series is
-    accelerated by repeated averaging of partial sums.
-    ``integrate_oscillatory_cos`` is one x, x = 0 included.
+    accelerated by repeated averaging of partial sums.  An x = 0 row is 0
+    with no evaluation (1 - cos), or int_0^inf g (cos) as ``integrate_adaptive``
+    gives it.  ``integrate_oscillatory_cos`` is one x, as one row.
 
 All loops evaluate their panels through one GK15 routine,
 ``_gk15_panels``, which sends a stack of panels to the integrand as one
@@ -241,8 +242,9 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     entry per row, that ``f`` receives after the nodes as ``f(nodes,
     *cols)``, each column (panels, 1) holding the entries of the panels'
     rows.  ``budget`` caps each row's evaluations (a scalar or one entry
-    per row, raised to 60 so the starting panels always fit); by default
-    MAX_EVALS.
+    per row); by default MAX_EVALS.  A row whose budget cannot hold the 60
+    evaluations of its starting panels is not run: value 0, err_est inf,
+    evals 0, unconverged.
 
     Returns a QuadResult of arrays: value, err_est, evals, converged.
     """
@@ -256,12 +258,15 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     if bad.size:
         raise DomainError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
     m = a.size
-    budget = np.broadcast_to(np.maximum(MAX_EVALS if budget is None else budget, 60), (m,))
+    budget = np.broadcast_to(MAX_EVALS if budget is None else budget, (m,))
+    run = budget >= 15 * _N_INIT  # a row that cannot pay for its starting panels is not run
     value = np.zeros(m)
-    err_est = np.zeros(m)
-    evals = np.full(m, 15 * _N_INIT)
-    if m == 0:
-        return QuadResult(value, err_est, evals, np.zeros(0, dtype=bool))
+    err_est = np.where(run, 0.0, np.inf)
+    evals = np.where(run, 15 * _N_INIT, 0)
+    rows = np.flatnonzero(run)  # the caller's index of each working row
+    n = rows.size
+    if n == 0:
+        return QuadResult(value, err_est, evals, np.zeros(m, dtype=bool))
 
     def cols(idx):
         # the per-row parameters of panels from rows idx, as columns
@@ -270,29 +275,28 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     # panel slots per row in the order made; key = err (0 once frozen), and
     # -inf marks a split or unused slot, so argmax takes the worst, oldest
     cap = _N_INIT + 16
-    edges = np.linspace(a, b, _N_INIT + 1, axis=1)
-    LO = np.zeros((m, cap))
-    HI = np.zeros((m, cap))
+    edges = np.linspace(a[rows], b[rows], _N_INIT + 1, axis=1)
+    LO = np.zeros((n, cap))
+    HI = np.zeros((n, cap))
     LO[:, :_N_INIT] = edges[:, :-1]
     HI[:, :_N_INIT] = edges[:, 1:]
     v0, e0 = _gk15_panels(
         f, LO[:, :_N_INIT].ravel(), HI[:, :_N_INIT].ravel(),
-        cols(np.repeat(np.arange(m), _N_INIT)),
+        cols(np.repeat(rows, _N_INIT)),
     )
-    V = np.zeros((m, cap))
-    E = np.zeros((m, cap))
-    V[:, :_N_INIT] = v0.reshape(m, _N_INIT)
-    E[:, :_N_INIT] = e0.reshape(m, _N_INIT)
-    KEY = np.full((m, cap), -np.inf)
+    V = np.zeros((n, cap))
+    E = np.zeros((n, cap))
+    V[:, :_N_INIT] = v0.reshape(n, _N_INIT)
+    E[:, :_N_INIT] = e0.reshape(n, _N_INIT)
+    KEY = np.full((n, cap), -np.inf)
     KEY[:, :_N_INIT] = E[:, :_N_INIT]
-    total = np.zeros(m)
-    total_err = np.zeros(m)
+    total = np.zeros(n)
+    total_err = np.zeros(n)
     for k in range(_N_INIT):  # panel by panel, in slot order
         total += V[:, k]
         total_err += E[:, k]
-    nslot = np.full(m, _N_INIT)
-    halted = np.zeros(m, dtype=bool)
-    rows = np.arange(m)  # the caller's index of each working row
+    nslot = np.full(n, _N_INIT)
+    halted = np.zeros(n, dtype=bool)
 
     while rows.size:
         tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
@@ -351,19 +355,20 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     return QuadResult(value, err_est, evals, converged)
 
 
-def _run_pieces(pieces):
+def _run_pieces(pieces, budget=None):
     """Integrals split into pieces, per row: each piece is (integrand, lo,
     hi, args) with one entry per row in lo, hi and every array of args, run
     by ``integrate_adaptive_batch`` on the row's equal share of what the
-    pieces before it left of MAX_EVALS.  Convergence is judged on the
-    combined value, not piece by piece."""
+    pieces before it left of its budget (a scalar or one entry per row; by
+    default MAX_EVALS).  Convergence is judged on the combined value, not
+    piece by piece."""
     m = pieces[0][1].size
     value = np.zeros(m)
     err = np.zeros(m)
     evals = np.zeros(m, dtype=int)
     ok = np.ones(m, dtype=bool)
     for k, (g, lo, hi, args) in enumerate(pieces):
-        share = (MAX_EVALS - evals) // (len(pieces) - k)
+        share = ((MAX_EVALS if budget is None else budget) - evals) // (len(pieces) - k)
         r = integrate_adaptive_batch(g, lo, hi, args=args, budget=share)
         value += r.value
         err += r.err_est
@@ -485,7 +490,7 @@ def _cos_times(lam, x, g):
 
 def integrate_oscillatory_cos_batch(g, x, *, mode, left_exponent=0.0, tail_exponent=None):
     """Oscillatory cosine integrals against a slowly varying envelope, at
-    every x[i] of a 1-d array of finite x > 0, in lockstep.
+    every x[i] of a 1-d array of finite x >= 0, in lockstep.
 
     mode="one_minus_cos": int_0^inf (1 - cos(lam x)) g(lam) dlam
     mode="cos":           int_0^inf cos(lam x) g(lam) dlam
@@ -495,8 +500,12 @@ def integrate_oscillatory_cos_batch(g, x, *, mode, left_exponent=0.0, tail_expon
     as lam -> inf and is required in "one_minus_cos" mode, where int g over
     the tail must exist on its own.
 
-    Both modes integrate a head up to lam = 2/x and add the cosine tail
-    beyond it (``_cos_tail_chunked_batch``) with sign -1 (one_minus_cos)
+    An x = 0 row is 0 with no evaluation (one_minus_cos), or int_0^inf g as
+    ``integrate_adaptive`` gives it (cos); the tail exponent is checked only
+    where a row integrates g to infinity.
+
+    At x > 0 both modes integrate a head up to lam = 2/x and add the cosine
+    tail beyond it (``_cos_tail_chunked_batch``) with sign -1 (one_minus_cos)
     or +1 (cos).  The cosine factor is never evaluated as 1 - cos directly:
     the head uses 2 sin^2(lam x / 2), which is exact near zero, and int g
     over [2/x, inf) comes separately.  In cos mode a head that reaches past
@@ -506,7 +515,8 @@ def integrate_oscillatory_cos_batch(g, x, *, mode, left_exponent=0.0, tail_expon
     bulk of g, and at a tiny x read the integral as below ABS_TOL.  Head and
     tail integrals run as the pieces of ``integrate_adaptive_batch``, each
     row's x, substitution end and span reaching the integrand as per-row
-    parameters, and each row's cosine tail gets the budget they leave it.
+    parameters.  A row's stages run in turn on what the stages before it
+    left of MAX_EVALS: head, int g tail, then the cosine tail.
 
     Returns a QuadResult of arrays; an unconverged row is flagged, not
     raised.
@@ -516,73 +526,62 @@ def integrate_oscillatory_cos_batch(g, x, *, mode, left_exponent=0.0, tail_expon
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ConfigError("x must be a 1-d array")
-    if not np.all(np.isfinite(x) & (x > 0.0)):
-        raise DomainError("batched x must be finite and positive")
-    zeros = np.zeros(x.size)
-    lam_split = 2.0 / x
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise DomainError("batched x must be finite and nonnegative")
+    if mode == "one_minus_cos" and tail_exponent is None:
+        raise ConfigError("one_minus_cos mode needs tail_exponent for the int g tail")
+    value, err = np.zeros(x.size), np.zeros(x.size)
+    evals, ok = np.zeros(x.size, dtype=int), np.ones(x.size, dtype=bool)
 
-    if mode == "one_minus_cos":
-        if tail_exponent is None:
-            raise ConfigError("one_minus_cos mode needs tail_exponent for the int g tail")
-        sign = -1.0
+    def add(rows, r):
+        # a stage's results onto rows (a mask of x), added in stage order
+        value[rows] += r.value
+        err[rows] += r.err_est
+        evals[rows] += r.evals
+        ok[rows] &= r.converged
+
+    pos = x > 0.0
+    xp = x[pos]
+    lam_split = 2.0 / xp
+    zeros = np.zeros(xp.size)
+    if mode == "one_minus_cos" and xp.size:
         # built first, so a tail exponent that fails raises before any work
         beyond = _to_inf_pieces(g, lam_split, 0.0, tail_exponent)
         head_f = functools.partial(_sin2_head, g=g)
-        head = _run_pieces([_piece(head_f, zeros, lam_split, left_exponent + 2.0, (x,))])
-        tail = _run_pieces(beyond)
-        value = head.value + tail.value
-        err = head.err_est + tail.err_est
-        evals = head.evals + tail.evals
-        ok = head.converged & tail.converged
-    else:
-        sign = 1.0
+        add(pos, _run_pieces([_piece(head_f, zeros, lam_split, left_exponent + 2.0, (xp,))]))
+        add(pos, _run_pieces(beyond, MAX_EVALS - evals[pos]))
+    elif mode == "cos":
+        if not pos.all():
+            add(~pos, _run_pieces(_to_inf_pieces(g, x[~pos], left_exponent, tail_exponent)))
         f = functools.partial(_cos_times, g=g)
         q = tail_exponent  # g ~ lam^-q maps to u^(q-2) at u = 0
         tail_p = float(q) - 2.0 if q is not None and q > 1.0 else None
         cut = lam_split > 64.0
-        xn, xc = x[~cut], x[cut]
+        xn, xc = xp[~cut], xp[cut]
         ones = np.ones(xc.size)
-        near = _run_pieces([_piece(f, zeros[~cut], lam_split[~cut], left_exponent, (xn,))])
-        far = _run_pieces([
+        near, far = pos.copy(), pos.copy()
+        near[pos], far[pos] = ~cut, cut
+        add(near, _run_pieces([_piece(f, zeros[~cut], lam_split[~cut], left_exponent, (xn,))]))
+        add(far, _run_pieces([
             _piece(f, zeros[cut], ones, left_exponent, (xc,)),
             _piece(_inverted(f), 0.5 * xc, ones, tail_p, (xc,)),
-        ])
-        value, err = np.zeros(x.size), np.zeros(x.size)
-        evals, ok = np.zeros(x.size, dtype=int), np.zeros(x.size, dtype=bool)
-        for rows, r in ((~cut, near), (cut, far)):
-            value[rows], err[rows] = r.value, r.err_est
-            evals[rows], ok[rows] = r.evals, r.converged
+        ]))
 
-    osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked_batch(g, x, MAX_EVALS - evals)
-    return QuadResult(value + sign * osc_v, err + osc_e, evals + osc_n, ok & osc_ok)
+    if xp.size:
+        osc_v, osc_e, osc_n, osc_ok = _cos_tail_chunked_batch(g, xp, MAX_EVALS - evals[pos])
+        sign = 1.0 if mode == "cos" else -1.0
+        add(pos, QuadResult(sign * osc_v, osc_e, osc_n, osc_ok))
+    return QuadResult(value, err, evals, ok)
 
 
-def integrate_oscillatory_cos(
-    g,
-    x,
-    *,
-    mode="one_minus_cos",
-    left_exponent=0.0,
-    tail_exponent=None,
-):
-    """``integrate_oscillatory_cos_batch`` at one x >= 0, as its one row;
-    x = 0 short-circuits (0 in "one_minus_cos" mode, int g in "cos" mode).
+def integrate_oscillatory_cos(g, x, *, mode="one_minus_cos", left_exponent=0.0, tail_exponent=None):
+    """``integrate_oscillatory_cos_batch`` at one x >= 0, as its one row.
 
     Returns QuadResult of Python scalars.
     """
-    if mode not in ("one_minus_cos", "cos"):
-        raise ConfigError(f"unknown mode {mode!r}")
     x = float(x)
     if x < 0.0:
         raise DomainError("x must be nonnegative (kernels are even; pass |x|)")
-
-    if x == 0.0:
-        if mode == "one_minus_cos":
-            return QuadResult(0.0, 0.0, 0, True)
-        return integrate_adaptive(
-            g, 0.0, math.inf,
-            left_exponent=left_exponent, tail_exponent=tail_exponent,
-        )
     return _first_row(integrate_oscillatory_cos_batch(
         g, np.array([x]), mode=mode,
         left_exponent=left_exponent, tail_exponent=tail_exponent,
@@ -632,8 +631,9 @@ def _cos_tail_chunked_batch(g, x, budget):
     """int cos(lam x) g(lam) over [2/x, inf) by half-period chunks, for
     every x[i] on budget[i] evaluations, in lockstep.
 
-    A bridge integral reaches from 2/x to the first zero of cos(lam x)
-    beyond it, 1.5 pi / x.  From there chunk k spans consecutive zeros; the
+    A bridge integral, on half of a row's budget, reaches from 2/x to the
+    first zero of cos(lam x) beyond it, 1.5 pi / x; the chunks get what it
+    leaves.  From there chunk k spans consecutive zeros; the
     alternating series of chunks is fed to _averaged_limit, tested every 4
     chunks from chunk 8 on, and a row stops once two tests in a row move
     its limit by less than a quarter of its tolerance.  The rows share the
@@ -648,7 +648,7 @@ def _cos_tail_chunked_batch(g, x, budget):
     """
     z0 = 1.5 * math.pi / x
     f = functools.partial(_cos_times, g=g)
-    bridge = _run_pieces([(f, 2.0 / x, z0, (x,))])
+    bridge = _run_pieces([(f, 2.0 / x, z0, (x,))], budget // 2)
     value, err = bridge.value, bridge.err_est
     evals, ok = bridge.evals, bridge.converged
     tol = np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(value), 1.0))

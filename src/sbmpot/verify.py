@@ -68,9 +68,13 @@ class RunConfig:
         specs = tuple(self.specs)
         if not specs:
             raise ConfigError("at least one spec is required")
+        labels = set()
         for s in specs:
             if not isinstance(s, PhiSpec):
                 raise ConfigError("specs must be PhiSpec instances")
+            if s.label() in labels:  # the label names the spec's checks
+                raise ConfigError(f"two specs share the label {s.label()!r}")
+            labels.add(s.label())
         object.__setattr__(self, "specs", specs)
         a, b = (float(v) for v in self.interval)
         if not (0.0 < a < b and math.isfinite(b)):  # kinds Y and Z need a > 0

@@ -78,6 +78,21 @@ def test_kernel_table_green_free(capsys):
         assert [v for _, v in rows] == ["%.12e" % g(x, 1.0) for x in (0.5, 1.0, 2.0)]
 
 
+def test_kernel_table_uq_is_one_point_calls(capsys):
+    # one uq call per table, x = 0, a tiny x and a repeat among its rows:
+    # each row prints what a one-point table prints
+    xs = ("0.5", "0", "1e-40", "0.5", "3")
+    rc, out, _ = _run(capsys, "kernel", "table", "--what", "uq", "--xs", ",".join(xs))
+    assert rc == 0
+    rows = out.strip().splitlines()[1:]
+    alone = []
+    for x in xs:
+        rc, one, _ = _run(capsys, "kernel", "table", "--what", "uq", "--xs", x)
+        assert rc == 0
+        alone.append(one.strip().splitlines()[1])
+    assert rows == alone
+
+
 def test_kernel_table_gz_needs_y(capsys):
     rc, _, err = _run(capsys, "kernel", "table", "--what", "gz", "--xs", "1.0")
     assert rc == 2
@@ -133,12 +148,15 @@ def test_huge_x_exits_2_naming_it(capsys, argv, name):
         ("--config", '{"R": -1}'),
         ("--config", '{"seed": -1}'),
         ("--config", '{"specs": [{"family": "stable"}]}'),
+        # two specs of one label would report two results under one check name
+        ("--config", '{"specs": [{"family": "mixture", "terms": [[1, 0.6], [1, 0.9]]}, '
+                     '{"family": "mixture", "terms": [[1, 0.6], [1000, 0.9]]}]}'),
     ],
     ids=[
         "spec-no-delta", "spec-not-an-object", "spec-short-term", "spec-bad-delta",
         "spec-infinite-weight", "config-bad-n", "config-bad-interval",
         "config-interval-at-origin", "config-negative-R", "config-negative-seed",
-        "config-bad-spec",
+        "config-bad-spec", "config-shared-label",
     ],
 )
 def test_malformed_input_file_exits_2(capsys, tmp_path, flag, text):

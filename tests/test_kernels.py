@@ -15,7 +15,7 @@ from sbmpot import (
     phi_eval,
 )
 
-from sbmpot.quadrature import integrate_oscillatory_cos
+from sbmpot.quadrature import integrate_adaptive, integrate_oscillatory_cos
 
 from oracles import (
     H1_CLOSED,
@@ -212,6 +212,85 @@ def test_uq_is_continuous_at_zero(spec):
             assert -tol <= gap <= h + tol, (q, x)
 
 
+def _uq_point(ks, q, x):
+    """u^q at one x by one engine run, x = 0 through the b = inf integral of
+    ``integrate_adaptive``: the route each point took alone, which the rows
+    of ``uq``'s pass are held to, bit for bit."""
+
+    def g(lam):
+        with np.errstate(over="ignore"):
+            return 1.0 / (q + phi_eval(ks.phi, lam * lam))
+
+    x, te = abs(float(x)), 2.0 * ks.delta_max
+    if x == 0.0:
+        r = integrate_adaptive(g, 0.0, math.inf, tail_exponent=te)
+    else:
+        r = integrate_oscillatory_cos(g, x, mode="cos", tail_exponent=te)
+    assert r.converged, (q, x)
+    return r.value / math.pi
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [PhiSpec.stable(0.75), PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9))), PhiSpec.stable(0.6)],
+    ids=["stable-0.75", "mixture", "stable-0.6"],
+)
+def test_uq_rows_are_the_one_point_engine(spec):
+    # x = 0, a tiny x, negative x, repeats, and heads cut at lam = 1 (x < 1/32)
+    xs = np.array([[0.5, 0.0, 1e-40, -0.5, 0.5, 1e-3, 0.02, -1e-3],
+                   [1 / 32, 0.04, 0.3, 0.3 + 1e-14, 1.0, 3.0, 30.0, 0.0]])
+    ks = KernelSet(spec)
+    for q in (0.1, 1.0, 7.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ks.uq(q, xs)
+        assert got.shape == xs.shape
+        assert got.tolist() == [[_uq_point(ks, q, x) for x in row] for row in xs]
+        assert ks.uq(q, xs[0, 2]) == got[0, 2] and type(ks.uq(q, 0.5)) is float
+
+
+def test_uq_rows_keep_their_one_point_values(stable_ks, mixture_ks):
+    # as each x gave alone through the one-point route (q = 1)
+    xs = [0.0, 1e-40, 0.02, 0.5]
+    assert stable_ks.uq(1.0, xs).tolist() == [
+        0.7698003589195282, 0.7698003589195282, 0.6572702992635158, 0.27339278272401146]
+    assert mixture_ks.uq(1.0, xs).tolist() == [
+        0.4276110981256596, 0.4276110981256596, 0.4047459440619233, 0.22460420374642312]
+    assert stable_ks.uq(1.0, []).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "q, xs, served, want",
+    [
+        (1.0, [0.5, 0.0, -0.5, math.inf, 1e160], [0.0, 0.5],
+         (DomainError, "uq needs a finite x, got x = inf")),
+        (1.0, [2.0, -1e160, math.nan], [2.0],
+         (DomainError, "uq(1.0, 1e+160): x is above 7.1603e+150, where the integrand's "
+                       "lam^2 underflows")),
+        (1.0, [math.nan, 1.0], [], (DomainError, "uq needs a finite x, got x = nan")),
+        (1e-300, [1.0, math.inf], [1.0], (QuadratureError, "uq(1e-300, 1.0) did not converge")),
+    ],
+    ids=["inf", "huge", "nan-first", "unconverged-first"],
+)
+def test_uq_raises_the_first_bad_entry_after_serving_those_before(
+    stable_ks, monkeypatch, q, xs, served, want
+):
+    import sbmpot.kernels as kernels
+
+    rows = []
+    engine = kernels.integrate_oscillatory_cos_batch
+
+    def record(g, x, **kw):
+        rows.append(x.tolist())
+        return engine(g, x, **kw)
+
+    monkeypatch.setattr(kernels, "integrate_oscillatory_cos_batch", record)
+    assert _raised(lambda: stable_ks.uq(q, xs)) == want
+    assert rows == [served]
+    # and a one-point loop meets the same error first
+    assert _raised(lambda: [stable_ks.uq(q, x) for x in xs]) == want
+
+
 def test_huge_x_is_refused_by_name(stable_ks, mixture_ks):
     # past h_ceiling (h) and about 7e150 (u^q) the quadrature's first pass
     # squares a lam below the normal doubles, and further up to 0, which
@@ -324,8 +403,8 @@ def test_h_basics(stable_ks, mixture_ks):
 
 
 def test_h_at_zero_needs_no_quadrature():
-    # h diverges for delta = 1/2, but h(0) = 0 and an empty table are
-    # served without the engine; only a nonzero x reaches it and fails
+    # h diverges for delta = 1/2, but h(0) = 0 is a row of no evaluation
+    # and an empty table has no row; only a nonzero x reads the tail and fails
     ks = KernelSet(PhiSpec.stable(0.5))
     assert ks.h_comp(0.0) == 0.0
     assert ks.h_comp([0.0, -0.0]).tolist() == [0.0, 0.0]

@@ -330,7 +330,8 @@ def test_one_minus_cos_batch_non_decaying_envelope():
 def test_chunked_tail_batch_at_the_chunk_cap(quad_contract):
     # under a zero tolerance no two averaged limits of the noisy envelope
     # agree: two rows sum all 600 chunks, and the third row's budget cuts a
-    # block short
+    # block short.  The bridge takes half of each row's budget (9990 and
+    # 2490 evaluations), the chunks what it leaves
     from sbmpot.quadrature import _cos_tail_chunked_batch
 
     quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=3000)
@@ -342,20 +343,24 @@ def test_chunked_tail_batch_at_the_chunk_cap(quad_contract):
         tuple(a.tolist()[0] for a in r) for r in alone
     ]
     value, err, evals, ok = (a.tolist() for a in batch)
-    assert evals == [3000 + 600 * 15] * 2 + [4995]
+    assert evals == [9990 + 600 * 15] * 2 + [2490 + 167 * 15]
     assert ok == [False, False, False]
     assert value == pytest.approx(
         [-0.08356240572513568, -0.15067027783202225, -0.21767071333158683], rel=1e-9)
     assert err == pytest.approx(
-        [5.469016514497666e-11, 1.3789190083362704e-11, 8.238455565628944e-14], rel=1e-3)
+        [5.469016514497666e-11, 1.3789190083362704e-11, 1.2195580024617945e-13], rel=1e-3)
 
 
 def test_one_minus_cos_batch_validation():
     g = lambda t: 1.0 / (1.0 + t * t)
     run = functools.partial(integrate_oscillatory_cos_batch, g, mode="one_minus_cos")
-    for bad in ([0.0, 1.0], [1.0, math.nan], [-1.0]):
+    for bad in ([1.0, math.nan], [-1.0], [0.0, math.inf]):
         with pytest.raises(DomainError):
             run(np.array(bad), tail_exponent=2.0)
+    # x = 0 is a row like any other: 0, with no evaluation
+    r = run(np.array([0.0, 1.0]), tail_exponent=2.0)
+    assert (r.value[0], r.err_est[0], r.evals[0], r.converged[0]) == (0.0, 0.0, 0, True)
+    assert r.value[1] == pytest.approx(0.5 * math.pi * (1.0 - math.exp(-1.0)), rel=1e-9)
     with pytest.raises(DomainError):
         run(np.array([1.0]), tail_exponent=1.0)
     with pytest.raises(ConfigError):
@@ -368,3 +373,54 @@ def test_one_minus_cos_batch_validation():
     assert empty.value.shape == (0,)
     empty = integrate_oscillatory_cos_batch(g, np.zeros(0), mode="cos")
     assert empty.value.shape == (0,)
+
+
+def test_x_zero_rows_in_both_modes():
+    # x = 0 rows among x > 0 rows: 0 with no evaluation (1 - cos), and the
+    # b = inf integral of int_0^inf g (cos), each as its one-row call gives it
+    g = lambda t: 1.0 / (1.0 + t * t)
+    xs = np.array([0.0, 0.5, 0.0, 1e-3, 2.0])
+    for mode in ("one_minus_cos", "cos"):
+        b = _rows_identical(g, xs, mode, tail_exponent=2.0)
+        assert b.converged.all()
+        zero = integrate_oscillatory_cos(g, 0.0, mode=mode, tail_exponent=2.0)
+        assert [b.value[0], b.err_est[0], b.evals[0]] == [zero.value, zero.err_est, zero.evals]
+    assert (zero.value, zero.converged) == (
+        integrate_adaptive(g, 0.0, math.inf, tail_exponent=2.0).value, True
+    )
+    assert zero.value == pytest.approx(0.5 * math.pi, rel=1e-12)
+    one_minus = integrate_oscillatory_cos(g, 0.0, tail_exponent=2.0)
+    assert (one_minus.value, one_minus.evals) == (0.0, 0)
+    # the tail exponent is checked only when a row integrates g to infinity
+    run = functools.partial(integrate_oscillatory_cos_batch, g, tail_exponent=1.0)
+    assert run(np.zeros(2), mode="one_minus_cos").value.tolist() == [0.0, 0.0]
+    for mode in ("one_minus_cos", "cos"):
+        with pytest.raises(DomainError, match="tail exponent 1.0 is not integrable"):
+            run(np.array([0.0, 1.0]), mode=mode)
+
+
+@pytest.mark.parametrize("max_evals", [297, 400])
+def test_no_row_exceeds_max_evals(quad_contract, max_evals):
+    # the cosine tail's bridge and the int g tail run on what the stages
+    # before them left, and a budget below the 60 evaluations of the
+    # starting panels runs nothing: cos mode at x = 1e-3 took 330 under
+    # 297 and 420 under 400
+    quad_contract(max_evals=max_evals)
+    xs = np.array([0.0, 1e-3, 0.02, 0.05, 1.0, 3.0])
+    for g, kw in ((lambda t: 1.0 / (1.0 + t * t), {}),
+                  (lambda t: t ** -0.5 / (1.0 + t), dict(left_exponent=-0.5))):
+        for mode in ("cos", "one_minus_cos"):
+            b = integrate_oscillatory_cos_batch(g, xs, mode=mode, tail_exponent=1.5, **kw)
+            assert b.evals.max() <= max_evals, (mode, b.evals)
+    r = integrate_oscillatory_cos(lambda t: 1.0 / (1.0 + t * t), 1e-3, mode="cos")
+    assert not r.converged and r.evals <= max_evals
+
+
+def test_a_budget_below_the_starting_panels_runs_nothing():
+    f = lambda x: np.exp(-x)
+    a, b = np.zeros(3), np.array([1.0, 2.0, 3.0])
+    r = integrate_adaptive_batch(f, a, b, budget=np.array([600, 59, 60]))
+    alone = [integrate_adaptive_batch(f, a[i:i + 1], b[i:i + 1]) for i in (0, 2)]
+    assert [r.value[0], r.value[2]] == [alone[0].value[0], alone[1].value[0]]
+    assert r.converged.tolist() == [True, False, True]
+    assert (r.value[1], r.err_est[1], r.evals[1]) == (0.0, math.inf, 0)

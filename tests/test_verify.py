@@ -61,6 +61,14 @@ def test_config_validation():
     for bad in (-1, 1.5, "7", 2**64):
         with pytest.raises(ConfigError):
             RunConfig(seed=bad)
+    # each check is named by its spec's label, which drops the weights
+    twin = PhiSpec.mixture(((1.0, 0.6), (1000.0, 0.9)))
+    for specs, label in (
+        ((vf.FIXTURE_MIXTURE, twin), "mix-0.6-0.9"),
+        ((vf.FIXTURE_STABLE, vf.FIXTURE_MIXTURE, vf.FIXTURE_STABLE), "stable-0.75"),
+    ):
+        with pytest.raises(ConfigError, match=f"two specs share the label '{label}'"):
+            RunConfig(specs=specs)
 
 
 def test_config_rejects_bool_seeds():
