@@ -215,21 +215,18 @@ def _cmd_mc_exit(args):
     exited = st.exited
     pos = st.exit_pos[exited]
     tau = st.exit_time[exited]
-    summary = {
-        "kind": "mc-exit",
-        "grid": {"a": args.a, "b": args.b, "x0": args.x0, "dt": args.dt,
-                 "paths": args.paths, "seed": args.seed, "spec": spec.label()},
-        "value": {
+    _emit_diag(
+        "mc-exit",
+        {"a": args.a, "b": args.b, "x0": args.x0, "dt": args.dt,
+         "paths": args.paths, "seed": args.seed, "spec": spec.label()},
+        {
             "n_exited": int(exited.sum()),
             "censored": int(st.censored),
             "mean_exit_time": float(tau.mean()) if tau.size else None,
             "frac_low": float(np.mean(pos <= args.a)) if pos.size else None,
             "creep_1e-4": st.creep_count(1e-4) / st.n_paths,
         },
-        "bracket": None,
-        "refinement_drift": None,
-    }
-    print(json.dumps(summary, sort_keys=True))
+    )
     return 0
 
 

@@ -317,15 +317,25 @@ class KernelSet:
         """E|X_dt| = (2/pi) int_0^inf (1 - exp(-dt psi(xi))) xi^-2 dxi.
 
         Near 0 the integrand is ~ xi^(2 delta_min - 2), so the mean is finite
-        only for delta_min > 1/2; below that ConfigError.
+        only for delta_min > 1/2; below that ConfigError.  Where xi^2 falls
+        below the normal doubles (the substitution for delta_min near 1/2
+        takes its nodes there), 1 - exp(-dt psi) is dt psi to the last bit,
+        and the integrand is read as dt sum_i w_i xi^(2 d_i - 2).  From
+        delta_min near 0.505 down xi itself underflows to 0, where that
+        reads inf, and the engine raises QuadratureError.
         """
         dm = self.delta_min
         if not dm > 0.5:
             raise ConfigError(f"mean walk step is infinite for delta_min = {dm:g} <= 1/2")
+        terms = list(zip(self.phi.weights(), self.phi.exponents()))
 
         def f(xi):
             xi2 = xi * xi
-            return -np.expm1(-dt * phi_eval(self.phi, xi2)) / xi2
+            low = xi2 < _TINY
+            xi2[low] = 1.0
+            out = -np.expm1(-dt * phi_eval(self.phi, xi2)) / xi2
+            out[low] = dt * sum(w * xi[low] ** (2.0 * d - 2.0) for w, d in terms)
+            return out
 
         r = integrate_adaptive(
             f, 0.0, math.inf, left_exponent=2.0 * dm - 2.0, tail_exponent=2.0

@@ -48,8 +48,6 @@ __all__ = [
 _CHUNK = 128
 # paths per lane block; caps one round at _LANES x _CHUNK increments
 _LANES = 256
-# private hook: False walks every block in-process
-_FAN_OUT = True
 # the walk's worker pool, made by the first walk that fans out and kept for
 # the life of the process
 _pool = None
@@ -273,7 +271,7 @@ def _walk_pool(blocks):
     serve only the process that forked them, and only while its
     `sample_increment` is the one they hold."""
     global _pool
-    if blocks < 2 or not _FAN_OUT or _usable_cpus() < 2:
+    if blocks < 2 or _usable_cpus() < 2:
         return None
     with _pool_lock:
         if _pool is None:

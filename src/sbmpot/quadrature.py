@@ -29,12 +29,14 @@ loop.
     consecutive zeros, the chunks of all rows still summing going to the
     integrand in one call a block, and the alternating series is
     accelerated by repeated averaging of partial sums.  An x = 0 row is 0
-    with no evaluation (1 - cos), or int_0^inf g (cos) as ``integrate_adaptive``
-    gives it.  ``integrate_oscillatory_cos`` is one x, as one row.
+    with no evaluation (1 - cos); in cos mode it takes the route of every
+    x < 1/32, which at x = 0 is int_0^inf g as ``integrate_adaptive`` runs
+    it.  ``integrate_oscillatory_cos`` is one x, as one row.
 
 All loops evaluate their panels through one GK15 routine,
 ``_gk15_panels``, which sends a stack of panels to the integrand as one
-(panels, 15) array; the oscillatory tail stacks the half-period chunks
+(panels, 15) array and rates them all by one error model, QUADPACK's
+(Piessens et al. 1983); the oscillatory tail stacks the half-period chunks
 between two of its convergence tests.  So integrands, oscillatory ones
 included, must be elementwise over numpy arrays.  A panel in a stack gets
 the bits it would get alone, and all decisions are pure functions of
@@ -156,37 +158,15 @@ def _gk15_sums(fx, h):
     return vk, vg, resasc
 
 
-# a stack of this many panels or more gets the error model in numpy; below
-# it the per-panel float loop is faster (numpy's fixed cost is about 15 us)
-_ERR_NUMPY_MIN = 16
-
-
-def _panel_err(vk, vg, resasc):
-    """Error estimate of one panel from its _gk15_sums, as floats.
-
-    The usual scaled-difference recipe: |K15 - G7| sharpened by the panel's
-    total variation proxy, so smooth panels are not over-refined while rough
-    panels keep the conservative raw difference.
-    """
-    raw = abs(vk - vg)
-    if resasc > 0.0 and raw > 0.0:
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    return max(err, _ERR_FLOOR * abs(vk))
-
-
 def _gk15_err(vk, vg, resasc):
-    """``_panel_err`` of every panel of a stack, as an array.
+    """Error estimate of every panel of a stack from its _gk15_sums, as an
+    array: QUADPACK's scaled difference, |K15 - G7| sharpened by the
+    panel's total variation proxy, so smooth panels are not over-refined
+    while rough panels keep the conservative raw difference.
 
-    A small stack (one row's 2 to 8 panels) runs it panel by panel; a
-    larger one runs the same float operations in numpy, all but
-    the power, which stays Python's float ``**`` because numpy's SIMD power
-    differs from the C library's in the last bit.  So every panel gets the
-    bits ``_panel_err`` gives it.
+    The power is Python's float ``**``, not numpy's, whose SIMD power
+    differs from the C library's in the last bit.
     """
-    if vk.size < _ERR_NUMPY_MIN:
-        return np.array(list(map(_panel_err, vk.tolist(), vg.tolist(), resasc.tolist())))
     raw = np.abs(vk - vg)
     sharp = ((resasc > 0.0) & (raw > 0.0)).nonzero()[0]
     q = 200.0 * raw[sharp] / resasc[sharp]
@@ -385,7 +365,7 @@ def _first_row(r):
     )
 
 
-def _power_sub_rows(f, end, other, p, args=()):
+def _power_sub_rows(f, end, other, m, args=()):
     """Map [end, other] of an integrand ~ (x - end)^p onto t in [0, 1], per
     row: the piece (integrand, 0, 1, args) of ``_run_pieces``.
 
@@ -394,7 +374,6 @@ def _power_sub_rows(f, end, other, p, args=()):
     The integrand takes (t, end, span, *args) and passes ``args`` on to
     ``f``.
     """
-    m = _sub_power(p)
 
     def g(t, e, s, *rest):
         tm = np.power(t, m)
@@ -405,21 +384,18 @@ def _power_sub_rows(f, end, other, p, args=()):
 
 
 def _sub_power(p):
-    return math.ceil(2.0 / (1.0 + p))
-
-
-def _needs_sub(p):
+    """The power m of the substitution t -> t^m for an integrand ~ x^p at
+    its left end, or 1 (no substitution) where p is 0 or at least 1."""
     if p <= -1.0:
         raise DomainError(f"endpoint exponent {p} is not integrable")
-    return p < 1.0 and p != 0.0
+    return math.ceil(2.0 / (1.0 + p)) if p < 1.0 and p != 0.0 else 1
 
 
 def _piece(f, lo, hi, p, args=()):
     """The piece [lo, hi] of ``_run_pieces`` for an integrand ~ (x - lo)^p,
     through the power substitution where p asks for one (None: never)."""
-    if p is not None and _needs_sub(p):
-        return _power_sub_rows(f, lo, hi, p, args)
-    return (f, lo, hi, args)
+    m = 1 if p is None else _sub_power(p)
+    return (f, lo, hi, args) if m == 1 else _power_sub_rows(f, lo, hi, m, args)
 
 
 def _inverted(f):
@@ -432,16 +408,22 @@ def _inverted(f):
     return g
 
 
+def _tail_power(q):
+    """The power u^(q-2) at u = 0 that f(x) ~ x^-q becomes under u = 1/x
+    (None for no hint); a q <= 1 raises DomainError."""
+    if q is not None and q <= 1.0:
+        raise DomainError(f"tail exponent {q} is not integrable at infinity")
+    return None if q is None else float(q) - 2.0
+
+
 def _to_inf_pieces(f, a, left_exponent, tail_exponent):
     """The pieces of int_a^inf f per row: [a, cut] and, mapped by u = 1/x,
     the rest beyond cut = a + max(1, |a|) (or 1 where that is not
     positive).  ``tail_exponent`` hints f(x) ~ x^-p, which the map turns
     into u^(p-2) at u = 0."""
-    if tail_exponent is not None and tail_exponent <= 1.0:
-        raise DomainError(f"tail exponent {tail_exponent} is not integrable at infinity")
+    tail_p = _tail_power(tail_exponent)
     cut = a + np.maximum(1.0, np.abs(a))
     cut = np.where(cut > 0.0, cut, 1.0)
-    tail_p = None if tail_exponent is None else float(tail_exponent) - 2.0
     return [
         _piece(f, a, cut, left_exponent),
         _piece(_inverted(f), np.zeros(a.size), 1.0 / cut, tail_p),
@@ -500,23 +482,25 @@ def integrate_oscillatory_cos_batch(g, x, *, mode, left_exponent=0.0, tail_expon
     as lam -> inf and is required in "one_minus_cos" mode, where int g over
     the tail must exist on its own.
 
-    An x = 0 row is 0 with no evaluation (one_minus_cos), or int_0^inf g as
-    ``integrate_adaptive`` gives it (cos); the tail exponent is checked only
-    where a row integrates g to infinity.
+    An x = 0 row is 0 with no evaluation (one_minus_cos), or in cos mode
+    int_0^inf g by the cut route below, as ``integrate_adaptive`` gives it.
+    The tail exponent is checked only where a row integrates g to infinity:
+    the int g tail of one_minus_cos, and an x = 0 row in cos mode.
 
     At x > 0 both modes integrate a head up to lam = 2/x and add the cosine
     tail beyond it (``_cos_tail_chunked_batch``) with sign -1 (one_minus_cos)
     or +1 (cos).  The cosine factor is never evaluated as 1 - cos directly:
     the head uses 2 sin^2(lam x / 2), which is exact near zero, and int g
     over [2/x, inf) comes separately.  In cos mode a head that reaches past
-    lam = 64 (x < 1/32) is cut at lam = 1, and its part beyond runs mapped
-    by u = 1/lam with the tail exponent's substitution, as for b = inf in
-    ``integrate_adaptive``: its first panels would otherwise step over the
-    bulk of g, and at a tiny x read the integral as below ABS_TOL.  Head and
-    tail integrals run as the pieces of ``integrate_adaptive_batch``, each
-    row's x, substitution end and span reaching the integrand as per-row
-    parameters.  A row's stages run in turn on what the stages before it
-    left of MAX_EVALS: head, int g tail, then the cosine tail.
+    lam = 64 (x < 1/32, x = 0 included) is cut at lam = 1, and its part
+    beyond runs mapped by u = 1/lam with the tail exponent's substitution,
+    as for b = inf in ``integrate_adaptive``: its first panels would
+    otherwise step over the bulk of g, and at a tiny x read the integral as
+    below ABS_TOL.  Head and tail integrals run as the pieces of
+    ``integrate_adaptive_batch``, each row's x, substitution end and span
+    reaching the integrand as per-row parameters.  A row's stages run in
+    turn on what the stages before it left of MAX_EVALS: head, int g tail,
+    then the cosine tail.
 
     Returns a QuadResult of arrays; an unconverged row is flagged, not
     raised.
@@ -542,28 +526,24 @@ def integrate_oscillatory_cos_batch(g, x, *, mode, left_exponent=0.0, tail_expon
 
     pos = x > 0.0
     xp = x[pos]
-    lam_split = 2.0 / xp
-    zeros = np.zeros(xp.size)
     if mode == "one_minus_cos" and xp.size:
+        lam_split, zeros = 2.0 / xp, np.zeros(xp.size)
         # built first, so a tail exponent that fails raises before any work
         beyond = _to_inf_pieces(g, lam_split, 0.0, tail_exponent)
         head_f = functools.partial(_sin2_head, g=g)
         add(pos, _run_pieces([_piece(head_f, zeros, lam_split, left_exponent + 2.0, (xp,))]))
         add(pos, _run_pieces(beyond, MAX_EVALS - evals[pos]))
     elif mode == "cos":
-        if not pos.all():
-            add(~pos, _run_pieces(_to_inf_pieces(g, x[~pos], left_exponent, tail_exponent)))
+        # a q <= 1 is refused only where an x = 0 row integrates g to infinity
+        q = tail_exponent
+        tail_p = None if q is not None and q <= 1.0 and pos.all() else _tail_power(q)
         f = functools.partial(_cos_times, g=g)
-        q = tail_exponent  # g ~ lam^-q maps to u^(q-2) at u = 0
-        tail_p = float(q) - 2.0 if q is not None and q > 1.0 else None
-        cut = lam_split > 64.0
-        xn, xc = xp[~cut], xp[cut]
+        cut = x < 0.03125  # the head 2/x reaches past lam = 64, x = 0 included
+        xn, xc = x[~cut], x[cut]
         ones = np.ones(xc.size)
-        near, far = pos.copy(), pos.copy()
-        near[pos], far[pos] = ~cut, cut
-        add(near, _run_pieces([_piece(f, zeros[~cut], lam_split[~cut], left_exponent, (xn,))]))
-        add(far, _run_pieces([
-            _piece(f, zeros[cut], ones, left_exponent, (xc,)),
+        add(~cut, _run_pieces([_piece(f, np.zeros(xn.size), 2.0 / xn, left_exponent, (xn,))]))
+        add(cut, _run_pieces([
+            _piece(f, np.zeros(xc.size), ones, left_exponent, (xc,)),
             _piece(_inverted(f), 0.5 * xc, ones, tail_p, (xc,)),
         ]))
 
@@ -603,22 +583,22 @@ def _averaged_limit(partials):
 
     Standard Euler-style acceleration: each sweep replaces the sequence by
     midpoints of neighbors; the last entry converges fast for alternating
-    remainders with slowly varying amplitude.  Returns (limit, err_est):
-    floats for one sequence, or arrays for a (rows, k) array of them, each
-    row reduced as it would be alone.
+    remainders with slowly varying amplitude.  Takes a (rows, k) array of
+    sequences and returns arrays (limit, err_est), each row reduced as it
+    would be alone.
     """
-    row = np.asarray(partials, dtype=float)[..., -40:]
-    if row.shape[-1] == 1:
-        est, err = row[..., 0], np.abs(row[..., 0])
+    row = partials[:, -40:]
+    if row.shape[1] == 1:
+        est, err = row[:, 0], np.abs(row[:, 0])
     else:
-        est = row[..., -1]
+        est = row[:, -1]
         prev = est
-        while row.shape[-1] > 1:
-            row = 0.5 * (row[..., :-1] + row[..., 1:])
+        while row.shape[1] > 1:
+            row = 0.5 * (row[:, :-1] + row[:, 1:])
             prev = est
-            est = row[..., -1]
+            est = row[:, -1]
         err = np.abs(est - prev) + 4.0 * _EPS * np.abs(est)
-    return (float(est), float(err)) if row.ndim == 1 else (est, err)
+    return est, err
 
 
 _NOT_DECAYING = (
@@ -673,7 +653,7 @@ def _cos_tail_chunked_batch(g, x, budget):
             elif stable:
                 lim = (limit[i], lim_err[i])
             elif k:
-                lim = _averaged_limit(partials[i, :k])
+                lim = [a[0] for a in _averaged_limit(partials[i:i + 1, :k])]
             else:
                 lim = (0.0, 0.0)
             value[r] += lim[0]
@@ -733,6 +713,10 @@ def _cos_tail_chunked_batch(g, x, budget):
     return value, err, evals, ok
 
 
+# the smallest node of the first of the _N_INIT starting panels on [0, 1]
+_T0 = 0.5 * (1.0 - _XK_HALF[0]) / _N_INIT
+
+
 def oscillatory_head_reach(p):
     """lam * x at the smallest lam where ``integrate_oscillatory_cos``, for
     x >= 2, evaluates g before any refinement, given a head integrand
@@ -742,9 +726,7 @@ def oscillatory_head_reach(p):
     int_0^{2/x}, after the power substitution for p.  Refinement can only
     add nodes nearer 0.
     """
-    m = _sub_power(p) if _needs_sub(p) else 1
-    t0 = 0.5 * (1.0 - _XK_HALF[0]) / _N_INIT
-    return float(2.0 * t0**m)
+    return float(2.0 * _T0 ** _sub_power(p))
 
 
 def oscillatory_reach(tail_exponent):
@@ -756,8 +738,5 @@ def oscillatory_reach(tail_exponent):
     substitution for ``tail_exponent``.  Refinement can only add nodes
     nearer u = 0.  Returns inf when the node underflows.
     """
-    p = float(tail_exponent) - 2.0
-    m = _sub_power(p) if _needs_sub(p) else 1
-    t0 = 0.5 * (1.0 - _XK_HALF[0]) / _N_INIT
     with np.errstate(over="ignore"):
-        return float(4.0 * np.float64(t0) ** -m)
+        return float(4.0 * _T0 ** -_sub_power(float(tail_exponent) - 2.0))

@@ -5,10 +5,12 @@ special-function closed forms, a convergent alternating series for the
 one-sided stable law and a sampler of it by its product representation
 (the subordinated route of the walk's increments), and the classical interval exit laws of the
 symmetric stable process and its Green function killed at the origin.
-Two exceptions take package parts: the full-matrix generator assembly
+Three exceptions take package parts: the full-matrix generator assembly
 takes the package's kernel inputs and is independent only in how it
-assembles them, and the heap loop of adaptive quadrature takes the
-package's GK15 panel rule and is independent only in the order it refines.
+assembles them, the heap loop of adaptive quadrature takes the
+package's GK15 panel rule and is independent only in the order it refines,
+and the one-panel error model takes the engine's error floor and is
+independent only in running on floats.
 Frozen constants carry their regeneration
 function; tests assert the two agree, so a stale constant cannot hide.
 """
@@ -306,6 +308,23 @@ def adaptive_finite(f, a, b, budget):
     total = math.fsum(item[4] for item in heap)
     total_err = math.fsum(item[5] for item in heap)
     return quad.QuadResult(total, total_err, evals, total_err <= tol())
+
+
+def _panel_err(vk, vg, resasc):
+    """Error estimate of one panel from its _gk15_sums, as floats: the
+    reference that the engine's stacked error model ``_gk15_err`` is held
+    to, bit for bit.
+
+    The usual scaled-difference recipe: |K15 - G7| sharpened by the panel's
+    total variation proxy, so smooth panels are not over-refined while rough
+    panels keep the conservative raw difference.
+    """
+    raw = abs(vk - vg)
+    if resasc > 0.0 and raw > 0.0:
+        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
+    else:
+        err = raw
+    return max(err, quad._ERR_FLOOR * abs(vk))
 
 
 # -- one-sided stable law by convergent series --------------------------------------

@@ -259,7 +259,7 @@ def _assert_same_walk(got, want):
 
 def _in_process(cfg, spec, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(mc, "_FAN_OUT", False)
+        m.setattr(mc, "_usable_cpus", lambda: 1)
         return simulate_exit(cfg, spec)
 
 

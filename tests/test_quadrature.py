@@ -244,8 +244,9 @@ def test_batch_validation():
 
 
 def test_stacked_error_model_equals_the_float_model():
-    # stacks from _ERR_NUMPY_MIN panels up run the error model in numpy
-    from sbmpot.quadrature import _ERR_NUMPY_MIN, _gk15_err, _panel_err
+    # every stack, one row's few panels included, runs the error model in
+    # numpy, with the bits of the float model panel by panel
+    from sbmpot.quadrature import _gk15_err
 
     rng = np.random.default_rng(3)
     vk = rng.normal(size=400)
@@ -254,8 +255,8 @@ def test_stacked_error_model_equals_the_float_model():
     vg[::7] = vk[::7]  # raw 0: no sharpening
     resasc[::11] = 0.0
     vk[::13] = 0.0
-    want = list(map(_panel_err, vk.tolist(), vg.tolist(), resasc.tolist()))
-    for n in (_ERR_NUMPY_MIN - 1, _ERR_NUMPY_MIN, 400):
+    want = list(map(oracles._panel_err, vk.tolist(), vg.tolist(), resasc.tolist()))
+    for n in (1, 15, 16, 400):
         assert _gk15_err(vk[:n], vg[:n], resasc[:n]).tolist() == want[:n]
 
 
@@ -391,12 +392,46 @@ def test_x_zero_rows_in_both_modes():
     assert zero.value == pytest.approx(0.5 * math.pi, rel=1e-12)
     one_minus = integrate_oscillatory_cos(g, 0.0, tail_exponent=2.0)
     assert (one_minus.value, one_minus.evals) == (0.0, 0)
-    # the tail exponent is checked only when a row integrates g to infinity
-    run = functools.partial(integrate_oscillatory_cos_batch, g, tail_exponent=1.0)
+    # the tail exponent is checked only when a row integrates g to infinity,
+    # and before any evaluation
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return g(t)
+
+    run = functools.partial(integrate_oscillatory_cos_batch, counted, tail_exponent=1.0)
     assert run(np.zeros(2), mode="one_minus_cos").value.tolist() == [0.0, 0.0]
-    for mode in ("one_minus_cos", "cos"):
-        with pytest.raises(DomainError, match="tail exponent 1.0 is not integrable"):
-            run(np.array([0.0, 1.0]), mode=mode)
+    for mode, xs in (("one_minus_cos", [0.0, 1.0]), ("cos", [0.0]), ("cos", [0.5, 0.0, 2.0])):
+        with pytest.raises(DomainError, match=r"^tail exponent 1.0 is not integrable at infinity$"):
+            run(np.array(xs), mode=mode)
+    assert calls == []
+    # in cos mode no row but x = 0 integrates g itself to infinity
+    r = run(np.array([1e-3, 0.5, 2.0]), mode="cos")
+    assert r.converged.all() and calls
+    assert r.value.tolist()[1:] == [0.9527361323652518, 0.21258416579420225]
+
+
+@pytest.mark.parametrize("tail", [None, 2.0])
+def test_cos_x_zero_rows_take_the_cut_route(tail):
+    # an x = 0 row runs the route of every x < 1/32: [0, 1], then the
+    # inverted piece from u = x/2 = 0.  Values and evaluation counts as
+    # measured when x = 0 had a route of its own, alone and among other rows
+    g = lambda t: 1.0 / (1.0 + t * t)
+    alone = integrate_oscillatory_cos_batch(g, np.zeros(1), mode="cos", tail_exponent=tail)
+    assert (alone.value.tolist(), alone.evals.tolist()) == ([1.570796326794892], [120])
+    xs = np.array([0.0, 1e-3, 0.5, 0.0, 2.0])
+    b = _rows_identical(g, xs, "cos", tail_exponent=tail)
+    assert b.value.tolist() == [1.570796326794892, 1.569226315604717, 0.9527361323652518,
+                                1.570796326794892, 0.21258416579420225]
+    assert b.evals.tolist() == [120, 720, 540, 120, 540]
+    assert b.converged.all()
+    # a left-end substitution and a tail hint that maps to one
+    g = lambda t: t ** -0.5 / (1.0 + t)
+    b = _rows_identical(g, xs, "cos", left_exponent=-0.5, tail_exponent=1.5)
+    assert b.value.tolist() == [3.141592653589784, 3.0623774023374564, 1.6749611967892308,
+                                3.141592653589784, 0.9573821564594029]
+    assert b.evals.tolist() == [120, 600, 540, 120, 540]
 
 
 @pytest.mark.parametrize("max_evals", [297, 400])

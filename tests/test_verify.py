@@ -143,11 +143,12 @@ def test_config_digest_takes_numpy_floats():
     assert all(type(v) is float for v in (cfg.R, cfg.mc_x0, cfg.mc_tmax))
 
 
-@pytest.mark.parametrize("delta", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("delta", [0.51, 0.52, 0.53, 0.55, 0.6, 0.75, 0.9])
 @pytest.mark.parametrize("dt", [1e-2, 1e-3, 1e-4])
 def test_mean_step_matches_the_stable_closed_form(delta, dt):
     # held to the quadrature contract's rel_tol; at delta = 0.75 the two
-    # agree to about 3e-15
+    # agree to about 3e-15.  Near delta = 1/2 the left-end substitution
+    # puts nodes where xi^2 underflows, which read as dt xi^(2 delta - 2)
     got = KernelSet(PhiSpec.stable(delta)).mean_abs_step(dt)
     assert got == pytest.approx(stable_mean_abs(2.0 * delta, dt), rel=1e-9, abs=0.0)
 
