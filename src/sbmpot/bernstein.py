@@ -137,7 +137,10 @@ class PhiSpec:
 
 def _as_positive_array(x, what):
     arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(arr > 0.0):
+    # min, not all(arr > 0): nan still fails, and no bool array of arr's
+    # size is made, which a generator worker thread would leave resident
+    # in its own malloc arena
+    if arr.size and not arr.min() > 0.0:
         raise DomainError(f"{what} must be strictly positive")
     return arr
 

@@ -152,13 +152,25 @@ class KernelSet:
             out += c * np.power(arr, -1.0 - a)
         return _float_if_0d(out)
 
-    def jump_tail_closed(self, t, weight_exponent=0.0):
-        """int_t^inf j(z) z^{-p} dz in closed form (power sum), t > 0."""
+    def jump_tail_closed(self, t, weight_exponent=0.0, *, out=None, work=None):
+        """int_t^inf j(z) z^{-p} dz in closed form (power sum), t > 0.
+
+        ``out`` and ``work``, float arrays of t's shape, receive the result
+        and each term before it is summed, so a caller that owns them makes
+        the call without allocating an array of t's size; the value is
+        bitwise the allocating call's, since both run the same operations
+        in the same order.
+        """
         arr = _as_positive_array(t, "tail start")
         p = float(weight_exponent)
-        out = np.zeros_like(arr)
+        out = np.empty_like(arr) if out is None else out
+        work = np.empty_like(arr) if work is None else work
+        out[...] = 0.0
         for c, a in self._coefs():
-            out += c * np.power(arr, -(a + p)) / (a + p)
+            np.power(arr, -(a + p), out=work)
+            work *= c
+            work /= a + p
+            out += work
         return _float_if_0d(out)
 
     def jump_tail(self, t, cutoff):

@@ -141,7 +141,9 @@ def _gk15_values(f, x, args=()):
         raise QuadratureError("integrand must be vectorized (ndarray in, ndarray out)")
     if not np.all(np.isfinite(fx)):
         bad = x[~np.isfinite(fx)][0]
-        raise QuadratureError(f"integrand returned a non-finite value near x = {bad!r}")
+        raise QuadratureError(
+            f"integrand returned a non-finite value near x = {float(bad)!r}"
+        )
     return fx
 
 

@@ -76,6 +76,23 @@ def test_jump_tail_closed_matches_quadrature(stable_ks, mixture_ks):
             assert ks.jump_tail_closed(t) == pytest.approx(ref.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize("p", [0.0, 0.7])
+def test_jump_tail_closed_into_caller_buffers(request, ks_name, p):
+    # the generator's assembly passes buffers it owns; the value is bitwise
+    # the allocating call's and the power-sum loop's
+    ks = request.getfixturevalue(ks_name)
+    t = np.geomspace(1e-4, 1e3, 300).reshape(20, 15)
+    want = np.zeros_like(t)
+    for c, a in ks._coefs():
+        want += c * np.power(t, -(a + p)) / (a + p)
+    out, work = np.full_like(t, np.nan), np.full_like(t, np.nan)
+    got = ks.jump_tail_closed(t, p, out=out, work=work)
+    assert got is out
+    assert np.array_equal(got, want)
+    assert np.array_equal(ks.jump_tail_closed(t, p), want)
+
+
 def test_jump_tail_with_cutoff_consistent(stable_ks):
     # for pure power jumps the quadrature+tail split equals the closed form
     assert stable_ks.jump_tail(0.5, 10.0) == pytest.approx(
