@@ -21,9 +21,13 @@ small-interval floor) are reductions over those matrices.
 The left endpoint of (0, R) problems is always approximated from inside by a
 small absorbing shelf a > 0; the shelf correction h(a)/h(R) brackets the
 re-entry mass, following the same limit argument the continuum objects are
-defined by.  The negated generator is symmetric positive definite, so each
-shelf's exit problem is solved by a blocked Cholesky factorization done in
-place: the shelf's generator is consumed by its solve.
+defined by.  A shelf's exit problem is solved without forming its generator:
+on the midpoint lattice every off-diagonal cell mass of kind Z depends on
+|i - j| (a Toeplitz part) or on i + j (the fold's Hankel part), so the
+negated generator is held as O(n) per-offset masses and its diagonal, and
+solved by conjugate gradients with FFT products and T. Chan's optimal
+circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).  Green
+matrices keep the dense per-entry generator.
 
 A generator of _THREAD_MIN_N cells or more is assembled on worker threads,
 one per usable CPU (the walk's rule), while numpy's power and arithmetic
@@ -102,9 +106,17 @@ _BLOCK = 64
 # at 3996; at n = 200-256 they cost 5-6 ms, and cli-solve runs many of those
 _THREAD_MIN_N = 1000
 
-# columns per block of the exit solve's Cholesky factorization: at n = 4096
-# 128 was fastest, with 64 and 256 within 10%
-_CHOL_BLOCK = 128
+# offsets of the shelf operator's Toeplitz part applied directly, as a
+# stencil; the farther ones and the fold go through the FFT, whose rounding
+# scales with the largest entry it carries.  On the 3996- and 4096-cell
+# shelves of both fixtures, with every offset in the FFT p_exit sat up to
+# 5.7e-11 from a dense LU solve, with 8 direct ones within 1.3e-12
+_NEAR = 8
+
+# the shelf solve's conjugate gradients stop a column at ||r|| <= _CG_RTOL
+# ||b||; the default shelves of both fixtures take 30-67 iterations
+_CG_RTOL = 1e-15
+_CG_MAX_ITER = 1000
 
 _KINDS = ("X", "Y", "Z")
 
@@ -186,6 +198,24 @@ def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
     if kind == "Z":
         hi = hi + T[2 * n :]
     return lo, hi, ks.wall_correction(grid.dx)
+
+
+def _kill_rate(rates):
+    """Per-node kill rate kappa of the generator built from the _exit_rates
+    split ``rates``: lo + hi, plus dk at the two wall nodes.
+
+    Wall cells: the kill rate diverges like d^{-2 delta} toward the wall
+    while solutions vanish like d^delta, so midpoint collocation of kappa in
+    the first cell underweights the absorption there by an O(1) factor.  The
+    singular wall-side component is reweighted by the profile-averaged
+    collocation factor; this is the difference between first-order and
+    near-second-order wall accuracy.
+    """
+    lo, hi, dk = rates
+    kappa = lo + hi
+    kappa[0] += dk
+    kappa[-1] += dk
+    return kappa
 
 
 def _assemble_rows(ks, xs, dx, c2, kind, A, starts, scratch):
@@ -299,20 +329,8 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     del scratch
 
     rates = _exit_rates(ks, grid, kind)
-    lo, hi, dk = rates
-    kappa = lo + hi
-
-    # wall cells: the kill rate diverges like d^{-2 delta} toward the wall
-    # while solutions vanish like d^delta, so midpoint collocation of kappa
-    # in the first cell underweights the absorption there by an O(1) factor.
-    # Reweight the singular wall-side component by the profile-averaged
-    # collocation factor; this is the difference between first-order and
-    # near-second-order wall accuracy.
-    kappa[0] += dk
-    kappa[n - 1] += dk
-
     np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -(A.sum(axis=1) + kappa))
+    np.fill_diagonal(A, -(A.sum(axis=1) + _kill_rate(rates)))
     return GeneratorMatrix(kind=kind, grid=grid, A=A, exit_rates=rates)
 
 
@@ -557,70 +575,161 @@ class ExitAliveReport:
     shrank: bool
 
 
-def _spd_solve(M, B):
-    """Solve M X = B for a symmetric positive definite M, consuming M.
+class _ShelfOperator:
+    """The negated kind Z generator -A of ``build_generator(ks, grid, "Z")``,
+    matrix-free: O(n) per-offset cell masses, its diagonal and its kill
+    rates, applied to a block of columns by ``matvec``.
 
-    A left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations,
-    4.2) over M's lower triangle, _CHOL_BLOCK columns at a time: each block
-    column is updated by one GEMM against the columns already factored, its
-    diagonal block is factored by ``np.linalg.cholesky`` and the panel below
-    is scaled by that block's inverse.  The forward substitution rides along
-    and the back substitution follows.  M is overwritten: its lower triangle
-    ends as L with each diagonal block replaced by its inverse, which is all
-    the back substitution reads.  The largest temporary is (n, _CHOL_BLOCK),
-    and there are half the flops of an LU.  A diagonal block that is not
-    positive definite raises ``np.linalg.LinAlgError``.
+    With T = ``jump_tail_closed`` and x_i = a + (i + 1/2) dx, the cell
+    mass of node j seen from node i is t[|i - j|] + h[i + j]:
+      t[1] = c2 (the band), t[k] = T((k - 1/2) dx) - T((k + 1/2) dx),
+      h[s] = T(2a + (s + 1/2) dx) - T(2a + (s + 3/2) dx), s < 2n - 1,
+    the fold h entering the band as well, as in _assemble_rows.  That takes
+    about 3n kernel powers per term, against about 2n^2 for the dense build.
+
+    The diagonal is the off-diagonal row sum plus _kill_rate, with each sum
+    telescoped rather than added up: the Toeplitz part of one side with m
+    neighbours is c2 + T(3 dx/2) - T((m + 1/2) dx) (c2 alone for m = 1),
+    and the fold's is T(x_i + a) - T(x_i + b) - h[2i].  A cumulative sum
+    of h differenced instead put p_exit up to 2.1e-11 from a dense LU solve
+    on the mixture's 4096-cell shelf, where the telescoped sums stay within
+    1.3e-12.
     """
-    n = M.shape[0]
-    X = np.array(B, dtype=float)
-    for j0 in range(0, n, _CHOL_BLOCK):
-        j1 = min(j0 + _CHOL_BLOCK, n)
-        if j0:
-            M[j0:, j0:j1] -= M[j0:, :j0] @ M[j0:j1, :j0].T
-            X[j0:j1] -= M[j0:j1, :j0] @ X[:j0]
-        Linv = np.linalg.inv(np.linalg.cholesky(M[j0:j1, j0:j1]))
-        M[j0:j1, j0:j1] = Linv
-        M[j1:, j0:j1] = M[j1:, j0:j1] @ Linv.T
-        X[j0:j1] = Linv @ X[j0:j1]
-    for j0 in reversed(range(0, n, _CHOL_BLOCK)):
-        j1 = min(j0 + _CHOL_BLOCK, n)
-        X[j0:j1] = M[j0:j1, j0:j1].T @ (X[j0:j1] - M[j1:, j0:j1].T @ X[j1:])
-    return X
+
+    def __init__(self, ks: KernelSet, grid: Grid):
+        n, dx = grid.n, grid.dx
+        c2 = ks.band_coefficient(dx)
+        # T((k + 1/2) dx) for k = 1 .. n - 1, and T(2a + (s + 1/2) dx) for
+        # s = 0 .. 2n - 1
+        tt = ks.jump_tail_closed((np.arange(1, n) + 0.5) * dx)
+        th = ks.jump_tail_closed(2.0 * grid.a + (np.arange(2 * n) + 0.5) * dx)
+        t = np.zeros(n)
+        t[1] = c2
+        t[2:] = tt[:-1] - tt[1:]
+        h = th[:-1] - th[1:]
+
+        self.rates = _exit_rates(ks, grid, "Z")
+        m = np.arange(n)  # neighbours on the left of node i; n - 1 - i on the right
+        side = np.where(m >= 1, c2, 0.0) + np.where(m >= 2, tt[0] - tt[np.maximum(m - 1, 0)], 0.0)
+        # the row sum with the fold's own-cell mass h[2i] kept in: matvec
+        # applies the whole Hankel part and this diagonal takes h[2i] back
+        self._dd = side + side[::-1] + (th[:n] - th[n:]) + _kill_rate(self.rates)
+        self.diag = self._dd - h[::2]
+
+        # the band and the nearest offsets as a stencil; the far Toeplitz
+        # tail (circulant of size 2n) and the fold (a correlation, with no
+        # wrap at size 2n) share one FFT pair per product
+        self._near = t[1 : _NEAR + 1]
+        far = np.zeros(2 * n)
+        far[_NEAR + 1 : n] = t[_NEAR + 1 :]
+        far[n + 1 :] = far[n - 1 : 0 : -1]
+        self._far_f = np.fft.rfft(far)
+        self._fold_f = np.fft.rfft(h, 2 * n)
+        self._t = t
+
+    def matvec(self, X):
+        """-A X for an (n, k) block X."""
+        n = X.shape[0]
+        Y = self._dd[:, None] * X
+        for k, tk in enumerate(self._near, 1):
+            Y[k:] -= tk * X[:-k]
+            Y[:-k] -= tk * X[k:]
+        F = np.fft.rfft(X, 2 * n, axis=0)
+        F = self._far_f[:, None] * F + self._fold_f[:, None] * F.conj()
+        Y -= np.fft.irfft(F, 2 * n, axis=0)[:n]
+        return Y
+
+    def circulant_eigenvalues(self):
+        """Eigenvalues of T. Chan's optimal circulant approximation of
+        mean(diag) I minus the Toeplitz part: first column
+        c[k] = ((n - k) a[k] + k a[n - k]) / n of the Toeplitz column a."""
+        n = self._t.size
+        col = -self._t
+        col[0] = np.mean(self.diag)
+        k = np.arange(n)
+        c = ((n - k) * col + k * np.roll(col[::-1], 1)) / n
+        return np.fft.rfft(c).real
+
+
+def _pcg(op, B, what):
+    """Solve op X = B for the columns of B by preconditioned conjugate
+    gradients in lockstep; returns X and the number of iterations.
+
+    A column stops at ||r|| <= _CG_RTOL ||b||.  A non-positive eigenvalue
+    of the preconditioner, a curvature p^T A p <= 0 (the operator is not
+    positive definite) and _CG_MAX_ITER iterations raise SolverError
+    naming ``what``.
+    """
+    lam = op.circulant_eigenvalues()
+    if not np.min(lam) > 0.0:
+        raise SolverError(
+            f"{what}: the circulant preconditioner has a non-positive eigenvalue "
+            f"({np.min(lam):.3g})"
+        )
+    n = B.shape[0]
+
+    def precondition(R):
+        return np.fft.irfft(np.fft.rfft(R, axis=0) / lam[:, None], n, axis=0)
+
+    X = np.zeros_like(B)
+    R = B.copy()
+    stop = _CG_RTOL * np.linalg.norm(B, axis=0)
+    act = np.flatnonzero(np.linalg.norm(R, axis=0) > stop)  # columns still running
+    Z = precondition(R[:, act])
+    P = Z
+    rz = np.vecdot(R[:, act], Z, axis=0)
+    it = 0
+    while act.size:
+        if it == _CG_MAX_ITER:
+            res = np.linalg.norm(R[:, act], axis=0) / np.linalg.norm(B[:, act], axis=0)
+            raise SolverError(
+                f"{what}: conjugate gradients did not converge in {_CG_MAX_ITER} "
+                f"iterations (relative residual {np.max(res):.3g})"
+            )
+        it += 1
+        Q = op.matvec(P)
+        pq = np.vecdot(P, Q, axis=0)
+        if not np.all(pq > 0.0):
+            raise SolverError(
+                f"{what}: the generator lost positive definiteness "
+                f"(p^T A p = {np.min(pq):.3g} at iteration {it})"
+            )
+        alpha = rz / pq
+        X[:, act] += alpha * P
+        R[:, act] -= alpha * Q
+        run = np.linalg.norm(R[:, act], axis=0) > stop[act]
+        act, P, rz = act[run], P[:, run], rz[run]
+        Z = precondition(R[:, act])
+        rz_new = np.vecdot(R[:, act], Z, axis=0)
+        P = Z + (rz_new / rz) * P
+        rz = rz_new
+    return X, it
 
 
 def _shelf_solve(ks: KernelSet, a: float, R: float):
-    """(grid, P) for the kind Z problem on (a, R): P[:, 0] is the probability
-    of exiting above R, P[:, 1] that of being absorbed at the shelf.
-
-    The generator is built, consumed by the solve and freed on return, so
-    only one shelf's n x n matrix is alive at a time.
+    """(grid, P, stats) for the kind Z problem on (a, R): P[:, 0] is the
+    probability of exiting above R, P[:, 1] that of being absorbed at the
+    shelf, and stats holds the solve's iteration count and its recomputed
+    relative residual.  No n x n array is made.
     """
     n = int(np.clip(round(SHELF_CELLS * (R - a) / a), 256, SHELF_N_CAP))
     grid = Grid(a, R, n)
-    gen = build_generator(ks, grid, "Z")
-    down, up, dk = gen.exit_rates
+    op = _ShelfOperator(ks, grid)
+    down, up, dk = op.rates
     # match the generator's wall-corrected kill masses so that the two
     # exit routes partition the whole probability: p_up + p_shelf = 1
     rates = np.column_stack([up, down])
     rates[-1, 0] += dk
     rates[0, 1] += dk
-    # -A is symmetric positive definite by construction (strictly
-    # diagonally dominant with a positive diagonal); negate it in place
-    np.negative(gen.A, out=gen.A)
-    try:
-        P = _spd_solve(gen.A, rates)
-    except np.linalg.LinAlgError as e:
-        raise SolverError(
-            f"exit solve failed at shelf a={a}: the generator lost positive "
-            f"definiteness ({e})"
-        ) from e
-    # M 1 = up + down, so the two columns sum to 1 up to the solve's roundoff
+    P, iters = _pcg(op, rates, f"exit solve failed at shelf a={a}")
+    resid = np.linalg.norm(rates - op.matvec(P), axis=0) / np.linalg.norm(rates, axis=0)
+    # -A 1 = up + down, so the two columns sum to 1 up to the solve's roundoff
     gap = float(np.max(np.abs(P[:, 0] + P[:, 1] - 1.0)))
     if not gap <= 1e-9:
         raise SolverError(
             f"exit solve at shelf a={a}: p_exit + p_shelf misses 1 by {gap:.3g}"
         )
-    return grid, P
+    return grid, P, {"cg_iterations": iters, "residual": float(resid.max())}
 
 
 def exit_alive_prob(
@@ -639,9 +748,13 @@ def exit_alive_prob(
     (the upper bound).  The literal exterior integrals enter as exact
     per-node jump-tail rates, so no exterior mesh is involved.
 
-    Each shelf's negated generator is factored in place by a blocked
-    Cholesky, which consumes it, and is freed before the next shelf is
-    built.  A generator that is not positive definite, or exit and shelf
+    Each shelf is solved matrix-free (``_ShelfOperator``, ``_pcg``): its
+    generator is held as O(n) per-offset cell masses and never formed, and
+    both columns run by circulant-preconditioned conjugate gradients with
+    FFT products.  ``per_a`` records, per shelf, its cell count ``n``, the
+    iteration count ``cg_iterations`` and the recomputed relative residual
+    ``residual``.  An operator that is not positive definite, a solve that
+    does not converge within _CG_MAX_ITER iterations, and exit and shelf
     probabilities that do not sum to 1 within 1e-9, raise SolverError.
     """
     R = float(R)
@@ -661,14 +774,14 @@ def exit_alive_prob(
     hR, *h_shelves = ks.h_comp([R, *a_list])
     lowers, uppers, per_a = [], [], []
     for a, ha in zip(a_list, h_shelves):
-        grid, P = _shelf_solve(ks, a, R)
+        grid, P, stats = _shelf_solve(ks, a, R)
         xs = grid.nodes()
         p_up = np.interp(x_arr, xs, P[:, 0])
         p_dn = np.interp(x_arr, xs, P[:, 1])
         corr = ha / hR
         lowers.append(p_up)
         uppers.append(p_up + (1.0 - p_up) * corr)
-        per_a.append({"a": a, "n": grid.n, "p_exit": p_up, "p_shelf": p_dn})
+        per_a.append({"a": a, "n": grid.n, "p_exit": p_up, "p_shelf": p_dn, **stats})
 
     lower = np.maximum.reduce(lowers)
     upper = np.minimum.reduce(uppers)

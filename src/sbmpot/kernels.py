@@ -406,8 +406,12 @@ class KernelSet:
         """Inverse of phi_cap, solved by bisection on log(x^{-2}).
 
         Brackets come in closed form from the extreme mixture terms, then
-        100 bisection steps pin the root to full double precision.  The
-        round trip phi_cap(phi_cap_inv(y)) = y holds to ~1e-13 relative.
+        up to 100 bisection steps pin the root to full double precision.  A
+        step that leaves both ends unchanged has reached the fixed point,
+        since each step is a function of the ends alone; the loop stops
+        there with the bits of all 100 steps (a pure power's bracket is
+        exact, so it stops at the first).  The round trip
+        phi_cap(phi_cap_inv(y)) = y holds to ~1e-13 relative.
         A bracket that leaves the normal doubles raises DomainError, as
         ``phi_cap`` does.
         """
@@ -434,8 +438,10 @@ class KernelSet:
         for _ in range(100):
             s_mid = 0.5 * (s_lo + s_hi)
             too_low = phi_eval(self.phi, np.exp(s_mid)) < u
-            s_lo = np.where(too_low, s_mid, s_lo)
-            s_hi = np.where(too_low, s_hi, s_mid)
+            lo, hi = np.where(too_low, s_mid, s_lo), np.where(too_low, s_hi, s_mid)
+            if np.array_equal(lo, s_lo) and np.array_equal(hi, s_hi):
+                break
+            s_lo, s_hi = lo, hi
         t = np.exp(0.5 * (s_lo + s_hi))
         return _float_if_0d(1.0 / np.sqrt(t))
 

@@ -247,10 +247,18 @@ def _usable_cpus():
 class _Pool:
     """Worker processes forked for the walk, with the pid that forked them
     and the `sample_increment` they were forked with.  Workers ignore
-    SIGINT, so an interrupted walk leaves the pool usable."""
+    SIGINT, so an interrupted walk leaves the pool usable.
+
+    The pool is shut down at interpreter exit, before module teardown: left
+    to be collected there, its executor's callback could run after
+    ``concurrent.futures.process`` was torn down and print "Exception
+    ignored in ... weakref_cb", depending on import order.  A process forked
+    from the one that made the pool does not shut it down.
+    """
 
     def __init__(self):
         # kept out of `import sbmpot`, which never walks
+        import atexit
         import multiprocessing
         import signal
         from concurrent.futures import ProcessPoolExecutor
@@ -263,6 +271,11 @@ class _Pool:
             initializer=signal.signal,
             initargs=(signal.SIGINT, signal.SIG_IGN),
         )
+        atexit.register(self.shutdown)
+
+    def shutdown(self):
+        if os.getpid() == self.pid:
+            self.executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _walk_pool(blocks):

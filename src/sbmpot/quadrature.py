@@ -134,16 +134,23 @@ class QuadResult:
     converged: bool
 
 
+def _check_finite(fx, x):
+    """Raise QuadratureError naming the first abscissa x where the integrand
+    values fx are not finite."""
+    if not np.all(np.isfinite(fx)):
+        fx, x = np.broadcast_arrays(fx, x)
+        bad = x[~np.isfinite(fx)][0]
+        raise QuadratureError(
+            f"integrand returned a non-finite value near x = {float(bad)!r}"
+        )
+
+
 def _gk15_values(f, x, args=()):
     """Integrand values at the nodes x, checked for shape and finiteness."""
     fx = np.asarray(f(x, *args), dtype=float)
     if fx.shape != x.shape:
         raise QuadratureError("integrand must be vectorized (ndarray in, ndarray out)")
-    if not np.all(np.isfinite(fx)):
-        bad = x[~np.isfinite(fx)][0]
-        raise QuadratureError(
-            f"integrand returned a non-finite value near x = {float(bad)!r}"
-        )
+    _check_finite(fx, x)
     return fx
 
 
@@ -374,12 +381,16 @@ def _power_sub_rows(f, end, other, m, args=()):
     x = end + (other-end) t^m with m = _sub_power(p) turns the integrand
     into O(t^{m(1+p)-1}) = O(t) or better, which the Kronrod rule digests.
     The integrand takes (t, end, span, *args) and passes ``args`` on to
-    ``f``.
+    ``f``.  A non-finite value of ``f`` is refused naming its own abscissa
+    end + span t^m, not t.
     """
 
     def g(t, e, s, *rest):
         tm = np.power(t, m)
-        return f(e + s * tm, *rest) * (s * m) * np.power(t, m - 1)
+        x = e + s * tm
+        fx = f(x, *rest)
+        _check_finite(fx, x)
+        return fx * (s * m) * np.power(t, m - 1)
 
     n = end.size
     return g, np.zeros(n), np.ones(n), (end, other - end, *args)

@@ -5,12 +5,14 @@ special-function closed forms, a convergent alternating series for the
 one-sided stable law and a sampler of it by its product representation
 (the subordinated route of the walk's increments), and the classical interval exit laws of the
 symmetric stable process and its Green function killed at the origin.
-Three exceptions take package parts: the full-matrix generator assembly
+Four exceptions take package parts: the full-matrix generator assembly
 takes the package's kernel inputs and is independent only in how it
 assembles them, the heap loop of adaptive quadrature takes the
 package's GK15 panel rule and is independent only in the order it refines,
-and the one-panel error model takes the engine's error floor and is
-independent only in running on floats.
+the one-panel error model takes the engine's error floor and is
+independent only in running on floats, and the scale function's inverse
+takes the package's phi and is independent only in running all its
+bisection steps.
 Frozen constants carry their regeneration
 function; tests assert the two agree, so a stale constant cannot hide.
 """
@@ -21,6 +23,7 @@ import math
 import numpy as np
 
 import sbmpot.quadrature as quad
+from sbmpot.bernstein import phi_eval
 from sbmpot.errors import DomainError
 from sbmpot.interval_solver import _exit_rates
 
@@ -411,3 +414,24 @@ UQ0_ALPHA15 = {
 
 # regenerate: levy_c_closed(1.5)
 LEVY_C_ALPHA15 = 0.2992067103010746
+
+
+# -- the scale function's inverse ---------------------------------------------------
+
+
+def phi_cap_inv_full(ks, y):
+    """``KernelSet.phi_cap_inv`` for an array y whose brackets are normal
+    doubles, with all 100 bisection steps run: the reference for the
+    package's loop, which stops at the fixed point."""
+    u = 1.0 / np.asarray(y, dtype=float)
+    ws = np.asarray(ks.phi.weights())
+    ds = np.asarray(ks.phi.exponents())
+    with np.errstate(over="ignore", under="ignore"):
+        s_hi = np.log(np.min(np.power(u[..., None] / ws, 1.0 / ds), axis=-1))
+        s_lo = np.log(np.min(np.power(u[..., None] / (len(ws) * ws), 1.0 / ds), axis=-1))
+    for _ in range(100):
+        s_mid = 0.5 * (s_lo + s_hi)
+        too_low = phi_eval(ks.phi, np.exp(s_mid)) < u
+        s_lo = np.where(too_low, s_mid, s_lo)
+        s_hi = np.where(too_low, s_hi, s_mid)
+    return 1.0 / np.sqrt(np.exp(0.5 * (s_lo + s_hi)))

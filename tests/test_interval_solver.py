@@ -33,9 +33,10 @@ from sbmpot import interval_solver
 from sbmpot import montecarlo
 from sbmpot.interval_solver import (
     _BLOCK,
-    _CHOL_BLOCK,
+    _CG_MAX_ITER,
+    _ShelfOperator,
     _exit_rates,
-    _spd_solve,
+    _shelf_solve,
 )
 
 from oracles import (
@@ -380,67 +381,106 @@ def test_exit_alive_bracket(stable_ks):
     assert np.all(np.diff(rep.value) > 0.0)  # increasing in x
     assert rep.shrank
     # the shelf and the far exterior share out the whole probability, up to
-    # the roundoff of a dense solve at n ~ 4000 (1.5e-12 on the middle shelf)
+    # the roundoff of the matrix-free solve at n ~ 4000 (6.4e-13 on the
+    # 4096-cell shelf)
     for p in rep.per_a:
         np.testing.assert_allclose(p["p_exit"] + p["p_shelf"], 1.0, rtol=0.0, atol=1e-11)
+        assert 0 < p["cg_iterations"] < _CG_MAX_ITER
+        assert p["residual"] < 1e-13
 
 
-def _shelf_system(ks, a, n):
-    """(-A, B) of the kind Z exit problem on (a, 1) with n cells."""
-    gen = build_generator(ks, Grid(a, 1.0, n), "Z")
-    lo, hi, _ = gen.exit_rates
-    return -gen.A, np.column_stack([hi, lo])
+# the default shelves of (0, 1) and two at the 256-cell floor and above it
+SHELVES = [(0.05, 256), (4.0 / 304.0, 300), (0.004, 996), (0.001, 3996), (0.00025, 4096)]
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
-def test_spd_solve_matches_lu_off_the_block(stable_ks, n):
-    # none of these is a multiple of the block, so the last block is short
-    assert n % _CHOL_BLOCK
-    M, B = _shelf_system(stable_ks, 0.05, n)
-    want = np.linalg.solve(M, B)
-    np.testing.assert_allclose(_spd_solve(M, B), want, rtol=1e-10, atol=0.0)
+@pytest.mark.parametrize("a, n", SHELVES, ids=[str(n) for _, n in SHELVES])
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+def test_matrix_free_shelf_solve_matches_lu(ks_name, a, n, request):
+    # the matrix-free solve against a dense LU solve of the same generator
+    ks = request.getfixturevalue(ks_name)
+    grid, P, _ = _shelf_solve(ks, a, 1.0)
+    assert grid == Grid(a, 1.0, n)
+    gen = build_generator(ks, grid, "Z")
+    lo, hi, dk = gen.exit_rates
+    B = np.column_stack([hi, lo])
+    B[-1, 0] += dk
+    B[0, 1] += dk
+    want = np.linalg.solve(-gen.A, B)
+    del gen
+    np.testing.assert_allclose(P, want, rtol=0.0, atol=1e-11)
 
 
-def test_spd_solve_matches_lu_on_the_shelf_generators(stable_ks):
-    # the two largest default shelves: 3996 and 4096 (the cap) cells
-    for a, n in ((0.001, 3996), (0.00025, 4096)):
-        M, B = _shelf_system(stable_ks, a, n)
-        want = np.linalg.solve(M, B)
-        np.testing.assert_allclose(_spd_solve(M, B), want, rtol=1e-10, atol=0.0)
-        del M
+@pytest.mark.parametrize("n", [8, 10, 300, 996, 3996])
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+def test_shelf_operator_matvec_is_the_generator(ks_name, n, request):
+    # the per-offset masses, the telescoped diagonal and the FFT products
+    # apply -A; at n = 8 and 10 every or nearly every offset is direct
+    ks = request.getfixturevalue(ks_name)
+    grid = Grid(4.0 / (n + 4.0), 1.0, n)
+    op = _ShelfOperator(ks, grid)
+    gen = build_generator(ks, grid, "Z")
+    for got, want in zip(op.rates, gen.exit_rates):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(op.diag, -np.diag(gen.A), rtol=1e-13, atol=0.0)
+    x = np.random.default_rng(n).standard_normal((n, 2))
+    want = -gen.A @ x
+    del gen
+    np.testing.assert_allclose(op.matvec(x), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
-def test_spd_solve_makes_no_n_by_n_copy(stable_ks):
-    # the largest temporary is (n, _CHOL_BLOCK), an eighth of M at n = 1024;
-    # a stray n x n copy would be all of it
-    M, B = _shelf_system(stable_ks, 0.05, 1024)
-    nbytes = M.nbytes
+def test_shelf_solve_makes_no_n_by_n_array(stable_ks, monkeypatch):
+    # an n x n array of doubles is 8 MB at n = 1024; the solve's own arrays
+    # are O(n).  The kill rates' quadrature, also O(n) and shared with the
+    # dense build, runs before the trace
+    a = 4.0 / 1028.0
+    grid = Grid(a, 1.0, 1024)
+    rates = _exit_rates(stable_ks, grid, "Z")
+    monkeypatch.setattr(
+        interval_solver, "_exit_rates", lambda ks, g, kind: tuple(np.copy(r) for r in rates)
+    )
     tracemalloc.start()
     try:
-        _spd_solve(M, B)
+        assert _shelf_solve(stable_ks, a, 1.0)[0] == grid
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < nbytes / 4
+    assert peak < grid.n**2 * 8 / 4
 
 
-def test_exit_solve_rejects_an_indefinite_generator(stable_ks, monkeypatch):
-    def indefinite(ks, grid, kind):
-        gen = build_generator(ks, grid, kind)
-        gen.A[200, 200] *= -1.0  # a negative diagonal entry of -A
-        return gen
+def test_exit_solve_rejects_an_indefinite_generator(stable_ks, mixture_ks, monkeypatch):
+    make = interval_solver._ShelfOperator
 
-    monkeypatch.setattr(interval_solver, "build_generator", indefinite)
+    def indefinite(ks, grid):
+        op = make(ks, grid)
+        op._dd[200] -= 2.0 * op.diag[200]  # a negative diagonal entry of -A
+        op.diag[200] *= -1.0
+        return op
+
+    monkeypatch.setattr(interval_solver, "_ShelfOperator", indefinite)
     with pytest.raises(SolverError, match="a=0.004: the generator lost positive"):
         exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=(0.004,))
+    # the mixture's entry takes the mean diagonal below what the Toeplitz
+    # part needs, so the preconditioner refuses it before any iteration
+    with pytest.raises(SolverError, match="a=0.004: the circulant preconditioner has a non-pos"):
+        exit_alive_prob(mixture_ks, 1.0, 0.5, a_seq=(0.004,))
 
 
 def test_exit_solve_rejects_a_broken_partition(stable_ks, monkeypatch):
     # exit and shelf probabilities must sum to 1 at every node
-    monkeypatch.setattr(
-        interval_solver, "_spd_solve", lambda M, B: np.linalg.solve(M, B) * (1.0 + 1e-8)
-    )
+    pcg = interval_solver._pcg
+
+    def off(op, B, what):
+        X, iters = pcg(op, B, what)
+        return X * (1.0 + 1e-8), iters
+
+    monkeypatch.setattr(interval_solver, "_pcg", off)
     with pytest.raises(SolverError, match="p_exit \\+ p_shelf misses 1"):
+        exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=(0.004,))
+
+
+def test_exit_solve_rejects_an_iteration_cap(stable_ks, monkeypatch):
+    monkeypatch.setattr(interval_solver, "_CG_MAX_ITER", 2)
+    with pytest.raises(SolverError, match="a=0.004: conjugate gradients did not converge in 2 "):
         exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=(0.004,))
 
 

@@ -23,6 +23,7 @@ from oracles import (
     UQ0_ALPHA15,
     h1_closed,
     levy_c_closed,
+    phi_cap_inv_full,
     uq0_closed,
 )
 
@@ -619,6 +620,17 @@ def test_phi_cap_round_trip(stable_ks, mixture_ks):
         stable_ks.phi_cap(-1.0)
     with pytest.raises(DomainError):
         stable_ks.phi_cap_inv(0.0)
+
+
+def test_phi_cap_inv_stops_at_the_fixed_point(stable_ks, mixture_ks):
+    # the bisection stops once a step moves neither end; every later step
+    # would not move them either, so the result is the 100-step loop's bits
+    for ks in (stable_ks, mixture_ks):
+        # from the smallest to the largest x whose x^-2 is a normal double
+        y = ks.phi_cap(np.logspace(-153.0, 153.0, 307))
+        for v in (y, y[:1], y[-1:], y[150:151]):
+            assert ks.phi_cap_inv(v).tobytes() == phi_cap_inv_full(ks, v).tobytes()
+        assert ks.phi_cap_inv(float(y[100])) == float(phi_cap_inv_full(ks, y[100:101])[0])
 
 
 def test_gx_estimate_band(stable_ks):

@@ -386,6 +386,35 @@ def test_import_leaves_the_pool_modules_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_the_pool_is_shut_down_at_exit():
+    # a walk of two blocks makes the pool; the module is kept alive past
+    # module teardown from sys, as a test runner's modules keep it, which
+    # without the exit shutdown printed "Exception ignored in ...
+    # weakref_cb" from the executor collected there
+    src = str(Path(mc.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from sbmpot import PhiSpec, montecarlo\n"
+        "montecarlo._usable_cpus = lambda: 2\n"
+        "cfg = montecarlo.PathConfig(dt=1e-2, t_max=1.0, x0=1.5, interval=(1.0, 2.0), "
+        "n_paths=2 * montecarlo._LANES, seed=1)\n"
+        "montecarlo.simulate_exit(cfg, PhiSpec.stable(0.75))\n"
+        "print(*(p.pid for p in montecarlo._pool.executor._processes.values()))\n"
+        "sys._walk_module = montecarlo\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        check=True,
+    )
+    assert out.stderr == ""
+    pids = [int(p) for p in out.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:  # joined by the exiting process, so not even a zombie
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 def test_simulate_exit_statistics(stable_spec):
     cfg = PathConfig(dt=1e-2, t_max=50.0, x0=1.5, interval=(1.0, 2.0), n_paths=100, seed=99)
     st = simulate_exit(cfg, stable_spec)

@@ -110,6 +110,20 @@ def test_nonfinite_integrand_rejected():
     assert str(e.value) == "integrand returned a non-finite value near x = 0.5"
 
 
+def test_nonfinite_value_in_a_substituted_piece_names_the_abscissa():
+    # left_exponent -1/2 maps [0, 1] by x = t^4; f is inf only for x in
+    # (0.3, 0.4), which t in (0.74, 0.80) maps there, so naming t would
+    # name a point outside it
+    def f(x):
+        return np.where((x > 0.3) & (x < 0.4), np.inf, np.abs(x) ** -0.5 + 1.0)
+
+    with np.errstate(divide="ignore"), pytest.raises(QuadratureError) as e:
+        integrate_adaptive(f, 0.0, 1.0, left_exponent=-0.5)
+    named = float(str(e.value).rsplit("= ", 1)[1])
+    assert 0.3 < named < 0.4
+    assert str(e.value).startswith("integrand returned a non-finite value near x = ")
+
+
 def test_oscillatory_validation():
     with pytest.raises(DomainError):
         integrate_oscillatory_cos(lambda t: t, -1.0, tail_exponent=2.0)

@@ -11,6 +11,7 @@ from sbmpot import (
     ExitAliveReport,
     KernelSet,
     PhiSpec,
+    QuadratureError,
     RunConfig,
     emit_report,
     load_report,
@@ -169,6 +170,14 @@ def test_mean_step_needs_delta_min_above_half():
     for spec in (PhiSpec.stable(0.5), PhiSpec.mixture(((1.0, 0.4), (1.0, 0.9)))):
         with pytest.raises(ConfigError):
             KernelSet(spec).mean_abs_step(1e-3)
+
+
+def test_mean_step_refusal_names_xi():
+    # from delta_min near 0.505 down xi itself underflows at the left end:
+    # the refusal names the integrand's xi = 0.0, not the substitution's t
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(QuadratureError) as e:
+        KernelSet(PhiSpec.stable(0.505)).mean_abs_step(1e-2)
+    assert str(e.value) == "integrand returned a non-finite value near x = 0.0"
 
 
 def test_run_verify_validates_inputs(small_cfg):
