@@ -137,9 +137,8 @@ class PhiSpec:
 
 def _as_positive_array(x, what):
     arr = np.asarray(x, dtype=float)
-    # min, not all(arr > 0): nan still fails, and no bool array of arr's
-    # size is made, which a generator worker thread would leave resident
-    # in its own malloc arena
+    # min, not all(arr > 0): one reduction and no bool temporary of arr's
+    # size, on every block of the generator's assembly; nan still fails
     if arr.size and not arr.min() > 0.0:
         raise DomainError(f"{what} must be strictly positive")
     return arr

@@ -28,16 +28,6 @@ negated generator is held as O(n) per-offset masses and its diagonal, and
 solved by conjugate gradients with FFT products and T. Chan's optimal
 circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).  Green
 matrices keep the dense per-entry generator.
-
-A generator of _THREAD_MIN_N cells or more is assembled on worker threads,
-one per usable CPU (the walk's rule), while numpy's power and arithmetic
-release the interpreter lock.  The workers write disjoint parts of the
-matrix, so it is bitwise the serial build.  Each worker computes in flat
-scratch buffers that the calling thread allocates and frees: glibc gives
-each thread its own malloc arena, and block temporaries freed there stayed
-resident: with workers that allocated their own, the certification
-benchmark's peak RSS read 277 MB against 230 MB, and 230 MB under
-MALLOC_ARENA_MAX=1.
 """
 
 from __future__ import annotations
@@ -45,7 +35,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -88,23 +77,18 @@ DEFAULT_LAMBDA1 = 0.25
 DEFAULT_SHELF = 0.004
 DEFAULT_A_SEQ = (DEFAULT_SHELF, DEFAULT_SHELF / 4, DEFAULT_SHELF / 16)
 
-# cells across each shelf, and the dense-matrix cap that limits them
+# cells across each shelf, and the cap on a shelf's cell count.  No shelf
+# forms its matrix, so the cap bounds solve time, not memory; the certified
+# exit constants were measured with it in place
 SHELF_CELLS = 4.0
 SHELF_N_CAP = 4096
 
 # interior probe points per axis for refinement drift
 N_PROBE = 16
 
-# rows per block of the generator assembly: at n = 4096, kind Z, on two
-# worker threads (2 vCPUs), 32 and 64 rows timed alike (0.36-0.37 s a build,
-# median of 11), and 16 rows and 128 or more were slower
+# rows per block of the generator assembly: at n = 4096, kind Z, 16 to 64
+# rows timed alike and 128 or more were slower
 _BLOCK = 64
-
-# builds of fewer cells assemble on the calling thread alone.  On 2 vCPUs,
-# kind Z (median of 40 interleaved builds): threads cost 1-2 ms at n =
-# 512-896, tied at 996 (41 ms either way) and won 4 ms at 1100 and 0.15 s
-# at 3996; at n = 200-256 they cost 5-6 ms, and cli-solve runs many of those
-_THREAD_MIN_N = 1000
 
 # offsets of the shelf operator's Toeplitz part applied directly, as a
 # stencil; the farther ones and the fold go through the FFT, whose rounding
@@ -218,47 +202,6 @@ def _kill_rate(rates):
     return kappa
 
 
-def _assemble_rows(ks, xs, dx, c2, kind, A, starts, scratch):
-    """Write the off-band cell masses of the row blocks that start at
-    ``starts`` into A: rows r0:r1 from column r0 on, and their mirror.
-
-    The kernel is a power sum, so a cell's exact mass is a closed tail
-    difference; midpoint sampling would carry an O(1) relative error on the
-    steep cells nearest the band.  Every block array is a view of
-    ``scratch``, flat buffers of the largest block's size that the caller
-    owns, so no block-sized array is allocated here.
-    """
-    n = xs.size
-    for r0 in starts:
-        r1 = min(r0 + _BLOCK, n)
-        shape = (r1 - r0, n - r0)
-        D, T, W, blk, P = (b[: shape[0] * shape[1]].reshape(shape) for b in scratch)
-        k = np.arange(r1 - r0)
-        np.subtract(xs[r0:r1, None], xs[None, r0:], out=D)
-        np.abs(D, out=D)
-        D[k, k] = dx  # any positive distance; the diagonal is rebuilt later
-        np.subtract(D, 0.5 * dx, out=T)
-        ks.jump_tail_closed(T, out=blk, work=W)
-        np.add(D, 0.5 * dx, out=T)
-        blk -= ks.jump_tail_closed(T, out=D, work=W)  # D is spent by now
-        # the off-diagonals of the band are the cell treatment's c2 (the
-        # last row has no super-diagonal)
-        up = k[: n - r0 - 1]
-        blk[up, up + 1] = c2
-        blk[k[1:], k[:-1]] = c2
-        if kind == "Z":
-            # folded-part cell masses; the own-cell entry is overwritten when
-            # the diagonal is rebuilt, so no correction is needed there
-            np.add(xs[r0:r1, None], xs[None, r0:], out=D)
-            np.subtract(D, 0.5 * dx, out=T)
-            D += 0.5 * dx
-            ks.jump_tail_closed(T, out=P, work=W)
-            P -= ks.jump_tail_closed(D, out=T, work=W)
-            blk += P
-        A[r0:r1, r0:] = blk
-        A[r0:, r0:r1] = blk.T
-
-
 def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     """Assemble the discrete generator of one killed form.
 
@@ -270,16 +213,6 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     the block's first row on, and each block is mirrored into the lower
     triangle; the result is bitwise the full-matrix assembly, with half the
     kernel powers and no n x n temporaries.
-
-    From _THREAD_MIN_N cells on, the blocks run on worker threads, one per
-    usable CPU (``montecarlo._usable_cpus``); worker w takes blocks w,
-    w + W, ...  Each block writes only rows r0:r1 from column r0 on and
-    their mirror, so every entry gets the serial loop's bits whatever the
-    worker count.  The workers compute in scratch buffers that this thread
-    allocates, and frees before the kill rates' quadrature runs: buffers a
-    worker allocated itself would stay resident in its thread's malloc
-    arena (see the module docstring).  The threads are joined before this
-    returns, and a worker's exception is raised here.
 
     The diagonal is set to -(off-diagonal row sum + kappa_i), which makes
     the matrix symmetric by construction and pins the row-sum gap to the
@@ -297,36 +230,28 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     dx = grid.dx
     c2 = ks.band_coefficient(dx)
 
-    # the walk's CPU rule, imported at call time: a module-level import
-    # changed the order of module teardown at interpreter exit, and pytest
-    # runs that had walked then ended on "Exception ignored in ...
-    # weakref_cb" from the walk pool's executor
-    from . import montecarlo
-
+    # exact per-cell kernel masses: the kernel is a power sum, so the cell
+    # integral is a closed tail difference; midpoint sampling would carry an
+    # O(1) relative error on the steep cells nearest the band
     A = np.empty((n, n))
-    blocks = range(0, n, _BLOCK)
-    workers = min(montecarlo._usable_cpus(), len(blocks)) if n >= _THREAD_MIN_N else 1
-    # each worker's five block arrays, as flat buffers of the largest
-    # block's size (kinds X and Y never touch the fifth); one buffer per
-    # array, the size of one block temporary of the one-thread loop, since
-    # a single buffer per worker moved malloc's mmap threshold and raised
-    # cli-solve's peak RSS from about 217 to 230 MB
-    scratch = [[np.empty(min(_BLOCK, n) * n) for _ in range(5)] for _ in range(workers)]
-    fill = partial(_assemble_rows, ks, xs, dx, c2, kind, A)
-    if workers == 1:
-        fill(blocks, scratch[0])
-    else:
-        # imported here to keep it out of `import sbmpot`; the with joins
-        # every thread before the build returns, so none is alive when the
-        # walk pool forks
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            # worker w takes blocks w, w + W, ..., which balances the
-            # shrinking column ranges; list() reads every result, so a
-            # worker's exception is raised here
-            list(pool.map(fill, [blocks[w::workers] for w in range(workers)], scratch))
-    del scratch
+    for r0 in range(0, n, _BLOCK):
+        r1 = min(r0 + _BLOCK, n)
+        k = np.arange(r1 - r0)
+        D = np.abs(xs[r0:r1, None] - xs[None, r0:])
+        D[k, k] = dx  # any positive distance; the diagonal is rebuilt below
+        blk = ks.jump_tail_closed(D - 0.5 * dx) - ks.jump_tail_closed(D + 0.5 * dx)
+        # the off-diagonals of the band are the cell treatment's c2 (the
+        # last row has no super-diagonal)
+        up = k[: n - r0 - 1]
+        blk[up, up + 1] = c2
+        blk[k[1:], k[:-1]] = c2
+        if kind == "Z":
+            # folded-part cell masses; the own-cell entry is overwritten when
+            # the diagonal is rebuilt, so no correction is needed there
+            S = xs[r0:r1, None] + xs[None, r0:]
+            blk += ks.jump_tail_closed(S - 0.5 * dx) - ks.jump_tail_closed(S + 0.5 * dx)
+        A[r0:r1, r0:] = blk
+        A[r0:, r0:r1] = blk.T
 
     rates = _exit_rates(ks, grid, kind)
     np.fill_diagonal(A, 0.0)
@@ -547,7 +472,7 @@ def harmonic_extend(pt: PoissonTable, f, f_tail=None):
     u = pt.K @ (fz * zg.weights)
     if f_tail is not None:
         c, p = float(f_tail[0]), float(f_tail[1])
-        if c < 0.0:
+        if not c >= 0.0:  # nan fails too
             raise DomainError("tail coefficient must be nonnegative")
         rate = c * _rate_beyond(pt.ks, pt.green, zg.cut_hi, p)
         u = u + (pt.green.G * pt.grid.dx) @ rate
@@ -584,7 +509,7 @@ class _ShelfOperator:
     mass of node j seen from node i is t[|i - j|] + h[i + j]:
       t[1] = c2 (the band), t[k] = T((k - 1/2) dx) - T((k + 1/2) dx),
       h[s] = T(2a + (s + 1/2) dx) - T(2a + (s + 3/2) dx), s < 2n - 1,
-    the fold h entering the band as well, as in _assemble_rows.  That takes
+    the fold h entering the band as well, as in build_generator.  That takes
     about 3n kernel powers per term, against about 2n^2 for the dense build.
 
     The diagonal is the off-diagonal row sum plus _kill_rate, with each sum

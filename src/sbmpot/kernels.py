@@ -152,25 +152,23 @@ class KernelSet:
             out += c * np.power(arr, -1.0 - a)
         return _float_if_0d(out)
 
-    def jump_tail_closed(self, t, weight_exponent=0.0, *, out=None, work=None):
+    def jump_tail_closed(self, t, weight_exponent=0.0):
         """int_t^inf j(z) z^{-p} dz in closed form (power sum), t > 0.
 
-        ``out`` and ``work``, float arrays of t's shape, receive the result
-        and each term before it is summed, so a caller that owns them makes
-        the call without allocating an array of t's size; the value is
-        bitwise the allocating call's, since both run the same operations
-        in the same order.
+        Each term c z^{-1-a} integrates to c t^{-(a+p)} / (a+p), which is
+        finite only for a + p > 0, so p must be finite and above
+        -2 delta_min; any other p is refused by name.
         """
         arr = _as_positive_array(t, "tail start")
         p = float(weight_exponent)
-        out = np.empty_like(arr) if out is None else out
-        work = np.empty_like(arr) if work is None else work
-        out[...] = 0.0
+        if not (math.isfinite(p) and p > -2.0 * self.delta_min):
+            raise DomainError(
+                f"the weighted jump tail needs a finite p > -2 delta_min = "
+                f"{-2.0 * self.delta_min}, got p = {p}"
+            )
+        out = np.zeros_like(arr)
         for c, a in self._coefs():
-            np.power(arr, -(a + p), out=work)
-            work *= c
-            work /= a + p
-            out += work
+            out += c * np.power(arr, -(a + p)) / (a + p)
         return _float_if_0d(out)
 
     def jump_tail(self, t, cutoff):

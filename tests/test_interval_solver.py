@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -30,7 +28,6 @@ from sbmpot import (
     three_g_sup,
 )
 from sbmpot import interval_solver
-from sbmpot import montecarlo
 from sbmpot.interval_solver import (
     _BLOCK,
     _CG_MAX_ITER,
@@ -126,87 +123,16 @@ _BLOCK_NS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK + 44)
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
 @pytest.mark.parametrize(
     "kind, a, n",
-    # and the wall grid (0, 2) of kind X
-    [(kind, 1.0, n) for kind in "XYZ" for n in _BLOCK_NS] + [("X", 0.0, _BLOCK_NS[-1])],
+    # also the fewest cells a generator takes, and sizes of a few and of many
+    # blocks; and the wall grid (0, 2) of kind X
+    [(kind, 1.0, n) for kind in "XYZ" for n in (8, *_BLOCK_NS, 200, 1000, 1100)]
+    + [("X", 0.0, _BLOCK_NS[-1])],
 )
 def test_blocked_assembly_equals_the_dense_one(request, ks_name, kind, a, n):
     ks = request.getfixturevalue(ks_name)
     grid = Grid(a, 2.0, n)
     A = build_generator(ks, grid, kind).A
     assert np.array_equal(A, dense_generator_matrix(ks, grid, kind))
-
-
-def _build(ks, grid, kind, monkeypatch, cpus=None, threaded=False):
-    """build_generator with the walk's CPU count patched to ``cpus``, and
-    with ``threaded``, on worker threads at every n."""
-    with monkeypatch.context() as m:
-        if cpus is not None:
-            m.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        if threaded:
-            m.setattr(interval_solver, "_THREAD_MIN_N", 0)
-        return build_generator(ks, grid, kind)
-
-
-@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
-@pytest.mark.parametrize("kind", ["X", "Y", "Z"])
-@pytest.mark.parametrize("n", [8, 63, 65, 200, 1000, 1100])
-def test_threaded_assembly_equals_the_serial_one(request, monkeypatch, ks_name, kind, n):
-    # the blocks write disjoint parts of A, so neither the worker count nor
-    # the crossover moves a bit; 3 workers is more than the blocks of a
-    # small n, and than the cores of a small machine
-    ks = request.getfixturevalue(ks_name)
-    grid = Grid(0.004, 1.0, n)
-    serial = _build(ks, grid, kind, monkeypatch, cpus=1).A
-    assert np.array_equal(build_generator(ks, grid, kind).A, serial)
-    for cpus in (2, 3):
-        got = _build(ks, grid, kind, monkeypatch, cpus=cpus, threaded=True).A
-        assert np.array_equal(got, serial)
-
-
-def test_threaded_assembly_under_fast_thread_switching(mixture_ks, monkeypatch):
-    # more workers than cores, switching every microsecond: a block written
-    # over another's part of A would show as a changed bit
-    grid = Grid(0.004, 1.0, 1100)
-    serial = _build(mixture_ks, grid, "Z", monkeypatch, cpus=1).A
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _build(mixture_ks, grid, "Z", monkeypatch, cpus=7, threaded=True).A
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(got, serial)
-
-
-def test_threaded_assembly_joins_its_workers(stable_ks, monkeypatch):
-    seen = set()
-    real = KernelSet.jump_tail_closed
-
-    def spy(ks, t, *args, **kw):
-        seen.add(threading.get_ident())
-        return real(ks, t, *args, **kw)
-
-    monkeypatch.setattr(KernelSet, "jump_tail_closed", spy)
-    before = threading.active_count()
-    _build(stable_ks, Grid(0.004, 1.0, 300), "Z", monkeypatch, cpus=2, threaded=True)
-    # the assembly ran off the calling thread, and every worker is joined
-    assert seen - {threading.get_ident()}
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_a_worker_exception_reaches_the_caller(stable_ks, monkeypatch, cpus):
-    real = KernelSet.jump_tail_closed
-
-    def failing(ks, t, *args, out=None, **kw):
-        if out is not None:  # only the block assembly passes buffers
-            raise DomainError("tail start must be strictly positive")
-        return real(ks, t, *args, **kw)
-
-    monkeypatch.setattr(KernelSet, "jump_tail_closed", failing)
-    before = threading.active_count()
-    with pytest.raises(DomainError, match="^tail start must be strictly positive$"):
-        _build(stable_ks, Grid(0.004, 1.0, 300), "Z", monkeypatch, cpus=cpus, threaded=True)
-    assert threading.active_count() == before
 
 
 def test_generator_with_cells_wider_than_two(stable_ks):
@@ -372,6 +298,21 @@ def test_harmonic_extension_validation(poisson_x_256):
         harmonic_extend(pt, np.ones(3))
     with pytest.raises(DomainError):
         harmonic_extend(pt, -np.ones_like(pt.zgrid.nodes))
+
+
+def test_harmonic_extension_refuses_a_divergent_tail(poisson_x_256):
+    # f ~ c z^-p against the kernel's z^(-1 - 2 delta) tail converges only
+    # for p > -2 delta_min, -1.5 on stable 0.75
+    pt = poisson_x_256
+    ones = np.ones_like(pt.zgrid.nodes)
+    u = harmonic_extend(pt, ones, f_tail=(1.0, -1.0))
+    assert np.all(np.isfinite(u)) and np.all(u > 0.0)
+    assert np.all(u > harmonic_extend(pt, ones, f_tail=(1.0, 0.0)))
+    for p in (-1.5, -2.0, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"got p = {p}$"):
+            harmonic_extend(pt, ones, f_tail=(1.0, p))
+    with pytest.raises(DomainError, match="^tail coefficient must be nonnegative$"):
+        harmonic_extend(pt, ones, f_tail=(math.nan, 0.0))
 
 
 def test_exit_alive_bracket(stable_ks):

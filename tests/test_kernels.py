@@ -78,20 +78,24 @@ def test_jump_tail_closed_matches_quadrature(stable_ks, mixture_ks):
 
 
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
-@pytest.mark.parametrize("p", [0.0, 0.7])
-def test_jump_tail_closed_into_caller_buffers(request, ks_name, p):
-    # the generator's assembly passes buffers it owns; the value is bitwise
-    # the allocating call's and the power-sum loop's
+def test_jump_tail_closed_refuses_a_divergent_weight(request, ks_name):
+    # int_t^inf j(z) z^-p dz is finite only for p > -2 delta_min
     ks = request.getfixturevalue(ks_name)
+    edge = -2.0 * ks.delta_min
+    for p in (edge, edge - 0.5, -math.inf, math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"-2 delta_min = {edge}, got p = {p}$"):
+            ks.jump_tail_closed(2.0, p)
+    # a convergent weight keeps the power sum's bits, p = -1 included
     t = np.geomspace(1e-4, 1e3, 300).reshape(20, 15)
-    want = np.zeros_like(t)
-    for c, a in ks._coefs():
-        want += c * np.power(t, -(a + p)) / (a + p)
-    out, work = np.full_like(t, np.nan), np.full_like(t, np.nan)
-    got = ks.jump_tail_closed(t, p, out=out, work=work)
-    assert got is out
-    assert np.array_equal(got, want)
-    assert np.array_equal(ks.jump_tail_closed(t, p), want)
+    for p in (0.0, 0.7, -1.0):
+        want = np.zeros_like(t)
+        for c, a in ks._coefs():
+            want += c * np.power(t, -(a + p)) / (a + p)
+        assert np.array_equal(ks.jump_tail_closed(t, p), want)
+    ref = integrate_adaptive(
+        lambda z: ks.levy_j(z) * z, 2.0, math.inf, tail_exponent=2.0 * ks.delta_min
+    )
+    assert ks.jump_tail_closed(2.0, -1.0) == pytest.approx(ref.value, rel=1e-9)
 
 
 def test_jump_tail_with_cutoff_consistent(stable_ks):
