@@ -123,10 +123,12 @@ _BLOCK_NS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 4 * _BLOCK + 44)
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
 @pytest.mark.parametrize(
     "kind, a, n",
-    # also the fewest cells a generator takes, and sizes of a few and of many
-    # blocks; and the wall grid (0, 2) of kind X
-    [(kind, 1.0, n) for kind in "XYZ" for n in (8, *_BLOCK_NS, 200, 1000, 1100)]
-    + [("X", 0.0, _BLOCK_NS[-1])],
+    # and the wall grid (0, 2) of kind X; and, on a grid from near the
+    # origin, the fewest cells a generator takes and sizes of a few and of
+    # many blocks
+    [(kind, 1.0, n) for kind in "XYZ" for n in _BLOCK_NS]
+    + [("X", 0.0, _BLOCK_NS[-1])]
+    + [(kind, 0.004, n) for kind in "XYZ" for n in (8, 63, 65, 200, 1000, 1100)],
 )
 def test_blocked_assembly_equals_the_dense_one(request, ks_name, kind, a, n):
     ks = request.getfixturevalue(ks_name)
