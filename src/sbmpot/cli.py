@@ -9,6 +9,7 @@ deliver its result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -468,9 +469,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    # built on the first call of main, not at import: a process that calls
+    # main many times builds the argparse tree once
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, DomainError) as e:

@@ -179,11 +179,15 @@ class KernelSet:
         Not memoized: each distinct t of one call is integrated once, all of
         them in one pass of the adaptive engine, and each value equals a
         call at its own t alone bit for bit.  A t that does not converge
-        raises QuadratureError naming it.
+        raises QuadratureError naming it; a cutoff that is not finite and
+        positive raises ConfigError naming it.
         """
         arr = _as_positive_array(t, "tail start")
-        if not (cutoff > 0.0):
-            raise ConfigError("cutoff must be positive")
+        cutoff = float(cutoff)
+        if not (math.isfinite(cutoff) and cutoff > 0.0):
+            raise ConfigError(
+                f"the jump tail's cutoff must be finite and positive, got cutoff = {cutoff}"
+            )
         ts, inv = np.unique(arr.ravel(), return_inverse=True)
         r = integrate_adaptive_batch(self.levy_j, ts, ts + cutoff)
         head = converged_value(r, lambda i: f"jump tail integral at t={ts[i]}")

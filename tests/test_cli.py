@@ -439,3 +439,44 @@ def test_missing_spec_file(capsys, tmp_path):
     rc, _, err = _run(capsys, "phi", "show", "--spec", str(tmp_path / "none.json"))
     assert rc == 2
     assert "error:" in err
+
+
+def _outcome(capsys, argv):
+    # (exit code, stdout, stderr) of one main call; argparse rejects a
+    # request by raising SystemExit
+    try:
+        rc = main(list(argv))
+    except SystemExit as e:
+        rc = e.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_one_process_runs_many_commands_on_one_parser(capsys, tmp_path):
+    # main builds its parser once per process: commands run back to back,
+    # a rejected one among them, print what each prints on a fresh parser
+    import sbmpot.cli as cli
+
+    walk = ("mc", "exit", "--a", "0.05", "--b", "0.6", "--x0", "0.3",
+            "--dt", "1e-2", "--paths", "200", "--seed", "3")
+    requests = [
+        walk + ("--fold",),
+        ("solve", "green", "--a", "1", "--b", "2", "--n", "32", "--process", "z"),
+        ("mc", "exit", "--a", "1", "--b", "2", "--dt", "1e-2"),  # no --x0: exit 2
+        walk,
+        ("phi", "eval", "--lam", "0.5,2"),
+        ("solve", "green", "--a", "1", "--b", "2", "--n", "32", "--process", "x",
+         "--out", str(tmp_path / "green.csv")),
+        walk + ("--fold", "--seed", "4"),
+    ]
+    fresh = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    cli._parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in requests]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0]
+    assert "--x0" in shared[2][2]
+    assert shared[0][1] != shared[3][1]  # the fold changes the walk

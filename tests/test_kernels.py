@@ -111,6 +111,17 @@ def test_jump_tail_with_cutoff_consistent(stable_ks):
     )
 
 
+@pytest.mark.parametrize("cutoff", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_jump_tail_refuses_a_bad_cutoff_by_name(stable_ks, cutoff):
+    # inf used to reach the engine ("batched endpoints must be finite") and
+    # nan read "cutoff must be positive"
+    want = rf"cutoff must be finite and positive, got cutoff = {cutoff}$"
+    with pytest.raises(ConfigError, match=want):
+        stable_ks.jump_tail(0.5, cutoff)
+    with pytest.raises(ConfigError, match="cutoff"):
+        stable_ks.jump_tail(np.array([0.5, 2.0]), cutoff)
+
+
 def test_jump_tail_scalar_returns_float(stable_spec):
     val = KernelSet(stable_spec).jump_tail(0.5, 10.0)
     assert type(val) is float

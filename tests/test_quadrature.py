@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 import sbmpot.quadrature as quad
-from sbmpot import ConfigError, DomainError, QuadratureError, phi_eval
+from sbmpot import ConfigError, DomainError, KernelSet, QuadratureError, phi_eval
 from sbmpot.quadrature import (
     integrate_adaptive,
     integrate_adaptive_batch,
@@ -475,3 +475,92 @@ def test_a_budget_below_the_starting_panels_runs_nothing():
     assert [r.value[0], r.value[2]] == [alone[0].value[0], alone[1].value[0]]
     assert r.converged.tolist() == [True, False, True]
     assert (r.value[1], r.err_est[1], r.evals[1]) == (0.0, math.inf, 0)
+
+
+def _in_blocks(monkeypatch, size, f, a, b, **kw):
+    # integrate_adaptive_batch with its rows run in blocks of `size`
+    monkeypatch.setattr(quad, "_ROW_BLOCK", size)
+    return integrate_adaptive_batch(f, a, b, **kw)
+
+
+def _assert_same_bits(r, ref):
+    for field in ("value", "err_est", "evals", "converged"):
+        got, want = getattr(r, field), getattr(ref, field)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), field
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_row_blocks_equal_one_block(monkeypatch, mixture_ks, size):
+    # rows straddling the block boundaries, per-row budgets (a row below the
+    # 60 evaluations of its starting panels is not run, others run out),
+    # per-row parameter columns: every row gets the bits of the one-block run
+    ts = np.geomspace(1e-4, 5.0, 17)
+    one = functools.partial(_in_blocks, monkeypatch, ts.size)
+    blocked = functools.partial(_in_blocks, monkeypatch, size)
+    r = blocked(mixture_ks.levy_j, ts, ts + 3.0)
+    _assert_same_bits(r, one(mixture_ks.levy_j, ts, ts + 3.0))
+    assert r.converged.all()
+
+    f = lambda x: np.cos(50.0 * x) * np.cos(49.0 * x)
+    a, b = np.zeros(11), np.linspace(2.0, 12.0, 11)
+    budget = np.array([600, 59, 60, 200_000, 90, 120, 59, 3000, 61, 400, 200_000])
+    r = blocked(f, a, b, budget=budget)
+    _assert_same_bits(r, one(f, a, b, budget=budget))
+    assert r.evals[[1, 6]].tolist() == [0, 0] and r.err_est[[1, 6]].tolist() == [math.inf] * 2
+    assert not r.converged.all() and r.converged.any()
+    assert (r.evals <= budget).all()
+
+    g = lambda x, c, s: s * np.exp(-c * x)
+    c, s = np.linspace(0.1, 3.0, 10), np.linspace(1.0, -1.0, 10)
+    r = blocked(g, a[:10], b[:10], args=(c, s))
+    _assert_same_bits(r, one(g, a[:10], b[:10], args=(c, s)))
+    assert r.value.tolist() == [
+        integrate_adaptive_batch(g, a[i:i + 1], b[i:i + 1], args=(c[i:i + 1], s[i:i + 1])).value[0]
+        for i in range(10)
+    ]
+
+
+def test_row_blocks_at_the_width_floor(monkeypatch, quad_contract):
+    # rows that halt on frozen panels and rows that run out, in blocks of 3
+    quad_contract(abs_tol=1e-300, rel_tol=0.0, max_evals=5000)
+    a = np.array([1.0, 1e15, 0.0, 2.0, -3.0, 1.0, 0.5])
+    b = np.array([1.0 + 1e-13, 1e15 + 1.0, 10.0, 2.0 + 3e-14, -3.0 + 1e-12, 3.0, 0.75])
+    f = lambda x: np.exp(np.sin(7.0 * x))
+    r = _in_blocks(monkeypatch, 3, f, a, b)
+    _assert_same_bits(r, _in_blocks(monkeypatch, a.size, f, a, b))
+    _assert_rows_identical(r, _scalar_runs(f, a, b))
+    assert not r.converged.any()
+
+
+def test_row_blocks_refuse_a_non_finite_value_in_a_later_block(monkeypatch):
+    # the last row's first panels put a node on 2.5, where f is nan: its
+    # block, the third of three, names that node as the one-block run does
+    f = lambda x: np.where(x == 2.5, np.nan, np.exp(-x))
+    a = np.append(np.linspace(10.0, 20.0, 6), 0.0)
+    b = a + 4.0
+    for size in (3, a.size):
+        with pytest.raises(QuadratureError, match=r"near x = 2\.5$"):
+            _in_blocks(monkeypatch, size, f, a, b)
+    # without that row, the rows before it run
+    assert _in_blocks(monkeypatch, 3, f, a[:-1], b[:-1]).converged.all()
+
+
+def test_jump_tail_memory_is_bounded_by_the_row_block(stable_spec):
+    # the kind-Z tail starts of the 4096-cell shelf a = 0.00025 (12,288
+    # distinct t): run in row blocks the pass peaks near 5.7 MB traced; all
+    # rows in one lockstep block it peaked at 31 MB
+    import tracemalloc
+
+    from sbmpot.interval_solver import Z_MAX_FACTOR, Grid
+
+    grid = Grid(0.00025, 1.0, 4096)
+    xs, a, b = grid.nodes(), grid.a, grid.b
+    ts = np.concatenate([xs - a, xs + a, xs + b])
+    ks = KernelSet(stable_spec)
+    tracemalloc.start()
+    try:
+        ks.jump_tail(ts, Z_MAX_FACTOR * (b - a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"jump_tail peaked at {peak / 1e6:.1f} MB traced"
