@@ -86,8 +86,9 @@ SHELF_N_CAP = 4096
 # interior probe points per axis for refinement drift
 N_PROBE = 16
 
-# rows per block of the generator assembly: at n = 4096, kind Z, 16 to 64
-# rows timed alike and 128 or more were slower
+# rows per block of the generator assembly (at n = 4096, kind Z, 16 to 64
+# rows timed alike and 128 or more were slower) and of the Green matrix's
+# in-place symmetrization
 _BLOCK = 64
 
 # offsets of the shelf operator's Toeplitz part applied directly, as a
@@ -260,15 +261,34 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
 
 
 def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
-    """G = (-A)^{-1} / dx, symmetrized, with the raw asymmetry recorded."""
-    M = -gen.A
+    """G = (-A)^{-1} / dx, symmetrized, with the raw asymmetry recorded.
+
+    The only n x n array made is the one returned.  A is inverted and the
+    inverse negated in place: pivoting and every rounding of the LU solve
+    commute with negation, so that is bitwise inv(-A).  It is then
+    symmetrized in place, _BLOCK rows of its upper triangle at a time over
+    the columns from the block's first row on: each block and its mirror
+    read (0.5/dx) (up + lo), bitwise (0.5/dx) (G0 + G0.T) since addition
+    commutes, and the asymmetry max|G0 - G0.T| / max|G0| is read on the way.
+    """
     try:
-        G0 = np.linalg.inv(M)
+        G = np.linalg.inv(gen.A)
     except np.linalg.LinAlgError as e:
         raise SolverError(f"generator inversion failed: {e}") from e
-    scale = float(np.max(np.abs(G0)))
-    asym = float(np.max(np.abs(G0 - G0.T))) / scale if scale > 0 else 0.0
-    G = (0.5 / gen.grid.dx) * (G0 + G0.T)
+    np.negative(G, out=G)
+    scale = float(max(G.max(), -G.min()))
+    c = 0.5 / gen.grid.dx
+    n = G.shape[0]
+    diff = 0.0
+    for r0 in range(0, n, _BLOCK):
+        r1 = min(r0 + _BLOCK, n)
+        up = G[r0:r1, r0:]
+        lo = G[r0:, r0:r1].T
+        diff = max(diff, float(np.max(np.abs(up - lo))))
+        blk = c * (up + lo)
+        G[r0:r1, r0:] = blk
+        G[r0:, r0:r1] = blk.T
+    asym = diff / scale if scale > 0 else 0.0
     if not np.all(np.isfinite(G)):
         raise SolverError("Green matrix has non-finite entries")
     if np.min(G) <= 0.0:

@@ -243,9 +243,10 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     entry per row, that ``f`` receives after the nodes as ``f(nodes,
     *cols)``, each column (panels, 1) holding the entries of the panels'
     rows.  ``budget`` caps each row's evaluations (a scalar or one entry
-    per row); by default MAX_EVALS.  A row whose budget cannot hold the 60
-    evaluations of its starting panels is not run: value 0, err_est inf,
-    evals 0, unconverged.
+    per row); by default MAX_EVALS.  A budget or an ``args`` column of any
+    other length is refused before ``f`` is called.  A row whose budget
+    cannot hold the 60 evaluations of its starting panels is not run: value
+    0, err_est inf, evals 0, unconverged.
 
     Returns a QuadResult of arrays: value, err_est, evals, converged.
     """
@@ -259,7 +260,17 @@ def integrate_adaptive_batch(f, a, b, *, args=(), budget=None):
     if bad.size:
         raise DomainError(f"need a < b, got [{a[bad[0]]}, {b[bad[0]]}]")
     m = a.size
-    budget = np.broadcast_to(MAX_EVALS if budget is None else budget, (m,))
+    budget = MAX_EVALS if budget is None else budget
+    if np.ndim(budget) != 0 and np.shape(budget) != (m,):
+        raise ConfigError(
+            f"budget must be a scalar or one entry per row ({m} rows), got shape {np.shape(budget)}"
+        )
+    for i, c in enumerate(args):
+        if np.shape(c) != (m,):
+            raise ConfigError(
+                f"args[{i}] must hold one entry per row ({m} rows), got shape {np.shape(c)}"
+            )
+    budget = np.broadcast_to(budget, (m,))
     blocks = [
         _lockstep(f, a[k:k + _ROW_BLOCK], b[k:k + _ROW_BLOCK],
                   tuple(c[k:k + _ROW_BLOCK] for c in args), budget[k:k + _ROW_BLOCK])

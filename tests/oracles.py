@@ -249,6 +249,19 @@ def dense_generator_matrix(ks, grid, kind):
     return A
 
 
+def dense_green_matrix(A, dx):
+    """The Green matrix of ``green_matrix`` by whole-matrix expressions:
+    (G, asymmetry) with G0 = inv(-A), G = (0.5/dx) (G0 + G0.T) and the
+    asymmetry max|G0 - G0.T| / max|G0|.
+
+    The package negates inv(A) in place and symmetrizes in row blocks; this
+    is the independent route for that, and the two must agree bit for bit.
+    """
+    G0 = np.linalg.inv(-A)
+    scale = float(np.max(np.abs(G0)))
+    return (0.5 / dx) * (G0 + G0.T), float(np.max(np.abs(G0 - G0.T))) / scale
+
+
 # -- adaptive quadrature as a heap loop --------------------------------------------
 
 

@@ -45,6 +45,7 @@ from oracles import (
     bgr_killed_green,
     bgr_wall_mass,
     dense_generator_matrix,
+    dense_green_matrix,
     getoor_exit,
     wall_correction,
 )
@@ -180,6 +181,71 @@ def test_green_symmetric_positive(green_x_256):
     assert np.all(G > 0.0)
     assert np.max(np.abs(G - G.T)) / np.max(G) < 1e-10
     assert green_x_256.asymmetry < 1e-10
+
+
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize("n", [8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200, 1000])
+@pytest.mark.parametrize("kind", "XYZ")
+def test_green_matrix_equals_the_dense_one(request, ks_name, kind, n):
+    # in-place negation and row-block symmetrization against whole-matrix
+    # expressions, on either side of a block boundary and with a last
+    # partial block
+    ks = request.getfixturevalue(ks_name)
+    gen = build_generator(ks, Grid(1.0, 2.0, n), kind)
+    green = green_matrix(gen)
+    G, asym = dense_green_matrix(gen.A, gen.grid.dx)
+    assert np.array_equal(green.G, G)
+    assert green.asymmetry == asym
+
+
+def test_green_matrix_makes_one_n_by_n_array(stable_ks):
+    # the result is 8 MB at n = 1024; whole-matrix expressions made four
+    gen = build_generator(stable_ks, Grid(1.0, 2.0, 1024), "Z")
+    tracemalloc.start()
+    try:
+        green_matrix(gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * gen.grid.n**2
+
+
+def _hand_built(A):
+    A = np.array(A, dtype=float)
+    grid = Grid(1.0, 2.0, A.shape[0])
+    zero = np.zeros(grid.n)
+    return interval_solver.GeneratorMatrix("X", grid, A, (zero, zero, 0.0))
+
+
+def test_green_matrix_refuses_a_singular_generator():
+    with pytest.raises(SolverError, match="generator inversion failed"):
+        green_matrix(_hand_built(-np.ones((3, 3))))
+
+
+def test_green_matrix_refuses_a_non_finite_inverse():
+    A = -4.0 * np.eye(3) + 1.0
+    A[2, 1] = np.nan
+    with pytest.raises(SolverError, match="non-finite entries"):
+        green_matrix(_hand_built(A))
+
+
+def test_green_matrix_refuses_a_negative_entry():
+    # inv([[1, 2], [2, 1]]) = [[-1, 2], [2, -1]] / 3
+    with pytest.raises(SolverError, match="lost positivity"):
+        green_matrix(_hand_built(-np.array([[1.0, 2.0], [2.0, 1.0]])))
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (64, 0), (0, 64), (64, 64), (63, 64), (64, 63)])
+@pytest.mark.parametrize("bad, match", [(np.nan, "non-finite"), (-3.0, "lost positivity")])
+def test_green_matrix_guards_read_every_entry(monkeypatch, i, j, bad, match):
+    # one bad entry of (-A)^{-1}, in the first block or across the boundary
+    # of the last, partial one (65 = _BLOCK + 1 rows), reaches its guard
+    n = _BLOCK + 1
+    inv = -np.ones((n, n))
+    inv[i, j] = -bad
+    monkeypatch.setattr(np.linalg, "inv", lambda A: inv.copy())
+    with pytest.raises(SolverError, match=match):
+        green_matrix(_hand_built(-np.eye(n)))
 
 
 def test_exit_time_matches_interval_exit_law(stable_ks, green_x_256):

@@ -564,3 +564,22 @@ def test_jump_tail_memory_is_bounded_by_the_row_block(stable_spec):
     finally:
         tracemalloc.stop()
     assert peak < 10e6, f"jump_tail peaked at {peak / 1e6:.1f} MB traced"
+
+
+@pytest.mark.parametrize("budget", [np.array([600, 600]), np.full(4, 600), np.full((3, 1), 600)])
+def test_batch_refuses_a_budget_of_the_wrong_length(budget):
+    # refused by name before the integrand is called
+    calls = []
+    f = lambda x: calls.append(x) or np.exp(-x)
+    with pytest.raises(ConfigError, match=r"budget must be a scalar or one entry per row \(3 rows\)"):
+        integrate_adaptive_batch(f, np.zeros(3), np.ones(3), budget=budget)
+    assert not calls
+
+
+@pytest.mark.parametrize("col", [np.ones(2), np.ones(4), np.ones((3, 1)), 1.0])
+def test_batch_refuses_an_args_column_of_the_wrong_length(col):
+    calls = []
+    f = lambda x, c, s: calls.append(x) or s * np.exp(-c * x)
+    with pytest.raises(ConfigError, match=r"args\[1\] must hold one entry per row \(3 rows\)"):
+        integrate_adaptive_batch(f, np.zeros(3), np.ones(3), args=(np.ones(3), col))
+    assert not calls
