@@ -26,8 +26,10 @@ on the midpoint lattice every off-diagonal cell mass of kind Z depends on
 |i - j| (a Toeplitz part) or on i + j (the fold's Hankel part), so the
 negated generator is held as O(n) per-offset masses and its diagonal, and
 solved by conjugate gradients with FFT products and T. Chan's optimal
-circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).  Green
-matrices keep the dense per-entry generator.
+circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).  The
+closed jump tails behind those masses are also the shelf's kill rates, so
+a shelf integrates no tail by quadrature.  Green matrices keep the dense
+per-entry generator, whose kill rates are quadrature tails.
 """
 
 from __future__ import annotations
@@ -159,48 +161,36 @@ class GreenMatrix:
     asymmetry: float = 0.0
 
 
-def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
-    """Per-node rates of jumping below a and above b, and the wall correction.
+def _kill_split(T, n, kind):
+    """The (lo, hi) rates of jumping below a and above b, from the jump
+    tails T of the n nodes laid out as x - a, then x (kind Y) or x + a and
+    x + b (kind Z).
 
     With T(t) = int_t^inf j: kind X is killed by every jump out of (a, b);
     kind Y suppresses the jumps below 0, so only landings in (0, a) kill
     below; kind Z folds a landing y onto |y|, so (-a, a) kills below and
-    y < -b adds to the rate above.  The kill rate of node i is
-    lo[i] + hi[i], plus dk at the two wall nodes.
-
-    All tails come from one ``jump_tail`` call.  On the midpoint lattice
-    node i's distance to b is node n-1-i's distance to a, so the rates
-    above reuse the wall distances reversed.
+    y < -b adds to the rate above.  On the midpoint lattice node i's
+    distance to b is node n-1-i's distance to a, so the rates above reuse
+    the wall distances reversed.
     """
-    a, b, n = grid.a, grid.b, grid.n
-    xs = grid.nodes()
-    folds = {"X": [], "Y": [xs], "Z": [xs + a, xs + b]}[kind]
-    T = ks.jump_tail(np.concatenate([xs - a, *folds]), Z_MAX_FACTOR * (b - a))
     lo = T[:n]
     hi = lo[::-1]
     if kind != "X":
         lo = lo - T[n : 2 * n]
     if kind == "Z":
         hi = hi + T[2 * n :]
-    return lo, hi, ks.wall_correction(grid.dx)
+    return lo, hi
 
 
-def _kill_rate(rates):
-    """Per-node kill rate kappa of the generator built from the _exit_rates
-    split ``rates``: lo + hi, plus dk at the two wall nodes.
-
-    Wall cells: the kill rate diverges like d^{-2 delta} toward the wall
-    while solutions vanish like d^delta, so midpoint collocation of kappa in
-    the first cell underweights the absorption there by an O(1) factor.  The
-    singular wall-side component is reweighted by the profile-averaged
-    collocation factor; this is the difference between first-order and
-    near-second-order wall accuracy.
-    """
-    lo, hi, dk = rates
-    kappa = lo + hi
-    kappa[0] += dk
-    kappa[-1] += dk
-    return kappa
+def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
+    """The _kill_split of one ``jump_tail`` call, and the wall correction
+    dk: the kill rate of node i is lo[i] + hi[i], plus dk at the two wall
+    nodes."""
+    a, b = grid.a, grid.b
+    xs = grid.nodes()
+    folds = {"X": [], "Y": [xs], "Z": [xs + a, xs + b]}[kind]
+    T = ks.jump_tail(np.concatenate([xs - a, *folds]), Z_MAX_FACTOR * (b - a))
+    return *_kill_split(T, grid.n, kind), ks.wall_correction(grid.dx)
 
 
 def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
@@ -254,9 +244,15 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
         A[r0:r1, r0:] = blk
         A[r0:, r0:r1] = blk.T
 
-    rates = _exit_rates(ks, grid, kind)
+    # kill rate lo + hi, plus dk at the walls: the rate grows like
+    # d^{-2 delta} toward a wall where solutions vanish like d^delta, so a
+    # midpoint sample underweights a wall cell's absorption by an O(1)
+    # factor; dk reweights it by the profile average (near-second-order)
+    lo, hi, dk = rates = _exit_rates(ks, grid, kind)
+    kappa = lo + hi
+    kappa[[0, -1]] += dk
     np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -(A.sum(axis=1) + _kill_rate(rates)))
+    np.fill_diagonal(A, -(A.sum(axis=1) + kappa))
     return GeneratorMatrix(kind=kind, grid=grid, A=A, exit_rates=rates)
 
 
@@ -522,8 +518,8 @@ class ExitAliveReport:
 
 class _ShelfOperator:
     """The negated kind Z generator -A of ``build_generator(ks, grid, "Z")``,
-    matrix-free: O(n) per-offset cell masses, its diagonal and its kill
-    rates, applied to a block of columns by ``matvec``.
+    matrix-free: O(n) per-offset cell masses and its diagonal, applied to a
+    block of columns by ``matvec``, and its two exit columns ``exits``.
 
     With T = ``jump_tail_closed`` and x_i = a + (i + 1/2) dx, the cell
     mass of node j seen from node i is t[|i - j|] + h[i + j]:
@@ -532,33 +528,43 @@ class _ShelfOperator:
     the fold h entering the band as well, as in build_generator.  That takes
     about 3n kernel powers per term, against about 2n^2 for the dense build.
 
-    The diagonal is the off-diagonal row sum plus _kill_rate, with each sum
-    telescoped rather than added up: the Toeplitz part of one side with m
-    neighbours is c2 + T(3 dx/2) - T((m + 1/2) dx) (c2 alone for m = 1),
-    and the fold's is T(x_i + a) - T(x_i + b) - h[2i].  A cumulative sum
-    of h differenced instead put p_exit up to 2.1e-11 from a dense LU solve
-    on the mixture's 4096-cell shelf, where the telescoped sums stay within
-    1.3e-12.
+    The same 3n tails are the kill rates: T((k + 1/2) dx) for k < n, then
+    T(2a + (s + 1/2) dx) for s < 2n, is _kill_split's kind Z layout
+    x - a, x + a, x + b.  So no tail is integrated twice, and none by
+    quadrature; the dense build's quadrature rates agree to about 3e-13
+    relative.  ``exits`` is (n, 2): the rate of exiting above b, then below
+    a, each with the wall correction dk at its wall node, so that the two
+    exit routes partition the whole probability.
+
+    The diagonal is the off-diagonal row sum plus the row sum of ``exits``,
+    with each off-diagonal sum telescoped rather than added up: the
+    Toeplitz part of one side with m neighbours is
+    c2 + T(3 dx/2) - T((m + 1/2) dx) (c2 alone for m = 1), and the fold's
+    is T(x_i + a) - T(x_i + b) - h[2i].  A cumulative sum of h differenced
+    instead put p_exit up to 2.1e-11 from a dense LU solve on the mixture's
+    4096-cell shelf, where the telescoped sums stay within 1.3e-12.
     """
 
     def __init__(self, ks: KernelSet, grid: Grid):
         n, dx = grid.n, grid.dx
         c2 = ks.band_coefficient(dx)
-        # T((k + 1/2) dx) for k = 1 .. n - 1, and T(2a + (s + 1/2) dx) for
+        # T((k + 1/2) dx) for k = 0 .. n - 1, and T(2a + (s + 1/2) dx) for
         # s = 0 .. 2n - 1
-        tt = ks.jump_tail_closed((np.arange(1, n) + 0.5) * dx)
+        tw = ks.jump_tail_closed((np.arange(n) + 0.5) * dx)
         th = ks.jump_tail_closed(2.0 * grid.a + (np.arange(2 * n) + 0.5) * dx)
         t = np.zeros(n)
         t[1] = c2
-        t[2:] = tt[:-1] - tt[1:]
+        t[2:] = tw[1:-1] - tw[2:]
         h = th[:-1] - th[1:]
 
-        self.rates = _exit_rates(ks, grid, "Z")
+        lo, hi = _kill_split(np.concatenate([tw, th]), n, "Z")
+        self.exits = np.column_stack([hi, lo])
+        self.exits[[-1, 0], [0, 1]] += ks.wall_correction(dx)
         m = np.arange(n)  # neighbours on the left of node i; n - 1 - i on the right
-        side = np.where(m >= 1, c2, 0.0) + np.where(m >= 2, tt[0] - tt[np.maximum(m - 1, 0)], 0.0)
+        side = np.where(m >= 1, c2, 0.0) + np.where(m >= 2, tw[1] - tw, 0.0)
         # the row sum with the fold's own-cell mass h[2i] kept in: matvec
         # applies the whole Hankel part and this diagonal takes h[2i] back
-        self._dd = side + side[::-1] + (th[:n] - th[n:]) + _kill_rate(self.rates)
+        self._dd = side + side[::-1] + (th[:n] - th[n:]) + self.exits.sum(axis=1)
         self.diag = self._dd - h[::2]
 
         # the band and the nearest offsets as a stencil; the far Toeplitz
@@ -655,19 +661,14 @@ def _shelf_solve(ks: KernelSet, a: float, R: float):
     """(grid, P, stats) for the kind Z problem on (a, R): P[:, 0] is the
     probability of exiting above R, P[:, 1] that of being absorbed at the
     shelf, and stats holds the solve's iteration count and its recomputed
-    relative residual.  No n x n array is made.
+    relative residual.  The right-hand sides are the operator's own exit
+    columns.  No n x n array is made, and no jump tail is integrated.
     """
     n = int(np.clip(round(SHELF_CELLS * (R - a) / a), 256, SHELF_N_CAP))
     grid = Grid(a, R, n)
     op = _ShelfOperator(ks, grid)
-    down, up, dk = op.rates
-    # match the generator's wall-corrected kill masses so that the two
-    # exit routes partition the whole probability: p_up + p_shelf = 1
-    rates = np.column_stack([up, down])
-    rates[-1, 0] += dk
-    rates[0, 1] += dk
-    P, iters = _pcg(op, rates, f"exit solve failed at shelf a={a}")
-    resid = np.linalg.norm(rates - op.matvec(P), axis=0) / np.linalg.norm(rates, axis=0)
+    P, iters = _pcg(op, op.exits, f"exit solve failed at shelf a={a}")
+    resid = np.linalg.norm(op.exits - op.matvec(P), axis=0) / np.linalg.norm(op.exits, axis=0)
     # -A 1 = up + down, so the two columns sum to 1 up to the solve's roundoff
     gap = float(np.max(np.abs(P[:, 0] + P[:, 1] - 1.0)))
     if not gap <= 1e-9:
@@ -691,15 +692,19 @@ def exit_alive_prob(
     absorbed at the shelf might still have escaped), and the complementary
     mass is bounded by the h(a)/h(R) escape factor from below the shelf
     (the upper bound).  The literal exterior integrals enter as exact
-    per-node jump-tail rates, so no exterior mesh is involved.
+    per-node jump-tail rates in closed form, so no exterior mesh is
+    involved, and for a stable exponent the answer depends on x/R alone
+    (to about 5e-11 relative from R = 1e-8 to 1e12).
 
     Each shelf is solved matrix-free (``_ShelfOperator``, ``_pcg``): its
     generator is held as O(n) per-offset cell masses and never formed, and
     both columns run by circulant-preconditioned conjugate gradients with
-    FFT products.  ``per_a`` records, per shelf, its cell count ``n``, the
-    iteration count ``cg_iterations`` and the recomputed relative residual
-    ``residual``.  An operator that is not positive definite, a solve that
-    does not converge within _CG_MAX_ITER iterations, and exit and shelf
+    FFT products.  ``per_a`` records, per shelf, its cell count ``n``,
+    the iteration count ``cg_iterations`` and the recomputed relative
+    residual ``residual``.  A shelf that ``a_seq`` repeats raises
+    ConfigError: it would be solved twice and show a refinement drift of
+    0.  An operator that is not positive definite, a solve that does not
+    converge within _CG_MAX_ITER iterations, and exit and shelf
     probabilities that do not sum to 1 within 1e-9, raise SolverError.
     """
     R = float(R)
@@ -711,6 +716,8 @@ def exit_alive_prob(
     a_list = sorted((float(av) for av in a_seq), reverse=True)
     if not a_list or not all(0.0 < av < math.inf for av in a_list):
         raise ConfigError("a_seq must contain finite positive shelf values")
+    if len(set(a_list)) < len(a_list):
+        raise ConfigError(f"a_seq repeats the shelf {max(a_list, key=a_list.count)!r}")
     if not np.all((x_arr > 0.0) & (x_arr < R)):
         raise DomainError("evaluation points must lie in (0, R)")
     if not np.all(x_arr > 2.0 * a_list[0]):

@@ -122,9 +122,9 @@ _ERR_FLOOR = float(50.0 * _EPS)
 _N_INIT = 4
 
 # rows integrate_adaptive_batch runs at once: its per-round arrays grow with
-# the rows in flight, so a block bounds them (the 12,288 tail starts of a
-# 4096-cell shelf peak at 5.7 MB traced, 31.1 MB in one block); blocks of
-# 1024 to 4096 rows ran alike
+# the rows in flight, so a block bounds them (the 6144 tail starts of the
+# largest caller, a 2048-cell kind-Z generator, peak at 5.4 MB traced, 15.5
+# MB in one block); blocks of 1024 to 4096 rows ran alike
 _ROW_BLOCK = 2048
 
 # The accuracy contract of every integral: a run stops once its error

@@ -213,8 +213,8 @@ def test_solve_exit(capsys, tmp_path):
 @pytest.mark.parametrize(
     "extra",
     [("--x", "nan"), ("--x", "0.5,nan"), ("--x", "0.5", "--aseq", "nan"),
-     ("--x", "0.5", "--aseq", "0.004,inf")],
-    ids=["x-nan", "x-list-nan", "aseq-nan", "aseq-inf"],
+     ("--x", "0.5", "--aseq", "0.004,inf"), ("--x", "0.5", "--aseq", "0.004,0.004")],
+    ids=["x-nan", "x-list-nan", "aseq-nan", "aseq-inf", "aseq-repeated"],
 )
 def test_solve_exit_refuses_non_finite_input(capsys, extra):
     with warnings.catch_warnings():

@@ -10,6 +10,7 @@ from sbmpot import (
     DomainError,
     Grid,
     KernelSet,
+    PhiSpec,
     QuadratureError,
     SolverError,
     bhp_sup_ratio,
@@ -428,8 +429,14 @@ def test_shelf_operator_matvec_is_the_generator(ks_name, n, request):
     grid = Grid(4.0 / (n + 4.0), 1.0, n)
     op = _ShelfOperator(ks, grid)
     gen = build_generator(ks, grid, "Z")
-    for got, want in zip(op.rates, gen.exit_rates):
-        np.testing.assert_array_equal(got, want)
+    # the exit columns come from the operator's own closed tails; the dense
+    # build integrates the same tails by quadrature, an independent route
+    # (they agree within 3.0e-13 relative on both fixtures)
+    lo, hi, dk = gen.exit_rates
+    want = np.column_stack([hi, lo])
+    want[-1, 0] += dk
+    want[0, 1] += dk
+    np.testing.assert_allclose(op.exits, want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(op.diag, -np.diag(gen.A), rtol=1e-13, atol=0.0)
     x = np.random.default_rng(n).standard_normal((n, 2))
     want = -gen.A @ x
@@ -437,23 +444,18 @@ def test_shelf_operator_matvec_is_the_generator(ks_name, n, request):
     np.testing.assert_allclose(op.matvec(x), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
-def test_shelf_solve_makes_no_n_by_n_array(stable_ks, monkeypatch):
-    # an n x n array of doubles is 8 MB at n = 1024; the solve's own arrays
-    # are O(n).  The kill rates' quadrature, also O(n) and shared with the
-    # dense build, runs before the trace
-    a = 4.0 / 1028.0
-    grid = Grid(a, 1.0, 1024)
-    rates = _exit_rates(stable_ks, grid, "Z")
-    monkeypatch.setattr(
-        interval_solver, "_exit_rates", lambda ks, g, kind: tuple(np.copy(r) for r in rates)
-    )
-    tracemalloc.start()
-    try:
-        assert _shelf_solve(stable_ks, a, 1.0)[0] == grid
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < grid.n**2 * 8 / 4
+def test_shelf_solve_makes_no_n_by_n_array(stable_ks):
+    # an n x n array of doubles is 8 MB at n = 1024; the whole solve, kill
+    # rates included, keeps O(n) arrays: at 1024 and 4096 cells it peaks at
+    # 58 and 38 n doubles traced (647 and 186 with quadrature rates)
+    for a, n in ((4.0 / 1028.0, 1024), (0.00025, 4096)):
+        tracemalloc.start()
+        try:
+            assert _shelf_solve(stable_ks, a, 1.0)[0] == Grid(a, 1.0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 8 * n, f"n = {n}: peaked at {peak / (8 * n):.0f} n doubles"
 
 
 def test_exit_solve_rejects_an_indefinite_generator(stable_ks, mixture_ks, monkeypatch):
@@ -642,6 +644,24 @@ def test_exit_alive_prob_is_scale_free(stable_ks):
         np.testing.assert_allclose(rep.bracket, ref.bracket, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.75, 0.6])
+def test_exit_alive_prob_is_scale_free_over_twenty_decades(delta):
+    # the stable killed process is self-similar, so the exit probability
+    # depends on x/R alone.  The shelf's kill rates are its closed jump
+    # tails: by quadrature under the engine's 1e-10 absolute tolerance, the
+    # tails of a long interval keep only a few digits (x = R/2 read
+    # 0.621139 at R = 1e8 against 0.619882 at R = 1, stable 0.75)
+    ks = KernelSet(PhiSpec.stable(delta))
+    xs = np.array([0.3, 0.5, 0.7])
+    ref = exit_alive_prob(ks, 1.0, xs)
+    for R in (1e-8, 1e4, 1e8, 1e12):
+        rep = exit_alive_prob(ks, R, R * xs)
+        for name in ("value", "lower", "upper"):
+            np.testing.assert_allclose(
+                getattr(rep, name), getattr(ref, name), rtol=1e-9, atol=0.0, err_msg=f"{name} at R = {R}"
+            )
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize(
     "solve, name",
@@ -676,6 +696,11 @@ def test_exit_alive_validation(stable_ks):
             exit_alive_prob(stable_ks, 1.0, x)
     for a_seq in ((nan,), (0.004, nan), (0.004, math.inf)):
         with pytest.raises(ConfigError, match="finite positive"):
+            exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=a_seq)
+    # one shelf solved twice would show a refinement drift of 0.0
+    for a_seq, twin in (((0.004, 0.004), "0.004"), ((0.004, 0.001, 0.004), "0.004"),
+                        ((1e-3, 0.004, 0.001), "0.001")):
+        with pytest.raises(ConfigError, match=f"^a_seq repeats the shelf {twin}$"):
             exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=a_seq)
 
 

@@ -546,9 +546,10 @@ def test_row_blocks_refuse_a_non_finite_value_in_a_later_block(monkeypatch):
 
 
 def test_jump_tail_memory_is_bounded_by_the_row_block(stable_spec):
-    # the kind-Z tail starts of the 4096-cell shelf a = 0.00025 (12,288
-    # distinct t): run in row blocks the pass peaks near 5.7 MB traced; all
-    # rows in one lockstep block it peaked at 31 MB
+    # the kind-Z tail starts of 4096 cells on (0.00025, 1), 12,288 distinct
+    # t, twice those of the largest caller (a 2048-cell kind-Z generator):
+    # run in row blocks the pass peaks near 5.7 MB traced; all rows in one
+    # lockstep block it peaked at 31 MB
     import tracemalloc
 
     from sbmpot.interval_solver import Z_MAX_FACTOR, Grid
