@@ -13,7 +13,11 @@ exactly-integrated per-node killing rate so the row-sum identity
 takes (cell masses, jump tails, the band coefficient and the wall
 correction) is a value read from the KernelSet, which alone decides how it
 is computed; this module runs no quadrature itself.  Everything downstream
-is dense linear algebra: the Green matrix is the scaled inverse, Poisson
+is dense linear algebra.  A caller that reads the whole Green function
+(the Poisson kernels, gauge ratios, 3G, the comparator band) gets the scaled
+inverse; one that reads a few of its entries (the refinement drift's probe
+pairs, the small-interval floor's window) gets them from one LU solve
+against those unit columns alone, bitwise the inverse's entries.  Poisson
 kernels are Green-kernel products against an exterior mesh, and the
 empirical certificates (gauge ratios, 3G, Harnack, boundary ratios,
 small-interval floor) are reductions over those matrices.
@@ -29,7 +33,9 @@ solved by conjugate gradients with FFT products and T. Chan's optimal
 circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).  The
 closed jump tails behind those masses are also the shelf's kill rates, so
 a shelf integrates no tail by quadrature.  Green matrices keep the dense
-per-entry generator, whose kill rates are quadrature tails.
+per-entry generator, whose kill rates are quadrature tails; those lose
+their digits on long intervals, so each build holds them against the
+closed tails at the same starts and refuses a gap above _TAIL_GAP_MAX.
 """
 
 from __future__ import annotations
@@ -104,6 +110,15 @@ _NEAR = 8
 # ||b||; the default shelves of both fixtures take 30-67 iterations
 _CG_RTOL = 1e-15
 _CG_MAX_ITER = 1000
+
+# the widest relative gap the dense generator's quadrature kill rates may
+# keep from the closed tails at the same starts.  On (r/4, 11r/4), n = 256
+# and 2048, kind Z's 3n starts: at most 6.5e-15 for r <= 1 (stable 0.75,
+# stable 0.6 and the mixture fixture), 3.3e-11 to 1.3e-9 at r = 1e4, 6.7e-10
+# to 1.4e-7 at 1e5, and from 3.3e-8 up at 1e6 (0.16 at 1e7, 0.999 at 1e8):
+# the tails fall under the engine's 1e-10 absolute tolerance.  The bar is
+# ten times the engine's 1e-9 relative tolerance
+_TAIL_GAP_MAX = 1e-8
 
 _KINDS = ("X", "Y", "Z")
 
@@ -185,11 +200,27 @@ def _kill_split(T, n, kind):
 def _exit_rates(ks: KernelSet, grid: Grid, kind: str):
     """The _kill_split of one ``jump_tail`` call, and the wall correction
     dk: the kill rate of node i is lo[i] + hi[i], plus dk at the two wall
-    nodes."""
+    nodes.
+
+    The quadrature tails are held against ``jump_tail_closed`` at the same
+    starts; a worst relative gap above _TAIL_GAP_MAX (a long interval,
+    whose tails fall below the engine's absolute tolerance) raises
+    SolverError naming the interval and the gap.  The tails that pass are
+    returned as they are.
+    """
     a, b = grid.a, grid.b
     xs = grid.nodes()
     folds = {"X": [], "Y": [xs], "Z": [xs + a, xs + b]}[kind]
-    T = ks.jump_tail(np.concatenate([xs - a, *folds]), Z_MAX_FACTOR * (b - a))
+    t = np.concatenate([xs - a, *folds])
+    T = ks.jump_tail(t, Z_MAX_FACTOR * (b - a))
+    closed = ks.jump_tail_closed(t)
+    gap = float(np.max(np.abs(T - closed) / closed))
+    if not gap <= _TAIL_GAP_MAX:  # a nan gap is refused too
+        raise SolverError(
+            f"kill rates on ({a:g}, {b:g}): the quadrature jump tails sit {gap:.3g} "
+            f"(relative) from the closed ones, above {_TAIL_GAP_MAX:g}; the closed "
+            "rates that serve every scale are ROADMAP item 4"
+        )
     return *_kill_split(T, grid.n, kind), ks.wall_correction(grid.dx)
 
 
@@ -256,16 +287,28 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     return GeneratorMatrix(kind=kind, grid=grid, A=A, exit_rates=rates)
 
 
+def _check_green(G):
+    """Refuse a Green matrix, or some of its columns, with a non-finite or
+    a non-positive entry."""
+    if not np.all(np.isfinite(G)):
+        raise SolverError("Green matrix has non-finite entries")
+    if np.min(G) <= 0.0:
+        raise SolverError("Green matrix lost positivity; grid too coarse for this kernel")
+
+
 def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
     """G = (-A)^{-1} / dx, symmetrized, with the raw asymmetry recorded.
 
-    The only n x n array made is the one returned.  A is inverted and the
-    inverse negated in place: pivoting and every rounding of the LU solve
-    commute with negation, so that is bitwise inv(-A).  It is then
-    symmetrized in place, _BLOCK rows of its upper triangle at a time over
-    the columns from the block's first row on: each block and its mirror
-    read (0.5/dx) (up + lo), bitwise (0.5/dx) (G0 + G0.T) since addition
-    commutes, and the asymmetry max|G0 - G0.T| / max|G0| is read on the way.
+    For the callers that read all of G; a caller that reads a few entries
+    solves for their columns instead (``_green_block``).  The only n x n
+    array made is the one returned.  A is inverted and the inverse negated
+    in place: pivoting and every rounding of the LU solve commute with
+    negation, so that is bitwise inv(-A).  It is then symmetrized in place,
+    _BLOCK rows of its upper triangle at a time over the columns from the
+    block's first row on: each block and its mirror read (0.5/dx) (up + lo),
+    bitwise (0.5/dx) (G0 + G0.T) since addition commutes, and the asymmetry
+    max|G0 - G0.T| / max|G0| is read on the way.  A failed inversion, a
+    non-finite entry and a non-positive one raise SolverError.
     """
     try:
         G = np.linalg.inv(gen.A)
@@ -285,13 +328,38 @@ def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
         G[r0:r1, r0:] = blk
         G[r0:, r0:r1] = blk.T
     asym = diff / scale if scale > 0 else 0.0
-    if not np.all(np.isfinite(G)):
-        raise SolverError("Green matrix has non-finite entries")
-    if np.min(G) <= 0.0:
-        raise SolverError("Green matrix lost positivity; grid too coarse for this kernel")
+    _check_green(G)
     return GreenMatrix(
         kind=gen.kind, grid=gen.grid, G=G, exit_rates=gen.exit_rates, asymmetry=asym
     )
+
+
+def _green_block(gen: GeneratorMatrix, idx) -> np.ndarray:
+    """``green_matrix(gen).G[np.ix_(idx, idx)]`` for ascending distinct node
+    indices ``idx``, from the columns idx of (-A)^{-1} alone: one LU and
+    len(idx) right-hand sides, against one LU and n for the inverse.
+
+    numpy's inverse is the same LU solve against every unit column, and
+    its columns come out bitwise those of a solve against two or more of
+    them; a lone column takes LAPACK's vector path and moves in the last
+    bit, so a lone index is solved alongside a second.  The columns are
+    negated in place and refused as green_matrix refuses G (a failed
+    solve, a non-finite or a non-positive entry anywhere in them), and the
+    block is symmetrized as green_matrix does, (0.5/dx) (B + B.T).
+    """
+    n = gen.grid.n
+    idx = np.asarray(idx)
+    cols = idx if idx.size > 1 else np.append(idx, (idx[0] + 1) % n)
+    E = np.zeros((n, cols.size))
+    E[cols, np.arange(cols.size)] = 1.0
+    try:
+        X = np.linalg.solve(gen.A, E)
+    except np.linalg.LinAlgError as e:
+        raise SolverError(f"generator inversion failed: {e}") from e
+    np.negative(X, out=X)
+    _check_green(X)
+    B = X[idx, : idx.size]
+    return (0.5 / gen.grid.dx) * (B + B.T)
 
 
 def exit_time(green: GreenMatrix):
@@ -928,7 +996,9 @@ def small_interval_lower(
     G^Z on n cells of (a, R) and then of (a/2, R).  The shelf a defaults to
     ``default_shelf(R)``.  Domain monotonicity (the (a, R) Green function
     sits below the (0, R) one) makes each a lower certificate for the
-    shelf-free object, and the second >= the first.
+    shelf-free object, and the second >= the first.  Each grid solves for
+    its window's columns alone (``_green_block``), and a window without a
+    node raises ConfigError before the solve.
     """
     if not (0.0 < R < math.inf):
         raise DomainError(f"R must be positive and finite, got {R!r}")
@@ -941,38 +1011,68 @@ def small_interval_lower(
     hR = ks.h_comp(R)
     floors = []
     for shelf in (a, 0.5 * a):
-        green = green_matrix(build_generator(ks, Grid(shelf, R, n), "Z"))
-        xs = green.grid.nodes()
-        mask = (xs > a) & (xs < lambda1 * R)
-        if mask.sum() < 1:
+        grid = Grid(shelf, R, n)
+        xs = grid.nodes()
+        window = np.flatnonzero((xs > a) & (xs < lambda1 * R))
+        if window.size < 1:
             raise ConfigError("no grid nodes inside the probe window")
-        floors.append(float(green.G[np.ix_(mask, mask)].min() / hR))
+        G = _green_block(build_generator(ks, grid, "Z"), window)
+        floors.append(float(G.min() / hR))
     return tuple(floors)
 
 
 # -- refinement diagnostics ----------------------------------------------------
 
 
-def _bilinear(green: GreenMatrix, px):
-    xs = green.grid.nodes()
-    n = xs.size
-    i = np.clip(np.searchsorted(xs, px) - 1, 0, n - 2)
-    t = (px - xs[i]) / green.grid.dx
-    t = np.clip(t, 0.0, 1.0)
-    G = green.G
-    ii, jj = np.meshgrid(i, i, indexing="ij")
+def _probes(grid: Grid):
+    """The N_PROBE probes a + (b - a)(k + 1/2)/N_PROBE, the node i of each
+    probe's interpolation cell (x_i, x_i+1), and the probe's offset in it
+    in cells, clipped to [0, 1]."""
+    xs = grid.nodes()
+    px = grid.a + (grid.b - grid.a) * (np.arange(N_PROBE) + 0.5) / N_PROBE
+    i = np.clip(np.searchsorted(xs, px) - 1, 0, grid.n - 2)
+    t = np.clip((px - xs[i]) / grid.dx, 0.0, 1.0)
+    return px, i, t
+
+
+def _probe_index(grid: Grid):
+    """The nodes _bilinear reads, ascending: both ends of every probe's
+    cell, at most 2 N_PROBE of them."""
+    _, i, _ = _probes(grid)
+    return np.union1d(i, i + 1)
+
+
+def _bilinear(grid: Grid, B, idx):
+    """The Green function at every pair of probes, interpolated from B,
+    the principal block G[np.ix_(idx, idx)] of the Green matrix on ``grid``,
+    for ascending ``idx`` holding ``_probe_index(grid)``."""
+    px, i, t = _probes(grid)
+    p = np.searchsorted(idx, i)  # node i sits at p in idx, node i + 1 at p + 1
+    pi, pj = np.meshgrid(p, p, indexing="ij")
     ti, tj = np.meshgrid(t, t, indexing="ij")
     out = (
-        (1 - ti) * (1 - tj) * G[ii, jj]
-        + ti * (1 - tj) * G[ii + 1, jj]
-        + (1 - ti) * tj * G[ii, jj + 1]
-        + ti * tj * G[ii + 1, jj + 1]
+        (1 - ti) * (1 - tj) * B[pi, pj]
+        + ti * (1 - tj) * B[pi + 1, pj]
+        + (1 - ti) * tj * B[pi, pj + 1]
+        + ti * tj * B[pi + 1, pj + 1]
     )
     # on the diagonal, bilinear cells straddle the |x - y| kink of the
-    # Green function; interpolate along the diagonal section instead
+    # Green function; interpolate along the diagonal section instead.  Each
+    # probe lies in its own cell, whose two ends idx holds, so the section
+    # through idx's nodes alone interpolates as the whole diagonal does
     k = np.arange(px.size)
-    out[k, k] = np.interp(px, xs, np.diag(G))
+    out[k, k] = np.interp(px, grid.nodes()[idx], np.diag(B))
     return out
+
+
+def _block_drift(coarse, fine):
+    """green_drift from principal blocks: ``coarse`` and ``fine`` are the
+    (grid, B, idx) that _bilinear takes."""
+    ga, gb = coarse[0], fine[0]
+    if (ga.a, ga.b) != (gb.a, gb.b):
+        raise ConfigError("refinement drift needs a common interval")
+    Pc, Pf = _bilinear(*coarse), _bilinear(*fine)
+    return float(np.max(np.abs(Pc - Pf) / Pf))
 
 
 def green_drift(coarse: GreenMatrix, fine: GreenMatrix) -> float:
@@ -980,12 +1080,14 @@ def green_drift(coarse: GreenMatrix, fine: GreenMatrix) -> float:
 
     Probes at a + (b - a)(k + 1/2)/N_PROBE with interpolation on both
     lattices; comparing raw corner entries instead would pin distinct
-    continuum points against each other and never converge.
+    continuum points against each other and never converge.  The
+    interpolation reads only the nodes around the probes, the principal
+    block G[S, S] with S = ``_probe_index(grid)``, so a caller that holds
+    no whole Green matrix solves for that block (``_green_block``) and
+    passes it to ``_block_drift``, with the same bits.
     """
-    ga, gb = coarse.grid, fine.grid
-    if (ga.a, ga.b) != (gb.a, gb.b):
-        raise ConfigError("refinement drift needs a common interval")
-    px = ga.a + (ga.b - ga.a) * (np.arange(N_PROBE) + 0.5) / N_PROBE
-    Pc = _bilinear(coarse, px)
-    Pf = _bilinear(fine, px)
-    return float(np.max(np.abs(Pc - Pf) / Pf))
+    blocks = []
+    for green in (coarse, fine):
+        idx = _probe_index(green.grid)
+        blocks.append((green.grid, green.G[np.ix_(idx, idx)], idx))
+    return _block_drift(*blocks)

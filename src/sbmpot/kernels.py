@@ -415,12 +415,15 @@ class KernelSet:
         exact, so it stops at the first).  The round trip
         phi_cap(phi_cap_inv(y)) = y holds to ~1e-13 relative.
         A bracket that leaves the normal doubles raises DomainError, as
-        ``phi_cap`` does.
+        ``phi_cap`` does.  Each distinct y is bisected once (the Green
+        comparator's amplitudes repeat): its steps and their fixed point
+        depend on its value alone, so it keeps the bits it gets alone.
         """
         arr = _as_positive_array(y, "phi_cap_inv argument")
         if not np.all(np.isfinite(arr)):
             raise DomainError("phi_cap_inv needs finite arguments")
-        u = 1.0 / arr  # solve phi(t) = u, then x = t^{-1/2}
+        ys, inv = np.unique(arr.ravel(), return_inverse=True)
+        u = 1.0 / ys  # solve phi(t) = u, then x = t^{-1/2}
         ws = np.asarray(self.phi.weights())
         ds = np.asarray(self.phi.exponents())
         kk = float(len(ws))
@@ -445,7 +448,7 @@ class KernelSet:
                 break
             s_lo, s_hi = lo, hi
         t = np.exp(0.5 * (s_lo + s_hi))
-        return _float_if_0d(1.0 / np.sqrt(t))
+        return _float_if_0d((1.0 / np.sqrt(t))[inv].reshape(arr.shape))
 
     def gx_estimate(self, a, b, x, y):
         """Two-sided Green comparator on the interval (a, b).

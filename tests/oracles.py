@@ -262,6 +262,32 @@ def dense_green_matrix(A, dx):
     return (0.5 / dx) * (G0 + G0.T), float(np.max(np.abs(G0 - G0.T))) / scale
 
 
+def full_green_drift(coarse, fine, n_probe=16):
+    """``green_drift`` read from the whole Green matrices: the probe pairs
+    interpolated bilinearly over every node pair and along the whole
+    diagonal.  The package reads only the block around the probes; this is
+    the route over the whole matrix, and the two must agree bit for bit."""
+
+    def interpolate(green):
+        xs, dx, G = green.grid.nodes(), green.grid.dx, green.G
+        px = green.grid.a + (green.grid.b - green.grid.a) * (np.arange(n_probe) + 0.5) / n_probe
+        i = np.clip(np.searchsorted(xs, px) - 1, 0, xs.size - 2)
+        t = np.clip((px - xs[i]) / dx, 0.0, 1.0)
+        ii, jj = np.meshgrid(i, i, indexing="ij")
+        ti, tj = np.meshgrid(t, t, indexing="ij")
+        out = (
+            (1 - ti) * (1 - tj) * G[ii, jj]
+            + ti * (1 - tj) * G[ii + 1, jj]
+            + (1 - ti) * tj * G[ii, jj + 1]
+            + ti * tj * G[ii + 1, jj + 1]
+        )
+        out[np.arange(n_probe), np.arange(n_probe)] = np.interp(px, xs, np.diag(G))
+        return out
+
+    Pc, Pf = interpolate(coarse), interpolate(fine)
+    return float(np.max(np.abs(Pc - Pf) / Pf))
+
+
 # -- adaptive quadrature as a heap loop --------------------------------------------
 
 

@@ -4,11 +4,17 @@ import warnings
 
 import pytest
 
+import numpy as np
+
 from sbmpot import (
+    Grid,
     KernelSet,
     PhiSpec,
     RunConfig,
     bhp_sup_ratio,
+    build_generator,
+    green_drift,
+    green_matrix,
     load_report,
     small_interval_lower,
 )
@@ -192,6 +198,36 @@ def test_solve_green(capsys, tmp_path):
     assert diag["value"] > 0.0
     assert diag["refinement_drift"] is not None and diag["refinement_drift"] < 0.2
     assert len(out_file.read_text().strip().splitlines()) == 65
+
+
+@pytest.mark.parametrize("kind, n", [("x", 64), ("y", 200), ("z", 256), ("z", 65)])
+def test_solve_green_prints_the_green_matrix_values(capsys, tmp_path, kind, n):
+    # without --out the CLI solves for the probes' and the middle node's
+    # columns alone; it prints green_matrix's G[mid, mid] and green_drift's
+    # value bit for bit, and so does the --out route (an odd n has no drift)
+    ks = KernelSet(PhiSpec.stable(0.75))
+    fine = green_matrix(build_generator(ks, Grid(1.0, 2.0, n), kind))
+    mid = int(np.argmin(np.abs(fine.grid.nodes() - 1.5)))
+    drift = None
+    if n % 2 == 0:
+        half = green_matrix(build_generator(ks, Grid(1.0, 2.0, n // 2), kind))
+        drift = green_drift(half, fine)
+    argv = ["solve", "green", "--a", "1", "--b", "2", "--n", str(n), "--process", kind]
+    for extra in ([], ["--out", str(tmp_path / "green.csv")]):
+        rc, out, _ = _run(capsys, *argv, *extra)
+        assert rc == 0
+        diag = json.loads(out)
+        assert diag["value"] == float(fine.G[mid, mid])
+        assert diag["refinement_drift"] == drift
+
+
+def test_solve_harnack_refuses_a_scale_its_kill_rates_cannot_reach(capsys):
+    # at r = 1e8 the quadrature kill rates sit 0.999 from the closed tails
+    rc, out, err = _run(capsys, "solve", "harnack", "--r", "1e8", "--n", "64")
+    assert rc == 3 and out == ""
+    assert "kill rates" in err and "ROADMAP item 4" in err
+    rc, out, _ = _run(capsys, "solve", "harnack", "--r", "1", "--n", "64")
+    assert rc == 0
 
 
 def test_solve_exit(capsys, tmp_path):

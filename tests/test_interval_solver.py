@@ -32,8 +32,12 @@ from sbmpot import interval_solver
 from sbmpot.interval_solver import (
     _BLOCK,
     _CG_MAX_ITER,
+    _TAIL_GAP_MAX,
     _ShelfOperator,
     _exit_rates,
+    _green_block,
+    _kill_split,
+    _probe_index,
     _shelf_solve,
 )
 
@@ -47,6 +51,7 @@ from oracles import (
     bgr_wall_mass,
     dense_generator_matrix,
     dense_green_matrix,
+    full_green_drift,
     getoor_exit,
     wall_correction,
 )
@@ -116,6 +121,27 @@ def test_kill_rate_is_the_exterior_jump_tail(request, monkeypatch, ks_name, kind
     hi_want = T(b - xs) + (T(xs + b) if kind == "Z" else 0.0)
     np.testing.assert_allclose(lo, lo_want, rtol=1e-9)
     np.testing.assert_allclose(hi, hi_want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+def test_kill_rates_refuse_quadrature_tails_that_lost_their_digits(request, ks_name):
+    # on (r/4, 11r/4) the quadrature tails sit about 4e-15 from the closed
+    # ones at r = 1 and 1e-9 or less at 1e4, where they pass as they are;
+    # at r = 1e8 they are 9e-4 (mixture) to 0.999 (stable 0.75) off
+    ks = request.getfixturevalue(ks_name)
+    for r in (1.0, 1e4):
+        grid = Grid(0.25 * r, 2.75 * r, 256)
+        xs, a, b = grid.nodes(), grid.a, grid.b
+        T = ks.jump_tail(np.concatenate([xs - a, xs + a, xs + b]), 50.0 * (b - a))
+        lo, hi, dk = _exit_rates(ks, grid, "Z")
+        for got, want in zip((lo, hi), _kill_split(T, grid.n, "Z")):
+            assert np.array_equal(got, want)
+    with pytest.raises(SolverError, match=r"\(2\.5e\+07, 2\.75e\+08\).*ROADMAP item 4") as e:
+        _exit_rates(ks, Grid(0.25e8, 2.75e8, 256), "Z")
+    gap = float(str(e.value).split(" sit ")[1].split()[0])
+    assert gap > 1e3 * _TAIL_GAP_MAX
+    with pytest.raises(SolverError, match="kill rates"):
+        harnack_sup_ratio(ks, 1e8, n=64)
 
 
 # n below, at and above one row block, and a non-multiple of it
@@ -199,6 +225,47 @@ def test_green_matrix_equals_the_dense_one(request, ks_name, kind, n):
     assert green.asymmetry == asym
 
 
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize("n", [8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200, 1000])
+@pytest.mark.parametrize("kind", "XYZ")
+def test_green_block_is_the_green_matrix_block(request, ks_name, kind, n):
+    # the probes' nodes plus the middle one (what `solve green` reads), a
+    # window (what small_interval_lower reads), a lone node and every node,
+    # each from one solve for its columns
+    ks = request.getfixturevalue(ks_name)
+    gen = build_generator(ks, Grid(1.0, 2.0, n), kind)
+    G = green_matrix(gen).G
+    xs = gen.grid.nodes()
+    for idx in (
+        np.union1d(_probe_index(gen.grid), [n // 2]),
+        np.flatnonzero((xs > 1.1) & (xs < 1.3)),
+        np.array([n // 3]),
+        np.arange(n),
+    ):
+        assert np.array_equal(_green_block(gen, idx), G[np.ix_(idx, idx)]), idx
+
+
+def test_green_block_solves_only_its_columns(stable_ks, monkeypatch):
+    # one LU solve against the 33 unit columns, and no inverse: at n = 1024
+    # the traced peak is the unit columns and the solution, 0.07 of an
+    # n x n array (numpy's LU works in a buffer that tracemalloc does not
+    # see; green_matrix's traced peak is 1.18 of one)
+    gen = build_generator(stable_ks, Grid(1.0, 2.0, 1024), "Z")
+    idx = np.union1d(_probe_index(gen.grid), [512])
+    calls = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(B.shape) or real(A, B))
+    monkeypatch.setattr(np.linalg, "inv", None)
+    tracemalloc.start()
+    try:
+        _green_block(gen, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [(1024, idx.size)]
+    assert peak < 0.1 * 8 * gen.grid.n**2
+
+
 def test_green_matrix_makes_one_n_by_n_array(stable_ks):
     # the result is 8 MB at n = 1024; whole-matrix expressions made four
     gen = build_generator(stable_ks, Grid(1.0, 2.0, 1024), "Z")
@@ -218,22 +285,33 @@ def _hand_built(A):
     return interval_solver.GeneratorMatrix("X", grid, A, (zero, zero, 0.0))
 
 
+# the two routes to Green entries, the whole matrix and a block of its
+# columns, refuse alike
+_ROUTES = (
+    lambda gen: green_matrix(gen),
+    lambda gen: _green_block(gen, np.arange(gen.grid.n)),
+)
+
+
 def test_green_matrix_refuses_a_singular_generator():
-    with pytest.raises(SolverError, match="generator inversion failed"):
-        green_matrix(_hand_built(-np.ones((3, 3))))
+    for route in _ROUTES:
+        with pytest.raises(SolverError, match="generator inversion failed"):
+            route(_hand_built(-np.ones((3, 3))))
 
 
 def test_green_matrix_refuses_a_non_finite_inverse():
     A = -4.0 * np.eye(3) + 1.0
     A[2, 1] = np.nan
-    with pytest.raises(SolverError, match="non-finite entries"):
-        green_matrix(_hand_built(A))
+    for route in _ROUTES:
+        with pytest.raises(SolverError, match="non-finite entries"):
+            route(_hand_built(A))
 
 
 def test_green_matrix_refuses_a_negative_entry():
     # inv([[1, 2], [2, 1]]) = [[-1, 2], [2, -1]] / 3
-    with pytest.raises(SolverError, match="lost positivity"):
-        green_matrix(_hand_built(-np.array([[1.0, 2.0], [2.0, 1.0]])))
+    for route in _ROUTES:
+        with pytest.raises(SolverError, match="lost positivity"):
+            route(_hand_built(-np.array([[1.0, 2.0], [2.0, 1.0]])))
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (64, 0), (0, 64), (64, 64), (63, 64), (64, 63)])
@@ -247,6 +325,22 @@ def test_green_matrix_guards_read_every_entry(monkeypatch, i, j, bad, match):
     monkeypatch.setattr(np.linalg, "inv", lambda A: inv.copy())
     with pytest.raises(SolverError, match=match):
         green_matrix(_hand_built(-np.eye(n)))
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (64, 0), (0, 64), (64, 64), (63, 64), (64, 63)])
+@pytest.mark.parametrize("bad, match", [(np.nan, "non-finite"), (-3.0, "lost positivity")])
+def test_green_block_guards_read_every_solved_entry(monkeypatch, i, j, bad, match):
+    # the bad entry's column j alone is solved for, so its row i lies
+    # outside the block but inside the solved column, where the guard reads
+    n = _BLOCK + 1
+    inv = -np.ones((n, n))
+    inv[i, j] = -bad
+    monkeypatch.setattr(np.linalg, "solve", lambda A, E: inv[:, E.argmax(axis=0)])
+    gen = _hand_built(-np.eye(n))
+    with pytest.raises(SolverError, match=match):
+        _green_block(gen, np.array([j]))
+    # and a block that leaves column j out never sees it
+    _green_block(gen, np.array([(j + 2) % n, (j + 3) % n]))
 
 
 def test_exit_time_matches_interval_exit_law(stable_ks, green_x_256):
@@ -879,6 +973,19 @@ def test_small_interval_lower_scales_its_shelf(stable_ks):
         np.testing.assert_allclose(
             small_interval_lower(stable_ks, R, n=128), ref, rtol=1e-12, atol=0.0
         )
+
+
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize("kind", "XYZ")
+@pytest.mark.parametrize("n", [8, 64, 65, 200])
+def test_green_drift_reads_the_probe_block_as_the_whole_matrix(request, ks_name, kind, n):
+    # the drift interpolates from the nodes around the probes alone; over
+    # the whole matrix, with the whole diagonal, it reads the same bits
+    ks = request.getfixturevalue(ks_name)
+    coarse = green_matrix(build_generator(ks, Grid(1.0, 2.0, n), kind))
+    fine = green_matrix(build_generator(ks, Grid(1.0, 2.0, 2 * n), kind))
+    assert green_drift(coarse, fine) == full_green_drift(coarse, fine)
+    assert _probe_index(coarse.grid).size <= 32
 
 
 def test_green_drift_zero_on_self(stable_ks, green_x_256):

@@ -654,6 +654,26 @@ def test_phi_cap_inv_stops_at_the_fixed_point(stable_ks, mixture_ks):
         assert ks.phi_cap_inv(float(y[100])) == float(phi_cap_inv_full(ks, y[100:101])[0])
 
 
+def test_phi_cap_inv_bisects_each_distinct_value_once(stable_ks, mixture_ks, monkeypatch):
+    # the comparator's amplitudes repeat: each distinct one is bisected
+    # once, and every entry keeps the bits of the 100-step loop
+    import sbmpot.kernels as kernels
+
+    for ks in (stable_ks, mixture_ks):
+        y = ks.phi_cap(np.logspace(-3.0, 3.0, 7))
+        v = np.stack([np.tile(y, 3), np.repeat(y, 3), y[np.arange(21) % 2]])
+        sizes = []
+        real = kernels.phi_eval
+        monkeypatch.setattr(
+            kernels, "phi_eval", lambda phi, t: sizes.append(np.size(t)) or real(phi, t)
+        )
+        got = ks.phi_cap_inv(v)
+        monkeypatch.undo()
+        assert got.shape == v.shape
+        assert got.tobytes() == phi_cap_inv_full(ks, v).tobytes()
+        assert set(sizes) == {7}
+
+
 def test_gx_estimate_band(stable_ks):
     xs = np.linspace(1.1, 1.9, 7)
     est = stable_ks.gx_estimate(1.0, 2.0, xs[:, None], xs[None, :])
