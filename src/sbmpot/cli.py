@@ -23,14 +23,15 @@ from .interval_solver import (
     DEFAULT_LAMBDA1,
     Grid,
     bhp_sup_ratio,
+    block_drift,
     build_generator,
     default_shelf,
     exit_alive_prob,
     green_matrix,
     harnack_sup_ratio,
+    probe_block,
     small_interval_lower,
 )
-from .interval_solver import _block_drift, _green_block, _probe_index
 from .montecarlo import PathConfig, simulate_exit
 from .quadrature import integrate_adaptive, integrate_oscillatory_cos
 from .verify import RunConfig, emit_report, render_text, run_verify
@@ -84,37 +85,29 @@ def _cmd_solve_green(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     n = args.n
-    grid = Grid(args.a, args.b, n)
-    gen = build_generator(ks, grid, args.process)
+    gen = build_generator(ks, Grid(args.a, args.b, n), args.process)
     kind = gen.kind
-    xs = grid.nodes()
+    xs = gen.grid.nodes()
     mid = int(np.argmin(np.abs(xs - 0.5 * (args.a + args.b))))
     # the value and the drift read G on the probes' nodes and mid alone,
     # which one solve for those columns gives; only --out reads all of G
-    idx = np.union1d(_probe_index(grid), [mid])
-    if args.out:
-        G = green_matrix(gen).G
-        block = G[np.ix_(idx, idx)]
-    else:
-        block = _green_block(gen, idx)
+    green = green_matrix(gen) if args.out else None
+    fine = probe_block(green if args.out else gen, [mid])
     del gen  # the half grid's generator is built without the fine one
     drift = None
     if n >= 64 and n % 2 == 0:
-        half = Grid(args.a, args.b, n // 2)
-        hidx = _probe_index(half)
-        hblock = _green_block(build_generator(ks, half, kind), hidx)
-        drift = _block_drift((half, hblock, hidx), (grid, block, idx))
+        half = build_generator(ks, Grid(args.a, args.b, n // 2), kind)
+        drift = block_drift(probe_block(half), fine)
     if args.out:
         header = ["x"] + [_FMT % y for y in xs]
         rows = (
-            [_FMT % xs[i]] + [_FMT % v for v in G[i]] for i in range(n)
+            [_FMT % xs[i]] + [_FMT % v for v in green.G[i]] for i in range(n)
         )
         _write_rows(args.out, header, rows)
-    m = np.searchsorted(idx, mid)
     _emit_diag(
         kind=f"green-{kind}",
         grid={"a": args.a, "b": args.b, "n": n, "spec": spec.label()},
-        value=float(block[m, m]),
+        value=fine.at(mid),
         refinement_drift=drift,
     )
     return 0

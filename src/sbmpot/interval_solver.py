@@ -17,8 +17,8 @@ is dense linear algebra.  A caller that reads the whole Green function
 (the Poisson kernels, gauge ratios, 3G, the comparator band) gets the scaled
 inverse; one that reads a few of its entries (the refinement drift's probe
 pairs, the small-interval floor's window) gets them from one LU solve
-against those unit columns alone, bitwise the inverse's entries.  Poisson
-kernels are Green-kernel products against an exterior mesh, and the
+against those unit columns alone, the inverse's entries to the last bits.
+Poisson kernels are Green-kernel products against an exterior mesh, and the
 empirical certificates (gauge ratios, 3G, Harnack, boundary ratios,
 small-interval floor) are reductions over those matrices.
 
@@ -70,6 +70,9 @@ __all__ = [
     "bhp_sup_ratio",
     "small_interval_lower",
     "green_drift",
+    "GreenBlock",
+    "probe_block",
+    "block_drift",
     "default_boundary_fset",
 ]
 
@@ -339,26 +342,25 @@ def _green_block(gen: GeneratorMatrix, idx) -> np.ndarray:
     indices ``idx``, from the columns idx of (-A)^{-1} alone: one LU and
     len(idx) right-hand sides, against one LU and n for the inverse.
 
-    numpy's inverse is the same LU solve against every unit column, and
-    its columns come out bitwise those of a solve against two or more of
-    them; a lone column takes LAPACK's vector path and moves in the last
-    bit, so a lone index is solved alongside a second.  The columns are
-    negated in place and refused as green_matrix refuses G (a failed
-    solve, a non-finite or a non-positive entry anywhere in them), and the
-    block is symmetrized as green_matrix does, (0.5/dx) (B + B.T).
+    numpy's inverse is the same LU solve against every unit column, so the
+    two agree to the last bits; whether they agree in every bit rests on
+    how the BLAS blocks its triangular solves (bitwise on some OpenBLAS
+    kernel sets, 3.6e-15 relative apart at most on others, n <= 1000).  The
+    columns are negated in place and refused as green_matrix refuses G (a
+    failed solve, a non-finite or a non-positive entry anywhere in them);
+    the columns left out go unchecked.  The block is symmetrized as
+    green_matrix does, (0.5/dx) (B + B.T).
     """
-    n = gen.grid.n
     idx = np.asarray(idx)
-    cols = idx if idx.size > 1 else np.append(idx, (idx[0] + 1) % n)
-    E = np.zeros((n, cols.size))
-    E[cols, np.arange(cols.size)] = 1.0
+    E = np.zeros((gen.grid.n, idx.size))
+    E[idx, np.arange(idx.size)] = 1.0
     try:
         X = np.linalg.solve(gen.A, E)
     except np.linalg.LinAlgError as e:
         raise SolverError(f"generator inversion failed: {e}") from e
     np.negative(X, out=X)
     _check_green(X)
-    B = X[idx, : idx.size]
+    B = X[idx]
     return (0.5 / gen.grid.dx) * (B + B.T)
 
 
@@ -998,7 +1000,9 @@ def small_interval_lower(
     sits below the (0, R) one) makes each a lower certificate for the
     shelf-free object, and the second >= the first.  Each grid solves for
     its window's columns alone (``_green_block``), and a window without a
-    node raises ConfigError before the solve.
+    node raises ConfigError before the solve.  The positivity and
+    finiteness guards read those columns, every row of them: an entry of
+    G with both nodes outside the window is neither solved for nor checked.
     """
     if not (0.0 < R < math.inf):
         raise DomainError(f"R must be positive and finite, got {R!r}")
@@ -1042,10 +1046,41 @@ def _probe_index(grid: Grid):
     return np.union1d(i, i + 1)
 
 
-def _bilinear(grid: Grid, B, idx):
-    """The Green function at every pair of probes, interpolated from B,
-    the principal block G[np.ix_(idx, idx)] of the Green matrix on ``grid``,
-    for ascending ``idx`` holding ``_probe_index(grid)``."""
+@dataclass(frozen=True)
+class GreenBlock:
+    """The principal block B = G[np.ix_(idx, idx)] of the Green matrix on
+    ``grid``, for ascending node indices ``idx``: what a caller that reads
+    a few entries of G holds instead of G."""
+
+    grid: Grid
+    idx: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)
+
+    def at(self, i: int) -> float:
+        """G[i, i] for a node i in idx."""
+        p = int(np.searchsorted(self.idx, i))
+        if p == self.idx.size or self.idx[p] != i:
+            raise ConfigError(f"node {i} is not in the block")
+        return float(self.B[p, p])
+
+
+def probe_block(source: GeneratorMatrix | GreenMatrix, extra=()) -> GreenBlock:
+    """The block of G on the nodes green_drift reads (both ends of every
+    probe's cell, at most 2 N_PROBE of them) and on the nodes ``extra``.
+
+    From a GreenMatrix the block is sliced; from a GeneratorMatrix it is
+    solved for (``_green_block``), so no whole Green matrix is formed.
+    """
+    idx = np.union1d(_probe_index(source.grid), np.asarray(extra, dtype=np.intp))
+    if isinstance(source, GreenMatrix):
+        return GreenBlock(source.grid, idx, source.G[np.ix_(idx, idx)])
+    return GreenBlock(source.grid, idx, _green_block(source, idx))
+
+
+def _bilinear(block: GreenBlock):
+    """The Green function at every pair of probes, interpolated from a
+    block whose idx holds ``_probe_index(block.grid)``."""
+    grid, B, idx = block.grid, block.B, block.idx
     px, i, t = _probes(grid)
     p = np.searchsorted(idx, i)  # node i sits at p in idx, node i + 1 at p + 1
     pi, pj = np.meshgrid(p, p, indexing="ij")
@@ -1065,13 +1100,12 @@ def _bilinear(grid: Grid, B, idx):
     return out
 
 
-def _block_drift(coarse, fine):
-    """green_drift from principal blocks: ``coarse`` and ``fine`` are the
-    (grid, B, idx) that _bilinear takes."""
-    ga, gb = coarse[0], fine[0]
+def block_drift(coarse: GreenBlock, fine: GreenBlock) -> float:
+    """green_drift from the ``probe_block`` of each grid."""
+    ga, gb = coarse.grid, fine.grid
     if (ga.a, ga.b) != (gb.a, gb.b):
         raise ConfigError("refinement drift needs a common interval")
-    Pc, Pf = _bilinear(*coarse), _bilinear(*fine)
+    Pc, Pf = _bilinear(coarse), _bilinear(fine)
     return float(np.max(np.abs(Pc - Pf) / Pf))
 
 
@@ -1081,13 +1115,8 @@ def green_drift(coarse: GreenMatrix, fine: GreenMatrix) -> float:
     Probes at a + (b - a)(k + 1/2)/N_PROBE with interpolation on both
     lattices; comparing raw corner entries instead would pin distinct
     continuum points against each other and never converge.  The
-    interpolation reads only the nodes around the probes, the principal
-    block G[S, S] with S = ``_probe_index(grid)``, so a caller that holds
-    no whole Green matrix solves for that block (``_green_block``) and
-    passes it to ``_block_drift``, with the same bits.
+    interpolation reads only the nodes around the probes, so a caller that
+    holds no whole Green matrix takes ``block_drift`` of the blocks that
+    ``probe_block`` solves for.
     """
-    blocks = []
-    for green in (coarse, fine):
-        idx = _probe_index(green.grid)
-        blocks.append((green.grid, green.G[np.ix_(idx, idx)], idx))
-    return _block_drift(*blocks)
+    return block_drift(probe_block(coarse), probe_block(fine))
