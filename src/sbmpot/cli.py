@@ -22,6 +22,7 @@ from .kernels import KernelSet
 from .interval_solver import (
     DEFAULT_LAMBDA1,
     Grid,
+    StructuredGenerator,
     bhp_sup_ratio,
     block_drift,
     build_generator,
@@ -85,18 +86,20 @@ def _cmd_solve_green(args):
     spec = _load_spec(args.spec)
     ks = KernelSet(spec)
     n = args.n
-    gen = build_generator(ks, Grid(args.a, args.b, n), args.process)
-    kind = gen.kind
-    xs = gen.grid.nodes()
+    grid = Grid(args.a, args.b, n)
+    xs = grid.nodes()
     mid = int(np.argmin(np.abs(xs - 0.5 * (args.a + args.b))))
     # the value and the drift read G on the probes' nodes and mid alone,
-    # which one solve for those columns gives; only --out reads all of G
-    green = green_matrix(gen) if args.out else None
-    fine = probe_block(green if args.out else gen, [mid])
-    del gen  # the half grid's generator is built without the fine one
+    # which a solve for those columns on the structured generator gives;
+    # only --out reads all of G
+    if args.out:
+        source = green = green_matrix(build_generator(ks, grid, args.process))
+    else:
+        source = StructuredGenerator(ks, grid, args.process)
+    fine = probe_block(source, [mid])
     drift = None
     if n >= 64 and n % 2 == 0:
-        half = build_generator(ks, Grid(args.a, args.b, n // 2), kind)
+        half = StructuredGenerator(ks, Grid(args.a, args.b, n // 2), source.kind)
         drift = block_drift(probe_block(half), fine)
     if args.out:
         header = ["x"] + [_FMT % y for y in xs]
@@ -105,7 +108,7 @@ def _cmd_solve_green(args):
         )
         _write_rows(args.out, header, rows)
     _emit_diag(
-        kind=f"green-{kind}",
+        kind=f"green-{source.kind}",
         grid={"a": args.a, "b": args.b, "n": n, "spec": spec.label()},
         value=fine.at(mid),
         refinement_drift=drift,

@@ -13,29 +13,35 @@ exactly-integrated per-node killing rate so the row-sum identity
 takes (cell masses, jump tails, the band coefficient and the wall
 correction) is a value read from the KernelSet, which alone decides how it
 is computed; this module runs no quadrature itself.  Everything downstream
-is dense linear algebra.  A caller that reads the whole Green function
-(the Poisson kernels, gauge ratios, 3G, the comparator band) gets the scaled
-inverse; one that reads a few of its entries (the refinement drift's probe
-pairs, the small-interval floor's window) gets them from one LU solve
-against those unit columns alone, the inverse's entries to the last bits.
-Poisson kernels are Green-kernel products against an exterior mesh, and the
-empirical certificates (gauge ratios, 3G, Harnack, boundary ratios,
-small-interval floor) are reductions over those matrices.
+is dense linear algebra.
+
+On the midpoint lattice every off-diagonal cell mass depends on |i - j| (a
+Toeplitz part), plus, for kind Z, on i + j (the fold's Hankel part).  So
+the negated generator of every kind is also held as O(n) per-offset masses
+and its diagonal (``StructuredGenerator``), whose closed jump tails are its
+kill rates as well, so it integrates no tail by quadrature.  A caller that
+reads a few Green entries (the refinement drift's probe pairs in
+``solve green``, the small-interval floor's window) gathers -A from that
+form into one n x n array, factors it in place by blocked Cholesky and
+solves for those unit columns alone.  A shelf's exit problem is solved
+without forming any matrix: conjugate gradients with FFT products and T.
+Chan's optimal circulant preconditioner (SIAM J. Sci. Stat. Comput. 9,
+1988).
+
+A caller that reads the whole Green function (the Poisson kernels, gauge
+ratios, 3G, the comparator band, the certificate's cached Green matrices)
+gets the scaled inverse of the dense per-entry generator, whose kill rates
+are quadrature tails; those lose their digits on long intervals, so each
+build holds them against the closed tails at the same starts and refuses a
+gap above _TAIL_GAP_MAX.  Poisson kernels are Green-kernel products against
+an exterior mesh, and the empirical certificates (gauge ratios, 3G,
+Harnack, boundary ratios, small-interval floor) are reductions over those
+matrices.
 
 The left endpoint of (0, R) problems is always approximated from inside by a
 small absorbing shelf a > 0; the shelf correction h(a)/h(R) brackets the
 re-entry mass, following the same limit argument the continuum objects are
-defined by.  A shelf's exit problem is solved without forming its generator:
-on the midpoint lattice every off-diagonal cell mass of kind Z depends on
-|i - j| (a Toeplitz part) or on i + j (the fold's Hankel part), so the
-negated generator is held as O(n) per-offset masses and its diagonal, and
-solved by conjugate gradients with FFT products and T. Chan's optimal
-circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).  The
-closed jump tails behind those masses are also the shelf's kill rates, so
-a shelf integrates no tail by quadrature.  Green matrices keep the dense
-per-entry generator, whose kill rates are quadrature tails; those lose
-their digits on long intervals, so each build holds them against the
-closed tails at the same starts and refuses a gap above _TAIL_GAP_MAX.
+defined by.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ __all__ = [
     "Grid",
     "GeneratorMatrix",
     "GreenMatrix",
+    "StructuredGenerator",
     "ZGrid",
     "PoissonTable",
     "BoundaryData",
@@ -131,6 +138,16 @@ def _kind(kind):
     kind = str(kind).upper()
     if kind not in _KINDS:
         raise ConfigError(f"kind must be one of {_KINDS}")
+    return kind
+
+
+def _form(grid, kind):
+    """``kind`` as one of _KINDS, refusing a form that ``grid`` cannot hold."""
+    kind = _kind(kind)
+    if kind in ("Y", "Z") and grid.a <= 0.0:
+        raise DomainError(f"kind {kind} needs a > 0 (forms live on the half line)")
+    if grid.n < 8:
+        raise ConfigError("need at least 8 cells for the near-diagonal treatment")
     return kind
 
 
@@ -244,13 +261,8 @@ def build_generator(ks: KernelSet, grid: Grid, kind: str) -> GeneratorMatrix:
     exactly-integrated killing rate: Poisson row masses then measure only
     the exterior-mesh quality, not assembly error.
     """
-    kind = _kind(kind)
-    if kind in ("Y", "Z") and grid.a <= 0.0:
-        raise DomainError(f"kind {kind} needs a > 0 (forms live on the half line)")
+    kind = _form(grid, kind)
     n = grid.n
-    if n < 8:
-        raise ConfigError("need at least 8 cells for the near-diagonal treatment")
-
     xs = grid.nodes()
     dx = grid.dx
     c2 = ks.band_coefficient(dx)
@@ -303,10 +315,11 @@ def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
     """G = (-A)^{-1} / dx, symmetrized, with the raw asymmetry recorded.
 
     For the callers that read all of G; a caller that reads a few entries
-    solves for their columns instead (``_green_block``).  The only n x n
-    array made is the one returned.  A is inverted and the inverse negated
-    in place: pivoting and every rounding of the LU solve commute with
-    negation, so that is bitwise inv(-A).  It is then symmetrized in place,
+    solves for their columns on the structured form instead
+    (``_green_block``).  The only n x n array made is the one returned.  A
+    is inverted and the inverse negated in place: pivoting and every
+    rounding of the LU solve commute with negation, so that is bitwise
+    inv(-A).  It is then symmetrized in place,
     _BLOCK rows of its upper triangle at a time over the columns from the
     block's first row on: each block and its mirror read (0.5/dx) (up + lo),
     bitwise (0.5/dx) (G0 + G0.T) since addition commutes, and the asymmetry
@@ -337,31 +350,78 @@ def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
     )
 
 
-def _green_block(gen: GeneratorMatrix, idx) -> np.ndarray:
-    """``green_matrix(gen).G[np.ix_(idx, idx)]`` for ascending distinct node
-    indices ``idx``, from the columns idx of (-A)^{-1} alone: one LU and
-    len(idx) right-hand sides, against one LU and n for the inverse.
+# columns per block of the Cholesky factorization behind the few-column
+# Green solves.  Each LAPACK call sees one diagonal block, so none copies the
+# whole matrix, and the work between blocks is matrix products.  Factoring
+# and solving 33 columns at n = 256, 1024 and 2048 took 1.0-1.7, 11-12 and
+# 56 ms with blocks of 64, against 5.2, 20 and 71 ms with blocks of 256
+# (2 vCPUs); the panels and the blocks' inverses add about 3 n x 64 doubles
+_CHOL_BLOCK = 64
 
-    numpy's inverse is the same LU solve against every unit column, so the
-    two agree to the last bits; whether they agree in every bit rests on
-    how the BLAS blocks its triangular solves (bitwise on some OpenBLAS
-    kernel sets, 3.6e-15 relative apart at most on others, n <= 1000).  The
-    columns are negated in place and refused as green_matrix refuses G (a
-    failed solve, a non-finite or a non-positive entry anywhere in them);
-    the columns left out go unchecked.  The block is symmetrized as
-    green_matrix does, (0.5/dx) (B + B.T).
+
+def _cholesky_solve(M, idx, what):
+    """The columns idx of M^{-1} for a symmetric positive definite M, whose
+    lower triangle is overwritten by its Cholesky factor L.
+
+    Left-looking, _CHOL_BLOCK columns at a time (Golub & Van Loan, Matrix
+    Computations, 4th ed., section 4.2): each panel takes off the product
+    of the factor's rows to its left, its diagonal block is factored by
+    ``np.linalg.cholesky``, and the rows below it are multiplied by the
+    inverse of that block's factor.  The unit columns idx then run through
+    L and L^T by block forward and back substitution with the same
+    inverses.  A diagonal block that is not positive definite raises
+    SolverError naming ``what``.
+    """
+    n = M.shape[0]
+    starts = range(0, n, _CHOL_BLOCK)
+    inv = []
+    for k0 in starts:
+        k1 = min(k0 + _CHOL_BLOCK, n)
+        P = M[k0:, k0:k1]
+        P -= M[k0:, :k0] @ M[k0:k1, :k0].T
+        try:
+            L = np.linalg.cholesky(P[: k1 - k0])
+        except np.linalg.LinAlgError as e:
+            raise SolverError(
+                f"{what}: the generator lost positive definiteness (the Cholesky "
+                f"factorization breaks down in rows {k0} to {k1 - 1})"
+            ) from e
+        Li = np.linalg.inv(L)
+        P[: k1 - k0] = L
+        P[k1 - k0 :] = P[k1 - k0 :] @ Li.T
+        inv.append(Li)
+    X = np.zeros((n, idx.size))
+    X[idx, np.arange(idx.size)] = 1.0
+    for k0, Li in zip(starts, inv):
+        k1 = k0 + Li.shape[0]
+        X[k0:k1] = Li @ (X[k0:k1] - M[k0:k1, :k0] @ X[:k0])
+    for k0, Li in reversed(list(zip(starts, inv))):
+        k1 = k0 + Li.shape[0]
+        X[k0:k1] = Li.T @ (X[k0:k1] - M[k1:, k0:k1].T @ X[k1:])
+    return X
+
+
+def _green_block(op: StructuredGenerator, idx) -> np.ndarray:
+    """``green_matrix(build_generator(ks, grid, kind)).G[np.ix_(idx, idx)]``
+    for ascending distinct node indices ``idx``, from the structured form
+    ``op`` of that generator and the columns idx of (-A)^{-1} alone.
+
+    -A is gathered into one n x n array and factored in place
+    (``_cholesky_solve``), so the only n x n array is that one.  The two
+    assemblies differ in their kill rates (closed tails here, quadrature
+    tails there) and in how the diagonal is summed, so the block agrees
+    with green_matrix's to about 1e-12 relative, not to the last bits.  The
+    columns are refused as green_matrix refuses G (a non-finite or a
+    non-positive entry anywhere in them); the columns left out go
+    unchecked.  The block is symmetrized as green_matrix does,
+    (0.5/dx) (B + B.T).
     """
     idx = np.asarray(idx)
-    E = np.zeros((gen.grid.n, idx.size))
-    E[idx, np.arange(idx.size)] = 1.0
-    try:
-        X = np.linalg.solve(gen.A, E)
-    except np.linalg.LinAlgError as e:
-        raise SolverError(f"generator inversion failed: {e}") from e
-    np.negative(X, out=X)
+    g = op.grid
+    X = _cholesky_solve(op.gather(), idx, f"Green solve on ({g.a:g}, {g.b:g})")
     _check_green(X)
     B = X[idx]
-    return (0.5 / gen.grid.dx) * (B + B.T)
+    return (0.5 / g.dx) * (B + B.T)
 
 
 def exit_time(green: GreenMatrix):
@@ -586,56 +646,72 @@ class ExitAliveReport:
     shrank: bool
 
 
-class _ShelfOperator:
-    """The negated kind Z generator -A of ``build_generator(ks, grid, "Z")``,
-    matrix-free: O(n) per-offset cell masses and its diagonal, applied to a
-    block of columns by ``matvec``, and its two exit columns ``exits``.
+class StructuredGenerator:
+    """The negated generator -A of ``build_generator(ks, grid, kind)``, held
+    as O(n) per-offset cell masses and its diagonal: applied to a block of
+    columns by ``matvec``, written out whole by ``gather``, with its two exit
+    columns ``exits``.
 
     With T = ``jump_tail_closed`` and x_i = a + (i + 1/2) dx, the cell
-    mass of node j seen from node i is t[|i - j|] + h[i + j]:
+    mass of node j seen from node i is t[|i - j|], plus h[i + j] for kind Z:
       t[1] = c2 (the band), t[k] = T((k - 1/2) dx) - T((k + 1/2) dx),
       h[s] = T(2a + (s + 1/2) dx) - T(2a + (s + 3/2) dx), s < 2n - 1,
-    the fold h entering the band as well, as in build_generator.  That takes
-    about 3n kernel powers per term, against about 2n^2 for the dense build.
+    the fold h entering the band as well, as in build_generator.  Kinds X
+    and Y share the Toeplitz part t and have no fold.  That takes about n
+    kernel powers per term (3n for kind Z), against about n^2 for the
+    dense build.
 
-    The same 3n tails are the kill rates: T((k + 1/2) dx) for k < n, then
-    T(2a + (s + 1/2) dx) for s < 2n, is _kill_split's kind Z layout
-    x - a, x + a, x + b.  So no tail is integrated twice, and none by
-    quadrature; the dense build's quadrature rates agree to about 3e-13
-    relative.  ``exits`` is (n, 2): the rate of exiting above b, then below
-    a, each with the wall correction dk at its wall node, so that the two
-    exit routes partition the whole probability.
+    The same closed tails are the kill rates, through _kill_split: kind X
+    reads T at x - a, which is T((k + 1/2) dx); kind Y reads it at x - a
+    and x; kind Z at x - a, x + a and x + b, which is T(2a + (s + 1/2) dx)
+    for s < 2n.  So no tail is integrated twice, and none by quadrature;
+    the dense build's quadrature rates agree to about 3e-13 relative.
+    ``exits`` is (n, 2): the rate of exiting above b, then below a, each
+    with the wall correction dk at its wall node, so that the two exit
+    routes partition the whole probability.
 
     The diagonal is the off-diagonal row sum plus the row sum of ``exits``,
     with each off-diagonal sum telescoped rather than added up: the
     Toeplitz part of one side with m neighbours is
-    c2 + T(3 dx/2) - T((m + 1/2) dx) (c2 alone for m = 1), and the fold's
-    is T(x_i + a) - T(x_i + b) - h[2i].  A cumulative sum of h differenced
-    instead put p_exit up to 2.1e-11 from a dense LU solve on the mixture's
-    4096-cell shelf, where the telescoped sums stay within 1.3e-12.
+    c2 + T(3 dx/2) - T((m + 1/2) dx) (c2 alone for m = 1), and kind Z's
+    fold is T(x_i + a) - T(x_i + b) - h[2i].  A cumulative sum of h
+    differenced instead put p_exit up to 2.1e-11 from a dense LU solve on
+    the mixture's 4096-cell shelf, where the telescoped sums stay within
+    1.3e-12.
     """
 
-    def __init__(self, ks: KernelSet, grid: Grid):
+    def __init__(self, ks: KernelSet, grid: Grid, kind: str):
+        self.kind = kind = _form(grid, kind)
+        self.grid = grid
         n, dx = grid.n, grid.dx
         c2 = ks.band_coefficient(dx)
-        # T((k + 1/2) dx) for k = 0 .. n - 1, and T(2a + (s + 1/2) dx) for
-        # s = 0 .. 2n - 1
+        # T((k + 1/2) dx) for k = 0 .. n - 1, then the kind's fold starts:
+        # T(x_k) (kind Y), or T(2a + (s + 1/2) dx) for s = 0 .. 2n - 1 (kind Z)
         tw = ks.jump_tail_closed((np.arange(n) + 0.5) * dx)
-        th = ks.jump_tail_closed(2.0 * grid.a + (np.arange(2 * n) + 0.5) * dx)
+        th = {
+            "X": np.empty(0),
+            "Y": ks.jump_tail_closed(grid.nodes()),
+            "Z": ks.jump_tail_closed(2.0 * grid.a + (np.arange(2 * n) + 0.5) * dx),
+        }[kind]
         t = np.zeros(n)
         t[1] = c2
         t[2:] = tw[1:-1] - tw[2:]
-        h = th[:-1] - th[1:]
 
-        lo, hi = _kill_split(np.concatenate([tw, th]), n, "Z")
+        lo, hi = _kill_split(np.concatenate([tw, th]), n, kind)
         self.exits = np.column_stack([hi, lo])
         self.exits[[-1, 0], [0, 1]] += ks.wall_correction(dx)
         m = np.arange(n)  # neighbours on the left of node i; n - 1 - i on the right
         side = np.where(m >= 1, c2, 0.0) + np.where(m >= 2, tw[1] - tw, 0.0)
-        # the row sum with the fold's own-cell mass h[2i] kept in: matvec
-        # applies the whole Hankel part and this diagonal takes h[2i] back
-        self._dd = side + side[::-1] + (th[:n] - th[n:]) + self.exits.sum(axis=1)
-        self.diag = self._dd - h[::2]
+        if kind == "Z":
+            # the row sum with the fold's own-cell mass h[2i] kept in:
+            # matvec applies the whole Hankel part and the diagonal takes
+            # h[2i] back
+            self._h = th[:-1] - th[1:]
+            self._dd = side + side[::-1] + (th[:n] - th[n:]) + self.exits.sum(axis=1)
+            self.diag = self._dd - self._h[::2]
+        else:
+            self._h = None
+            self.diag = self._dd = side + side[::-1] + self.exits.sum(axis=1)
 
         # the band and the nearest offsets as a stencil; the far Toeplitz
         # tail (circulant of size 2n) and the fold (a correlation, with no
@@ -645,7 +721,7 @@ class _ShelfOperator:
         far[_NEAR + 1 : n] = t[_NEAR + 1 :]
         far[n + 1 :] = far[n - 1 : 0 : -1]
         self._far_f = np.fft.rfft(far)
-        self._fold_f = np.fft.rfft(h, 2 * n)
+        self._fold_f = None if self._h is None else np.fft.rfft(self._h, 2 * n)
         self._t = t
 
     def matvec(self, X):
@@ -656,9 +732,24 @@ class _ShelfOperator:
             Y[k:] -= tk * X[:-k]
             Y[:-k] -= tk * X[k:]
         F = np.fft.rfft(X, 2 * n, axis=0)
-        F = self._far_f[:, None] * F + self._fold_f[:, None] * F.conj()
-        Y -= np.fft.irfft(F, 2 * n, axis=0)[:n]
+        P = self._far_f[:, None] * F
+        if self._fold_f is not None:
+            P += self._fold_f[:, None] * F.conj()
+        Y -= np.fft.irfft(P, 2 * n, axis=0)[:n]
         return Y
+
+    def gather(self):
+        """-A as one new n x n array.  Row i of the Toeplitz part is a
+        window of the vector (t[n-1], .., t[1], t[0], t[1], .., t[n-1]), and
+        row i of the fold is the window h[i : i + n], so -A is written
+        through strided views of t and h: no index array and no temporary."""
+        n, t = self.grid.n, self._t
+        M = np.empty((n, n))
+        np.negative(_windows(np.concatenate([t[:0:-1], t]), n)[::-1], out=M)
+        if self._h is not None:
+            M -= _windows(self._h, n)
+        np.fill_diagonal(M, self.diag)
+        return M
 
     def circulant_eigenvalues(self):
         """Eigenvalues of T. Chan's optimal circulant approximation of
@@ -670,6 +761,9 @@ class _ShelfOperator:
         k = np.arange(n)
         c = ((n - k) * col + k * np.roll(col[::-1], 1)) / n
         return np.fft.rfft(c).real
+
+
+_windows = np.lib.stride_tricks.sliding_window_view
 
 
 def _pcg(op, B, what):
@@ -736,7 +830,7 @@ def _shelf_solve(ks: KernelSet, a: float, R: float):
     """
     n = int(np.clip(round(SHELF_CELLS * (R - a) / a), 256, SHELF_N_CAP))
     grid = Grid(a, R, n)
-    op = _ShelfOperator(ks, grid)
+    op = StructuredGenerator(ks, grid, "Z")
     P, iters = _pcg(op, op.exits, f"exit solve failed at shelf a={a}")
     resid = np.linalg.norm(op.exits - op.matvec(P), axis=0) / np.linalg.norm(op.exits, axis=0)
     # -A 1 = up + down, so the two columns sum to 1 up to the solve's roundoff
@@ -766,7 +860,7 @@ def exit_alive_prob(
     involved, and for a stable exponent the answer depends on x/R alone
     (to about 5e-11 relative from R = 1e-8 to 1e12).
 
-    Each shelf is solved matrix-free (``_ShelfOperator``, ``_pcg``): its
+    Each shelf is solved matrix-free (``StructuredGenerator``, ``_pcg``): its
     generator is held as O(n) per-offset cell masses and never formed, and
     both columns run by circulant-preconditioned conjugate gradients with
     FFT products.  ``per_a`` records, per shelf, its cell count ``n``,
@@ -1020,7 +1114,7 @@ def small_interval_lower(
         window = np.flatnonzero((xs > a) & (xs < lambda1 * R))
         if window.size < 1:
             raise ConfigError("no grid nodes inside the probe window")
-        G = _green_block(build_generator(ks, grid, "Z"), window)
+        G = _green_block(StructuredGenerator(ks, grid, "Z"), window)
         floors.append(float(G.min() / hR))
     return tuple(floors)
 
@@ -1064,12 +1158,13 @@ class GreenBlock:
         return float(self.B[p, p])
 
 
-def probe_block(source: GeneratorMatrix | GreenMatrix, extra=()) -> GreenBlock:
+def probe_block(source: StructuredGenerator | GreenMatrix, extra=()) -> GreenBlock:
     """The block of G on the nodes green_drift reads (both ends of every
     probe's cell, at most 2 N_PROBE of them) and on the nodes ``extra``.
 
-    From a GreenMatrix the block is sliced; from a GeneratorMatrix it is
-    solved for (``_green_block``), so no whole Green matrix is formed.
+    From a GreenMatrix the block is sliced; from a StructuredGenerator it is
+    solved for (``_green_block``), so neither a dense generator nor a whole
+    Green matrix is formed.
     """
     idx = np.union1d(_probe_index(source.grid), np.asarray(extra, dtype=np.intp))
     if isinstance(source, GreenMatrix):

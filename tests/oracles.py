@@ -1,7 +1,9 @@
 """Independent reference values and the recipes that regenerate them.
 
 Everything here is computed by routes disjoint from the package code:
-special-function closed forms, a convergent alternating series for the
+special-function closed forms, transforms turned into smooth integrals
+(a contour rotated onto the imaginary axis, a Laplace representation)
+and summed by the trapezoid rule, a convergent alternating series for the
 one-sided stable law and a sampler of it by its product representation
 (the subordinated route of the walk's increments), and the classical interval exit laws of the
 symmetric stable process and its Green function killed at the origin.
@@ -44,6 +46,30 @@ def h1_closed(delta):
 def uq0_closed(q, alpha):
     """u^q(0) = (1/pi) int_0^inf dxi/(q + xi^alpha) = q^(1/alpha - 1)/(alpha sin(pi/alpha))."""
     return q ** (1.0 / alpha - 1.0) / (alpha * math.sin(math.pi / alpha))
+
+
+def uq_rotated(terms, q, x, h=0.01):
+    """u^q(x) = (1/pi) int_0^inf cos(lam x)/(q + psi(lam)) dlam for
+    psi(lam) = sum_k w_k lam^(2 d_k), 1/2 < d_k < 1, x >= 0, by turning the
+    contour onto the imaginary axis: q + psi has no zero in the first
+    quadrant, where every term has an argument in (0, pi), so
+    u^q(x) = (1/pi) int_0^inf e^(-r x) Im psi(ir) / |q + psi(ir)|^2 dr,
+    with psi(ir) = sum_k w_k r^(2 d_k) e^(i pi d_k).  The integrand has no
+    oscillation; it is summed by the trapezoid rule in log r."""
+    r = np.exp(np.arange(-60.0, 120.0 + h, h))
+    psi = sum(w * r ** (2.0 * d) * np.exp(1j * math.pi * d) for w, d in terms)
+    f = np.exp(-r * x) * r * psi.imag / np.abs(q + psi) ** 2
+    return h * math.fsum(f) / math.pi
+
+
+def cos_half_power(x, h=0.005):
+    """int_0^inf cos(x t) t^(-1/2) / (1 + t) dt for x >= 0, from
+    1/(1 + t) = int_0^inf e^(-s (1 + t)) ds and the Laplace transform of
+    t^(-1/2) cos(x t): sqrt(pi) int_0^inf e^(-s) Re (s - i x)^(-1/2) ds,
+    summed by the trapezoid rule in log s.  At x = 0 it is pi."""
+    s = np.exp(np.arange(-90.0, 4.0 + h, h))
+    f = s * np.exp(-s) * ((s - 1j * x) ** -0.5).real
+    return math.sqrt(math.pi) * h * math.fsum(f)
 
 
 def levy_c_closed(alpha):

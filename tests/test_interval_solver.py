@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from sbmpot import interval_solver
 from sbmpot.interval_solver import (
     _BLOCK,
     _CG_MAX_ITER,
+    _CHOL_BLOCK,
     _TAIL_GAP_MAX,
-    _ShelfOperator,
+    StructuredGenerator,
+    _cholesky_solve,
     _exit_rates,
     _green_block,
     _kill_split,
@@ -226,11 +229,12 @@ def test_green_matrix_equals_the_dense_one(request, ks_name, kind, n):
     assert green.asymmetry == asym
 
 
-# numpy's inverse and a solve for some of its columns run the same LU and
-# part only where the BLAS blocks the triangular solves differently: bitwise
-# on some OpenBLAS kernel sets, at most 3.6e-15 relative apart on others
-# (Haswell, Zen, Prescott; n <= 1000)
-_SOLVE_RTOL = 1e-13
+# a solve for some columns on the structured generator and green_matrix on
+# the dense one are two assemblies (closed against quadrature kill rates, a
+# telescoped against a summed diagonal) and two factorizations (Cholesky
+# against LU): at n <= 1000 their Green entries sat at most 1.32e-12
+# relative apart (X, Y and Z on (1, 2), both fixtures)
+_SOLVE_RTOL = 1.5e-12
 
 
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
@@ -239,27 +243,31 @@ _SOLVE_RTOL = 1e-13
 def test_green_block_is_the_green_matrix_block(request, ks_name, kind, n):
     # the probes' nodes plus the middle one (what `solve green` reads), a
     # window (what small_interval_lower reads), a lone node and every node,
-    # each from one solve for its columns
+    # each from one solve for its columns; the sizes straddle the blocks of
+    # the factorization as well as those of the assembly
+    assert _CHOL_BLOCK == _BLOCK
     ks = request.getfixturevalue(ks_name)
-    gen = build_generator(ks, Grid(1.0, 2.0, n), kind)
-    G = green_matrix(gen).G
-    xs = gen.grid.nodes()
+    grid = Grid(1.0, 2.0, n)
+    G = green_matrix(build_generator(ks, grid, kind)).G
+    op = StructuredGenerator(ks, grid, kind)
+    xs = grid.nodes()
     for idx in (
-        probe_block(gen, [n // 2]).idx,
+        probe_block(op, [n // 2]).idx,
         np.flatnonzero((xs > 1.1) & (xs < 1.3)),
         np.array([n // 3]),
         np.arange(n),
     ):
         np.testing.assert_allclose(
-            _green_block(gen, idx), G[np.ix_(idx, idx)], rtol=_SOLVE_RTOL, atol=0.0
+            _green_block(op, idx), G[np.ix_(idx, idx)], rtol=_SOLVE_RTOL, atol=0.0
         )
 
 
 def test_probe_block_slices_a_green_matrix_and_solves_a_generator(stable_ks):
-    gen = build_generator(stable_ks, Grid(1.0, 2.0, 200), "Z")
-    green = green_matrix(gen)
-    solved, sliced = probe_block(gen, [100, 3]), probe_block(green, [100, 3])
-    idx = np.union1d(_probe_index(gen.grid), [3, 100])
+    grid = Grid(1.0, 2.0, 200)
+    green = green_matrix(build_generator(stable_ks, grid, "Z"))
+    op = StructuredGenerator(stable_ks, grid, "Z")
+    solved, sliced = probe_block(op, [100, 3]), probe_block(green, [100, 3])
+    idx = np.union1d(_probe_index(grid), [3, 100])
     assert np.array_equal(solved.idx, idx) and np.array_equal(sliced.idx, idx)
     assert np.array_equal(sliced.B, green.G[np.ix_(idx, idx)])
     np.testing.assert_allclose(solved.B, sliced.B, rtol=_SOLVE_RTOL, atol=0.0)
@@ -270,24 +278,60 @@ def test_probe_block_slices_a_green_matrix_and_solves_a_generator(stable_ks):
 
 
 def test_green_block_solves_only_its_columns(stable_ks, monkeypatch):
-    # one LU solve against the 33 unit columns, and no inverse: at n = 1024
-    # the traced peak is the unit columns and the solution, 0.07 of an
-    # n x n array (numpy's LU works in a buffer that tracemalloc does not
-    # see; green_matrix's traced peak is 1.18 of one)
-    gen = build_generator(stable_ks, Grid(1.0, 2.0, 1024), "Z")
-    idx = np.union1d(_probe_index(gen.grid), [512])
-    calls = []
-    real = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda A, B: calls.append(B.shape) or real(A, B))
-    monkeypatch.setattr(np.linalg, "inv", None)
+    # one factorization and a solve for the 33 unit columns, and no LAPACK
+    # call sees more than one diagonal block, so none copies the gathered
+    # matrix (np.linalg.solve on it would, where tracemalloc does not see
+    # it).  At n = 1024 the traced peak is the gathered -A, 1.0 of an
+    # n x n array, plus the panels: 1.08 in all
+    n = 1024
+    op = StructuredGenerator(stable_ks, Grid(1.0, 2.0, n), "Z")
+    idx = np.union1d(_probe_index(op.grid), [n // 2])
+    calls, sizes = [], []
+    real = interval_solver._cholesky_solve
+
+    def counted(M, cols, what):
+        calls.append((M.shape, cols.tolist()))
+        return real(M, cols, what)
+
+    def sized(f):
+        return lambda A: sizes.append(A.shape[0]) or f(A)
+
+    monkeypatch.setattr(interval_solver, "_cholesky_solve", counted)
+    monkeypatch.setattr(np.linalg, "cholesky", sized(np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "inv", sized(np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", None)
     tracemalloc.start()
     try:
-        _green_block(gen, idx)
+        _green_block(op, idx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [(1024, idx.size)]
-    assert peak < 0.1 * 8 * gen.grid.n**2
+    assert calls == [((n, n), idx.tolist())]
+    assert sizes and max(sizes) == _CHOL_BLOCK
+    assert peak < 1.2 * 8 * n**2
+
+
+@pytest.mark.parametrize("n", [1, 7, _CHOL_BLOCK - 1, _CHOL_BLOCK, _CHOL_BLOCK + 1, 3 * _CHOL_BLOCK + 5])
+def test_cholesky_solve_is_the_inverse(n):
+    # against numpy's inverse and factor of a random well-conditioned SPD
+    # matrix; one, some and every column, across the blocks' edges
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n))
+    M0 = B @ B.T / n + np.eye(n)
+    want, L = np.linalg.inv(M0), np.linalg.cholesky(M0)
+    for idx in (np.array([n // 2]), np.arange(0, n, 3), np.arange(n)):
+        M = M0.copy()
+        X = _cholesky_solve(M, idx, "test")
+        np.testing.assert_allclose(X, want[:, idx], rtol=0.0, atol=1e-13 * np.max(want))
+        np.testing.assert_allclose(np.tril(M), L, rtol=0.0, atol=1e-13 * np.max(L))
+
+
+def test_cholesky_solve_names_the_block_that_breaks_down():
+    M = np.eye(3 * _CHOL_BLOCK)
+    M[_CHOL_BLOCK + 5, _CHOL_BLOCK + 5] = -1.0
+    rows = f"rows {_CHOL_BLOCK} to {2 * _CHOL_BLOCK - 1}"
+    with pytest.raises(SolverError, match=f"^solve: the generator lost positive definiteness .*{rows}"):
+        _cholesky_solve(M, np.arange(3), "solve")
 
 
 def test_green_matrix_makes_one_n_by_n_array(stable_ks):
@@ -309,33 +353,45 @@ def _hand_built(A):
     return interval_solver.GeneratorMatrix("X", grid, A, (zero, zero, 0.0))
 
 
+def _hand_op(A):
+    # what _green_block reads of a StructuredGenerator: its grid and -A
+    A = np.array(A, dtype=float)
+    return SimpleNamespace(grid=Grid(1.0, 2.0, A.shape[0]), gather=lambda: -A)
+
+
 # the two routes to Green entries, the whole matrix and a block of its
-# columns, refuse alike
+# columns on the structured form, refuse alike but for a generator that is
+# not negative definite: green_matrix's LU inverts a symmetric indefinite
+# one, which the Cholesky factorization refuses by name
 _ROUTES = (
-    lambda gen: green_matrix(gen),
-    lambda gen: _green_block(gen, np.arange(gen.grid.n)),
+    lambda A: green_matrix(_hand_built(A)),
+    lambda A: _green_block(_hand_op(A), np.arange(len(A))),
 )
 
 
 def test_green_matrix_refuses_a_singular_generator():
-    for route in _ROUTES:
-        with pytest.raises(SolverError, match="generator inversion failed"):
-            route(_hand_built(-np.ones((3, 3))))
+    with pytest.raises(SolverError, match="generator inversion failed"):
+        _ROUTES[0](-np.ones((3, 3)))
+    with pytest.raises(SolverError, match=r"\(1, 2\): the generator lost positive definiteness"):
+        _ROUTES[1](-np.ones((3, 3)))
 
 
 def test_green_matrix_refuses_a_non_finite_inverse():
     A = -4.0 * np.eye(3) + 1.0
     A[2, 1] = np.nan
     for route in _ROUTES:
-        with pytest.raises(SolverError, match="non-finite entries"):
-            route(_hand_built(A))
+        # OpenBLAS's Cholesky carries a nan into the factor; a LAPACK that
+        # tests each pivot for nan refuses it there
+        with pytest.raises(SolverError, match="non-finite entries|lost positive definiteness"):
+            route(A)
 
 
 def test_green_matrix_refuses_a_negative_entry():
-    # inv([[1, 2], [2, 1]]) = [[-1, 2], [2, -1]] / 3
+    # inv([[2, 1], [1, 2]]) = [[2, -1], [-1, 2]] / 3, and [[2, 1], [1, 2]]
+    # is positive definite, so the Cholesky route reaches the guard too
     for route in _ROUTES:
         with pytest.raises(SolverError, match="lost positivity"):
-            route(_hand_built(-np.array([[1.0, 2.0], [2.0, 1.0]])))
+            route(-np.array([[2.0, 1.0], [1.0, 2.0]]))
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (64, 0), (0, 64), (64, 64), (63, 64), (64, 63)])
@@ -359,12 +415,12 @@ def test_green_block_guards_read_every_solved_entry(monkeypatch, i, j, bad, matc
     n = _BLOCK + 1
     inv = -np.ones((n, n))
     inv[i, j] = -bad
-    monkeypatch.setattr(np.linalg, "solve", lambda A, E: inv[:, E.argmax(axis=0)])
-    gen = _hand_built(-np.eye(n))
+    monkeypatch.setattr(interval_solver, "_cholesky_solve", lambda M, idx, what: -inv[:, idx])
+    op = _hand_op(-np.eye(n))
     with pytest.raises(SolverError, match=match):
-        _green_block(gen, np.array([j]))
+        _green_block(op, np.array([j]))
     # and a block that leaves column j out never sees it
-    _green_block(gen, np.array([(j + 2) % n, (j + 3) % n]))
+    _green_block(op, np.array([(j + 2) % n, (j + 3) % n]))
 
 
 def test_exit_time_matches_interval_exit_law(stable_ks, green_x_256):
@@ -542,24 +598,37 @@ def test_matrix_free_shelf_solve_matches_lu(ks_name, a, n, request):
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
 def test_shelf_operator_matvec_is_the_generator(ks_name, n, request):
     # the per-offset masses, the telescoped diagonal and the FFT products
-    # apply -A; at n = 8 and 10 every or nearly every offset is direct
+    # apply -A, and the gather writes it, for every kind; at n = 8 and 10
+    # every or nearly every offset is direct
     ks = request.getfixturevalue(ks_name)
     grid = Grid(4.0 / (n + 4.0), 1.0, n)
-    op = _ShelfOperator(ks, grid)
-    gen = build_generator(ks, grid, "Z")
-    # the exit columns come from the operator's own closed tails; the dense
-    # build integrates the same tails by quadrature, an independent route
-    # (they agree within 3.0e-13 relative on both fixtures)
-    lo, hi, dk = gen.exit_rates
-    want = np.column_stack([hi, lo])
-    want[-1, 0] += dk
-    want[0, 1] += dk
-    np.testing.assert_allclose(op.exits, want, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(op.diag, -np.diag(gen.A), rtol=1e-13, atol=0.0)
     x = np.random.default_rng(n).standard_normal((n, 2))
-    want = -gen.A @ x
-    del gen
-    np.testing.assert_allclose(op.matvec(x), want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+    for kind in "XYZ":
+        op = StructuredGenerator(ks, grid, kind)
+        gen = build_generator(ks, grid, kind)
+        assert op.kind == gen.kind
+        # the exit columns come from the operator's own closed tails; the
+        # dense build integrates the same tails by quadrature, an
+        # independent route (they agree within 3.0e-13 relative on both
+        # fixtures)
+        lo, hi, dk = gen.exit_rates
+        want = np.column_stack([hi, lo])
+        want[-1, 0] += dk
+        want[0, 1] += dk
+        np.testing.assert_allclose(op.exits, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(op.diag, -np.diag(gen.A), rtol=1e-13, atol=0.0)
+        want = -gen.A @ x
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(op.matvec(x), want, rtol=0.0, atol=1e-12 * scale)
+        if n <= 1000:
+            # the gather against the dense build: they part by the kill rates
+            # of the wall nodes (closed against quadrature tails, 1.2e-14 of
+            # the largest entry at most on these grids)
+            M = op.gather()
+            np.testing.assert_allclose(M, -gen.A, rtol=0.0, atol=2e-14 * np.max(M))
+            assert np.array_equal(M, M.T)
+            del M
+        del gen
 
 
 def test_shelf_solve_makes_no_n_by_n_array(stable_ks):
@@ -577,15 +646,15 @@ def test_shelf_solve_makes_no_n_by_n_array(stable_ks):
 
 
 def test_exit_solve_rejects_an_indefinite_generator(stable_ks, mixture_ks, monkeypatch):
-    make = interval_solver._ShelfOperator
+    make = interval_solver.StructuredGenerator
 
-    def indefinite(ks, grid):
-        op = make(ks, grid)
+    def indefinite(ks, grid, kind):
+        op = make(ks, grid, kind)
         op._dd[200] -= 2.0 * op.diag[200]  # a negative diagonal entry of -A
         op.diag[200] *= -1.0
         return op
 
-    monkeypatch.setattr(interval_solver, "_ShelfOperator", indefinite)
+    monkeypatch.setattr(interval_solver, "StructuredGenerator", indefinite)
     with pytest.raises(SolverError, match="a=0.004: the generator lost positive"):
         exit_alive_prob(stable_ks, 1.0, 0.5, a_seq=(0.004,))
     # the mixture's entry takes the mean diagonal below what the Toeplitz
@@ -956,7 +1025,8 @@ def test_small_interval_lower(stable_ks):
     # shrinking the shelf grows the domain, so the floor can only rise
     assert isinstance(lam2_half, float) and lam2_half >= lam2 - 1e-12
     # the companion is the (a/2, R) Green matrix over the window (a, lambda1
-    # R), to the last bits of a solve for the window's columns
+    # R), within the two routes' gap (a solve for the window's columns on
+    # the structured generator)
     green = green_matrix(build_generator(stable_ks, Grid(0.002, 1.0, 512), "Z"))
     xs = green.grid.nodes()
     win = (xs > 0.004) & (xs < 0.25)
@@ -1006,15 +1076,15 @@ def test_small_interval_lower_guards_read_its_window_columns(stable_ks, monkeypa
     # every row of them: a bad entry in the last row, outside the window, is
     # refused; an entry whose two nodes both lie outside the window, such as
     # G[n - 1, n - 1], is neither solved for nor checked
-    real, cols = np.linalg.solve, []
+    real, cols = interval_solver._cholesky_solve, []
 
-    def solve(A, E):
-        cols.append(np.flatnonzero(E.any(axis=1)))
-        X = real(A, E)
+    def solve(M, idx, what):
+        cols.append(idx)
+        X = real(M, idx, what)
         X[-1, 0] = -X[-1, 0]
         return X
 
-    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(interval_solver, "_cholesky_solve", solve)
     with pytest.raises(SolverError, match="lost positivity"):
         small_interval_lower(stable_ks, 1.0, n=64)
     shelf = interval_solver.default_shelf(1.0)
@@ -1022,6 +1092,26 @@ def test_small_interval_lower_guards_read_its_window_columns(stable_ks, monkeypa
     window = np.flatnonzero((xs > shelf) & (xs < 0.25))
     assert len(cols) == 1 and np.array_equal(cols[0], window)
     assert 63 not in window
+
+
+@pytest.mark.parametrize("kind", "XYZ")
+def test_green_block_is_scale_free_at_long_range(stable_ks, kind):
+    # for stable 0.75 (alpha = 1.5) the Green function of (r, 2r) is
+    # r^(alpha - 1) times that of (1, 2).  The structured route reads closed
+    # tails only, so it holds at r = 1e8 and 1e12, where the dense build's
+    # quadrature kill rates are refused
+    n = 256
+    mid = n // 2
+
+    def at(r):
+        op = StructuredGenerator(stable_ks, Grid(r, 2.0 * r, n), kind)
+        return probe_block(op, [mid]).at(mid)
+
+    ref = at(1.0)
+    for r in (1e8, 1e12):
+        assert at(r) == pytest.approx(math.sqrt(r) * ref, rel=1e-12, abs=0.0)
+    with pytest.raises(SolverError, match="ROADMAP item 4"):
+        build_generator(stable_ks, Grid(1e8, 2e8, n), kind)
 
 
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])

@@ -25,6 +25,7 @@ from oracles import (
     levy_c_closed,
     phi_cap_inv_full,
     uq0_closed,
+    uq_rotated,
 )
 
 
@@ -289,12 +290,17 @@ def test_uq_rows_are_the_one_point_engine(spec):
 
 
 def test_uq_rows_keep_their_one_point_values(stable_ks, mixture_ks):
-    # as each x gave alone through the one-point route (q = 1)
+    # each row as its x gives alone through the one-point route (q = 1),
+    # and within the engine's contract of the contour-rotated transform.
+    # No literal: the GK15 sums run through a BLAS dot, so their last bit
+    # moves with the OpenBLAS kernel set
     xs = [0.0, 1e-40, 0.02, 0.5]
-    assert stable_ks.uq(1.0, xs).tolist() == [
-        0.7698003589195282, 0.7698003589195282, 0.6572702992635158, 0.27339278272401146]
-    assert mixture_ks.uq(1.0, xs).tolist() == [
-        0.4276110981256596, 0.4276110981256596, 0.4047459440619233, 0.22460420374642312]
+    for ks in (stable_ks, mixture_ks):
+        rows = ks.uq(1.0, xs)
+        assert rows.tolist() == [float(ks.uq(1.0, x)) for x in xs]
+        terms = list(zip(ks.phi.weights(), ks.phi.exponents()))
+        want = [uq_rotated(terms, 1.0, x) for x in xs]
+        np.testing.assert_allclose(rows, want, rtol=1e-9, atol=1e-10)
     assert stable_ks.uq(1.0, []).shape == (0,)
 
 

@@ -240,14 +240,14 @@ def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
     # both used to fold with max from 0.0, and max(0.0, nan) is 0.0: all
     # three drifts nan read worst = 0.0 and passed
     monkeypatch.setattr(vf, "green_drift", lambda coarse, fine: float("nan"))
-    real_exit_time = vf.exit_time
+    real_exit_times = vf._exit_times
 
-    def nan_at_the_wall(green):
-        E = real_exit_time(green).copy()
+    def nan_at_the_wall(gen):
+        E = real_exit_times(gen)
         E[-1] = float("nan")  # far from the c3 probes, so only the 4Rh ratio sees it
         return E
 
-    monkeypatch.setattr(vf, "exit_time", nan_at_the_wall)
+    monkeypatch.setattr(vf, "_exit_times", nan_at_the_wall)
     cfg = RunConfig(specs=(PhiSpec.stable(0.75),), n_coarse=32, n_fine=64)
     rep = run_verify(cfg, only=["green-self-convergence", "exit-time-bound"])
     conv, bound = rep.checks
