@@ -102,10 +102,11 @@ def _cmd_solve_green(args):
         half = StructuredGenerator(ks, Grid(args.a, args.b, n // 2), source.kind)
         drift = block_drift(probe_block(half), fine)
     if args.out:
+        # one % a row over the row's joined format: the bytes of the
+        # per-entry _FMT join in three quarters of its time
+        row = ",".join([_FMT] * (n + 1))
         header = ["x"] + [_FMT % y for y in xs]
-        rows = (
-            [_FMT % xs[i]] + [_FMT % v for v in green.G[i]] for i in range(n)
-        )
+        rows = ([row % (xs[i], *green.G[i].tolist())] for i in range(n))
         _write_rows(args.out, header, rows)
     _emit_diag(
         kind=f"green-{source.kind}",

@@ -22,11 +22,12 @@ and its diagonal (``StructuredGenerator``), whose closed jump tails are its
 kill rates as well, so it integrates no tail by quadrature.  A caller that
 reads a few Green entries (the refinement drift's probe pairs in
 ``solve green``, the small-interval floor's window) gathers -A from that
-form into one n x n array, factors it in place by blocked Cholesky and
-solves for those unit columns alone.  A shelf's exit problem is solved
-without forming any matrix: conjugate gradients with FFT products and T.
-Chan's optimal circulant preconditioner (SIAM J. Sci. Stat. Comput. 9,
-1988).
+form one panel of columns at a time, factors each panel in place by
+blocked Cholesky as it is reached, keeping the lower block triangle alone
+(about half of an n x n array), and solves for those unit columns.  A
+shelf's exit problem is solved without forming any matrix: conjugate
+gradients with FFT products and T. Chan's optimal circulant
+preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
 
 A caller that reads the whole Green function (the Poisson kernels, gauge
 ratios, 3G, the comparator band, the certificate's cached Green matrices)
@@ -351,53 +352,77 @@ def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
 
 
 # columns per block of the Cholesky factorization behind the few-column
-# Green solves.  Each LAPACK call sees one diagonal block, so none copies the
-# whole matrix, and the work between blocks is matrix products.  Factoring
-# and solving 33 columns at n = 256, 1024 and 2048 took 1.0-1.7, 11-12 and
-# 56 ms with blocks of 64, against 5.2, 20 and 71 ms with blocks of 256
-# (2 vCPUs); the panels and the blocks' inverses add about 3 n x 64 doubles
+# Green solves.  Each LAPACK call sees one diagonal block, so none copies a
+# panel, and the work between blocks is matrix products.  Factoring and
+# solving 33 columns at n = 256, 1024 and 2048 took 1.0-1.7, 11-12 and 56 ms
+# with blocks of 64, against 5.2, 20 and 71 ms with blocks of 256 (2 vCPUs)
 _CHOL_BLOCK = 64
 
+# columns per storage panel of that factorization, which gathers and keeps
+# -A one panel at a time, n (n + _CHOL_PANEL) / 2 doubles in all.  Solving
+# 33 columns at n = 2048 (kind Z, mixture fixture, 2 vCPUs, median of 15
+# interleaved) took 76.8, 73.9, 69.4 and 65.9 ms with panels of 64, 128,
+# 256 and 512 columns, for 18.0, 18.5, 19.6 and 23.1 MB traced; the whole
+# gathered matrix took 64-73 ms for 35.2 MB
+_CHOL_PANEL = 256
 
-def _cholesky_solve(M, idx, what):
-    """The columns idx of M^{-1} for a symmetric positive definite M, whose
-    lower triangle is overwritten by its Cholesky factor L.
 
-    Left-looking, _CHOL_BLOCK columns at a time (Golub & Van Loan, Matrix
-    Computations, 4th ed., section 4.2): each panel takes off the product
-    of the factor's rows to its left, its diagonal block is factored by
-    ``np.linalg.cholesky``, and the rows below it are multiplied by the
-    inverse of that block's factor.  The unit columns idx then run through
-    L and L^T by block forward and back substitution with the same
-    inverses.  A diagonal block that is not positive definite raises
-    SolverError naming ``what``.
+def _blocks(w):
+    """(k0, k1) of each _CHOL_BLOCK-column block of a panel w columns wide."""
+    return [(k, min(k + _CHOL_BLOCK, w)) for k in range(0, w, _CHOL_BLOCK)]
+
+
+def _cholesky_solve(op, idx, what):
+    """The columns idx of M^{-1}, where M = -A is the negated generator of
+    the structured form ``op`` and is symmetric positive definite.
+
+    M = L L^T is factored left-looking (Golub & Van Loan, Matrix
+    Computations, 4th ed., section 4.2) one storage panel of _CHOL_PANEL
+    columns at a time.  Panel M[c0:, c0:c1] is gathered (``op.gather(c0,
+    c1)``) only when it is reached, takes off the product of each earlier
+    panel's rows, and is factored _CHOL_BLOCK columns at a time: its
+    diagonal block by ``np.linalg.cholesky``, the rows below it multiplied by
+    the inverse of that block's factor, and the inverse kept in the block's
+    place.  So only the lower block triangle is held, about
+    n (n + _CHOL_PANEL) / 2 doubles.  The unit columns idx then run through
+    L by forward substitution, which sums over the panels to the left, and
+    through L^T by back substitution, which reads the block's own panel.  A
+    diagonal block that is not positive definite raises SolverError naming
+    ``what``.
     """
-    n = M.shape[0]
-    starts = range(0, n, _CHOL_BLOCK)
-    inv = []
-    for k0 in starts:
-        k1 = min(k0 + _CHOL_BLOCK, n)
-        P = M[k0:, k0:k1]
-        P -= M[k0:, :k0] @ M[k0:k1, :k0].T
-        try:
-            L = np.linalg.cholesky(P[: k1 - k0])
-        except np.linalg.LinAlgError as e:
-            raise SolverError(
-                f"{what}: the generator lost positive definiteness (the Cholesky "
-                f"factorization breaks down in rows {k0} to {k1 - 1})"
-            ) from e
-        Li = np.linalg.inv(L)
-        P[: k1 - k0] = L
-        P[k1 - k0 :] = P[k1 - k0 :] @ Li.T
-        inv.append(Li)
+    n = op.grid.n
+    panels = []  # (c0, L[c0:, c0:c1] with each diagonal block inverted)
+    for c0 in range(0, n, _CHOL_PANEL):
+        P = op.gather(c0, min(c0 + _CHOL_PANEL, n))
+        w = P.shape[1]
+        for q0, Q in panels:
+            R = Q[c0 - q0 :]
+            P -= R @ R[:w].T
+        for k0, k1 in _blocks(w):
+            D = P[k0:, k0:k1]
+            D -= P[k0:, :k0] @ P[k0:k1, :k0].T
+            try:
+                L = np.linalg.cholesky(D[: k1 - k0])
+            except np.linalg.LinAlgError as e:
+                raise SolverError(
+                    f"{what}: the generator lost positive definiteness (the Cholesky "
+                    f"factorization breaks down in rows {c0 + k0} to {c0 + k1 - 1})"
+                ) from e
+            D[: k1 - k0] = Li = np.linalg.inv(L)
+            D[k1 - k0 :] = D[k1 - k0 :] @ Li.T
+        panels.append((c0, P))
     X = np.zeros((n, idx.size))
     X[idx, np.arange(idx.size)] = 1.0
-    for k0, Li in zip(starts, inv):
-        k1 = k0 + Li.shape[0]
-        X[k0:k1] = Li @ (X[k0:k1] - M[k0:k1, :k0] @ X[:k0])
-    for k0, Li in reversed(list(zip(starts, inv))):
-        k1 = k0 + Li.shape[0]
-        X[k0:k1] = Li.T @ (X[k0:k1] - M[k1:, k0:k1].T @ X[k1:])
+    for p, (c0, P) in enumerate(panels):
+        Y = X[c0 : c0 + P.shape[1]]
+        for q0, Q in panels[:p]:
+            Y -= Q[c0 - q0 : c0 - q0 + len(Y)] @ X[q0 : q0 + Q.shape[1]]
+        for k0, k1 in _blocks(P.shape[1]):
+            Y[k0:k1] = P[k0:k1, k0:k1] @ (Y[k0:k1] - P[k0:k1, :k0] @ Y[:k0])
+    for c0, P in reversed(panels):
+        for k0, k1 in reversed(_blocks(P.shape[1])):
+            Y = X[c0 + k0 : c0 + k1]
+            Y[:] = P[k0:k1, k0:k1].T @ (Y - P[k1:, k0:k1].T @ X[c0 + k1 :])
     return X
 
 
@@ -406,19 +431,19 @@ def _green_block(op: StructuredGenerator, idx) -> np.ndarray:
     for ascending distinct node indices ``idx``, from the structured form
     ``op`` of that generator and the columns idx of (-A)^{-1} alone.
 
-    -A is gathered into one n x n array and factored in place
-    (``_cholesky_solve``), so the only n x n array is that one.  The two
-    assemblies differ in their kill rates (closed tails here, quadrature
-    tails there) and in how the diagonal is summed, so the block agrees
-    with green_matrix's to about 1e-12 relative, not to the last bits.  The
-    columns are refused as green_matrix refuses G (a non-finite or a
-    non-positive entry anywhere in them); the columns left out go
+    -A is gathered and factored one panel at a time (``_cholesky_solve``),
+    which keeps its lower block triangle alone, so no n x n array is made.
+    The two assemblies differ in their kill rates (closed tails here,
+    quadrature tails there) and in how the diagonal is summed, so the block
+    agrees with green_matrix's to about 1e-12 relative, not to the last
+    bits.  The columns are refused as green_matrix refuses G (a non-finite
+    or a non-positive entry anywhere in them); the columns left out go
     unchecked.  The block is symmetrized as green_matrix does,
     (0.5/dx) (B + B.T).
     """
     idx = np.asarray(idx)
     g = op.grid
-    X = _cholesky_solve(op.gather(), idx, f"Green solve on ({g.a:g}, {g.b:g})")
+    X = _cholesky_solve(op, idx, f"Green solve on ({g.a:g}, {g.b:g})")
     _check_green(X)
     B = X[idx]
     return (0.5 / g.dx) * (B + B.T)
@@ -738,17 +763,20 @@ class StructuredGenerator:
         Y -= np.fft.irfft(P, 2 * n, axis=0)[:n]
         return Y
 
-    def gather(self):
-        """-A as one new n x n array.  Row i of the Toeplitz part is a
-        window of the vector (t[n-1], .., t[1], t[0], t[1], .., t[n-1]), and
-        row i of the fold is the window h[i : i + n], so -A is written
-        through strided views of t and h: no index array and no temporary."""
+    def gather(self, c0=0, c1=None):
+        """-A[c0:, c0:c1] as one new array, the whole -A by default.  Row i
+        of the Toeplitz part is a window of the vector (t[n-1], .., t[1],
+        t[0], t[1], .., t[n-1]), and row i of the fold is the window
+        h[i : i + n], so -A is written through strided views of t and h, cut
+        to the columns c0:c1: no index array and no temporary."""
         n, t = self.grid.n, self._t
-        M = np.empty((n, n))
-        np.negative(_windows(np.concatenate([t[:0:-1], t]), n)[::-1], out=M)
+        c1 = n if c1 is None else c1
+        w = c1 - c0
+        M = np.empty((n - c0, w))
+        np.negative(_windows(np.concatenate([t[:0:-1], t]), w)[c0:n][::-1], out=M)
         if self._h is not None:
-            M -= _windows(self._h, n)
-        np.fill_diagonal(M, self.diag)
+            M -= _windows(self._h, w)[2 * c0 : n + c0]
+        np.fill_diagonal(M, self.diag[c0:c1])
         return M
 
     def circulant_eigenvalues(self):

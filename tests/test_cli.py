@@ -200,6 +200,24 @@ def test_solve_green(capsys, tmp_path):
     assert len(out_file.read_text().strip().splitlines()) == 65
 
 
+def test_solve_green_out_writes_each_entry_in_the_table_format(capsys, tmp_path):
+    # the rows are written with one % each over a joined format; the bytes
+    # are those of the per-entry join, whose G is exactly symmetric
+    out_file = tmp_path / "green.csv"
+    rc, _, _ = _run(
+        capsys, "solve", "green", "--a", "1", "--b", "2", "--n", "40",
+        "--process", "z", "--out", str(out_file),
+    )
+    assert rc == 0
+    fmt = "%.12e"
+    green = green_matrix(build_generator(KernelSet(PhiSpec.stable(0.75)), Grid(1.0, 2.0, 40), "z"))
+    G, xs = green.G, green.grid.nodes()
+    assert np.array_equal(G, G.T)
+    lines = [",".join(["x"] + [fmt % y for y in xs])]
+    lines += [",".join([fmt % xs[i]] + [fmt % v for v in G[i]]) for i in range(40)]
+    assert out_file.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
 @pytest.mark.parametrize("kind, n", [("x", 64), ("y", 200), ("z", 256), ("z", 65)])
 def test_solve_green_prints_the_green_matrix_values(capsys, tmp_path, kind, n):
     # without --out the CLI solves for the probes' and the middle node's

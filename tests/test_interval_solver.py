@@ -34,6 +34,7 @@ from sbmpot.interval_solver import (
     _BLOCK,
     _CG_MAX_ITER,
     _CHOL_BLOCK,
+    _CHOL_PANEL,
     _TAIL_GAP_MAX,
     StructuredGenerator,
     _cholesky_solve,
@@ -278,25 +279,29 @@ def test_probe_block_slices_a_green_matrix_and_solves_a_generator(stable_ks):
 
 
 def test_green_block_solves_only_its_columns(stable_ks, monkeypatch):
-    # one factorization and a solve for the 33 unit columns, and no LAPACK
-    # call sees more than one diagonal block, so none copies the gathered
-    # matrix (np.linalg.solve on it would, where tracemalloc does not see
-    # it).  At n = 1024 the traced peak is the gathered -A, 1.0 of an
-    # n x n array, plus the panels: 1.08 in all
+    # one factorization, gathered one panel at a time, and a solve for the
+    # 33 unit columns; no LAPACK call sees more than one diagonal block, so
+    # none copies a panel (np.linalg.solve would, where tracemalloc does not
+    # see it).  Only the lower block triangle is kept, n (n + 256) / 2
+    # doubles, and the peak is at the last panel, which holds that plus one
+    # more 256 x 256 block for the product of the panels to its left: 0.69 of
+    # an n x n array at n = 1024 (0.58 at 2048), against 1.10 when -A was
+    # gathered whole
     n = 1024
     op = StructuredGenerator(stable_ks, Grid(1.0, 2.0, n), "Z")
     idx = np.union1d(_probe_index(op.grid), [n // 2])
-    calls, sizes = [], []
-    real = interval_solver._cholesky_solve
+    calls, panels, sizes = [], [], []
+    real, gather = interval_solver._cholesky_solve, op.gather
 
-    def counted(M, cols, what):
-        calls.append((M.shape, cols.tolist()))
-        return real(M, cols, what)
+    def counted(op, cols, what):
+        calls.append((op.grid.n, cols.tolist()))
+        return real(op, cols, what)
 
     def sized(f):
         return lambda A: sizes.append(A.shape[0]) or f(A)
 
     monkeypatch.setattr(interval_solver, "_cholesky_solve", counted)
+    monkeypatch.setattr(op, "gather", lambda c0, c1: panels.append((c0, c1)) or gather(c0, c1))
     monkeypatch.setattr(np.linalg, "cholesky", sized(np.linalg.cholesky))
     monkeypatch.setattr(np.linalg, "inv", sized(np.linalg.inv))
     monkeypatch.setattr(np.linalg, "solve", None)
@@ -306,32 +311,63 @@ def test_green_block_solves_only_its_columns(stable_ks, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [((n, n), idx.tolist())]
+    assert calls == [(n, idx.tolist())]
+    assert panels == [(c, c + _CHOL_PANEL) for c in range(0, n, _CHOL_PANEL)]
     assert sizes and max(sizes) == _CHOL_BLOCK
-    assert peak < 1.2 * 8 * n**2
+    assert peak < 0.7 * 8 * n**2
 
 
-@pytest.mark.parametrize("n", [1, 7, _CHOL_BLOCK - 1, _CHOL_BLOCK, _CHOL_BLOCK + 1, 3 * _CHOL_BLOCK + 5])
-def test_cholesky_solve_is_the_inverse(n):
+@pytest.mark.parametrize("kind", "XYZ")
+@pytest.mark.parametrize("n", [_CHOL_PANEL - 1, _CHOL_PANEL, _CHOL_PANEL + 1, 600])
+def test_gather_of_a_panel_is_the_slice_of_the_whole(stable_ks, kind, n):
+    op = StructuredGenerator(stable_ks, Grid(1.0, 2.0, n), kind)
+    M = op.gather()
+    assert M.shape == (n, n)
+    for c0 in range(0, n, _CHOL_PANEL):
+        c1 = min(c0 + _CHOL_PANEL, n)
+        assert np.array_equal(op.gather(c0, c1), M[c0:, c0:c1])
+    assert np.array_equal(op.gather(5, 7), M[5:, 5:7])
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 7, _CHOL_BLOCK - 1, _CHOL_BLOCK, _CHOL_BLOCK + 1, 3 * _CHOL_BLOCK + 5,
+     _CHOL_PANEL - 1, _CHOL_PANEL, _CHOL_PANEL + 1, 3 * _CHOL_PANEL + 5],
+)
+def test_cholesky_solve_is_the_inverse(n, monkeypatch):
     # against numpy's inverse and factor of a random well-conditioned SPD
-    # matrix; one, some and every column, across the blocks' edges
+    # matrix; one, some and every column, across the edges of the blocks and
+    # of the panels.  The factor is held by the diagonal blocks LAPACK
+    # returns, each of which the solve then replaces by its inverse
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n, n))
     M0 = B @ B.T / n + np.eye(n)
     want, L = np.linalg.inv(M0), np.linalg.cholesky(M0)
+    factors, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda D: factors.append(cholesky(D)) or factors[-1])
     for idx in (np.array([n // 2]), np.arange(0, n, 3), np.arange(n)):
-        M = M0.copy()
-        X = _cholesky_solve(M, idx, "test")
+        factors.clear()
+        X = _cholesky_solve(_hand_op(-M0), idx, "test")
         np.testing.assert_allclose(X, want[:, idx], rtol=0.0, atol=1e-13 * np.max(want))
-        np.testing.assert_allclose(np.tril(M), L, rtol=0.0, atol=1e-13 * np.max(L))
+        k0 = 0
+        for F in factors:
+            k1 = k0 + F.shape[0]
+            np.testing.assert_allclose(F, L[k0:k1, k0:k1], rtol=0.0, atol=1e-13 * np.max(L))
+            k0 = k1
+        assert k0 == n
 
 
 def test_cholesky_solve_names_the_block_that_breaks_down():
-    M = np.eye(3 * _CHOL_BLOCK)
-    M[_CHOL_BLOCK + 5, _CHOL_BLOCK + 5] = -1.0
-    rows = f"rows {_CHOL_BLOCK} to {2 * _CHOL_BLOCK - 1}"
-    with pytest.raises(SolverError, match=f"^solve: the generator lost positive definiteness .*{rows}"):
-        _cholesky_solve(M, np.arange(3), "solve")
+    # in the second block of the first panel, and in the second panel
+    for row in (_CHOL_BLOCK + 5, _CHOL_PANEL + _CHOL_BLOCK + 5):
+        M = np.eye(3 * _CHOL_PANEL)
+        M[row, row] = -1.0
+        k0 = row - row % _CHOL_BLOCK
+        rows = f"rows {k0} to {k0 + _CHOL_BLOCK - 1}"
+        with pytest.raises(
+            SolverError, match=f"^solve: the generator lost positive definiteness .*{rows}"
+        ):
+            _cholesky_solve(_hand_op(-M), np.arange(3), "solve")
 
 
 def test_green_matrix_makes_one_n_by_n_array(stable_ks):
@@ -354,9 +390,12 @@ def _hand_built(A):
 
 
 def _hand_op(A):
-    # what _green_block reads of a StructuredGenerator: its grid and -A
+    # what _green_block reads of a StructuredGenerator: its grid and the
+    # panels -A[c0:, c0:c1], each a new array
     A = np.array(A, dtype=float)
-    return SimpleNamespace(grid=Grid(1.0, 2.0, A.shape[0]), gather=lambda: -A)
+    return SimpleNamespace(
+        grid=Grid(1.0, 2.0, A.shape[0]), gather=lambda c0=0, c1=None: -A[c0:, c0:c1]
+    )
 
 
 # the two routes to Green entries, the whole matrix and a block of its
@@ -415,7 +454,7 @@ def test_green_block_guards_read_every_solved_entry(monkeypatch, i, j, bad, matc
     n = _BLOCK + 1
     inv = -np.ones((n, n))
     inv[i, j] = -bad
-    monkeypatch.setattr(interval_solver, "_cholesky_solve", lambda M, idx, what: -inv[:, idx])
+    monkeypatch.setattr(interval_solver, "_cholesky_solve", lambda op, idx, what: -inv[:, idx])
     op = _hand_op(-np.eye(n))
     with pytest.raises(SolverError, match=match):
         _green_block(op, np.array([j]))
@@ -1078,9 +1117,9 @@ def test_small_interval_lower_guards_read_its_window_columns(stable_ks, monkeypa
     # G[n - 1, n - 1], is neither solved for nor checked
     real, cols = interval_solver._cholesky_solve, []
 
-    def solve(M, idx, what):
+    def solve(op, idx, what):
         cols.append(idx)
-        X = real(M, idx, what)
+        X = real(op, idx, what)
         X[-1, 0] = -X[-1, 0]
         return X
 
