@@ -25,10 +25,8 @@ from .interval_solver import (
     StructuredGenerator,
     bhp_sup_ratio,
     block_drift,
-    build_generator,
     default_shelf,
     exit_alive_prob,
-    green_matrix,
     harnack_sup_ratio,
     probe_block,
     small_interval_lower,
@@ -89,27 +87,24 @@ def _cmd_solve_green(args):
     grid = Grid(args.a, args.b, n)
     xs = grid.nodes()
     mid = int(np.argmin(np.abs(xs - 0.5 * (args.a + args.b))))
-    # the value and the drift read G on the probes' nodes and mid alone,
-    # which a solve for those columns on the structured generator gives;
-    # only --out reads all of G
-    if args.out:
-        source = green = green_matrix(build_generator(ks, grid, args.process))
-    else:
-        source = StructuredGenerator(ks, grid, args.process)
-    fine = probe_block(source, [mid])
+    # G is solved for on the structured generator, in the columns the
+    # request reads: the probes' nodes and mid for the value and the drift,
+    # every node for --out; the same solve gives the same value either way
+    op = StructuredGenerator(ks, grid, args.process)
+    fine = probe_block(op, np.arange(n) if args.out else [mid])
     drift = None
     if n >= 64 and n % 2 == 0:
-        half = StructuredGenerator(ks, Grid(args.a, args.b, n // 2), source.kind)
+        half = StructuredGenerator(ks, Grid(args.a, args.b, n // 2), op.kind)
         drift = block_drift(probe_block(half), fine)
     if args.out:
         # one % a row over the row's joined format: the bytes of the
         # per-entry _FMT join in three quarters of its time
         row = ",".join([_FMT] * (n + 1))
         header = ["x"] + [_FMT % y for y in xs]
-        rows = ([row % (xs[i], *green.G[i].tolist())] for i in range(n))
+        rows = ([row % (xs[i], *fine.B[i].tolist())] for i in range(n))
         _write_rows(args.out, header, rows)
     _emit_diag(
-        kind=f"green-{source.kind}",
+        kind=f"green-{op.kind}",
         grid={"a": args.a, "b": args.b, "n": n, "spec": spec.label()},
         value=fine.at(mid),
         refinement_drift=drift,

@@ -19,19 +19,20 @@ On the midpoint lattice every off-diagonal cell mass depends on |i - j| (a
 Toeplitz part), plus, for kind Z, on i + j (the fold's Hankel part).  So
 the negated generator of every kind is also held as O(n) per-offset masses
 and its diagonal (``StructuredGenerator``), whose closed jump tails are its
-kill rates as well, so it integrates no tail by quadrature.  A caller that
-reads a few Green entries (the refinement drift's probe pairs in
-``solve green``, the small-interval floor's window) gathers -A from that
-form one panel of columns at a time, factors each panel in place by
-blocked Cholesky as it is reached, keeping the lower block triangle alone
-(about half of an n x n array), and solves for those unit columns.  A
-shelf's exit problem is solved without forming any matrix: conjugate
-gradients with FFT products and T. Chan's optimal circulant
-preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
+kill rates as well, so it integrates no tail by quadrature.  ``solve
+green`` (the refinement drift's probe pairs and the middle node, or every
+entry for its table) and the small-interval floor (its window) solve for
+their Green entries on that form: -A is gathered one panel of columns at a
+time, each panel factored in place by blocked Cholesky as it is reached,
+keeping the lower block triangle alone (about half of an n x n array),
+and the unit columns of those entries are solved for.  A shelf's exit
+problem is solved without forming any matrix: conjugate gradients with
+FFT products and T. Chan's optimal circulant preconditioner (SIAM J. Sci.
+Stat. Comput. 9, 1988).
 
-A caller that reads the whole Green function (the Poisson kernels, gauge
-ratios, 3G, the comparator band, the certificate's cached Green matrices)
-gets the scaled inverse of the dense per-entry generator, whose kill rates
+The certificate's readers of the whole Green function (the Poisson
+kernels, gauge ratios, 3G, the comparator band, its cached Green matrices)
+get the scaled inverse of the dense per-entry generator, whose kill rates
 are quadrature tails; those lose their digits on long intervals, so each
 build holds them against the closed tails at the same starts and refuses a
 gap above _TAIL_GAP_MAX.  Poisson kernels are Green-kernel products against
@@ -763,14 +764,13 @@ class StructuredGenerator:
         Y -= np.fft.irfft(P, 2 * n, axis=0)[:n]
         return Y
 
-    def gather(self, c0=0, c1=None):
-        """-A[c0:, c0:c1] as one new array, the whole -A by default.  Row i
-        of the Toeplitz part is a window of the vector (t[n-1], .., t[1],
-        t[0], t[1], .., t[n-1]), and row i of the fold is the window
-        h[i : i + n], so -A is written through strided views of t and h, cut
-        to the columns c0:c1: no index array and no temporary."""
+    def gather(self, c0, c1):
+        """-A[c0:, c0:c1] as one new array.  Row i of the Toeplitz part is a
+        window of the vector (t[n-1], .., t[1], t[0], t[1], .., t[n-1]), and
+        row i of the fold is the window h[i : i + n], so -A is written
+        through strided views of t and h, cut to the columns c0:c1: no index
+        array and no temporary."""
         n, t = self.grid.n, self._t
-        c1 = n if c1 is None else c1
         w = c1 - c0
         M = np.empty((n - c0, w))
         np.negative(_windows(np.concatenate([t[:0:-1], t]), w)[c0:n][::-1], out=M)
@@ -1172,7 +1172,8 @@ def _probe_index(grid: Grid):
 class GreenBlock:
     """The principal block B = G[np.ix_(idx, idx)] of the Green matrix on
     ``grid``, for ascending node indices ``idx``: what a caller that reads
-    a few entries of G holds instead of G."""
+    some entries of G holds instead of a GreenMatrix.  With idx every node,
+    B is the whole of G."""
 
     grid: Grid
     idx: np.ndarray = field(repr=False)
@@ -1186,18 +1187,15 @@ class GreenBlock:
         return float(self.B[p, p])
 
 
-def probe_block(source: StructuredGenerator | GreenMatrix, extra=()) -> GreenBlock:
+def probe_block(op: StructuredGenerator, extra=()) -> GreenBlock:
     """The block of G on the nodes green_drift reads (both ends of every
-    probe's cell, at most 2 N_PROBE of them) and on the nodes ``extra``.
-
-    From a GreenMatrix the block is sliced; from a StructuredGenerator it is
-    solved for (``_green_block``), so neither a dense generator nor a whole
-    Green matrix is formed.
+    probe's cell, at most 2 N_PROBE of them) and on the nodes ``extra``,
+    solved for on the structured generator ``op`` (``_green_block``), so no
+    dense generator is built.  With every node in ``extra`` the block is
+    the whole of G.
     """
-    idx = np.union1d(_probe_index(source.grid), np.asarray(extra, dtype=np.intp))
-    if isinstance(source, GreenMatrix):
-        return GreenBlock(source.grid, idx, source.G[np.ix_(idx, idx)])
-    return GreenBlock(source.grid, idx, _green_block(source, idx))
+    idx = np.union1d(_probe_index(op.grid), np.asarray(extra, dtype=np.intp))
+    return GreenBlock(op.grid, idx, _green_block(op, idx))
 
 
 def _bilinear(block: GreenBlock):
@@ -1224,7 +1222,8 @@ def _bilinear(block: GreenBlock):
 
 
 def block_drift(coarse: GreenBlock, fine: GreenBlock) -> float:
-    """green_drift from the ``probe_block`` of each grid."""
+    """green_drift between two blocks on one interval, each holding the
+    nodes around the probes: a ``probe_block``, or the whole of G."""
     ga, gb = coarse.grid, fine.grid
     if (ga.a, ga.b) != (gb.a, gb.b):
         raise ConfigError("refinement drift needs a common interval")
@@ -1237,9 +1236,9 @@ def green_drift(coarse: GreenMatrix, fine: GreenMatrix) -> float:
 
     Probes at a + (b - a)(k + 1/2)/N_PROBE with interpolation on both
     lattices; comparing raw corner entries instead would pin distinct
-    continuum points against each other and never converge.  The
-    interpolation reads only the nodes around the probes, so a caller that
-    holds no whole Green matrix takes ``block_drift`` of the blocks that
-    ``probe_block`` solves for.
+    continuum points against each other and never converge.  Each matrix
+    is read as the block of every node; the interpolation reads only the
+    nodes around the probes, which are all that a ``probe_block`` holds.
     """
-    return block_drift(probe_block(coarse), probe_block(fine))
+    coarse, fine = (GreenBlock(g.grid, np.arange(g.grid.n), g.G) for g in (coarse, fine))
+    return block_drift(coarse, fine)

@@ -18,6 +18,7 @@ from sbmpot import (
     load_report,
     small_interval_lower,
 )
+from sbmpot.interval_solver import StructuredGenerator, probe_block
 from sbmpot.cli import main
 
 
@@ -202,7 +203,7 @@ def test_solve_green(capsys, tmp_path):
 
 def test_solve_green_out_writes_each_entry_in_the_table_format(capsys, tmp_path):
     # the rows are written with one % each over a joined format; the bytes
-    # are those of the per-entry join, whose G is exactly symmetric
+    # are those of the per-entry join of the solved G, exactly symmetric
     out_file = tmp_path / "green.csv"
     rc, _, _ = _run(
         capsys, "solve", "green", "--a", "1", "--b", "2", "--n", "40",
@@ -210,8 +211,9 @@ def test_solve_green_out_writes_each_entry_in_the_table_format(capsys, tmp_path)
     )
     assert rc == 0
     fmt = "%.12e"
-    green = green_matrix(build_generator(KernelSet(PhiSpec.stable(0.75)), Grid(1.0, 2.0, 40), "z"))
-    G, xs = green.G, green.grid.nodes()
+    grid = Grid(1.0, 2.0, 40)
+    op = StructuredGenerator(KernelSet(PhiSpec.stable(0.75)), grid, "z")
+    G, xs = probe_block(op, np.arange(40)).B, grid.nodes()
     assert np.array_equal(G, G.T)
     lines = [",".join(["x"] + [fmt % y for y in xs])]
     lines += [",".join([fmt % xs[i]] + [fmt % v for v in G[i]]) for i in range(40)]
@@ -220,13 +222,12 @@ def test_solve_green_out_writes_each_entry_in_the_table_format(capsys, tmp_path)
 
 @pytest.mark.parametrize("kind, n", [("x", 64), ("y", 200), ("z", 256), ("z", 65)])
 def test_solve_green_prints_the_green_matrix_values(capsys, tmp_path, kind, n):
-    # without --out the CLI solves for the probes' and the middle node's
-    # columns alone on the structured generator; it prints green_matrix's
-    # G[mid, mid] and green_drift's value within the two assemblies' gap
-    # (at most 4.5e-13 relative in the value and 1.3e-13 in the drift up to
-    # n = 1000), and so does the --out route, whose value is G[mid, mid]
-    # itself and whose half grid takes the structured route (an odd n has
-    # no drift)
+    # the CLI solves on the structured generator, for the probes' and the
+    # middle node's columns alone, or for every column with --out; it prints
+    # green_matrix's G[mid, mid] and green_drift's value within the two
+    # assemblies' gap (at most 4.5e-13 relative in the value and 1.3e-13 in
+    # the drift up to n = 1000), and the same bits with and without --out
+    # (an odd n has no drift)
     ks = KernelSet(PhiSpec.stable(0.75))
     fine = green_matrix(build_generator(ks, Grid(1.0, 2.0, n), kind))
     mid = int(np.argmin(np.abs(fine.grid.nodes() - 1.5)))
@@ -235,27 +236,38 @@ def test_solve_green_prints_the_green_matrix_values(capsys, tmp_path, kind, n):
         half = green_matrix(build_generator(ks, Grid(1.0, 2.0, n // 2), kind))
         drift = green_drift(half, fine)
     argv = ["solve", "green", "--a", "1", "--b", "2", "--n", str(n), "--process", kind]
+    diags = []
     for extra in ([], ["--out", str(tmp_path / "green.csv")]):
         rc, out, _ = _run(capsys, *argv, *extra)
         assert rc == 0
-        diag = json.loads(out)
+        diags.append(diag := json.loads(out))
         assert diag["value"] == pytest.approx(float(fine.G[mid, mid]), rel=1.5e-12, abs=0.0)
-        if extra:
-            assert diag["value"] == float(fine.G[mid, mid])
         if drift is None:
             assert diag["refinement_drift"] is None
         else:
             assert diag["refinement_drift"] == pytest.approx(drift, rel=0.0, abs=1.5e-12)
+    assert diags[0]["value"] == diags[1]["value"]
+    assert diags[0]["refinement_drift"] == diags[1]["refinement_drift"]
 
 
-def test_solve_green_serves_a_long_interval(capsys):
-    # no kill rate of `solve green` is a quadrature tail, so (1e8, 2e8)
-    # solves where the dense build's rates are refused (exit 3)
-    rc, out, err = _run(capsys, "solve", "green", "--a", "1e8", "--b", "2e8", "--n", "128")
-    assert rc == 0 and err == ""
-    diag = json.loads(out)
-    assert math.isfinite(diag["value"]) and diag["value"] > 0.0
-    assert diag["refinement_drift"] is not None
+def test_solve_green_serves_a_long_interval(capsys, tmp_path):
+    # no kill rate of `solve green` is a quadrature tail, with or without
+    # --out, so (1e8, 2e8) solves where the dense build's rates are refused
+    # (exit 3); the table's middle entry is the printed value
+    out_file = tmp_path / "green.csv"
+    argv = ["solve", "green", "--a", "1e8", "--b", "2e8", "--n", "128"]
+    for extra in ([], ["--out", str(out_file)]):
+        rc, out, err = _run(capsys, *argv, *extra)
+        assert rc == 0 and err == ""
+        diag = json.loads(out)
+        assert math.isfinite(diag["value"]) and diag["value"] > 0.0
+        assert diag["refinement_drift"] is not None
+    table = np.loadtxt(out_file, delimiter=",", skiprows=1)
+    G = table[:, 1:]
+    assert G.shape == (128, 128)
+    assert np.all(np.isfinite(G)) and np.all(G > 0.0) and np.array_equal(G, G.T)
+    mid = int(np.argmin(np.abs(Grid(1e8, 2e8, 128).nodes() - 1.5e8)))
+    assert G[mid, mid] == float("%.12e" % diag["value"])
 
 
 def test_solve_harnack_refuses_a_scale_its_kill_rates_cannot_reach(capsys):

@@ -36,6 +36,7 @@ from sbmpot.interval_solver import (
     _CHOL_BLOCK,
     _CHOL_PANEL,
     _TAIL_GAP_MAX,
+    GreenBlock,
     StructuredGenerator,
     _cholesky_solve,
     _exit_rates,
@@ -43,6 +44,7 @@ from sbmpot.interval_solver import (
     _kill_split,
     _probe_index,
     _shelf_solve,
+    block_drift,
     probe_block,
 )
 
@@ -263,19 +265,18 @@ def test_green_block_is_the_green_matrix_block(request, ks_name, kind, n):
         )
 
 
-def test_probe_block_slices_a_green_matrix_and_solves_a_generator(stable_ks):
+def test_probe_block_solves_a_generator_for_the_green_matrix_block(stable_ks):
     grid = Grid(1.0, 2.0, 200)
     green = green_matrix(build_generator(stable_ks, grid, "Z"))
-    op = StructuredGenerator(stable_ks, grid, "Z")
-    solved, sliced = probe_block(op, [100, 3]), probe_block(green, [100, 3])
+    solved = probe_block(StructuredGenerator(stable_ks, grid, "Z"), [100, 3])
     idx = np.union1d(_probe_index(grid), [3, 100])
-    assert np.array_equal(solved.idx, idx) and np.array_equal(sliced.idx, idx)
-    assert np.array_equal(sliced.B, green.G[np.ix_(idx, idx)])
-    np.testing.assert_allclose(solved.B, sliced.B, rtol=_SOLVE_RTOL, atol=0.0)
-    assert sliced.at(100) == green.G[100, 100] and sliced.at(3) == green.G[3, 3]
+    assert np.array_equal(solved.idx, idx)
+    np.testing.assert_allclose(solved.B, green.G[np.ix_(idx, idx)], rtol=_SOLVE_RTOL, atol=0.0)
+    p = np.searchsorted(idx, [100, 3])
+    assert solved.at(100) == solved.B[p[0], p[0]] and solved.at(3) == solved.B[p[1], p[1]]
     for i in (2, 199, 200):
         with pytest.raises(ConfigError, match=f"node {i} is not in the block"):
-            sliced.at(i)
+            solved.at(i)
 
 
 def test_green_block_solves_only_its_columns(stable_ks, monkeypatch):
@@ -321,7 +322,7 @@ def test_green_block_solves_only_its_columns(stable_ks, monkeypatch):
 @pytest.mark.parametrize("n", [_CHOL_PANEL - 1, _CHOL_PANEL, _CHOL_PANEL + 1, 600])
 def test_gather_of_a_panel_is_the_slice_of_the_whole(stable_ks, kind, n):
     op = StructuredGenerator(stable_ks, Grid(1.0, 2.0, n), kind)
-    M = op.gather()
+    M = op.gather(0, n)
     assert M.shape == (n, n)
     for c0 in range(0, n, _CHOL_PANEL):
         c1 = min(c0 + _CHOL_PANEL, n)
@@ -394,7 +395,7 @@ def _hand_op(A):
     # panels -A[c0:, c0:c1], each a new array
     A = np.array(A, dtype=float)
     return SimpleNamespace(
-        grid=Grid(1.0, 2.0, A.shape[0]), gather=lambda c0=0, c1=None: -A[c0:, c0:c1]
+        grid=Grid(1.0, 2.0, A.shape[0]), gather=lambda c0, c1: -A[c0:, c0:c1]
     )
 
 
@@ -663,7 +664,7 @@ def test_shelf_operator_matvec_is_the_generator(ks_name, n, request):
             # the gather against the dense build: they part by the kill rates
             # of the wall nodes (closed against quadrature tails, 1.2e-14 of
             # the largest entry at most on these grids)
-            M = op.gather()
+            M = op.gather(0, n)
             np.testing.assert_allclose(M, -gen.A, rtol=0.0, atol=2e-14 * np.max(M))
             assert np.array_equal(M, M.T)
             del M
@@ -1157,13 +1158,22 @@ def test_green_block_is_scale_free_at_long_range(stable_ks, kind):
 @pytest.mark.parametrize("kind", "XYZ")
 @pytest.mark.parametrize("n", [8, 64, 65, 200])
 def test_green_drift_reads_the_probe_block_as_the_whole_matrix(request, ks_name, kind, n):
-    # the drift interpolates from the nodes around the probes alone; over
-    # the whole matrix, with the whole diagonal, it reads the same bits
+    # the drift interpolates from the nodes around the probes alone, at most
+    # 32 of them; over the whole matrix, with the whole diagonal, it reads
+    # the same bits, and so does the block of those nodes that probe_block
+    # holds
     ks = request.getfixturevalue(ks_name)
     coarse = green_matrix(build_generator(ks, Grid(1.0, 2.0, n), kind))
     fine = green_matrix(build_generator(ks, Grid(1.0, 2.0, 2 * n), kind))
-    assert green_drift(coarse, fine) == full_green_drift(coarse, fine)
-    assert probe_block(coarse).idx.size <= 32
+    want = full_green_drift(coarse, fine)
+    assert green_drift(coarse, fine) == want
+
+    def probes(green):
+        idx = _probe_index(green.grid)
+        assert idx.size <= 32
+        return GreenBlock(green.grid, idx, green.G[np.ix_(idx, idx)])
+
+    assert block_drift(probes(coarse), probes(fine)) == want
 
 
 def test_green_drift_zero_on_self(stable_ks, green_x_256):
