@@ -1,4 +1,4 @@
-"""Dense interval solvers for the three killed forms of the process.
+"""Interval solvers for the three killed forms of the process.
 
 Kinds:
   X : the free process killed on exiting the interval (a, b)
@@ -12,8 +12,7 @@ exactly-integrated per-node killing rate so the row-sum identity
 (-A) 1 = kappa holds to quadrature accuracy.  Every kernel integral this
 takes (cell masses, jump tails, the band coefficient and the wall
 correction) is a value read from the KernelSet, which alone decides how it
-is computed; this module runs no quadrature itself.  Everything downstream
-is dense linear algebra.
+is computed; this module runs no quadrature itself.
 
 On the midpoint lattice every off-diagonal cell mass depends on |i - j| (a
 Toeplitz part), plus, for kind Z, on i + j (the fold's Hankel part).  So
@@ -26,19 +25,18 @@ their Green entries on that form: -A is gathered one panel of columns at a
 time, each panel factored in place by blocked Cholesky as it is reached,
 keeping the lower block triangle alone (about half of an n x n array),
 and the unit columns of those entries are solved for.  A shelf's exit
-problem is solved without forming any matrix: conjugate gradients with
-FFT products and T. Chan's optimal circulant preconditioner (SIAM J. Sci.
-Stat. Comput. 9, 1988).
+problem and the certificate's exit times are solved without forming any
+matrix: conjugate gradients with FFT products and T. Chan's optimal
+circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
 
-The certificate's readers of the whole Green function (the Poisson
-kernels, gauge ratios, 3G, the comparator band, its cached Green matrices)
+The readers of the whole Green function (the Poisson kernels, gauge
+ratios, 3G, the comparator band, the certificate's cached Green matrices)
 get the scaled inverse of the dense per-entry generator, whose kill rates
 are quadrature tails; those lose their digits on long intervals, so each
 build holds them against the closed tails at the same starts and refuses a
 gap above _TAIL_GAP_MAX.  Poisson kernels are Green-kernel products against
 an exterior mesh, and the empirical certificates (gauge ratios, 3G,
-Harnack, boundary ratios, small-interval floor) are reductions over those
-matrices.
+Harnack, boundary ratios) are reductions over those matrices.
 
 The left endpoint of (0, R) problems is always approximated from inside by a
 small absorbing shelf a > 0; the shelf correction h(a)/h(R) brackets the
@@ -313,28 +311,9 @@ def _check_green(G):
         raise SolverError("Green matrix lost positivity; grid too coarse for this kernel")
 
 
-def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
-    """G = (-A)^{-1} / dx, symmetrized, with the raw asymmetry recorded.
-
-    For the callers that read all of G; a caller that reads a few entries
-    solves for their columns on the structured form instead
-    (``_green_block``).  The only n x n array made is the one returned.  A
-    is inverted and the inverse negated in place: pivoting and every
-    rounding of the LU solve commute with negation, so that is bitwise
-    inv(-A).  It is then symmetrized in place,
-    _BLOCK rows of its upper triangle at a time over the columns from the
-    block's first row on: each block and its mirror read (0.5/dx) (up + lo),
-    bitwise (0.5/dx) (G0 + G0.T) since addition commutes, and the asymmetry
-    max|G0 - G0.T| / max|G0| is read on the way.  A failed inversion, a
-    non-finite entry and a non-positive one raise SolverError.
-    """
-    try:
-        G = np.linalg.inv(gen.A)
-    except np.linalg.LinAlgError as e:
-        raise SolverError(f"generator inversion failed: {e}") from e
-    np.negative(G, out=G)
-    scale = float(max(G.max(), -G.min()))
-    c = 0.5 / gen.grid.dx
+def _symmetrize(G, c):
+    """Overwrite the square G by c (G + G.T), _BLOCK rows at a time and bitwise
+    the whole-array expression since addition commutes; return max|G - G.T|."""
     n = G.shape[0]
     diff = 0.0
     for r0 in range(0, n, _BLOCK):
@@ -345,11 +324,30 @@ def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
         blk = c * (up + lo)
         G[r0:r1, r0:] = blk
         G[r0:, r0:r1] = blk.T
+    return diff
+
+
+def green_matrix(gen: GeneratorMatrix) -> GreenMatrix:
+    """G = (-A)^{-1} / dx, symmetrized, with the raw asymmetry recorded.
+
+    The dense route, for callers that read all of G (one that reads some
+    entries solves for their columns instead, ``_green_block``).  The only
+    n x n array made is the one returned: A is inverted, negated in place
+    (bitwise inv(-A): LU's pivoting and roundings commute with negation)
+    and symmetrized in place (``_symmetrize``), its asymmetry
+    max|G0 - G0.T| / max|G0| read on the way.  A failed inversion, a
+    non-finite entry and a non-positive one raise SolverError.
+    """
+    try:
+        G = np.linalg.inv(gen.A)
+    except np.linalg.LinAlgError as e:
+        raise SolverError(f"generator inversion failed: {e}") from e
+    np.negative(G, out=G)
+    scale = float(max(G.max(), -G.min()))
+    diff = _symmetrize(G, 0.5 / gen.grid.dx)
     asym = diff / scale if scale > 0 else 0.0
     _check_green(G)
-    return GreenMatrix(
-        kind=gen.kind, grid=gen.grid, G=G, exit_rates=gen.exit_rates, asymmetry=asym
-    )
+    return GreenMatrix(gen.kind, gen.grid, G, gen.exit_rates, asym)
 
 
 # columns per block of the Cholesky factorization behind the few-column
@@ -433,21 +431,21 @@ def _green_block(op: StructuredGenerator, idx) -> np.ndarray:
     ``op`` of that generator and the columns idx of (-A)^{-1} alone.
 
     -A is gathered and factored one panel at a time (``_cholesky_solve``),
-    which keeps its lower block triangle alone, so no n x n array is made.
-    The two assemblies differ in their kill rates (closed tails here,
-    quadrature tails there) and in how the diagonal is summed, so the block
-    agrees with green_matrix's to about 1e-12 relative, not to the last
-    bits.  The columns are refused as green_matrix refuses G (a non-finite
-    or a non-positive entry anywhere in them); the columns left out go
-    unchecked.  The block is symmetrized as green_matrix does,
-    (0.5/dx) (B + B.T).
+    which keeps its lower block triangle alone.  The two assemblies differ
+    in their kill rates (closed tails here, quadrature tails there) and in
+    how the diagonal is summed, so the block agrees with green_matrix's to
+    about 1e-12 relative, not to the last bits.  The columns are refused as
+    green_matrix refuses G (a non-finite or a non-positive entry anywhere
+    in them; the columns left out go unchecked), and their rows idx are
+    symmetrized in place (``_symmetrize``): with idx every node, no copy.
     """
     idx = np.asarray(idx)
     g = op.grid
     X = _cholesky_solve(op, idx, f"Green solve on ({g.a:g}, {g.b:g})")
     _check_green(X)
-    B = X[idx]
-    return (0.5 / g.dx) * (B + B.T)
+    B = X if idx.size == g.n else X[idx]
+    _symmetrize(B, 0.5 / g.dx)
+    return B
 
 
 def exit_time(green: GreenMatrix):

@@ -26,6 +26,8 @@ from .errors import ConfigError, check_integer, check_seed, check_steps
 from .kernels import KernelSet
 from .interval_solver import (
     Grid,
+    StructuredGenerator,
+    _pcg,
     bhp_sup_ratio,
     build_generator,
     default_shelf,
@@ -343,10 +345,10 @@ def _check_exit_prob_sandwich(ctx):
     ]
 
 
-def _exit_times(gen):
-    """E[tau] at the nodes of gen's grid: (-A)^{-1} 1, from one solve
-    against the ones rather than the row sums of a whole Green matrix."""
-    return -np.linalg.solve(gen.A, np.ones(gen.grid.n))
+def _exit_times(ks, grid):
+    """E[tau] = (-A)^{-1} 1 at grid's nodes for kind Z, solved as a shelf's exit problem is."""
+    what = f"exit-time solve on ({grid.a:g}, {grid.b:g})"
+    return _pcg(StructuredGenerator(ks, grid, "Z"), np.ones((grid.n, 1)), what)[0][:, 0]
 
 
 def _check_exit_time_bound(ctx):
@@ -356,7 +358,7 @@ def _check_exit_time_bound(ctx):
     c3, ratio = {}, {}
     for n in (fine, 2 * fine):
         g = Grid(default_shelf(R), R, n)
-        E = _exit_times(build_generator(ks, g, "Z"))
+        E = _exit_times(ks, g)
         xs = g.nodes()
         ratio[n] = float(np.max(E / (4.0 * R * ks.h_comp(xs))))
         c3[n] = float(np.min(np.interp(probes, xs, E) / h_probes))

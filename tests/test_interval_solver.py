@@ -318,6 +318,27 @@ def test_green_block_solves_only_its_columns(stable_ks, monkeypatch):
     assert peak < 0.7 * 8 * n**2
 
 
+def test_green_block_of_every_node_symmetrizes_the_solved_columns_in_place(stable_ks):
+    # with idx every node the solved columns are the block, symmetrized in
+    # place: bitwise (0.5/dx) (X + X.T), and no n x n array beyond the
+    # solve's own, so the peak is _cholesky_solve's (1.88 of an n x n array
+    # at n = 1024; a row copy X[idx] and B + B.T took it to 3.01)
+    n = 1024
+    op = StructuredGenerator(stable_ks, Grid(1.0, 2.0, n), "Z")
+    idx = np.arange(n)
+    out, peak = [], []
+    for solve in (lambda: _cholesky_solve(op, idx, "test"), lambda: _green_block(op, idx)):
+        tracemalloc.start()
+        try:
+            out.append(solve())
+            peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    X, B = out
+    assert np.array_equal(B, (0.5 / op.grid.dx) * (X + X.T))
+    assert peak[1] < peak[0] + 0.05 * 8 * n**2, [p / (8 * n**2) for p in peak]
+
+
 @pytest.mark.parametrize("kind", "XYZ")
 @pytest.mark.parametrize("n", [_CHOL_PANEL - 1, _CHOL_PANEL, _CHOL_PANEL + 1, 600])
 def test_gather_of_a_panel_is_the_slice_of_the_whole(stable_ks, kind, n):

@@ -9,15 +9,18 @@ from sbmpot import (
     CheckResult,
     ConfigError,
     ExitAliveReport,
+    Grid,
     KernelSet,
     PhiSpec,
     QuadratureError,
     RunConfig,
+    build_generator,
     emit_report,
     load_report,
     run_verify,
 )
 from sbmpot import verify as vf
+from sbmpot.interval_solver import default_shelf
 
 from oracles import stable_mean_abs
 
@@ -242,8 +245,8 @@ def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
     monkeypatch.setattr(vf, "green_drift", lambda coarse, fine: float("nan"))
     real_exit_times = vf._exit_times
 
-    def nan_at_the_wall(gen):
-        E = real_exit_times(gen)
+    def nan_at_the_wall(*args):
+        E = real_exit_times(*args)
         E[-1] = float("nan")  # far from the c3 probes, so only the 4Rh ratio sees it
         return E
 
@@ -254,6 +257,35 @@ def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
     assert np.isnan(conv.measured["worst"]) and not conv.passed
     assert np.isnan(bound.measured["max_ratio_4Rh"]) and not bound.passed
     assert np.isfinite(bound.measured["c3_drift"])
+
+
+@pytest.mark.parametrize("n", [64, 256, 512, 1024])
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+def test_exit_times_match_a_dense_lu_solve(request, ks_name, n):
+    # exit-time-bound's E on the certificate's grids, by conjugate gradients
+    # on the structured generator, against an LU solve of the dense
+    # generator: another assembly (quadrature kill rates, a summed diagonal)
+    # and another solver.  They sat at most 4.2e-13 relative apart
+    ks = request.getfixturevalue(ks_name)
+    grid = Grid(default_shelf(1.0), 1.0, n)
+    want = np.linalg.solve(-build_generator(ks, grid, "Z").A, np.ones(n))
+    np.testing.assert_allclose(vf._exit_times(ks, grid), want, rtol=1e-12, atol=0.0)
+
+
+def test_exit_time_bound_is_scale_free():
+    # the exit times take closed kill rates, so a stable R = 1e8 solves (the
+    # dense build's quadrature rates were refused there) and reads the
+    # constants of R = 1: E / (R h) and the drift depend on x/R alone, and
+    # c3 = E / h scales with R (2.4e-13, 7.0e-11 and 1.7e-13 apart)
+    keys = ("max_ratio_4Rh", "c3_drift", "c3_fine")
+    got = {}
+    for R in (1.0, 1e8):
+        cfg = RunConfig(specs=(PhiSpec.stable(0.75),), R=R)
+        (check,) = run_verify(cfg, only=["exit-time-bound"]).checks
+        assert check.passed, (R, check.measured)
+        got[R] = [check.measured[k] for k in keys]
+        got[R][2] /= R
+    np.testing.assert_allclose(got[1e8], got[1.0], rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", [vf.FIXTURE_STABLE, vf.FIXTURE_MIXTURE], ids=lambda s: s.label())
