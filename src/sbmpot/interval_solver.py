@@ -18,16 +18,17 @@ On the midpoint lattice every off-diagonal cell mass depends on |i - j| (a
 Toeplitz part), plus, for kind Z, on i + j (the fold's Hankel part).  So
 the negated generator of every kind is also held as O(n) per-offset masses
 and its diagonal (``StructuredGenerator``), whose closed jump tails are its
-kill rates as well, so it integrates no tail by quadrature.  ``solve
-green`` (the refinement drift's probe pairs and the middle node, or every
-entry for its table) and the small-interval floor (its window) solve for
-their Green entries on that form: -A is gathered one panel of columns at a
+kill rates as well, so it integrates no tail by quadrature.  The
+refinement drift (``probe_block``: the probes' nodes, in ``solve green``
+and the certificate alike), ``solve green``'s middle node or every entry
+for its table, and the small-interval floor's window solve for their
+Green entries on that form: -A is gathered one panel of columns at a
 time, each panel factored in place by blocked Cholesky as it is reached,
 keeping the lower block triangle alone (about half of an n x n array),
 and the unit columns of those entries are solved for.  A shelf's exit
-problem and the certificate's exit times are solved without forming any
-matrix: conjugate gradients with FFT products and T. Chan's optimal
-circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
+problem and every mean exit time (``exit_time``) are solved without
+forming any matrix: conjugate gradients with FFT products and T. Chan's
+optimal circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
 
 The readers of the whole Green function (the Poisson kernels, gauge
 ratios, 3G, the comparator band, the certificate's cached Green matrices)
@@ -448,11 +449,6 @@ def _green_block(op: StructuredGenerator, idx) -> np.ndarray:
     return B
 
 
-def exit_time(green: GreenMatrix):
-    """E[tau](x_i) = sum_j G[i][j] dx."""
-    return green.G.sum(axis=1) * green.grid.dx
-
-
 # -- exterior mesh and Poisson kernel ----------------------------------------
 
 
@@ -847,6 +843,14 @@ def _pcg(op, B, what):
     return X, it
 
 
+def exit_time(ks: KernelSet, grid: Grid, kind: str) -> np.ndarray:
+    """Mean exit time E[tau] = (-A)^{-1} 1 at grid's nodes for ``kind``, solved
+    as a shelf's exit problem is (``_pcg`` on the structured generator): no
+    n x n array is made, and the closed kill rates serve any scale."""
+    what = f"exit-time solve on ({grid.a:g}, {grid.b:g})"
+    return _pcg(StructuredGenerator(ks, grid, kind), np.ones((grid.n, 1)), what)[0][:, 0]
+
+
 def _shelf_solve(ks: KernelSet, a: float, R: float):
     """(grid, P, stats) for the kind Z problem on (a, R): P[:, 0] is the
     probability of exiting above R, P[:, 1] that of being absorbed at the
@@ -1186,7 +1190,7 @@ class GreenBlock:
 
 
 def probe_block(op: StructuredGenerator, extra=()) -> GreenBlock:
-    """The block of G on the nodes green_drift reads (both ends of every
+    """The block of G on the nodes block_drift reads (both ends of every
     probe's cell, at most 2 N_PROBE of them) and on the nodes ``extra``,
     solved for on the structured generator ``op`` (``_green_block``), so no
     dense generator is built.  With every node in ``extra`` the block is
@@ -1220,8 +1224,11 @@ def _bilinear(block: GreenBlock):
 
 
 def block_drift(coarse: GreenBlock, fine: GreenBlock) -> float:
-    """green_drift between two blocks on one interval, each holding the
-    nodes around the probes: a ``probe_block``, or the whole of G."""
+    """Sup relative Green difference over the interior probes
+    a + (b - a)(k + 1/2)/N_PROBE of one interval, interpolated on each
+    block (raw corner entries would pin distinct continuum points against
+    each other and never converge).  Each block holds the nodes around the
+    probes: a ``probe_block``, or the whole of G."""
     ga, gb = coarse.grid, fine.grid
     if (ga.a, ga.b) != (gb.a, gb.b):
         raise ConfigError("refinement drift needs a common interval")
@@ -1230,13 +1237,6 @@ def block_drift(coarse: GreenBlock, fine: GreenBlock) -> float:
 
 
 def green_drift(coarse: GreenMatrix, fine: GreenMatrix) -> float:
-    """Sup relative Green difference over a fixed interior probe lattice.
-
-    Probes at a + (b - a)(k + 1/2)/N_PROBE with interpolation on both
-    lattices; comparing raw corner entries instead would pin distinct
-    continuum points against each other and never converge.  Each matrix
-    is read as the block of every node; the interpolation reads only the
-    nodes around the probes, which are all that a ``probe_block`` holds.
-    """
+    """``block_drift`` between two whole Green matrices."""
     coarse, fine = (GreenBlock(g.grid, np.arange(g.grid.n), g.G) for g in (coarse, fine))
     return block_drift(coarse, fine)

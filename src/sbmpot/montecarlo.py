@@ -158,7 +158,7 @@ def sample_increment(spec: PhiSpec, dt: float, size, rng) -> np.ndarray:
     return inc
 
 
-def _keyed_stream(seed, index):
+def keyed_stream(seed, index):
     """The counter-based substream keyed (seed, index), at its start."""
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
@@ -168,7 +168,7 @@ def _keyed_stream(seed, index):
 def _rewind(gen, seed, index):
     """Put the Philox generator ``gen`` at the start of the substream keyed
     (seed, index): counter 0 and an empty buffer, as a fresh
-    `_keyed_stream` starts.  A fresh Philox costs several times more, since
+    `keyed_stream` starts.  A fresh Philox costs several times more, since
     numpy draws OS entropy for it even when the key is given."""
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -193,7 +193,7 @@ class _LaneStreams:
 
     def __init__(self, seed, lo, hi):
         pool = _generators.__dict__.setdefault("pool", [])
-        pool += [_keyed_stream(seed, i) for i in range(lo + len(pool), hi)]
+        pool += [keyed_stream(seed, i) for i in range(lo + len(pool), hi)]
         self.live = [_rewind(g, seed, i) for g, i in zip(pool, range(lo, hi))]
 
     def keep(self, mask):

@@ -27,26 +27,26 @@ from .kernels import KernelSet
 from .interval_solver import (
     Grid,
     StructuredGenerator,
-    _pcg,
     bhp_sup_ratio,
+    block_drift,
     build_generator,
     default_shelf,
     exit_alive_prob,
     exit_time,
     gauge_ratios,
-    green_drift,
     green_matrix,
     harnack_sup_ratio,
     poisson_kernel,
+    probe_block,
     small_interval_lower,
     three_g_sup,
 )
-from .montecarlo import PathConfig, _keyed_stream, sample_increment, simulate_exit
+from .montecarlo import PathConfig, keyed_stream, sample_increment, simulate_exit
 
 FIXTURE_STABLE = PhiSpec.stable(0.75)
 FIXTURE_MIXTURE = PhiSpec.mixture(((1.0, 0.6), (1.0, 0.9)))
 
-# reserved _keyed_stream index, above any path index, so the Laplace draws
+# reserved keyed_stream index, above any path index, so the Laplace draws
 # never share a stream with a walk
 _STREAM_LAPLACE = 2 ** 32 + 1
 
@@ -301,11 +301,13 @@ def _check_h_psi_band(ctx):
 
 
 def _check_self_convergence(ctx):
+    # solve green's refinement drift: each kind's G on the probes' nodes alone
     cfg = ctx.cfg
     out = {}
     for kind in ("X", "Y", "Z"):
-        d = green_drift(ctx.green(kind, cfg.n_coarse), ctx.green(kind, cfg.n_fine))
-        out[f"drift_{kind}"] = d
+        grids = (Grid(*cfg.interval, n) for n in (cfg.n_coarse, cfg.n_fine))
+        coarse, fine = (probe_block(StructuredGenerator(ctx.ks, g, kind)) for g in grids)
+        out[f"drift_{kind}"] = block_drift(coarse, fine)
     # np.max keeps a nan, which fails the bar; max(0.0, nan) is 0.0
     out["worst"] = float(np.max(list(out.values())))
     return out, [("sup relative probe drift < 0.05 per kind", out["worst"] < 0.05)]
@@ -345,12 +347,6 @@ def _check_exit_prob_sandwich(ctx):
     ]
 
 
-def _exit_times(ks, grid):
-    """E[tau] = (-A)^{-1} 1 at grid's nodes for kind Z, solved as a shelf's exit problem is."""
-    what = f"exit-time solve on ({grid.a:g}, {grid.b:g})"
-    return _pcg(StructuredGenerator(ks, grid, "Z"), np.ones((grid.n, 1)), what)[0][:, 0]
-
-
 def _check_exit_time_bound(ctx):
     ks, R, fine = ctx.ks, ctx.cfg.R, ctx.cfg.n_fine
     probes = np.linspace(0.02, 0.1, 17) * R
@@ -358,7 +354,7 @@ def _check_exit_time_bound(ctx):
     c3, ratio = {}, {}
     for n in (fine, 2 * fine):
         g = Grid(default_shelf(R), R, n)
-        E = _exit_times(ks, g)
+        E = exit_time(ks, g, "Z")
         xs = g.nodes()
         ratio[n] = float(np.max(E / (4.0 * R * ks.h_comp(xs))))
         c3[n] = float(np.min(np.interp(probes, xs, E) / h_probes))
@@ -486,7 +482,7 @@ def _check_mc_laplace(ctx):
     # subordination: E cos(xi X_dt) = E exp(-xi^2 S_dt) = exp(-dt psi(xi)),
     # read at the xi with dt psi(xi) = 1
     cfg = ctx.cfg
-    rng = _keyed_stream(cfg.seed, _STREAM_LAPLACE)
+    rng = keyed_stream(cfg.seed, _STREAM_LAPLACE)
     m, clauses = {}, []
     for k, dt in enumerate(cfg.mc_dt):
         xi = 1.0 / ctx.ks.phi_cap_inv(dt)
@@ -537,8 +533,8 @@ def _check_mc_exit_law(ctx):
 
 def _check_mc_exit_time(ctx):
     cfg = ctx.cfg
-    green = ctx.green("X", cfg.n_fine)
-    E_ref = float(np.interp(cfg.mc_x0, green.grid.nodes(), exit_time(green)))
+    grid = Grid(*cfg.interval, cfg.n_fine)
+    E_ref = float(np.interp(cfg.mc_x0, grid.nodes(), exit_time(ctx.ks, grid, "X")))
     m, clauses, means = {"solver_E": E_ref}, [], []
     for k, dt in enumerate(cfg.mc_dt):
         st = ctx.walk(dt)

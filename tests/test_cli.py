@@ -75,6 +75,20 @@ def test_kernel_table_h(capsys):
     )
 
 
+def test_kernel_table_takes_negative_points_after_an_equals_sign(capsys):
+    # argparse reads "--xs -0.5,0.5" as an option, not a value, and exits 2;
+    # "--xs=-0.5,0.5" passes the list, and psi is even
+    with pytest.raises(SystemExit) as e:
+        main(["kernel", "table", "--what", "psi", "--xs", "-0.5,0.5"])
+    assert e.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    rc, out, _ = _run(capsys, "kernel", "table", "--what", "psi", "--xs=-0.5,0.5")
+    assert rc == 0
+    (x0, v0), (x1, v1) = (line.split(",") for line in out.strip().splitlines()[1:])
+    assert (float(x0), float(x1)) == (-0.5, 0.5)
+    assert v0 == v1
+
+
 def test_kernel_table_green_free(capsys):
     # one call per table: each row is the kernel at its own x
     ks = KernelSet(PhiSpec.stable(0.75))

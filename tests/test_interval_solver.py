@@ -484,21 +484,33 @@ def test_green_block_guards_read_every_solved_entry(monkeypatch, i, j, bad, matc
     _green_block(op, np.array([(j + 2) % n, (j + 3) % n]))
 
 
-def test_exit_time_matches_interval_exit_law(stable_ks, green_x_256):
+def test_exit_time_matches_interval_exit_law(stable_ks):
     # mean exit time of the free stable process from an interval
-    E = exit_time(green_x_256)
-    xs = green_x_256.grid.nodes()
+    grid = Grid(1.0, 2.0, 256)
+    E = exit_time(stable_ks, grid, "X")
+    xs = grid.nodes()
     for x in (1.5, 1.25):
         want = getoor_exit(1.5, 0.5, x - 1.5)
         got = float(np.interp(x, xs, E))
         assert got == pytest.approx(want, rel=1e-2)
 
 
-def test_exit_time_shape(green_x_256):
-    E = exit_time(green_x_256)
+def test_exit_time_shape(stable_ks):
+    E = exit_time(stable_ks, Grid(1.0, 2.0, 256), "X")
     assert np.all(E > 0.0)
     # decays toward both walls
     assert E[0] < E[len(E) // 2] and E[-1] < E[len(E) // 2]
+
+
+@pytest.mark.parametrize("kind", ["X", "Z"])
+def test_exit_time_is_scale_free(stable_ks, kind):
+    # the structured generator's kill rates are closed tails, so for a
+    # stable 0.75 process E scales as R^(2 delta): (1e8, 2e8) reads 1e12
+    # times (1, 2) (at most 6.8e-14 apart at n = 1024)
+    for n in (256, 1024):
+        E1 = exit_time(stable_ks, Grid(1.0, 2.0, n), kind)
+        E8 = exit_time(stable_ks, Grid(1e8, 2e8, n), kind)
+        np.testing.assert_allclose(E8, 1e12 * E1, rtol=1e-9, atol=0.0)
 
 
 def test_poisson_density_matches_exit_law(stable_ks, poisson_x_256):

@@ -179,7 +179,7 @@ def test_increment_validation(stable_spec):
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
 def test_rewound_stream_matches_a_fresh_philox(seed):
-    gen = mc._keyed_stream(3, 4)
+    gen = mc.keyed_stream(3, 4)
     gen.random(5)  # mid-stream, with a part-used buffer
     for index in (0, 1, 255, 2**64 - 1):
         got = mc._rewind(gen, seed, index).random(9)

@@ -242,15 +242,15 @@ def test_exit_prob_sandwich_at_a_small_R():
 def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
     # both used to fold with max from 0.0, and max(0.0, nan) is 0.0: all
     # three drifts nan read worst = 0.0 and passed
-    monkeypatch.setattr(vf, "green_drift", lambda coarse, fine: float("nan"))
-    real_exit_times = vf._exit_times
+    monkeypatch.setattr(vf, "block_drift", lambda coarse, fine: float("nan"))
+    real_exit_time = vf.exit_time
 
     def nan_at_the_wall(*args):
-        E = real_exit_times(*args)
+        E = real_exit_time(*args)
         E[-1] = float("nan")  # far from the c3 probes, so only the 4Rh ratio sees it
         return E
 
-    monkeypatch.setattr(vf, "_exit_times", nan_at_the_wall)
+    monkeypatch.setattr(vf, "exit_time", nan_at_the_wall)
     cfg = RunConfig(specs=(PhiSpec.stable(0.75),), n_coarse=32, n_fine=64)
     rep = run_verify(cfg, only=["green-self-convergence", "exit-time-bound"])
     conv, bound = rep.checks
@@ -262,14 +262,19 @@ def test_a_nan_drift_or_ratio_fails_its_check(monkeypatch):
 @pytest.mark.parametrize("n", [64, 256, 512, 1024])
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
 def test_exit_times_match_a_dense_lu_solve(request, ks_name, n):
-    # exit-time-bound's E on the certificate's grids, by conjugate gradients
-    # on the structured generator, against an LU solve of the dense
-    # generator: another assembly (quadrature kill rates, a summed diagonal)
-    # and another solver.  They sat at most 4.2e-13 relative apart
+    # the exit times of exit-time-bound (kind Z on the shelf's (a, R)) and
+    # of mc-exit-time (kind X on the interval), and kind Y's, by conjugate
+    # gradients on the structured generator, against an LU solve of the
+    # dense generator: another assembly (quadrature kill rates, a summed
+    # diagonal) and another solver.  They sat at most 2.5e-12 relative
+    # apart (mixture, kinds X and Y, n = 1024), and 4.2e-13 for kind Z
     ks = request.getfixturevalue(ks_name)
-    grid = Grid(default_shelf(1.0), 1.0, n)
-    want = np.linalg.solve(-build_generator(ks, grid, "Z").A, np.ones(n))
-    np.testing.assert_allclose(vf._exit_times(ks, grid), want, rtol=1e-12, atol=0.0)
+    for interval in ((1.0, 2.0), (default_shelf(1.0), 1.0)):
+        grid = Grid(*interval, n)
+        for kind, rtol in (("X", 5e-12), ("Y", 5e-12), ("Z", 1e-12)):
+            want = np.linalg.solve(-build_generator(ks, grid, kind).A, np.ones(n))
+            got = vf.exit_time(ks, grid, kind)
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=f"{interval} {kind}")
 
 
 def test_exit_time_bound_is_scale_free():
@@ -286,6 +291,20 @@ def test_exit_time_bound_is_scale_free():
         got[R] = [check.measured[k] for k in keys]
         got[R][2] /= R
     np.testing.assert_allclose(got[1e8], got[1.0], rtol=1e-9, atol=0.0)
+
+
+def test_green_self_convergence_is_scale_free():
+    # the drifts are solve green's, on the structured generator with closed
+    # kill rates, so a stable (1e8, 2e8) solves (the dense build's
+    # quadrature rates were refused there) and reads the drifts of (1, 2),
+    # at most 5.1e-13 apart
+    got = {}
+    for interval in ((1.0, 2.0), (1e8, 2e8)):
+        cfg = RunConfig(specs=(vf.FIXTURE_STABLE,), interval=interval, mc_x0=1.5 * interval[0])
+        (check,) = run_verify(cfg, only=["green-self-convergence"]).checks
+        assert check.passed, (interval, check.tol)
+        got[interval] = [check.measured[k] for k in ("drift_X", "drift_Y", "drift_Z", "worst")]
+    np.testing.assert_allclose(got[(1e8, 2e8)], got[(1.0, 2.0)], rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", [vf.FIXTURE_STABLE, vf.FIXTURE_MIXTURE], ids=lambda s: s.label())
