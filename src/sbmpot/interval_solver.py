@@ -26,18 +26,20 @@ Green entries on that form: -A is gathered one panel of columns at a
 time, each panel factored in place by blocked Cholesky as it is reached,
 keeping the lower block triangle alone (about half of an n x n array),
 and the unit columns of those entries are solved for.  A shelf's exit
-problem and every mean exit time (``exit_time``) are solved without
-forming any matrix: conjugate gradients with FFT products and T. Chan's
-optimal circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
+problem, every mean exit time (``exit_time``) and every harmonic extension
+of exterior data (``harmonic_extend``) are solved without forming any
+matrix: conjugate gradients with FFT products and T. Chan's optimal
+circulant preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988).
 
-The readers of the whole Green function (the Poisson kernels, gauge
-ratios, 3G, the comparator band, the certificate's cached Green matrices)
-get the scaled inverse of the dense per-entry generator, whose kill rates
-are quadrature tails; those lose their digits on long intervals, so each
-build holds them against the closed tails at the same starts and refuses a
-gap above _TAIL_GAP_MAX.  Poisson kernels are Green-kernel products against
-an exterior mesh, and the empirical certificates (gauge ratios, 3G,
-Harnack, boundary ratios) are reductions over those matrices.
+The readers of the whole Green function (the Harnack constant's Poisson
+table, gauge ratios, 3G, the comparator band, the certificate's cached
+Green matrices) get the scaled inverse of the dense per-entry generator,
+whose kill rates are quadrature tails; those lose their digits on long
+intervals, so each build holds them against the closed tails at the same
+starts and refuses a gap above _TAIL_GAP_MAX.  A Poisson table is that
+inverse times the exterior kernel of ``harmonic_extend``, and the
+empirical certificates (gauge ratios, 3G, Harnack) are reductions over
+those matrices.
 
 The left endpoint of (0, R) problems is always approximated from inside by a
 small absorbing shelf a > 0; the shelf correction h(a)/h(R) brackets the
@@ -467,6 +469,15 @@ class ZGrid:
     cut_lo: float | None
     cut_hi: float
 
+    def near_walls(self, grid: Grid, eps: float) -> np.ndarray:
+        """The share of each cell inside [a - eps, a] or [b, b + eps] for
+        grid's (a, b): data that extend to the exit mass landing within eps
+        of a wall, the density taken flat across a cell."""
+        lo, hi = self.nodes - 0.5 * self.weights, self.nodes + 0.5 * self.weights
+        near = np.clip(np.minimum(hi, grid.a) - np.maximum(lo, grid.a - eps), 0.0, None)
+        near += np.clip(np.minimum(hi, grid.b + eps) - np.maximum(lo, grid.b), 0.0, None)
+        return near / self.weights
+
 
 def _graded_edges(start, width, m, reverse=False):
     # quartic grading toward `start`; cells of width ~ width/m^4 at the wall
@@ -520,12 +531,11 @@ def default_zgrid(grid: Grid, kind: str) -> ZGrid:
 
 @dataclass
 class PoissonTable:
-    """Exit law of each interior node: density K on the exterior cells and
-    closed tails beyond the mesh (tail_lo is zero unless kind X).  The wall
-    node's extra kill mass dk (profile-weighted collocation) exits through
-    the wall side: the first row's lower columns and tail carry 1 + dk/lo[0],
-    the last row's upper ones 1 + dk/hi[-1].  So the harmonic extension of
-    f = 1 with tail (1, 0), plus tail_lo, is row_mass() exactly."""
+    """Exit law of each interior node as a dense table, for a reader of all
+    of it (``harnack_sup_ratio``; against given data the exit law is
+    ``harmonic_extend``): density K on the exterior cells and closed tails
+    beyond the mesh (tail_lo is zero unless kind X), the wall rows scaled
+    by ``_exterior_rates``."""
 
     kind: str
     grid: Grid
@@ -533,52 +543,34 @@ class PoissonTable:
     K: np.ndarray = field(repr=False)  # exit density over exterior cells
     tail_lo: np.ndarray = field(repr=False)
     tail_hi: np.ndarray = field(repr=False)
-    green: GreenMatrix = field(repr=False)
-    ks: KernelSet = field(repr=False)
-
-    def row_mass(self):
-        return self.K @ self.zgrid.weights + self.tail_lo + self.tail_hi
-
-    def mass_below(self):
-        m = self.zgrid.below
-        return self.K[:, m] @ self.zgrid.weights[m] + self.tail_lo
-
-    def mass_near_walls(self, eps: float):
-        """Exit mass per row landing within eps of either endpoint.
-
-        Each exterior cell contributes the part of its width inside
-        [a - eps, a] or [b, b + eps]; the density is taken flat across a cell.
-        """
-        g, zg = self.grid, self.zgrid
-        lo = zg.nodes - 0.5 * zg.weights
-        hi = zg.nodes + 0.5 * zg.weights
-        near = np.clip(np.minimum(hi, g.a) - np.maximum(lo, g.a - eps), 0.0, None)
-        near += np.clip(np.minimum(hi, g.b + eps) - np.maximum(lo, g.b), 0.0, None)
-        return self.K @ near
-
-    def cdf(self, i: int):
-        """Exit-position CDF for row i: returns (z, F) step samples.
-
-        z is the ascending exterior node sequence; F[m] is the exit
-        probability mass at or below cell m (lower analytic tail included),
-        normalized by the row mass.
-        """
-        z = self.zgrid.nodes
-        pm = self.K[i] * self.zgrid.weights
-        F = np.cumsum(pm) + self.tail_lo[i]
-        return z, F / self.row_mass()[i]
 
 
-def _rate_beyond(ks: KernelSet, green: GreenMatrix, cut_hi: float, p: float = 0.0):
-    """Per-node rate of jumping beyond cut_hi (kind Z: also below -cut_hi),
-    weighted by z^-p, with the last row scaled by 1 + dk/hi[-1]."""
-    xs = green.grid.nodes()
-    rate = ks.jump_tail_closed(cut_hi - xs, weight_exponent=p)
-    if green.kind == "Z":
-        rate = rate + ks.jump_tail_closed(cut_hi + xs, weight_exponent=p)
-    _, hi, dk = green.exit_rates
-    rate[-1] *= 1.0 + dk / hi[-1]
-    return rate
+def _exterior_rates(ks: KernelSet, gen, zg: ZGrid, p_hi):
+    """(KERN, R_hi, R_lo) of the generator ``gen`` (a GreenMatrix or a
+    StructuredGenerator): the kernel density from each node at each
+    exterior node (kind Z: folded), per exponent p of p_hi the rate of
+    jumping beyond cut_hi, and below -cut_hi for kind Z, weighted by z^-p,
+    and the rate of jumping below cut_lo (kind X alone; zero otherwise).
+    With gen's (lo, hi, dk) split, node 0's lower-side rates carry
+    1 + dk/lo[0] and node n-1's upper-side ones 1 + dk/hi[-1]: dk leaves
+    through its own wall."""
+    xs = gen.grid.nodes()
+    if gen.kind == "Z":
+        KERN = ks.jump_i(xs[:, None], zg.nodes[None, :])
+    else:
+        KERN = ks.levy_j(xs[:, None] - zg.nodes[None, :])
+    lo, hi, dk = gen.exit_rates
+    s_lo, s_hi = 1.0 + dk / lo[0], 1.0 + dk / hi[-1]
+    KERN[0, zg.below] *= s_lo
+    KERN[-1, ~zg.below] *= s_hi
+
+    T, ups = ks.jump_tail_closed, [zg.cut_hi - xs] + ([zg.cut_hi + xs] if gen.kind == "Z" else [])
+    ps, inv = np.unique(p_hi, return_inverse=True)  # each distinct p once
+    R_hi = np.column_stack([sum((T(t, p) for t in ups), 0.0 * xs) for p in ps])[:, inv]
+    R_hi[-1] *= s_hi
+    R_lo = T(xs - zg.cut_lo) if gen.kind == "X" else 0.0 * xs
+    R_lo[0] *= s_lo
+    return KERN, R_hi, R_lo
 
 
 def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
@@ -589,60 +581,44 @@ def poisson_kernel(green: GreenMatrix, ks: KernelSet) -> PoissonTable:
     """
     grid = green.grid
     zg = default_zgrid(grid, green.kind)
-    z = zg.nodes
-
-    xs = grid.nodes()
-    if green.kind == "Z":
-        KERN = ks.jump_i(xs[:, None], z[None, :])
-    else:
-        KERN = ks.levy_j(xs[:, None] - z[None, :])
-
-    lo, hi, dk = green.exit_rates
-    s_lo = 1.0 + dk / lo[0]
-    KERN[0, zg.below] *= s_lo
-    KERN[-1, ~zg.below] *= 1.0 + dk / hi[-1]
-
+    KERN, R_hi, R_lo = _exterior_rates(ks, green, zg, [0.0])
     P = green.G * grid.dx  # = (-A)^{-1}
-    K = P @ KERN
-
-    tail_hi = P @ _rate_beyond(ks, green, zg.cut_hi)
-    if green.kind == "X":
-        lo_rate = ks.jump_tail_closed(xs - zg.cut_lo)
-        lo_rate[0] *= s_lo
-        tail_lo = P @ lo_rate
-    else:
-        tail_lo = np.zeros_like(tail_hi)
-
-    return PoissonTable(
-        kind=green.kind, grid=grid, zgrid=zg, K=K,
-        tail_lo=tail_lo, tail_hi=tail_hi, green=green, ks=ks,
-    )
+    return PoissonTable(green.kind, grid, zg, P @ KERN, P @ R_lo, P @ R_hi[:, 0])
 
 
-def harmonic_extend(pt: PoissonTable, f, f_tail=None):
-    """u(x_i) = sum_m K[i][m] f[m] w_m (+ declared tail term).
+def harmonic_extend(op: StructuredGenerator, F, hi=None, lo=None) -> np.ndarray:
+    """The harmonic extensions into op's nodes of the data columns of F,
+    given at the nodes of ``default_zgrid(op.grid, op.kind)`` (a 1-D F is
+    one column): (-A) U = KERN (F w) + tail rates, every column solved at
+    once by ``_pcg`` on the structured generator.
 
-    ``f`` holds the data at the exterior mesh nodes; it must be
-    nonnegative.  ``f_tail = (c, p)`` declares
-    f(z) ~ c z^{-p} beyond cut_hi, integrated against the leading kernel
-    tail (the shelf at cut_hi = many interval widths keeps this term tiny,
-    so the leading order suffices).  The tail rate is tail_hi's, wall row
-    scaled, so f = 1 with tail (1, 0) gives row_mass() - tail_lo exactly.
+    Each column's tails, one per column or one for all, None for none:
+    ``hi`` = (c, p) is c z^-p beyond cut_hi, integrated against the leading
+    kernel tail; ``lo`` = c is the constant c below cut_lo (kind X alone).
+    The rates are ``_exterior_rates`` with op's (lo, hi, dk) split, so
+    f = 1 with hi = (1, 0) and lo = 1 extends to the whole exit mass.
+    Negative data or tail coefficients, and a divergent p, raise
+    DomainError; non-finite data extend to nan.
     """
-    zg = pt.zgrid
-    fz = np.asarray(f, dtype=float)
-    if fz.shape != zg.nodes.shape:
+    zg = default_zgrid(op.grid, op.kind)
+    F = np.asarray(F, dtype=float)
+    if F.ndim not in (1, 2) or F.shape[0] != zg.nodes.size:
         raise ConfigError("boundary data shape does not match the exterior mesh")
-    if np.any(fz < 0.0):
+    if np.any(F < 0.0):
         raise DomainError("harmonic extension needs nonnegative boundary data")
-    u = pt.K @ (fz * zg.weights)
-    if f_tail is not None:
-        c, p = float(f_tail[0]), float(f_tail[1])
-        if not c >= 0.0:  # nan fails too
-            raise DomainError("tail coefficient must be nonnegative")
-        rate = c * _rate_beyond(pt.ks, pt.green, zg.cut_hi, p)
-        u = u + (pt.green.G * pt.grid.dx) @ rate
-    return u
+    F2 = F.reshape(zg.nodes.size, -1)
+    k = F2.shape[1]
+    hi = np.broadcast_to(0.0 if hi is None else hi, (k, 2)).astype(float)
+    lo = np.broadcast_to(0.0 if lo is None else lo, (k,)).astype(float)
+    if not np.all(np.concatenate([hi[:, 0], lo]) >= 0.0):  # nan fails too
+        raise DomainError("tail coefficient must be nonnegative")
+    if op.kind != "X" and np.any(lo > 0.0):
+        raise ConfigError(f"kind {op.kind} has no exterior below its mesh, which covers (0, a)")
+    KERN, R_hi, R_lo = _exterior_rates(op.ks, op, zg, hi[:, 1])
+    B = KERN @ (F2 * zg.weights[:, None]) + R_hi * hi[:, 0] + R_lo[:, None] * lo
+    U = _pcg(op, B, f"harmonic extension on ({op.grid.a:g}, {op.grid.b:g})")[0]
+    U[:, ~np.all(np.isfinite(B), axis=0)] = np.nan  # _pcg leaves such a column at 0
+    return U.reshape(op.grid.n, *F.shape[1:])
 
 
 # -- exit statistics over (0, R) ----------------------------------------------
@@ -686,9 +662,10 @@ class StructuredGenerator:
     and x; kind Z at x - a, x + a and x + b, which is T(2a + (s + 1/2) dx)
     for s < 2n.  So no tail is integrated twice, and none by quadrature;
     the dense build's quadrature rates agree to about 3e-13 relative.
-    ``exits`` is (n, 2): the rate of exiting above b, then below a, each
-    with the wall correction dk at its wall node, so that the two exit
-    routes partition the whole probability.
+    ``exit_rates`` is their (lo, hi, dk) split with the wall correction
+    dk, and ``exits`` is (n, 2): the rate of exiting above b, then below
+    a, each with dk at its wall node, so that the two exit routes
+    partition the whole probability.
 
     The diagonal is the off-diagonal row sum plus the row sum of ``exits``,
     with each off-diagonal sum telescoped rather than added up: the
@@ -717,9 +694,12 @@ class StructuredGenerator:
         t[1] = c2
         t[2:] = tw[1:-1] - tw[2:]
 
+        self.ks = ks
         lo, hi = _kill_split(np.concatenate([tw, th]), n, kind)
+        dk = ks.wall_correction(dx)
+        self.exit_rates = (lo, hi, dk)
         self.exits = np.column_stack([hi, lo])
-        self.exits[[-1, 0], [0, 1]] += ks.wall_correction(dx)
+        self.exits[[-1, 0], [0, 1]] += dk
         m = np.arange(n)  # neighbours on the left of node i; n - 1 - i on the right
         side = np.where(m >= 1, c2, 0.0) + np.where(m >= 2, tw[1] - tw, 0.0)
         if kind == "Z":
@@ -1067,6 +1047,8 @@ def bhp_sup_ratio(
     solve.  The shelf correction gives a bracketed variant: paths absorbed
     below a could still reach the data, adding at most
     mass_below * h(a)/h(3r) * sup f to u, with sup f = 1 for every datum.
+    The data and the indicator of (0, a) (mass_below) are extended in one
+    ``harmonic_extend``, whose closed kill rates serve any scale.
     """
     if not (0.0 < r < math.inf):
         raise DomainError(f"r must be positive and finite, got {r!r}")
@@ -1078,8 +1060,6 @@ def bhp_sup_ratio(
         raise ConfigError("shelf a must be small against the probe window")
 
     grid = Grid(a, 3.0 * r, n)
-    pt = poisson_kernel(green_matrix(build_generator(ks, grid, "Z")), ks)
-    zg = pt.zgrid
     xs = grid.nodes()
     wmask = xs < lambda1 * r
     if wmask.sum() < 2:
@@ -1087,12 +1067,17 @@ def bhp_sup_ratio(
     h = ks.h_comp(np.append(xs[wmask], [a, 3.0 * r]))
     h_vec = h[:-2]
     shelf_corr = h[-2] / h[-1]
-    dmass = pt.mass_below()[wmask]
+
+    # each datum, then the indicator of (0, a): the mass absorbed below
+    data = default_boundary_fset(r)
+    zg = default_zgrid(grid, "Z")
+    F = np.column_stack([bd.fn(zg.nodes) for bd in data] + [zg.below])
+    hi = [bd.tail or (0.0, 0.0) for bd in data] + [(0.0, 0.0)]
+    U = harmonic_extend(StructuredGenerator(ks, grid, "Z"), F, hi)[wmask]
+    dmass = U[:, -1]
 
     per_f = []
-    for bd in default_boundary_fset(r):
-        u = harmonic_extend(pt, bd.fn(zg.nodes), f_tail=bd.tail)
-        uw = u[wmask]
+    for bd, uw in zip(data, U.T):
         if not np.min(uw) > 0.0:  # a nan is refused too
             raise SolverError(f"boundary datum {bd.name} is invisible from the window")
         rho = uw / h_vec

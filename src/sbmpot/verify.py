@@ -31,12 +31,13 @@ from .interval_solver import (
     block_drift,
     build_generator,
     default_shelf,
+    default_zgrid,
     exit_alive_prob,
     exit_time,
     gauge_ratios,
     green_matrix,
+    harmonic_extend,
     harnack_sup_ratio,
-    poisson_kernel,
     probe_block,
     small_interval_lower,
     three_g_sup,
@@ -219,9 +220,17 @@ class _Context:
         build = lambda: green_matrix(build_generator(self.ks, Grid(a, b, n), kind))
         return self._get(("green", kind, n), build)
 
-    def ptable(self, kind, n):
-        build = lambda: poisson_kernel(self.green(kind, n), self.ks)
-        return self._get(("ptable", kind, n), build)
+    def exit_masses(self):
+        """Kind X's grid at n_fine, and per node its whole exit mass, that
+        landing below a and that within _CREEP_EPS of a wall: one solve."""
+        def build():
+            grid = Grid(*self.cfg.interval, self.cfg.n_fine)
+            zg = default_zgrid(grid, "X")
+            F = np.column_stack([np.ones(zg.nodes.size), zg.below, zg.near_walls(grid, _CREEP_EPS)])
+            op = StructuredGenerator(self.ks, grid, "X")
+            return grid, harmonic_extend(op, F, [(1, 0), (0, 0), (0, 0)], [1, 1, 0])
+
+        return self._get("exit-masses", build)
 
     def walk(self, dt):
         def build():
@@ -317,7 +326,9 @@ def _check_poisson_row_mass(ctx):
     fine = ctx.cfg.n_fine
     e = {}
     for n in (fine, 2 * fine):
-        e[n] = float(np.max(np.abs(ctx.ptable("Z", n).row_mass() - 1.0)))
+        op = StructuredGenerator(ctx.ks, Grid(*ctx.cfg.interval, n), "Z")
+        mass = harmonic_extend(op, np.ones(default_zgrid(op.grid, "Z").nodes.size), (1.0, 0.0))
+        e[n] = float(np.max(np.abs(mass - 1.0)))
     return {"err_fine": e[fine], "err_double": e[2 * fine]}, [
         ("max |mass - 1| < 0.01", e[fine] < 1e-2),
         ("decreasing under doubling", e[2 * fine] < e[fine]),
@@ -510,11 +521,15 @@ def _check_mc_exit_law(ctx):
     st = ctx.walk(dt)
     pos = np.sort(st.exit_pos[st.exited])
     n_ref, step = _reference_table_n(cfg, ctx.ks, dt)
-    pt = ctx.ptable("X", n_ref)
-    xs = pt.grid.nodes()
-    i0 = int(np.argmin(np.abs(xs - cfg.mc_x0)))
-    z, F = pt.cdf(i0)
-    Fx = np.interp(pos, z, F)
+    grid = Grid(*cfg.interval, n_ref)
+    z = default_zgrid(grid, "X").nodes
+    # column m extends 1 on the exterior cells up to m and below the mesh,
+    # the exit law at or below z_m; the last column the whole law
+    F = np.column_stack([np.triu(np.ones((z.size, z.size))), np.ones(z.size)])
+    hi = [(0.0, 0.0)] * z.size + [(1.0, 0.0)]
+    U = harmonic_extend(StructuredGenerator(ctx.ks, grid, "X"), F, hi, 1.0)
+    u = U[int(np.argmin(np.abs(grid.nodes() - cfg.mc_x0)))]
+    Fx = np.interp(pos, z, u[:-1] / u[-1])
     n = pos.size
     i = np.arange(1, n + 1)
     ks_stat = float(max(np.max(i / n - Fx), np.max(Fx - (i - 1) / n)))
@@ -589,9 +604,8 @@ def _check_mc_creep(ctx):
     st = ctx.walk(cfg.mc_dt[-1])
     n_exited = st.n_paths - st.censored
     near = st.creep_count(_CREEP_EPS) / n_exited
-    pt = ctx.ptable("X", cfg.n_fine)
-    share = pt.mass_near_walls(_CREEP_EPS) / pt.row_mass()
-    ref = float(np.interp(cfg.mc_x0, pt.grid.nodes(), share))
+    grid, U = ctx.exit_masses()
+    ref = float(np.interp(cfg.mc_x0, grid.nodes(), U[:, 2] / U[:, 0]))
     se3 = 3.0 * math.sqrt(ref * (1.0 - ref) / n_exited)
     m.update(
         near_frac=near,
@@ -615,9 +629,8 @@ def _check_mc_exit_side(ctx):
     st = ctx.walk(cfg.mc_dt[-1])
     pos = st.exit_pos[st.exited]
     p = float(np.mean(pos <= cfg.interval[0]))
-    pt = ctx.ptable("X", cfg.n_fine)
-    frac = pt.mass_below() / pt.row_mass()
-    ref = float(np.interp(cfg.mc_x0, pt.grid.nodes(), frac))
+    grid, U = ctx.exit_masses()
+    ref = float(np.interp(cfg.mc_x0, grid.nodes(), U[:, 1] / U[:, 0]))
     se3 = 3.0 * math.sqrt(p * (1.0 - p) / pos.size)
     dev = abs(p - ref)
     m = {"walk_below": p, "solver_below": ref, "dev": dev, "se3": se3}

@@ -339,6 +339,12 @@ def test_solve_bhp(capsys):
     assert diag["bracket"][1] >= diag["bracket"][0] == diag["value"]
     # n//2 = 128 cannot hold the default shelf, so no companion run
     assert diag["refinement_drift"] is None
+    # bhp's extensions take closed kill rates, so r = 1e8 solves where the
+    # dense build's quadrature rates are refused (exit 3 for harnack) and,
+    # for the stable fixture, prints the constant of r = 1
+    rc, out, err = _run(capsys, "solve", "bhp", "--r", "1e8", "--n", "256")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(diag["value"], rel=1e-9, abs=0.0)
 
 
 def test_solve_bhp_refuses_zero_cells(capsys):

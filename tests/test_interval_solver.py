@@ -527,21 +527,48 @@ def test_poisson_density_matches_exit_law(stable_ks, poisson_x_256):
         assert pt.K[i0, m] == pytest.approx(want, rel=2e-2)
 
 
-def test_poisson_row_mass_near_one(poisson_x_256):
-    assert np.max(np.abs(poisson_x_256.row_mass() - 1.0)) < 1e-2
+# the tail (c, p) of data 1 above the mesh: f = 1 with it, and with the
+# constant 1 below, is the whole exit law
+_ONE = (1.0, 0.0)
+_NONE = (0.0, 0.0)
 
 
-def test_poisson_mass_split(poisson_x_256):
-    pt = poisson_x_256
-    above = ~pt.zgrid.below
-    mass_above = pt.K[:, above] @ pt.zgrid.weights[above] + pt.tail_hi
-    assert np.allclose(pt.mass_below() + mass_above, pt.row_mass(), rtol=1e-12)
+@pytest.fixture(scope="module")
+def op_x_256(stable_ks):
+    return StructuredGenerator(stable_ks, Grid(1.0, 2.0, 256), "X")
 
 
-def test_poisson_cdf_monotone(poisson_x_256):
-    z, F = poisson_x_256.cdf(128)
-    assert np.all(np.diff(F) >= -1e-15)
-    assert 0.0 <= F[0] and F[-1] == pytest.approx(1.0, abs=2e-3)
+def _mesh(op):
+    return default_zgrid(op.grid, op.kind)
+
+
+def test_poisson_row_mass_near_one(op_x_256):
+    mass = harmonic_extend(op_x_256, np.ones(_mesh(op_x_256).nodes.size), _ONE, 1.0)
+    assert np.max(np.abs(mass - 1.0)) < 1e-2
+
+
+def test_poisson_mass_split(stable_ks, mixture_ks):
+    # the mass below a, with the lower tail (kind X), and the mass above b,
+    # with the upper one, add up to the whole, within one solve
+    for ks in (stable_ks, mixture_ks):
+        for kind in ("X", "Y", "Z"):
+            op = StructuredGenerator(ks, Grid(1.0, 2.0, 256), kind)
+            zg = _mesh(op)
+            below = 1.0 if kind == "X" else 0.0
+            F = np.column_stack([zg.below, ~zg.below, np.ones(zg.nodes.size)])
+            U = harmonic_extend(op, F, [_NONE, _ONE, _ONE], [below, 0.0, below])
+            np.testing.assert_allclose(U[:, 0] + U[:, 1], U[:, 2], rtol=1e-12, atol=0.0, err_msg=kind)
+
+
+def test_poisson_cdf_monotone(op_x_256):
+    # mc-exit-law's exit-position law: column m extends the data 1 on the
+    # cells up to m and on the lower tail, the last column the whole law
+    M = _mesh(op_x_256).nodes.size
+    F = np.column_stack([np.triu(np.ones((M, M))), np.ones(M)])
+    U = harmonic_extend(op_x_256, F, [_NONE] * M + [_ONE], 1.0)
+    cdf = U[128, :M] / U[128, M]
+    assert np.all(np.diff(cdf) >= -1e-15)
+    assert 0.0 <= cdf[0] and cdf[-1] == pytest.approx(1.0, abs=2e-3)
 
 
 def test_near_wall_exit_mass(stable_ks):
@@ -561,23 +588,26 @@ def test_near_wall_exit_mass(stable_ks):
     assert bgr_wall_mass(1.5, 2e-6) == pytest.approx(0.040, abs=5e-4)
     # the n = 512 solver smears the singularity over its wall cell, so its
     # near-wall mass stays below the continuum value
-    green = green_matrix(build_generator(stable_ks, Grid(1.0, 2.0, 512), "X"))
-    pt = poisson_kernel(green, stable_ks)
-    share = pt.mass_near_walls(1e-4) / pt.row_mass()
-    got = float(np.interp(1.5, pt.grid.nodes(), share))
+    op = StructuredGenerator(stable_ks, Grid(1.0, 2.0, 512), "X")
+    zg = _mesh(op)
+    F = np.column_stack([np.ones(zg.nodes.size), zg.near_walls(op.grid, 1e-4)])
+    U = harmonic_extend(op, F, [_ONE, _NONE], [1.0, 0.0])
+    got = float(np.interp(1.5, op.grid.nodes(), U[:, 1] / U[:, 0]))
     assert 0.0 < got < want
 
 
-def test_near_wall_mass_is_part_of_the_row_mass(poisson_x_256):
-    pt = poisson_x_256
-    assert np.all(pt.mass_near_walls(0.0) == 0.0)
-    small, wide = pt.mass_near_walls(1e-4), pt.mass_near_walls(1e-2)
-    assert np.all((0.0 < small) & (small < wide) & (wide < pt.row_mass()))
+def test_near_wall_mass_is_part_of_the_row_mass(op_x_256):
+    zg = _mesh(op_x_256)
     # the whole graded zone, one interval-width deep on each side
-    deep = pt.mass_near_walls(1.0)
-    zg = pt.zgrid
     d = np.minimum(np.abs(zg.nodes - 1.0), np.abs(zg.nodes - 2.0))
-    assert np.allclose(deep, pt.K[:, d < 1.0] @ zg.weights[d < 1.0], rtol=1e-12)
+    F = np.column_stack(
+        [zg.near_walls(op_x_256.grid, eps) for eps in (0.0, 1e-4, 1e-2, 1.0)]
+        + [d < 1.0, np.ones(zg.nodes.size)]
+    )
+    zero, small, wide, deep, graded, whole = harmonic_extend(op_x_256, F, [_NONE] * 5 + [_ONE], [0.0] * 5 + [1.0]).T
+    assert np.all(zero == 0.0)
+    assert np.all((0.0 < small) & (small < wide) & (wide < whole))
+    assert np.allclose(deep, graded, rtol=1e-12)
 
 
 def test_exterior_mesh_shapes(stable_ks):
@@ -593,42 +623,100 @@ def test_exterior_mesh_shapes(stable_ks):
         default_zgrid(grid, "Q")
 
 
+def _dense_extensions(ks, grid, kind, F, hi, lo):
+    """The extensions of the columns of F by the dense route: the Poisson
+    table of the inverted dense generator, K (F w), plus each declared
+    tail, (c, p) above and the constant c below, through that generator's
+    Green matrix, the last row's rate above scaled by its own (lo, hi, dk)
+    split as the table's tail_hi is."""
+    green = green_matrix(build_generator(ks, grid, kind))
+    pt = poisson_kernel(green, ks)
+    zg, xs = pt.zgrid, grid.nodes()
+    dk, hi_rate = green.exit_rates[2], green.exit_rates[1]
+    U = pt.K @ (F * zg.weights[:, None]) + np.outer(pt.tail_lo, lo)
+    for j, (c, p) in enumerate(hi):
+        rate = ks.jump_tail_closed(zg.cut_hi - xs, weight_exponent=p)
+        if kind == "Z":
+            rate = rate + ks.jump_tail_closed(zg.cut_hi + xs, weight_exponent=p)
+        rate[-1] *= 1.0 + dk / hi_rate[-1]
+        U[:, j] += c * (green.G * grid.dx) @ rate
+    return U
+
+
 @pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
 @pytest.mark.parametrize("kind", ["X", "Y", "Z"])
 def test_harmonic_extension_of_unit_data(request, ks_name, kind):
-    # f = 1 everywhere outside reproduces the full exit mass: the tail
-    # beyond the mesh carries the same wall-row factor as the table's
-    # tail_hi (without it the last rows missed by 1.2e-7 to 5.1e-7)
+    # f = 1 everywhere outside reproduces the dense table's full exit mass,
+    # K w + tail_lo + tail_hi, to the two routes' gap: the tail beyond the
+    # mesh carries the same wall-row factor as the table's tail_hi (without
+    # it the last rows missed by 1.2e-7 to 5.1e-7)
     ks = request.getfixturevalue(ks_name)
-    pt = poisson_kernel(green_matrix(build_generator(ks, Grid(1.0, 2.0, 256), kind)), ks)
-    ones = np.ones_like(pt.zgrid.nodes)
-    u = harmonic_extend(pt, ones, f_tail=(1.0, 0.0))
-    # the X lower exterior also carries an analytic tail, add it directly
-    u_full = u + pt.tail_lo
-    np.testing.assert_allclose(u_full, pt.row_mass(), rtol=1e-13, atol=0.0)
+    grid = Grid(1.0, 2.0, 256)
+    op = StructuredGenerator(ks, grid, kind)
+    u = harmonic_extend(op, np.ones(_mesh(op).nodes.size), _ONE, 1.0 if kind == "X" else None)
+    pt = poisson_kernel(green_matrix(build_generator(ks, grid, kind)), ks)
+    row_mass = pt.K @ pt.zgrid.weights + pt.tail_lo + pt.tail_hi
+    np.testing.assert_allclose(u, row_mass, rtol=5e-12, atol=0.0)
 
 
-def test_harmonic_extension_validation(poisson_x_256):
-    pt = poisson_x_256
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("ks_name", ["stable_ks", "mixture_ks"])
+@pytest.mark.parametrize("kind", ["X", "Y", "Z"])
+def test_harmonic_extension_matches_the_dense_table(request, ks_name, kind, n):
+    # the structured solve against the dense Poisson table, for f = 1 with
+    # its tails, the indicator of the lower exterior (with the lower tail
+    # for kind X) and bhp's five data at r = 2/3, supported on [b, inf),
+    # one with a z^-3 tail: at most 2.6e-12 apart (mixture, kinds X and Y,
+    # n = 1024)
+    ks = request.getfixturevalue(ks_name)
+    grid = Grid(1.0, 2.0, n)
+    op = StructuredGenerator(ks, grid, kind)
+    zg = _mesh(op)
+    below = 1.0 if kind == "X" else 0.0
+    data = default_boundary_fset(2.0 / 3.0)
+    F = np.column_stack([np.ones(zg.nodes.size), zg.below] + [bd.fn(zg.nodes) for bd in data])
+    hi = [_ONE, _NONE] + [bd.tail or _NONE for bd in data]
+    lo = [below, below] + [0.0] * len(data)
+    assert (8.0, 3.0) in hi  # the power tail, (3r)^3 z^-3
+    got = harmonic_extend(op, F, hi, lo)
+    want = _dense_extensions(ks, grid, kind, F, hi, lo)
+    np.testing.assert_allclose(got, want, rtol=5e-12, atol=0.0)
+
+
+def test_harmonic_extension_validation(op_x_256, stable_ks):
+    op = op_x_256
+    ones = np.ones(_mesh(op).nodes.size)
     with pytest.raises(ConfigError):
-        harmonic_extend(pt, np.ones(3))
+        harmonic_extend(op, np.ones(3))
     with pytest.raises(DomainError):
-        harmonic_extend(pt, -np.ones_like(pt.zgrid.nodes))
+        harmonic_extend(op, -ones)
+    # one tail per column, or one for all
+    with pytest.raises(ValueError, match="broadcast"):
+        harmonic_extend(op, np.column_stack([ones, ones]), [_ONE] * 3)
+    # kinds Y and Z have no exterior below the mesh, which covers (0, a)
+    op_z = StructuredGenerator(stable_ks, Grid(1.0, 2.0, 64), "Z")
+    with pytest.raises(ConfigError, match="kind Z has no exterior below"):
+        harmonic_extend(op_z, np.ones(_mesh(op_z).nodes.size), _ONE, 1.0)
+    # a column whose data are not finite extends to nan, not to 0
+    U = harmonic_extend(op, np.column_stack([ones, np.full_like(ones, np.nan)]))
+    assert np.all(U[:, 0] > 0.0) and np.all(np.isnan(U[:, 1]))
 
 
-def test_harmonic_extension_refuses_a_divergent_tail(poisson_x_256):
+def test_harmonic_extension_refuses_a_divergent_tail(op_x_256):
     # f ~ c z^-p against the kernel's z^(-1 - 2 delta) tail converges only
     # for p > -2 delta_min, -1.5 on stable 0.75
-    pt = poisson_x_256
-    ones = np.ones_like(pt.zgrid.nodes)
-    u = harmonic_extend(pt, ones, f_tail=(1.0, -1.0))
+    op = op_x_256
+    ones = np.ones(_mesh(op).nodes.size)
+    u = harmonic_extend(op, ones, (1.0, -1.0))
     assert np.all(np.isfinite(u)) and np.all(u > 0.0)
-    assert np.all(u > harmonic_extend(pt, ones, f_tail=(1.0, 0.0)))
+    assert np.all(u > harmonic_extend(op, ones, _ONE))
     for p in (-1.5, -2.0, -math.inf, math.nan):
         with pytest.raises(DomainError, match=f"got p = {p}$"):
-            harmonic_extend(pt, ones, f_tail=(1.0, p))
+            harmonic_extend(op, ones, (1.0, p))
     with pytest.raises(DomainError, match="^tail coefficient must be nonnegative$"):
-        harmonic_extend(pt, ones, f_tail=(math.nan, 0.0))
+        harmonic_extend(op, ones, (math.nan, 0.0))
+    with pytest.raises(DomainError, match="^tail coefficient must be nonnegative$"):
+        harmonic_extend(op, ones, None, -1.0)
 
 
 def test_exit_alive_bracket(stable_ks):
@@ -689,6 +777,8 @@ def test_shelf_operator_matvec_is_the_generator(ks_name, n, request):
         want[-1, 0] += dk
         want[0, 1] += dk
         np.testing.assert_allclose(op.exits, want, rtol=1e-12, atol=0.0)
+        for got, split in zip(op.exit_rates, gen.exit_rates):
+            np.testing.assert_allclose(got, split, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(op.diag, -np.diag(gen.A), rtol=1e-13, atol=0.0)
         want = -gen.A @ x
         scale = np.max(np.abs(want))
@@ -1025,6 +1115,17 @@ def test_bhp_report(stable_ks):
     for bad in (0, 256.0):
         with pytest.raises(ConfigError, match="n must be an integer|n must be at least"):
             bhp_sup_ratio(stable_ks, 1.0, n=bad)
+
+
+def test_bhp_is_scale_free(stable_ks):
+    # the extensions solve on the structured generator, whose kill rates
+    # are closed tails, so a stable r = 1e8 solves (the dense build's
+    # quadrature rates were refused there) and reads the constants of
+    # r = 1 (3.8e-14 apart)
+    ref = bhp_sup_ratio(stable_ks, 1.0, n=512)
+    rep = bhp_sup_ratio(stable_ks, 1e8, n=512)
+    for name in ("c7", "c7_upper"):
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-9, abs=0.0)
 
 
 def test_three_g_sup_keeps_a_nan(stable_ks):

@@ -277,20 +277,32 @@ def test_exit_times_match_a_dense_lu_solve(request, ks_name, n):
             np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=f"{interval} {kind}")
 
 
-def test_exit_time_bound_is_scale_free():
-    # the exit times take closed kill rates, so a stable R = 1e8 solves (the
-    # dense build's quadrature rates were refused there) and reads the
-    # constants of R = 1: E / (R h) and the drift depend on x/R alone, and
-    # c3 = E / h scales with R (2.4e-13, 7.0e-11 and 1.7e-13 apart)
-    keys = ("max_ratio_4Rh", "c3_drift", "c3_fine")
+def _assert_check_is_scale_free(name, keys):
+    # a stable R = 1e8 passes the check with the constants of R = 1; the
+    # last key scales with R
     got = {}
     for R in (1.0, 1e8):
-        cfg = RunConfig(specs=(PhiSpec.stable(0.75),), R=R)
-        (check,) = run_verify(cfg, only=["exit-time-bound"]).checks
-        assert check.passed, (R, check.measured)
+        cfg = RunConfig(specs=(vf.FIXTURE_STABLE,), R=R)
+        (check,) = run_verify(cfg, only=[name]).checks
+        assert check.passed, (R, check.tol, check.measured)
         got[R] = [check.measured[k] for k in keys]
-        got[R][2] /= R
+        got[R][-1] /= R
     np.testing.assert_allclose(got[1e8], got[1.0], rtol=1e-9, atol=0.0)
+
+
+def test_exit_time_bound_is_scale_free():
+    # the exit times take closed kill rates, so a stable R = 1e8 solves (the
+    # dense build's quadrature rates were refused there): E / (R h) and the
+    # drift depend on x/R alone, and c3 = E / h scales with R (2.4e-13,
+    # 7.0e-11 and 1.7e-13 apart)
+    _assert_check_is_scale_free("exit-time-bound", ("max_ratio_4Rh", "c3_drift", "c3_fine"))
+
+
+def test_bhp_check_is_scale_free():
+    # bhp's extensions solve on the structured generator with closed kill
+    # rates, so a stable R = 1e8 passes (the dense build's quadrature rates
+    # were refused there); the shelf a_fine scales with R
+    _assert_check_is_scale_free("bhp", ("c7", "c7_mid", "c7_coarse", "c7_upper", "a_fine"))
 
 
 def test_green_self_convergence_is_scale_free():
